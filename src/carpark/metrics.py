@@ -234,9 +234,6 @@ class MetricStore:
             return None
         return MetricSeries(path, st.mode, self.summary_freq, list(st.points))
 
-    def all_series(self) -> dict[str, MetricSeries]:
-        return {p: self.series(p) for p in self._states}
-
     def raw_points(self, path: str) -> list[tuple[int, float]]:
         st = self._states.get(path)
         if st is None or st.raw is None:

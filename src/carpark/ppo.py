@@ -8,7 +8,13 @@ All agents share one parameter set; rollout segments from every agent
 feed a single buffer and are cut at the time horizon or at episode end.
 The last 0.2 of the step budget is an evaluation phase: the update loop
 keeps running with the learning rate exactly 0, so parameters stay
-bit-identical while the metrics keep flowing.
+bit-identical while the metrics keep flowing. At lr=0 the optimizer
+advances its moments and step counter and skips the parameter write.
+
+An update pass writes every minibatch's gradients into one workspace:
+`gradients` returns the `out` dict it is given, and the next call with
+the same `out` overwrites it. A non-finite policy output during rollout
+or evaluation raises FloatingPointError at the step that produced it.
 """
 
 from __future__ import annotations
@@ -229,11 +235,17 @@ def forward(params: PolicyParams, observation) -> tuple[list[np.ndarray], float]
             f"{params.obs_dim}")
     logps, _ = _actor_logps(params, x)
     values, _ = _critic_values(params, x)
-    dists = [np.exp(lp[0]) for lp in logps]
-    if not all(np.isfinite(d).all() for d in dists) \
-            or not math.isfinite(values[0]):
-        raise FloatingPointError("non-finite activation in policy forward")
-    return dists, float(values[0])
+    _check_finite("in policy forward", *logps, values)
+    return [np.exp(lp[0]) for lp in logps], float(values[0])
+
+
+def _check_finite(where: str, *outputs: np.ndarray) -> None:
+    """Raise FloatingPointError unless every log-prob and value array
+    is finite. A NaN or infinite weight makes whole log-prob rows NaN,
+    which sampling and argmax would otherwise turn into a valid-looking
+    action."""
+    if not all(np.isfinite(arr).all() for arr in outputs):
+        raise FloatingPointError(f"non-finite policy output {where}")
 
 
 def gae(rewards, values, terminals, gamma: float, lam: float,
@@ -362,9 +374,14 @@ def ppo_loss(params: PolicyParams, obs, actions, logp_old, advantages,
 
 
 def gradients(params: PolicyParams, obs, actions, logp_old, advantages,
-              returns, epsilon_clip: float,
-              beta: float) -> tuple[dict, dict]:
-    """Exact reverse-mode gradients of ppo_loss for every parameter."""
+              returns, epsilon_clip: float, beta: float,
+              out: dict | None = None) -> tuple[dict, dict]:
+    """Exact reverse-mode gradients of ppo_loss for every parameter.
+
+    The gradients are written into `out`, a dict of arrays shaped like
+    `params.data`, which is returned; without one a fresh dict is
+    allocated. Every entry is overwritten, so the next call with the
+    same `out` replaces the previous gradients."""
     x = np.asarray(obs, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
     logp_old = np.asarray(logp_old, dtype=np.float64)
@@ -373,7 +390,8 @@ def gradients(params: PolicyParams, obs, actions, logp_old, advantages,
     n = len(x)
     rows = np.arange(n)
     data = params.data
-    grads: dict[str, np.ndarray] = {}
+    if out is None:
+        out = {name: np.empty_like(arr) for name, arr in data.items()}
 
     logps, acts = _actor_logps(params, x)
     h = acts[-1]
@@ -400,36 +418,44 @@ def gradients(params: PolicyParams, obs, actions, logp_old, advantages,
         # entropy bonus: d(-beta*mean(H))/d(logits) with
         # dH/dz_j = -p_j(log p_j + H)
         d_logits += (beta / n) * p * (lp + entropies[k][:, None])
-        grads[f"actor.head{k}.w"] = h.T @ d_logits
-        grads[f"actor.head{k}.b"] = d_logits.sum(axis=0)
+        np.matmul(h.T, d_logits, out=out[f"actor.head{k}.w"])
+        np.sum(d_logits, axis=0, out=out[f"actor.head{k}.b"])
         d_h += d_logits @ data[f"actor.head{k}.w"].T
-    for i in range(params.layers - 1, -1, -1):
-        d_pre = d_h * (1.0 - acts[i + 1] ** 2)
-        grads[f"actor.w{i}"] = acts[i].T @ d_pre
-        grads[f"actor.b{i}"] = d_pre.sum(axis=0)
-        d_h = d_pre @ data[f"actor.w{i}"].T
+    _backward_hidden(params, "actor", acts, d_h, out)
 
     values, c_acts = _critic_values(params, x)
     value_loss = float(((values - returns) ** 2).mean())
     d_values = VALUE_LOSS_WEIGHT * 2.0 * (values - returns) / n
     ch = c_acts[-1]
-    grads["critic.value.w"] = ch.T @ d_values[:, None]
-    grads["critic.value.b"] = np.array([d_values.sum()])
+    np.matmul(ch.T, d_values[:, None], out=out["critic.value.w"])
+    out["critic.value.b"][0] = d_values.sum()
     d_h = d_values[:, None] @ data["critic.value.w"].T
-    for i in range(params.layers - 1, -1, -1):
-        d_pre = d_h * (1.0 - c_acts[i + 1] ** 2)
-        grads[f"critic.w{i}"] = c_acts[i].T @ d_pre
-        grads[f"critic.b{i}"] = d_pre.sum(axis=0)
-        d_h = d_pre @ data[f"critic.w{i}"].T
+    _backward_hidden(params, "critic", c_acts, d_h, out)
 
     total = policy_loss + VALUE_LOSS_WEIGHT * value_loss - beta * entropy
-    return grads, {"loss": total, "policy_loss": policy_loss,
-                   "value_loss": value_loss, "entropy": entropy}
+    return out, {"loss": total, "policy_loss": policy_loss,
+                 "value_loss": value_loss, "entropy": entropy}
+
+
+def _backward_hidden(params: PolicyParams, prefix: str, acts: list,
+                     d_h: np.ndarray, out: dict) -> None:
+    """Back-propagate d_h, the gradient at the last hidden activation,
+    through the tanh layers into out's weight and bias entries. The
+    gradient with respect to the network input is never needed, so the
+    first layer stops at its weights."""
+    for i in range(params.layers - 1, -1, -1):
+        d_pre = d_h * (1.0 - acts[i + 1] ** 2)
+        np.matmul(acts[i].T, d_pre, out=out[f"{prefix}.w{i}"])
+        np.sum(d_pre, axis=0, out=out[f"{prefix}.b{i}"])
+        if i > 0:
+            d_h = d_pre @ params.data[f"{prefix}.w{i}"].T
 
 
 def adam_step(params: PolicyParams, grads: dict, lr: float) -> None:
-    """In-place adaptive-moment update; lr=0 leaves every parameter
-    bit-identical while the moments keep tracking."""
+    """In-place adaptive-moment update. The moments and the step counter
+    always advance; with lr=0 the parameter write is skipped, so every
+    parameter stays bit-identical (a -0.0 or a non-finite moment
+    included)."""
     params.t += 1
     correct1 = 1.0 - ADAM_BETA1 ** params.t
     correct2 = 1.0 - ADAM_BETA2 ** params.t
@@ -440,8 +466,9 @@ def adam_step(params: PolicyParams, grads: dict, lr: float) -> None:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        params.data[name] -= lr * (m / correct1) \
-            / (np.sqrt(v / correct2) + ADAM_EPS)
+        if lr != 0.0:
+            params.data[name] -= lr * (m / correct1) \
+                / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 def ppo_update(params: PolicyParams, buffer: RolloutBuffer,
@@ -449,11 +476,13 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer,
                rng: np.random.Generator) -> dict:
     """Run `epochs` shuffled passes of minibatch updates over the
     buffer contents, then drain the buffer. Advantages are normalized
-    per minibatch. Empty buffer is a no-op."""
+    per minibatch. Every minibatch's gradients go into one workspace
+    allocated per call. Empty buffer is a no-op."""
     if buffer.size == 0:
         return {"updates": 0}
     batch = buffer.drain()
     count = len(batch["logp"])
+    grads = None  # the first minibatch allocates the workspace
     totals = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
     updates = 0
     for _ in range(hyper.epochs):
@@ -465,7 +494,7 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer,
             grads, parts = gradients(
                 params, batch["obs"][idx], batch["actions"][idx],
                 batch["logp"][idx], adv, batch["returns"][idx],
-                hyper.epsilon_clip, hyper.beta)
+                hyper.epsilon_clip, hyper.beta, out=grads)
             if not math.isfinite(parts["loss"]):
                 raise FloatingPointError(
                     f"non-finite loss {parts['loss']} during update")
@@ -603,6 +632,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
             x = np.asarray(env.observe(i), dtype=np.float64)
             logps, _ = _actor_logps(params, x.reshape(1, -1))
             values, _ = _critic_values(params, x.reshape(1, -1))
+            _check_finite(f"for agent {i} at step {gstep}", *logps, values)
             idx, action, logp = _sample_branches(logps, offsets, np_rng)
             step_obs.append(x)
             step_idx.append(idx)
@@ -638,6 +668,8 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
             elif len(seg["rewards"]) >= hyper.horizon:
                 x_next = np.asarray(env.observe(i), dtype=np.float64)
                 values, _ = _critic_values(params, x_next.reshape(1, -1))
+                _check_finite(f"for agent {i}'s bootstrap value at step "
+                              f"{gstep}", values)
                 flush_segment(i, float(values[0]))
         if buffer.full:
             lr = lr_schedule(gstep, hyper.total_steps, hyper.lr,
@@ -700,6 +732,7 @@ def evaluate_ppo(params: PolicyParams, env: ParkingEnv, episodes: int,
         for i in range(n):
             x = np.asarray(env.observe(i), dtype=np.float64).reshape(1, -1)
             logps, _ = _actor_logps(params, x)
+            _check_finite(f"for agent {i} at step {gstep}", *logps)
             values = tuple(int(lp[0].argmax()) - off
                            for lp, off in zip(logps, offsets))
             acts.append(ActionTuple(*values))

@@ -14,6 +14,10 @@ from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.metrics import read_run_meta, read_store
 from carpark.ppo import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ADV_NORM_EPS,
     PPO_MODEL_BASENAME,
     REWARDS_BASENAME,
     PolicyParams,
@@ -360,6 +364,24 @@ def test_doubling_advantages_doubles_actor_gradients():
             assert np.array_equal(g1[name], g2[name]), name
 
 
+def test_gradients_overwrite_every_workspace_entry():
+    # a NaN left anywhere in the workspace marks an entry never written
+    params = tiny_params(obs_dim=4, branches=(3, 2), hidden=5, layers=3,
+                         seed=29)
+    rng = np.random.default_rng(10)
+    out = {name: np.full_like(arr, np.nan)
+           for name, arr in params.data.items()}
+    for _ in range(2):  # the second batch overwrites the first one's
+        batch = random_batch(params, 6, rng)
+        fresh, fresh_parts = gradients(params, *batch, 0.25, 0.01)
+        grads, parts = gradients(params, *batch, 0.25, 0.01, out=out)
+        assert grads is out
+        assert parts == fresh_parts
+        assert list(grads) == list(params.data)
+        for name, arr in grads.items():
+            assert arr.tobytes() == fresh[name].tobytes(), name
+
+
 # --------------------------------------------------------- buffer and update
 
 
@@ -457,6 +479,78 @@ def test_update_moves_params_and_drains_buffer():
     assert buf.size == 0
     for arr in params.data.values():
         assert np.isfinite(arr).all()
+
+
+def reference_adam_step(params, grads, lr):
+    """Adam as first written, every operation allocating its temporaries
+    and the parameter write done at every lr; the oracle for adam_step."""
+    params.t += 1
+    correct1 = 1.0 - ADAM_BETA1 ** params.t
+    correct2 = 1.0 - ADAM_BETA2 ** params.t
+    for name, g in grads.items():
+        m = params.m[name]
+        v = params.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        params.data[name] -= lr * (m / correct1) \
+            / (np.sqrt(v / correct2) + ADAM_EPS)
+
+
+def reference_update(params, batch, hyper, lr, rng):
+    """ppo_update's minibatch loop with a fresh gradient dict per
+    minibatch and reference_adam_step."""
+    count = len(batch["logp"])
+    for _ in range(hyper.epochs):
+        order = rng.permutation(count)
+        for start in range(0, count, hyper.batch):
+            idx = order[start:start + hyper.batch]
+            adv = batch["advantages"][idx]
+            adv = (adv - adv.mean()) / (adv.std() + ADV_NORM_EPS)
+            grads, _ = gradients(
+                params, batch["obs"][idx], batch["actions"][idx],
+                batch["logp"][idx], adv, batch["returns"][idx],
+                hyper.epsilon_clip, hyper.beta)
+            reference_adam_step(params, grads, lr)
+
+
+@pytest.mark.parametrize("lr", [1e-3, 0.0])
+def test_update_matches_fresh_gradient_reference(lr):
+    params = tiny_params(obs_dim=4, branches=(3, 2), hidden=6, layers=3,
+                         seed=17)
+    hyper = PpoHyper(total_steps=100, buffer=32, batch=8, epochs=3)
+    ref = copy.deepcopy(params)
+    rng = np.random.default_rng(9)
+    for update_lr in (1e-3, lr):  # a warm-up so the moments are non-zero
+        buf = RolloutBuffer(capacity=32, horizon=8)
+        fill_buffer(buf, params, rng, 32)
+        batch = copy.deepcopy(buf).drain()
+        seed = int(rng.integers(1 << 30))
+        ppo_update(params, buf, hyper, update_lr, np.random.default_rng(seed))
+        reference_update(ref, batch, hyper, update_lr,
+                         np.random.default_rng(seed))
+    assert params.t == ref.t == 2 * 3 * 4
+    for store in ("data", "m", "v"):
+        for name, arr in getattr(params, store).items():
+            assert arr.tobytes() == getattr(ref, store)[name].tobytes(), (
+                store, name)
+
+
+def test_zero_lr_adam_step_writes_no_parameter():
+    # the parameter write 0*x would turn -0.0 into 0.0 for a negative
+    # step and inf/inf into NaN
+    params = tiny_params(obs_dim=1, branches=(1,), hidden=1, layers=1)
+    params.data["critic.value.b"][:] = -0.0
+    params.data["critic.value.w"][:] = 0.5
+    grads = {"critic.value.b": np.array([-1.0]),
+             "critic.value.w": np.array([[np.inf]])}
+    adam_step(params, grads, lr=0.0)
+    assert params.t == 1
+    assert np.signbit(params.data["critic.value.b"][0])
+    assert params.data["critic.value.w"][0, 0] == 0.5
+    assert params.m["critic.value.b"][0] == pytest.approx(-0.1, abs=1e-15)
+    assert params.v["critic.value.w"][0, 0] == np.inf
 
 
 def test_adam_descends_a_quadratic():
@@ -620,6 +714,19 @@ def test_zero_lr_training_leaves_params_identical():
         assert np.array_equal(arr, before[name]), name
 
 
+@pytest.mark.parametrize("weight", ["actor.w0", "critic.w0"])
+def test_train_fails_fast_on_non_finite_policy(weight):
+    cfg = norm_cfg()
+    hyper = short_hyper(total_steps=600)
+    env = ParkingEnv(cfg, seed=5)
+    params = PolicyParams(len(env.observe(0)), env.action_schema.branches,
+                          hyper.hidden, hyper.layers,
+                          rng=np.random.default_rng(3))
+    params.data[weight][0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="agent 0 at step 0$"):
+        train_ppo(cfg, hyper, env=env, params=params, seed=5)
+
+
 def test_train_is_deterministic(tmp_path):
     cfg = norm_cfg()
     runs = []
@@ -677,6 +784,15 @@ def test_evaluation_rates_sum_to_one():
     total = report["park_rate"] + report["crash_rate"] + report["halt_rate"]
     assert total == pytest.approx(1.0, abs=1e-9)
     assert len(report["rewards"]) == 30
+
+
+def test_evaluate_fails_fast_on_non_finite_policy():
+    env = ParkingEnv(norm_cfg(), seed=7)
+    params = PolicyParams(len(env.observe(0)), env.action_schema.branches,
+                          16, 2, rng=np.random.default_rng(1))
+    params.data["actor.head1.w"][0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="agent 0 at step 0$"):
+        evaluate_ppo(params, env, episodes=5)
 
 
 def test_evaluate_zero_episodes():
