@@ -36,8 +36,6 @@ class EnvironmentConfig:
     _maxDeltaThetaMagnitude: int = 1
     _numAgents: int = 1
     _normalizeObs: bool = False
-    _debugObs: bool = False
-    _visualiseNearbyCars: bool = False
     _numParkedCars: int = 0
     # observation features
     _obsDist: bool = False
@@ -85,7 +83,6 @@ class EnvironmentConfig:
     _punishBetterOtherAgentLocal: bool = False  # local scheme if set, else global
     _punishBetterOtherGoalAgent: bool = False  # same-goal scheme if set, else any-goal
     # training-time knobs
-    _numStepsTrain: int = 0
     carScaleTrain: float = 1.0
     # grid-search redundancy marker; carried but never read by the env
     try_: int = 0
@@ -237,6 +234,15 @@ def _field_kinds() -> dict[str, str]:
 
 _KINDS = _field_kinds()
 
+# Accepted for config compatibility and type-checked, then dropped: the
+# environment reads none of them (debug and visualisation switches, and a
+# step budget the trainers take from their own settings).
+_IGNORED_KEYS = {
+    "_debugObs": "bool",
+    "_visualiseNearbyCars": "bool",
+    "_numStepsTrain": "int",
+}
+
 
 def config_from_mapping(doc: dict) -> EnvironmentConfig:
     if doc is None:
@@ -249,6 +255,9 @@ def config_from_mapping(doc: dict) -> EnvironmentConfig:
         m = _RD_PATTERN.match(str(key))
         if m:
             ring_overrides[int(m.group(1))] = _coerce(key, "int", value)
+            continue
+        if key in _IGNORED_KEYS:
+            _coerce(key, _IGNORED_KEYS[key], value)
             continue
         if key not in _KINDS:
             raise ValueError(f"unknown environment parameter: {key}")

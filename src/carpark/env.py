@@ -47,7 +47,6 @@ from .world import (
     obb_corners,
     obb_intersects,
     point_to_obb_distance,
-    point_to_segment_distance,
 )
 
 PARK_CENTER_THRESHOLD = 1.0  # world units from space center
@@ -342,27 +341,25 @@ class ParkingEnv:
         sp = self.world.spaces[agent.goal_space]
         return math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
 
-    def _cell(self, x: float, y: float):
-        """Per-position cache of static-obstacle data: uncapped ring counts
-        and nearest parked-car center distance."""
+    def _sync_caches(self) -> None:
+        """Drop the per-position caches once the static world has moved."""
         if self.world.version != self._cache_version:
             self._cell_cache.clear()
             self._hit_cache.clear()
             self._cache_version = self.world.version
+
+    def _cell(self, x: float, y: float):
+        """Per-position cache of static-obstacle data: ring counts of walls
+        and parked cars, capped at max_count, and nearest parked-car
+        center distance."""
+        self._sync_caches()
         key = (x, y)
         got = self._cell_cache.get(key)
         if got is None:
             ring_static = None
             if self.ring_spec:
-                dists = [point_to_segment_distance(x, y, w)
-                         for w in self.world.walls]
-                if not self.ring_spec.walls_only:
-                    dists.extend(
-                        point_to_obb_distance(x, y, car, self.grid)
-                        for car in self.world.parked)
-                ring_static = tuple(
-                    sum(1 for d in dists if d < diam / 2.0)
-                    for diam in self.ring_spec.diameters)
+                ring_static = self.world.ring_counts(
+                    x, y, -1, self.ring_spec, skip_agents=True)
             nearest = self.d_max
             for car in self.world.parked:
                 d = math.hypot(car.x - x, car.y - y)
@@ -377,7 +374,9 @@ class ParkingEnv:
         body = self.agents[agent_i].body
         static, _ = self._cell(body.x, body.y)
         if spec.walls_only or len(self.agents) == 1:
-            return tuple(min(c, spec.max_count) for c in static)
+            return static
+        # capping the static share first changes nothing:
+        # min(min(s, cap) + a, cap) == min(s + a, cap) for s, a >= 0
         counts = list(static)
         for j, other in enumerate(self.agents):
             if j == agent_i:
@@ -388,7 +387,9 @@ class ParkingEnv:
                     counts[i] += 1
         return tuple(min(c, spec.max_count) for c in counts)
 
-    def _nearest_car_distance(self, agent_i: int) -> float:
+    def nearest_car_distance(self, agent_i: int) -> float:
+        """Center distance to the closest other car; arena diagonal when
+        there are no other cars."""
         body = self.agents[agent_i].body
         _, nearest = self._cell(body.x, body.y)
         for j, other in enumerate(self.agents):
@@ -400,10 +401,7 @@ class ParkingEnv:
         return nearest
 
     def _static_hit(self, x: float, y: float, theta: int) -> str | None:
-        if self.world.version != self._cache_version:
-            self._cell_cache.clear()
-            self._hit_cache.clear()
-            self._cache_version = self.world.version
+        self._sync_caches()
         key = (x, y, theta)
         got = self._hit_cache.get(key, False)
         if got is False:
@@ -801,10 +799,3 @@ class ParkingEnv:
             ev.ratio_explore = agent.steps_exploring / n
             ev.ratio_toward_space_exploring = agent.steps_toward_space_exploring / n
         ev.ratio_toward_goal = agent.steps_toward_goal / n
-
-    # ------------------------------------------------------------- metrics
-
-    def nearest_car_distance(self, agent_i: int) -> float:
-        """Center distance to the closest other car; arena diagonal when
-        there are no other cars."""
-        return self._nearest_car_distance(agent_i)

@@ -7,6 +7,11 @@ size stay bounded regardless of run length. Closed buckets stream to a
 line-delimited JSON file as they close, which means a crashed job still
 leaves a readable store behind.
 
+Both trainers share the run plumbing here: ``RunDir`` opens a run
+directory (metadata, metric store, recorder) and ``finish`` closes it
+with the reward series and the run totals; ``evaluate_policy`` is the
+greedy evaluation loop behind ``evaluate_q`` and ``evaluate_ppo``.
+
 The aggregation functions reduce a series over the evaluation period --
 every bucket at or past the period-start step -- and ``export_rows``
 assembles one summary row per model directory from them.
@@ -26,6 +31,7 @@ DEFAULT_SUMMARY_FREQ = 10_000
 
 STORE_BASENAME = "metrics.jsonl"
 META_BASENAME = "run.json"
+REWARDS_BASENAME = "rewards.csv"
 
 # Conformity column ids, in export order. The recorded count paths are
 # "Metrics/<id>_PostiveCount" (sic) and "Metrics/<id>_TotalCount".
@@ -411,6 +417,84 @@ class TrainingRecorder:
                    stats[f"gave_way_{name}_pos"], step, "last")
             record(f"Metrics/GaveWay{name}_TotalCount",
                    stats[f"gave_way_{name}_total"], step, "last")
+
+
+class RunDir:
+    """One training run's output directory.
+
+    Opening it creates the directory, writes ``run.json`` with
+    ``finished`` False, and opens the metric store and its recorder;
+    ``finish`` writes the per-episode reward series, closes the store and
+    rewrites ``run.json`` as finished with the run totals. A run that
+    dies in between leaves its metadata marked unfinished.
+    """
+
+    def __init__(self, out_dir: str, kind: str, env, *, seed, experiment,
+                 run_id: str | None = None,
+                 summary_freq: int = DEFAULT_SUMMARY_FREQ):
+        os.makedirs(out_dir, exist_ok=True)
+        if run_id is None:
+            run_id = os.path.basename(os.path.normpath(out_dir))
+        self.out_dir = out_dir
+        self._meta = {"kind": kind, "run_id": run_id, "seed": seed,
+                      "experiment": experiment}
+        write_run_meta(out_dir, {**self._meta, "finished": False})
+        self.store = MetricStore(self.path(STORE_BASENAME), summary_freq)
+        self.recorder = TrainingRecorder(self.store, env)
+
+    def path(self, basename: str) -> str:
+        return os.path.join(self.out_dir, basename)
+
+    def finish(self, rewards: list[float], **totals) -> None:
+        with open(self.path(REWARDS_BASENAME), "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["episode", "reward"])
+            for episode, reward in enumerate(rewards):
+                writer.writerow([episode, reward])
+        self.store.close()
+        write_run_meta(self.out_dir,
+                       {**self._meta, "finished": True, **totals})
+
+
+def evaluate_policy(env, episodes: int, act,
+                    store: MetricStore | None = None) -> dict:
+    """Greedy rollouts with no learning; returns outcome rates and the
+    per-episode rewards.
+
+    Each tick asks ``act(i, step)`` for agent i's ``ActionTuple``, where
+    step is the agent-step count before the tick, then steps all agents.
+    """
+    if episodes <= 0:
+        return {"episodes": 0, "park_rate": None, "crash_rate": None,
+                "halt_rate": None, "mean_reward": None,
+                "mean_length": None, "rewards": []}
+    recorder = TrainingRecorder(store, env) if store is not None else None
+    before = dict(env.stats)
+    n = len(env.agents)
+    rewards: list[float] = []
+    lengths: list[int] = []
+    gstep = 0
+    while len(rewards) < episodes:
+        outs = env.step_all([act(i, gstep) for i in range(n)])
+        gstep += n
+        if recorder is not None:
+            recorder.after_step(gstep, outs)
+        for out in outs:
+            if out.terminal is not None:
+                rewards.append(out.events.episode_reward)
+                lengths.append(out.events.episode_steps)
+    done = len(rewards)
+    return {
+        "episodes": done,
+        "park_rate": (env.stats["parked"] - before["parked"]) / done,
+        "crash_rate": (env.stats["crashed"] - before["crashed"]) / done,
+        "halt_rate": (env.stats["halted"] - before["halted"]) / done,
+        "mean_reward": sum(rewards) / done,
+        "mean_length": sum(lengths) / done,
+        "rewards": rewards,
+        "total_steps": gstep,
+    }
 
 
 # ------------------------------------------------------------ run metadata

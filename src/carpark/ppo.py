@@ -19,9 +19,7 @@ or evaluation raises FloatingPointError at the step that produced it.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 import random
 from dataclasses import asdict, dataclass
 
@@ -29,17 +27,10 @@ import numpy as np
 
 from .config import EnvironmentConfig
 from .env import ActionTuple, ParkingEnv
-from .metrics import (
-    DEFAULT_SUMMARY_FREQ,
-    STORE_BASENAME,
-    MetricStore,
-    TrainingRecorder,
-    write_run_meta,
-)
+from .metrics import DEFAULT_SUMMARY_FREQ, MetricStore, RunDir, evaluate_policy
 
 CHECKPOINT_VERSION = 1
 PPO_MODEL_BASENAME = "model.npz"
-REWARDS_BASENAME = "rewards.csv"
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -588,19 +579,12 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
             "environment_parameters": cfg.to_mapping(),
             "hyperparameters": asdict(hyper),
         }
-    store = None
+    run = None
     recorder = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if run_id is None:
-            run_id = os.path.basename(os.path.normpath(out_dir))
-        write_run_meta(out_dir, {
-            "kind": "ppo", "run_id": run_id, "finished": False, "seed": seed,
-            "experiment": experiment,
-        })
-        store = MetricStore(os.path.join(out_dir, STORE_BASENAME),
-                            summary_freq)
-        recorder = TrainingRecorder(store, env)
+        run = RunDir(out_dir, "ppo", env, seed=seed, experiment=experiment,
+                     run_id=run_id, summary_freq=summary_freq)
+        recorder = run.recorder
 
     n = len(env.agents)
     offsets = env.action_schema.offsets
@@ -675,13 +659,11 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
             lr = lr_schedule(gstep, hyper.total_steps, hyper.lr,
                              hyper.train_fraction)
             diag = ppo_update(params, buffer, hyper, lr, np_rng)
-            if store is not None and diag["updates"]:
-                store.record("Losses/Policy Loss", diag["policy_loss"],
-                             gstep, "mean")
-                store.record("Losses/Value Loss", diag["value_loss"],
-                             gstep, "mean")
-                store.record("Policy/Entropy", diag["entropy"],
-                             gstep, "mean")
+            if run is not None and diag["updates"]:
+                record = run.store.record
+                record("Losses/Policy Loss", diag["policy_loss"], gstep)
+                record("Losses/Value Loss", diag["value_loss"], gstep)
+                record("Policy/Entropy", diag["entropy"], gstep)
 
     if buffer.size > 0:  # final flush of the leftover tail
         lr = lr_schedule(gstep, hyper.total_steps, hyper.lr,
@@ -690,21 +672,10 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
     if boundary is None:
         boundary = gstep
     result = PpoTrainResult(params, rewards, gstep, boundary, out_dir)
-    if out_dir is not None:
-        params.save(os.path.join(out_dir, PPO_MODEL_BASENAME))
-        with open(os.path.join(out_dir, REWARDS_BASENAME), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "reward"])
-            for episode, reward in enumerate(rewards):
-                writer.writerow([episode, reward])
-        store.close()
-        write_run_meta(out_dir, {
-            "kind": "ppo", "run_id": run_id, "finished": True, "seed": seed,
-            "total_steps": gstep, "total_episodes": episodes_done,
-            "train_boundary_step": boundary,
-            "experiment": experiment,
-        })
+    if run is not None:
+        params.save(run.path(PPO_MODEL_BASENAME))
+        run.finish(rewards, total_steps=gstep, total_episodes=episodes_done,
+                   train_boundary_step=boundary)
     return result
 
 
@@ -716,42 +687,13 @@ def evaluate_ppo(params: PolicyParams, env: ParkingEnv, episodes: int,
         raise ValueError("policy evaluation requires the normalized "
                          "observation mode; set _normalizeObs")
     _check_params_dims(params, env, len(env.observe(0)))
-    if episodes <= 0:
-        return {"episodes": 0, "park_rate": None, "crash_rate": None,
-                "halt_rate": None, "mean_reward": None,
-                "mean_length": None, "rewards": []}
-    recorder = TrainingRecorder(store, env) if store is not None else None
-    before = dict(env.stats)
-    n = len(env.agents)
     offsets = env.action_schema.offsets
-    rewards: list[float] = []
-    lengths: list[int] = []
-    gstep = 0
-    while len(rewards) < episodes:
-        acts = []
-        for i in range(n):
-            x = np.asarray(env.observe(i), dtype=np.float64).reshape(1, -1)
-            logps, _ = _actor_logps(params, x)
-            _check_finite(f"for agent {i} at step {gstep}", *logps)
-            values = tuple(int(lp[0].argmax()) - off
-                           for lp, off in zip(logps, offsets))
-            acts.append(ActionTuple(*values))
-        outs = env.step_all(acts)
-        gstep += n
-        if recorder is not None:
-            recorder.after_step(gstep, outs)
-        for out in outs:
-            if out.terminal is not None:
-                rewards.append(out.events.episode_reward)
-                lengths.append(out.events.episode_steps)
-    done = len(rewards)
-    return {
-        "episodes": done,
-        "park_rate": (env.stats["parked"] - before["parked"]) / done,
-        "crash_rate": (env.stats["crashed"] - before["crashed"]) / done,
-        "halt_rate": (env.stats["halted"] - before["halted"]) / done,
-        "mean_reward": sum(rewards) / done,
-        "mean_length": sum(lengths) / done,
-        "rewards": rewards,
-        "total_steps": gstep,
-    }
+
+    def act(i: int, step: int) -> ActionTuple:
+        x = np.asarray(env.observe(i), dtype=np.float64).reshape(1, -1)
+        logps, _ = _actor_logps(params, x)
+        _check_finite(f"for agent {i} at step {step}", *logps)
+        return ActionTuple(*(int(lp[0].argmax()) - off
+                             for lp, off in zip(logps, offsets)))
+
+    return evaluate_policy(env, episodes, act, store)

@@ -9,9 +9,7 @@ seeded processes.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 import random
 import struct
 from dataclasses import asdict, dataclass
@@ -20,20 +18,13 @@ import numpy as np
 
 from .config import EnvironmentConfig
 from .env import ActionTuple, ParkingEnv
-from .metrics import (
-    DEFAULT_SUMMARY_FREQ,
-    STORE_BASENAME,
-    MetricStore,
-    TrainingRecorder,
-    write_run_meta,
-)
+from .metrics import DEFAULT_SUMMARY_FREQ, MetricStore, RunDir, evaluate_policy
 from .observation import decode_action, encode_state
 
 QTABLE_MAGIC = b"QTBL"
 QTABLE_VERSION = 1
 
 MODEL_BASENAME = "model.qtable"
-REWARDS_BASENAME = "rewards.csv"
 
 
 class QTable:
@@ -217,6 +208,13 @@ class QTrainResult:
     out_dir: str | None
 
 
+def _check_discrete(env: ParkingEnv) -> None:
+    if env.obs_mode != "discrete":
+        raise ValueError(
+            "tabular Q-learning requires the discrete observation mode; "
+            "unset _normalizeObs")
+
+
 def _check_table_dims(table: QTable, env: ParkingEnv) -> None:
     dims = tuple(env.schema.discrete_dims())
     branches = tuple(env.action_schema.branches)
@@ -248,10 +246,7 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
     rng = random.Random(seed)
     if env is None:
         env = ParkingEnv(cfg, rng=rng)
-    if env.obs_mode != "discrete":
-        raise ValueError(
-            "tabular training requires the discrete observation mode; "
-            "unset _normalizeObs")
+    _check_discrete(env)
     if table is None:
         table = QTable(env.schema.discrete_dims(),
                        env.action_schema.branches)
@@ -266,19 +261,12 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
             "environment_parameters": cfg.to_mapping(),
             "hyperparameters": asdict(schedule),
         }
-    store = None
+    run = None
     recorder = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if run_id is None:
-            run_id = os.path.basename(os.path.normpath(out_dir))
-        write_run_meta(out_dir, {
-            "kind": "q", "run_id": run_id, "finished": False, "seed": seed,
-            "experiment": experiment,
-        })
-        store = MetricStore(os.path.join(out_dir, STORE_BASENAME),
-                            summary_freq)
-        recorder = TrainingRecorder(store, env)
+        run = RunDir(out_dir, "q", env, seed=seed, experiment=experiment,
+                     run_id=run_id, summary_freq=summary_freq)
+        recorder = run.recorder
 
     total = schedule.total_episodes
     n = len(env.agents)
@@ -335,23 +323,12 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
     if boundary is None:
         boundary = gstep
     result = QTrainResult(table, rewards, gstep, boundary, out_dir)
-    if out_dir is not None:
-        table.save(os.path.join(out_dir, MODEL_BASENAME))
-        with open(os.path.join(out_dir, REWARDS_BASENAME), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "reward"])
-            for episode, reward in enumerate(rewards):
-                writer.writerow([episode, reward])
-        store.close()
-        write_run_meta(out_dir, {
-            "kind": "q", "run_id": run_id, "finished": True, "seed": seed,
-            "total_steps": gstep, "total_episodes": total,
-            "train_episodes": schedule.train_episodes,
-            "eval_episodes": schedule.eval_episodes,
-            "train_boundary_step": boundary,
-            "experiment": experiment,
-        })
+    if run is not None:
+        table.save(run.path(MODEL_BASENAME))
+        run.finish(rewards, total_steps=gstep, total_episodes=total,
+                   train_episodes=schedule.train_episodes,
+                   eval_episodes=schedule.eval_episodes,
+                   train_boundary_step=boundary)
     return result
 
 
@@ -359,45 +336,14 @@ def evaluate_q(table: QTable, env: ParkingEnv, episodes: int,
                store: MetricStore | None = None) -> dict:
     """Greedy rollouts with no learning; returns outcome rates and the
     per-episode rewards."""
+    _check_discrete(env)
     _check_table_dims(table, env)
-    if episodes <= 0:
-        return {"episodes": 0, "park_rate": None, "crash_rate": None,
-                "halt_rate": None, "mean_reward": None,
-                "mean_length": None, "rewards": []}
-    recorder = TrainingRecorder(store, env) if store is not None else None
-    before = dict(env.stats)
-    n = len(env.agents)
     dims = env.schema.discrete_dims()
     actions = _flat_actions(env)
-    cur: list[int | None] = [None] * n
-    rewards: list[float] = []
-    lengths: list[int] = []
-    gstep = 0
-    while len(rewards) < episodes:
-        flats = []
-        for i in range(n):
-            if cur[i] is None:
-                cur[i] = encode_state(dims, env.observe(i))
-            flats.append(int(table.values[cur[i]].argmax()))
-        outs = env.step_all([actions[f] for f in flats])
-        gstep += n
-        if recorder is not None:
-            recorder.after_step(gstep, outs)
-        for i, out in enumerate(outs):
-            if out.terminal is None:
-                cur[i] = encode_state(dims, env.observe(i))
-            else:
-                cur[i] = None
-                rewards.append(out.events.episode_reward)
-                lengths.append(out.events.episode_steps)
-    done = len(rewards)
-    return {
-        "episodes": done,
-        "park_rate": (env.stats["parked"] - before["parked"]) / done,
-        "crash_rate": (env.stats["crashed"] - before["crashed"]) / done,
-        "halt_rate": (env.stats["halted"] - before["halted"]) / done,
-        "mean_reward": sum(rewards) / done,
-        "mean_length": sum(lengths) / done,
-        "rewards": rewards,
-        "total_steps": gstep,
-    }
+    values = table.values
+
+    def act(i: int, _step: int) -> ActionTuple:
+        s = encode_state(dims, env.observe(i))
+        return actions[int(values[s].argmax())]
+
+    return evaluate_policy(env, episodes, act, store)

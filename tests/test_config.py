@@ -75,6 +75,17 @@ def test_unknown_field_rejected_with_path():
         load_config("_obsAngel: true")
 
 
+def test_never_read_keys_are_checked_and_dropped():
+    ignored = {"_debugObs": True, "_visualiseNearbyCars": "false",
+               "_numStepsTrain": 500000}
+    cfg = config_from_mapping(ignored)
+    assert not set(ignored) & set(cfg.to_mapping())
+    for key, bad in (("_debugObs", 3), ("_visualiseNearbyCars", "maybe"),
+                     ("_numStepsTrain", "many")):
+        with pytest.raises(TypeError, match=key):
+            config_from_mapping({key: bad})
+
+
 def test_type_mismatch_rejected_with_path():
     with pytest.raises(TypeError, match="_numAgents"):
         config_from_mapping({"_numAgents": "seven"})

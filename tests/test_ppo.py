@@ -12,14 +12,13 @@ import pytest
 
 from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
-from carpark.metrics import read_run_meta, read_store
+from carpark.metrics import REWARDS_BASENAME, read_run_meta, read_store
 from carpark.ppo import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     ADV_NORM_EPS,
     PPO_MODEL_BASENAME,
-    REWARDS_BASENAME,
     PolicyParams,
     PpoHyper,
     RolloutBuffer,
@@ -715,7 +714,7 @@ def test_zero_lr_training_leaves_params_identical():
 
 
 @pytest.mark.parametrize("weight", ["actor.w0", "critic.w0"])
-def test_train_fails_fast_on_non_finite_policy(weight):
+def test_train_fails_fast_on_non_finite_policy(weight, tmp_path):
     cfg = norm_cfg()
     hyper = short_hyper(total_steps=600)
     env = ParkingEnv(cfg, seed=5)
@@ -723,8 +722,15 @@ def test_train_fails_fast_on_non_finite_policy(weight):
                           hyper.hidden, hyper.layers,
                           rng=np.random.default_rng(3))
     params.data[weight][0, 0] = np.nan
+    out = str(tmp_path / "run")
     with pytest.raises(FloatingPointError, match="agent 0 at step 0$"):
-        train_ppo(cfg, hyper, env=env, params=params, seed=5)
+        train_ppo(cfg, hyper, out, env=env, params=params, seed=5)
+    # the interrupted run stays marked unfinished
+    meta = read_run_meta(out)
+    assert meta["finished"] is False
+    assert meta["kind"] == "ppo"
+    assert meta["seed"] == 5
+    assert os.path.exists(os.path.join(out, "metrics.jsonl"))
 
 
 def test_train_is_deterministic(tmp_path):

@@ -256,6 +256,13 @@ def test_train_rejects_normalized_observations():
         train_q(cfg, short_schedule(), seed=1)
 
 
+def test_evaluate_rejects_normalized_observations():
+    env = ParkingEnv(basic_cfg(_normalizeObs=True), seed=1)
+    table = QTable(env.schema.discrete_dims(), env.action_schema.branches)
+    with pytest.raises(ValueError, match="discrete"):
+        evaluate_q(table, env, 5)
+
+
 def test_train_rejects_mismatched_table():
     cfg = basic_cfg()
     with pytest.raises(ValueError, match="radices"):
@@ -331,10 +338,21 @@ def test_train_writes_run_directory(tmp_path):
 
 
 def test_train_marks_unfinished_until_done(tmp_path):
-    # a crash mid-run leaves finished False in the metadata; simulate by
-    # checking the flag order on a completed run's rewrite
     cfg = basic_cfg()
     out = str(tmp_path / "run1")
+
+    def crash(_line):
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        train_q(cfg, short_schedule(train=5), out_dir=out, seed=2,
+                dump_interval=1, log=crash)
+    meta = read_run_meta(out)
+    assert meta["finished"] is False
+    assert meta["kind"] == "q"
+    assert meta["seed"] == 2
+    assert "total_steps" not in meta
+
     train_q(cfg, short_schedule(train=5), out_dir=out, seed=2)
     assert read_run_meta(out)["finished"] is True
 
