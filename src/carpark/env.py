@@ -46,7 +46,7 @@ from .world import (
     default_layout,
     obb_corners,
     obb_intersects,
-    point_to_obb_distance,
+    point_to_obb_distance,  # not called here; benchmarks/tracing.py patches it
 )
 
 PARK_CENTER_THRESHOLD = 1.0  # world units from space center
@@ -159,9 +159,6 @@ class ParkingEnv:
         for name in CONTEXTS.values():
             self.stats[f"gave_way_{name}_pos"] = 0
             self.stats[f"gave_way_{name}_total"] = 0
-        self._cell_cache: dict = {}
-        self._hit_cache: dict = {}
-        self._cache_version = -1
         self.reset()
 
     # ------------------------------------------------------------- lifecycle
@@ -189,7 +186,6 @@ class ParkingEnv:
         self.car_scale = scale
         for car in self.world.all_cars():
             car.scale = scale
-        self.world.version += 1
 
     # -------------------------------------------------------------- spawning
 
@@ -205,7 +201,7 @@ class ParkingEnv:
                 continue
             if math.hypot(car.x - body.x, car.y - body.y) < min_d:
                 return False
-        if self._static_hit(body.x, body.y, body.theta) is not None:
+        if self.world.collides_static(body) is not None:
             return False
         for j, other in enumerate(self.agents):
             if j != agent_i and obb_intersects(body, other.body, self.grid):
@@ -341,74 +337,22 @@ class ParkingEnv:
         sp = self.world.spaces[agent.goal_space]
         return math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
 
-    def _sync_caches(self) -> None:
-        """Drop the per-position caches once the static world has moved."""
-        if self.world.version != self._cache_version:
-            self._cell_cache.clear()
-            self._hit_cache.clear()
-            self._cache_version = self.world.version
-
-    def _cell(self, x: float, y: float):
-        """Per-position cache of static-obstacle data: ring counts of walls
-        and parked cars, capped at max_count, and nearest parked-car
-        center distance."""
-        self._sync_caches()
-        key = (x, y)
-        got = self._cell_cache.get(key)
-        if got is None:
-            ring_static = None
-            if self.ring_spec:
-                ring_static = self.world.ring_counts(
-                    x, y, -1, self.ring_spec, skip_agents=True)
-            nearest = self.d_max
-            for car in self.world.parked:
-                d = math.hypot(car.x - x, car.y - y)
-                if d < nearest:
-                    nearest = d
-            got = (ring_static, nearest)
-            self._cell_cache[key] = got
-        return got
-
     def _ring_counts(self, agent_i: int) -> tuple[int, ...]:
-        spec = self.ring_spec
         body = self.agents[agent_i].body
-        static, _ = self._cell(body.x, body.y)
-        if spec.walls_only or len(self.agents) == 1:
-            return static
-        # capping the static share first changes nothing:
-        # min(min(s, cap) + a, cap) == min(s + a, cap) for s, a >= 0
-        counts = list(static)
-        for j, other in enumerate(self.agents):
-            if j == agent_i:
-                continue
-            d = point_to_obb_distance(body.x, body.y, other.body, self.grid)
-            for i, diam in enumerate(spec.diameters):
-                if d < diam / 2.0:
-                    counts[i] += 1
-        return tuple(min(c, spec.max_count) for c in counts)
+        return self.world.ring_counts(body.x, body.y, agent_i, self.ring_spec)
 
     def nearest_car_distance(self, agent_i: int) -> float:
         """Center distance to the closest other car; arena diagonal when
         there are no other cars."""
         body = self.agents[agent_i].body
-        _, nearest = self._cell(body.x, body.y)
-        for j, other in enumerate(self.agents):
-            if j == agent_i:
+        nearest = self.d_max
+        for car in self.world.all_cars():
+            if car.uid == agent_i:
                 continue
-            d = math.hypot(other.body.x - body.x, other.body.y - body.y)
+            d = math.hypot(car.x - body.x, car.y - body.y)
             if d < nearest:
                 nearest = d
         return nearest
-
-    def _static_hit(self, x: float, y: float, theta: int) -> str | None:
-        self._sync_caches()
-        key = (x, y, theta)
-        got = self._hit_cache.get(key, False)
-        if got is False:
-            got = self.world.collides_static(
-                CarBody(x, y, theta, scale=self.car_scale))
-            self._hit_cache[key] = got
-        return got
 
     def _refresh_tracking(self, agent_i: int) -> None:
         agent = self.agents[agent_i]
@@ -626,7 +570,7 @@ class ParkingEnv:
         # phase 3: collisions on post-move poses
         crashed: dict[int, str] = {}
         for i, agent in enumerate(self.agents):
-            kind = self._static_hit(agent.body.x, agent.body.y, agent.body.theta)
+            kind = self.world.collides_static(agent.body)
             if kind is not None:
                 crashed[i] = kind
         for i in range(len(self.agents)):

@@ -40,10 +40,6 @@ class GridSpec:
         return 1 << self.position_granularity
 
     @property
-    def side_points(self) -> int:
-        return self.base_extent * self.cell_scale
-
-    @property
     def degrees_per_index(self) -> float:
         return 360.0 / self.theta_granularity
 
@@ -51,9 +47,6 @@ class GridSpec:
         """Round a position to the nearest divided-grid point, half up."""
         s = float(self.cell_scale)
         return math.floor(x * s + 0.5) / s, math.floor(y * s + 0.5) / s
-
-    def index_angle_deg(self, theta: int | float) -> float:
-        return theta * self.degrees_per_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,16 +189,3 @@ def reconstruct(observer: Pose, lp: LocalPose, grid: GridSpec) -> tuple[float, f
     """Recover the target's world position from observer + LocalPose."""
     dx, dy = local_offset(lp.d, lp.theta_rel + observer.theta, grid)
     return observer.x + dx, observer.y + dy
-
-
-def discretize_local(lp: LocalPose, dist_gran: float, grid: GridSpec) -> tuple[int, int, int]:
-    """Round a LocalPose to integer indices: distance to the nearest
-    multiple of dist_gran (then divided by it), angles to the nearest
-    rotation index modulo Gtheta."""
-    if dist_gran <= 0:
-        raise ValueError("dist_gran must be positive")
-    gtheta = grid.theta_granularity
-    d_idx = round_half_up(lp.d / dist_gran)
-    theta_idx = round_half_up(lp.theta_rel) % gtheta
-    delta_idx = round_half_up(lp.delta_theta) % gtheta
-    return d_idx, theta_idx, delta_idx

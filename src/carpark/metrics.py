@@ -124,7 +124,6 @@ class _SeriesState:
         self.cum = 0.0  # survives window closes: running-sum semantics
         self.last = 0.0
         self.points: list[tuple[int, float]] = []
-        self.raw: list[tuple[int, float]] | None = None
 
 
 class MetricStore:
@@ -138,12 +137,10 @@ class MetricStore:
     """
 
     def __init__(self, path: str | None = None,
-                 summary_freq: int = DEFAULT_SUMMARY_FREQ,
-                 keep_raw: bool = False):
+                 summary_freq: int = DEFAULT_SUMMARY_FREQ):
         if summary_freq < 1:
             raise ValueError(f"summary_freq must be positive: {summary_freq}")
         self.summary_freq = int(summary_freq)
-        self.keep_raw = keep_raw
         self._states: dict[str, _SeriesState] = {}
         self._closed = False
         self._fh = None
@@ -164,8 +161,6 @@ class MetricStore:
             if mode not in MODES:
                 raise ValueError(f"unknown metric mode {mode!r}")
             st = self._states[path] = _SeriesState(mode)
-            if self.keep_raw:
-                st.raw = []
         elif mode != st.mode:
             raise ValueError(
                 f"{path} records in {st.mode!r} mode, got {mode!r}")
@@ -191,8 +186,6 @@ class MetricStore:
         else:
             st.last = value
         st.dirty = True
-        if st.raw is not None:
-            st.raw.append((step, value))
 
     def _close_window(self, path: str, st: _SeriesState, at_step: int) -> None:
         if not st.dirty:
@@ -239,12 +232,6 @@ class MetricStore:
         if st is None:
             return None
         return MetricSeries(path, st.mode, self.summary_freq, list(st.points))
-
-    def raw_points(self, path: str) -> list[tuple[int, float]]:
-        st = self._states.get(path)
-        if st is None or st.raw is None:
-            raise KeyError(f"no raw points kept for {path}")
-        return list(st.raw)
 
 
 def read_store(path: str) -> dict[str, MetricSeries]:
@@ -332,20 +319,6 @@ def per_eps(series: MetricSeries | None, episodes: MetricSeries | None,
     if d is None:
         return None
     return d / d_eps
-
-
-def rolling_mean(values: list[float], window: int) -> list[float]:
-    """Trailing mean; entries before the window fills average the prefix."""
-    if window < 1:
-        raise ValueError(f"window must be positive: {window}")
-    out = []
-    acc = 0.0
-    for i, v in enumerate(values):
-        acc += v
-        if i >= window:
-            acc -= values[i - window]
-        out.append(acc / min(i + 1, window))
-    return out
 
 
 # ---------------------------------------------------- training-side plumbing

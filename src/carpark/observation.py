@@ -25,7 +25,6 @@ are filled with a sentinel: bound distance, zero angles, zero velocity,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .config import EnvironmentConfig, max_world_distance
@@ -206,13 +205,6 @@ def build_action_schema(cfg: EnvironmentConfig) -> ActionSchema:
         branches.append(cfg._obsNearbyParkingSpotsCount + 1)
         offsets.append(0)
     return ActionSchema(tuple(branches), tuple(offsets))
-
-
-def space_dims(cfg: EnvironmentConfig, extent: int = 74) -> tuple[list[int], list[int]]:
-    """Discrete state domain sizes and action branch sizes. Rejects configs
-    whose enabled features have no finite domain."""
-    schema = build_schema(cfg, extent)
-    return schema.discrete_dims(), list(build_action_schema(cfg).branches)
 
 
 # ----------------------------------------------------------------- assembly
@@ -402,7 +394,3 @@ def encode_state(dims: list[int], values: list[int]) -> int:
             raise ValueError(f"state component {value} outside domain {size}")
         flat = flat * size + value
     return flat
-
-
-def state_space_size(dims: list[int]) -> int:
-    return math.prod(dims)

@@ -570,8 +570,8 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
                               hyper.hidden, hyper.layers, rng=np_rng)
     else:
         _check_params_dims(params, env, obs_dim)
-    if cfg.carScaleTrain != 1.0 and env.car_scale != cfg.carScaleTrain:
-        env.set_car_scale(cfg.carScaleTrain)
+    # training hitboxes until the boundary, true ones for the lr=0 phase
+    env.set_car_scale(cfg.carScaleTrain)
 
     if experiment is None:
         experiment = {
@@ -627,6 +627,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
         gstep += n
         if boundary is None and gstep >= cut:
             boundary = gstep
+            env.set_car_scale(1.0)
         if recorder is not None:
             recorder.after_step(gstep, outs)
         for i, out in enumerate(outs):

@@ -252,8 +252,6 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
                        env.action_schema.branches)
     else:
         _check_table_dims(table, env)
-    if cfg.carScaleTrain != 1.0 and env.car_scale != cfg.carScaleTrain:
-        env.set_car_scale(cfg.carScaleTrain)
 
     if experiment is None:
         experiment = {
@@ -277,6 +275,8 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
     episodes_done = 0
     gstep = 0
     boundary = 0 if schedule.train_episodes == 0 else None
+    # training hitboxes until the boundary, true ones for evaluation
+    env.set_car_scale(cfg.carScaleTrain if boundary is None else 1.0)
     rewards: list[float] = []
 
     while episodes_done < total:
@@ -313,6 +313,7 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
             rewards.append(out.events.episode_reward)
             if boundary is None and episodes_done >= schedule.train_episodes:
                 boundary = gstep
+                env.set_car_scale(1.0)
             if (log is not None and dump_interval > 0
                     and episodes_done % dump_interval == 0):
                 recent = rewards[-dump_interval:]

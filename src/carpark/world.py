@@ -276,7 +276,16 @@ class WorldState:
     parked: list[CarBody] = field(default_factory=list)
     parked_space: list[int] = field(default_factory=list)  # space id per parked car
     agents: list[CarBody] = field(default_factory=list)
-    version: int = 0  # bumped whenever the static obstacle set changes
+    # walls are exactly the arena's four edges, so a corner outside the
+    # extent is a wall hit and no segment test is needed
+    boundary_walls_only: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        e = float(self.extent)
+        box = ((0.0, 0.0), (e, 0.0), (e, e), (0.0, e))
+        edges = {frozenset((box[k], box[k - 1])) for k in range(4)}
+        walls = {frozenset(((w.x1, w.y1), (w.x2, w.y2))) for w in self.walls}
+        self.boundary_walls_only = len(self.walls) == 4 and walls == edges
 
     @classmethod
     def from_layout(cls, layout: Layout, grid: GridSpec) -> "WorldState":
@@ -312,7 +321,6 @@ class WorldState:
                 CarBody(sp.x, sp.y, sp.theta, kind="parked", uid=base_uid + i)
             )
             self.parked_space.append(sid)
-        self.version += 1
 
     def relocate_furthest_parked_car(self, vacated_space: int) -> int | None:
         """Teleport the parked car with the greatest minimum distance to any
@@ -339,7 +347,6 @@ class WorldState:
         car = self.parked[best_i]
         car.x, car.y, car.theta = sp.x, sp.y, sp.theta
         self.parked_space[best_i] = vacated_space
-        self.version += 1
         return best_i
 
     # ---------------------------------------------------------------- queries
@@ -354,10 +361,10 @@ class WorldState:
         e = float(self.extent)
         for x, y in corners:
             if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
-                if self._boundary_walls_only():
+                if self.boundary_walls_only:
                     return "wall"
                 break
-        if not self._boundary_walls_only():
+        if not self.boundary_walls_only:
             for w in self.walls:
                 if obb_hits_segment(body, w, self.grid):
                     return "wall"
@@ -366,20 +373,15 @@ class WorldState:
                 return "parked-car"
         return None
 
-    def _boundary_walls_only(self) -> bool:
-        return len(self.walls) == 4
-
-    def ring_counts(self, cx: float, cy: float, exclude_uid: int, spec: RingSpec, skip_agents: bool = False) -> tuple[int, ...]:
+    def ring_counts(self, cx: float, cy: float, exclude_uid: int, spec: RingSpec) -> tuple[int, ...]:
         """Count obstacles strictly inside each ring's disk, capped at
         max_count. An obstacle is inside when its hitbox is closer to the
-        ring center than the ring radius. skip_agents leaves moving cars
-        out so the walls-plus-parked share can be cached by position."""
+        ring center than the ring radius."""
         distances: list[float] = []
         for w in self.walls:
             distances.append(point_to_segment_distance(cx, cy, w))
         if not spec.walls_only:
-            cars = self.parked if skip_agents else self.all_cars()
-            for car in cars:
+            for car in self.all_cars():
                 if car.uid == exclude_uid:
                     continue
                 distances.append(point_to_obb_distance(cx, cy, car, self.grid))

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from carpark.config import config_from_mapping
 from carpark.geometry import (
     GridSpec,
     LocalPose,
@@ -13,7 +14,6 @@ from carpark.geometry import (
     bearing_index_units,
     clamp_velocity,
     compose_shared_goal,
-    discretize_local,
     heading_vector,
     local_offset,
     localize,
@@ -22,13 +22,14 @@ from carpark.geometry import (
     round_half_up,
     wrap_signed_index,
 )
+from carpark.observation import ObsInputs, build_observation, build_schema
 
 G8 = GridSpec(theta_granularity=8, position_granularity=0)
 
 
 def random_grid_pose(rng: random.Random, grid: GridSpec) -> Pose:
     s = grid.cell_scale
-    n = grid.side_points
+    n = grid.base_extent * s
     return Pose(
         rng.randrange(0, n + 1) / s,
         rng.randrange(0, n + 1) / s,
@@ -188,7 +189,7 @@ def test_localize_quarter_rotation_invariance_exact_indices():
         rot = localize(r1, r2, grid)
         assert rot.d == base.d  # hypot is exact under coordinate swap/negate
         assert rot.delta_theta == base.delta_theta
-        assert discretize_local(rot, 1.0, grid) == discretize_local(base, 1.0, grid)
+        assert discrete_goal(rot) == discrete_goal(base)
 
 
 def test_localize_general_rotation_invariance_within_tolerance():
@@ -290,29 +291,40 @@ def test_compose_matches_world_frame_oracle():
 # ---------------------------------------------------------------- discretize
 
 
+def discrete_goal(lp: LocalPose, dist_gran: float = 1.0) -> tuple:
+    """(distance, angle, delta) indices of a goal pose as the discrete
+    observation rounds them at Gtheta=8."""
+    cfg = config_from_mapping({"_obsDist": True, "_obsGoalDeltaPose": True,
+                               "_distGranularity": dist_gran})
+    obs = build_observation(build_schema(cfg), cfg,
+                            ObsInputs(velocity=0, goal=lp), "discrete")
+    return tuple(obs[1:])
+
+
 def test_discretize_distance_to_multiple():
     lp = LocalPose(10.2, 0.0, 0.0)
-    assert discretize_local(lp, 2.0, G8)[0] == 5
+    assert discrete_goal(lp, 2.0)[0] == 5
+    assert discrete_goal(LocalPose(2.5, 0.0, 0.0))[0] == 3  # half up
 
 
 def test_discretize_zero_distance():
-    assert discretize_local(LocalPose(0.0, 0.0, 0.0), 1.0, G8) == (0, 0, 0)
+    assert discrete_goal(LocalPose(0.0, 0.0, 0.0)) == (0, 0, 0)
 
 
 def test_discretize_angle_to_nearest_index():
     # 43 deg at Gtheta=8 -> nearest 45-degree multiple -> index 1
     lp = LocalPose(1.0, 43.0 / 45.0, 0.0)
-    assert discretize_local(lp, 1.0, G8)[1] == 1
+    assert discrete_goal(lp)[1] == 1
 
 
 def test_discretize_negative_delta_wraps():
     lp = LocalPose(1.0, 0.0, -2.0)
-    assert discretize_local(lp, 1.0, G8)[2] == 6
+    assert discrete_goal(lp)[2] == 6
 
 
 def test_discretize_rejects_bad_granularity():
-    with pytest.raises(ValueError):
-        discretize_local(LocalPose(1.0, 0.0, 0.0), 0.0, G8)
+    with pytest.raises(ValueError, match="_distGranularity"):
+        discrete_goal(LocalPose(1.0, 0.0, 0.0), 0.0)
 
 
 @given(st.floats(-40, 40), st.integers(1, 48))

@@ -26,7 +26,6 @@ from carpark.metrics import (
     model_row,
     per_eps,
     read_store,
-    rolling_mean,
     write_run_meta,
 )
 
@@ -117,12 +116,12 @@ def test_mode_conflict_and_bad_values_rejected():
     min_size=1, max_size=60))
 def test_mean_buckets_match_brute_force(recs):
     recs = sorted(recs, key=lambda r: r[0])
-    store = MetricStore(summary_freq=10, keep_raw=True)
+    store = MetricStore(summary_freq=10)
     for step, v in recs:
         store.record("m", v, step)
     store.close()
     groups: dict[int, list] = {}
-    for step, v in store.raw_points("m"):
+    for step, v in recs:
         groups.setdefault(-(-step // 10) * 10, []).append(v)
     points = store.series("m").points
     assert len(points) == len(groups)
@@ -246,13 +245,6 @@ def test_conformance_stays_in_unit_interval(increments, boundary):
     got = context_conformance(series(pos_pts, "last"), series(tot_pts, "last"),
                               boundary)
     assert got is None or 0.0 <= got <= 1.0
-
-
-def test_rolling_mean():
-    assert rolling_mean([1.0, 2.0, 3.0, 4.0, 5.0], 3) == [1.0, 1.5, 2.0, 3.0, 4.0]
-    assert rolling_mean([7.0], 5) == [7.0]
-    with pytest.raises(ValueError):
-        rolling_mean([1.0], 0)
 
 
 # ---------------------------------------------------------------- model rows

@@ -15,8 +15,6 @@ from carpark.observation import (
     decode_action,
     encode_action,
     encode_state,
-    space_dims,
-    state_space_size,
 )
 
 BASIC = config_from_mapping({})
@@ -35,10 +33,11 @@ PPO_FIXED = config_from_mapping({
 
 
 def test_basic_dims_product_216():
-    state, action = space_dims(BASIC)
+    state = build_schema(BASIC).discrete_dims()
+    action = build_action_schema(BASIC)
     assert state == [3, 8]
-    assert action == [3, 3]
-    assert state_space_size(state) * state_space_size(action) == 216
+    assert action.branches == (3, 3)
+    assert math.prod(state) * action.flat_size == 216
 
 
 def test_ring_dims():
@@ -46,19 +45,17 @@ def test_ring_dims():
         "_obsRings": True, "_ringMaxNumObjTrack": 3,
         "ringDiams": [14, 11, 10, 7, 6],
     })
-    state, _ = space_dims(cfg)
-    assert state == [3, 8] + [4] * 5
+    assert build_schema(cfg).discrete_dims() == [3, 8] + [4] * 5
     cfg2 = config_from_mapping({
         "_obsRings": True, "_ringMaxNumObjTrack": 3,
         "ringDiams": [14, 11, 10, 7, 6], "_ringNumPrevObs": 1,
     })
-    state2, _ = space_dims(cfg2)
-    assert state2 == [3, 8] + [4] * 10
+    assert build_schema(cfg2).discrete_dims() == [3, 8] + [4] * 10
 
 
 def test_continuous_features_rejected_in_discrete_mode():
     with pytest.raises(ValueError, match="car0-distance"):
-        space_dims(PPO_FIXED)
+        build_schema(PPO_FIXED).discrete_dims()
 
 
 def test_schema_deterministic():

@@ -713,6 +713,25 @@ def test_zero_lr_training_leaves_params_identical():
         assert np.array_equal(arr, before[name]), name
 
 
+def test_zero_lr_phase_runs_with_unit_car_scale():
+    cfg = norm_cfg(carScaleTrain=1.3)
+    env = ParkingEnv(cfg, seed=4)
+    scales = []
+    step_all = env.step_all
+
+    def spy(actions):
+        scales.append({car.scale for car in env.world.all_cars()})
+        return step_all(actions)
+
+    env.step_all = spy
+    result = train_ppo(cfg, short_hyper(total_steps=300, buffer=64), env=env,
+                       seed=4)
+    boundary = result.train_boundary_step  # one agent: one step per tick
+    assert 0 < boundary < len(scales)
+    assert all(s == {1.3} for s in scales[:boundary])
+    assert all(s == {1.0} for s in scales[boundary:])
+
+
 @pytest.mark.parametrize("weight", ["actor.w0", "critic.w0"])
 def test_train_fails_fast_on_non_finite_policy(weight, tmp_path):
     cfg = norm_cfg()

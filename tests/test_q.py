@@ -290,6 +290,25 @@ def test_eval_zone_never_writes_the_table():
     assert with_eval.train_boundary_step == trained.total_steps
 
 
+def test_evaluation_runs_with_unit_car_scale():
+    cfg = basic_cfg(carScaleTrain=1.3)
+    env = ParkingEnv(cfg, seed=4)
+    scales = []
+    step_all = env.step_all
+
+    def spy(actions):
+        scales.append({car.scale for car in env.world.all_cars()})
+        return step_all(actions)
+
+    env.step_all = spy
+    result = train_q(cfg, short_schedule(train=20, eval_episodes=10),
+                     env=env, seed=4)
+    boundary = result.train_boundary_step  # one agent: one step per tick
+    assert 0 < boundary < len(scales)
+    assert all(s == {1.3} for s in scales[:boundary])
+    assert all(s == {1.0} for s in scales[boundary:])
+
+
 def test_entries_stay_inside_reward_bound():
     # with Q0 = 0 every update keeps |Q| <= max|r| / (1 - gamma)
     cfg = basic_cfg()

@@ -334,13 +334,11 @@ def test_relocate_moves_furthest_from_agents():
     w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=1))
     w.parked.append(CarBody(57.0, 70.5, 4, kind="parked", uid=2))
     w.parked_space.extend([0, 26])
-    before = w.version
     moved = w.relocate_furthest_parked_car(4)
     assert moved == 1  # index of uid 2
     sp = w.spaces[4]
     assert (w.parked[1].x, w.parked[1].y, w.parked[1].theta) == (sp.x, sp.y, sp.theta)
     assert w.parked_space == [0, 4]
-    assert w.version == before + 1
 
 
 def test_relocate_tie_breaks_lowest_uid():
@@ -370,6 +368,19 @@ def test_relocate_rejects_occupied_target():
 
 
 # ------------------------------------------------------------ static queries
+
+
+def test_four_interior_walls_are_not_the_arena_box():
+    interior = (Wall(30.0, 30.0, 44.0, 30.0), Wall(30.0, 44.0, 44.0, 44.0),
+                Wall(30.0, 30.0, 30.0, 44.0), Wall(44.0, 30.0, 44.0, 44.0))
+    w = make_world(layout=Layout(74, 4, interior, (), ()))
+    assert w.collides_static(CarBody(37.0, 30.0, 0)) == "wall"
+    assert w.collides_static(CarBody(37.0, 37.0, 0)) is None
+    assert not w.boundary_walls_only
+    # the arena's own edges keep the corner test, whichever way they run
+    assert make_world().boundary_walls_only
+    box = tuple(Wall(e.x2, e.y2, e.x1, e.y1) for e in default_layout().walls)
+    assert make_world(layout=Layout(74, 4, box, (), ())).boundary_walls_only
 
 
 def test_collides_static_wall_and_parked():
