@@ -317,7 +317,8 @@ def _warn_soft_constraints(cfg: EnvironmentConfig, num_spaces: int = 36) -> None
 
 
 def config_signature(cfg: EnvironmentConfig) -> dict:
-    """Mapping used to check model/environment compatibility on reload."""
+    """Mapping used to check model/environment compatibility on reload: the
+    fields that set an observation's width or what one of its slots means."""
     keys = (
         "_positionGranularity",
         "_velocityGranularity",
@@ -335,8 +336,10 @@ def config_signature(cfg: EnvironmentConfig) -> dict:
         "ringDiams",
         "_obsGoalDeltaPose",
         "_ringNumPrevObs",
+        "_ringOnlyWall",
         "_obsNearbyCars",
         "_obsNearbyCarsCount",
+        "_obsNearbyCarsDiameter",
         "_obsNearbyCarsGoal",
         "_obsNearbyCarsVelocity",
         "_obsNearbyParkingSpotsCount",

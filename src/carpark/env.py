@@ -7,7 +7,18 @@ collisions are resolved against post-move poses, then tracking refresh,
 lost-goal handling, park checks, and rewards. Terminal agents respawn at
 the end of the tick; a successful park first relocates the parked car
 farthest from all agents into the space the parking agent vacates, keeping
-the parked-car count constant.
+the parked-car count constant. Last comes the sensing pass: one
+center-distance matrix from every agent to every car and space gives each
+agent's nearest-car list and nearest-car distance and each space's
+closest-agent distances.
+
+Collisions, tracking and ring counts are batched world queries over all
+agents at once. Everything `observe` reads is derived state that `reset`
+and `step_all` leave behind: the ring counts (`cur_rings`, from the
+tracking phase or a respawn), and the nearest-car lists (`nearby`) and the
+space table behind `global_info` from the sensing pass. The next tick's
+goal transitions read the same tables, since nothing moves between the
+end of one tick and the goal transitions of the next.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from .world import (
     Layout,
     RingSpec,
     SpaceTracker,
+    WorldArrays,
     WorldState,
     default_layout,
     obb_corners,
@@ -50,6 +62,7 @@ from .world import (
 )
 
 PARK_CENTER_THRESHOLD = 1.0  # world units from space center
+PLAIN_SPAWN_TRIES = 200  # random road points tried by one plain spawn
 
 # context id -> metric name fragment
 CONTEXTS = {
@@ -112,6 +125,7 @@ class AgentState:
     tracker: SpaceTracker | None = None
     cur_rings: tuple[int, ...] = ()
     ring_history: list = field(default_factory=list)
+    nearby: list[CarBody] = field(default_factory=list)  # tracked cars
     episode_reward: float = 0.0
     steps_exploring: int = 0
     steps_toward_goal: int = 0
@@ -143,6 +157,16 @@ class ParkingEnv:
         self.car_scale = 1.0
         self.world: WorldState = None  # type: ignore[assignment]
         self.agents: list[AgentState] = []
+        # space table of the sensing pass (dynamic goals only): per space,
+        # the closest agent's distance, every agent's distance, and (for
+        # spaces someone has as a goal) the closest such agent's distance
+        self._space_any: list[float] = []
+        self._space_agent_d: list[list[float]] = []
+        self._space_same: dict[int, float] = {}
+        # the sensing pass's array view, and the nearest-car distances
+        # taken from it on the first nearest_car_distance call
+        self._sensed: WorldArrays | None = None
+        self._nearest_car_d: list[float] | None = None
         # running totals, read by trainers for metric recording
         self.stats = {
             "episodes": 0,
@@ -180,6 +204,7 @@ class ParkingEnv:
             car.scale = self.car_scale
         for i in range(len(self.agents)):
             self._respawn(i)
+        self._sense()
 
     def set_car_scale(self, scale: float) -> None:
         """Switch every hitbox to a new scale (training/evaluation phases)."""
@@ -226,7 +251,7 @@ class ParkingEnv:
                       if math.hypot(p[0] - near[0], p[1] - near[1]) <= radius]
             if not points:
                 return False
-        for _ in range(200):
+        for _ in range(PLAIN_SPAWN_TRIES):
             x, y = self.rng.choice(points)
             theta = self.rng.randrange(self.grid.theta_granularity)
             if self._place(agent_i, x, y, theta):
@@ -313,7 +338,10 @@ class ParkingEnv:
             placed = self._spawn_plain(agent_i, near=(sp.x, sp.y),
                                        radius=float(cfg._spawnCloseDist))
         if not placed and not self._spawn_plain(agent_i):
-            raise RuntimeError("could not find a legal spawn position")
+            after = "" if scheme == "plain" else f" after the {scheme} spawn failed"
+            raise RuntimeError(
+                f"could not find a legal spawn position for agent {agent_i} "
+                f"in {PLAIN_SPAWN_TRIES} plain-spawn tries{after}")
         agent.v = 0
         agent.goal_space = goal
         agent.episode_step = 0
@@ -322,11 +350,15 @@ class ParkingEnv:
         agent.steps_toward_goal = 0
         agent.steps_toward_space_exploring = 0
         agent.ring_history = []
+        # one array view from the new position serves tracking and rings
+        view = (WorldArrays(self.world, [agent.body.x], [agent.body.y],
+                            with_spaces=agent.tracker is not None)
+                if agent.tracker or self.ring_spec else None)
         if agent.tracker:
             agent.tracker.reset()
-            self._refresh_tracking(agent_i)
+            self._refresh_tracking(agent_i, view)
         if self.ring_spec:
-            agent.cur_rings = self._ring_counts(agent_i)
+            agent.cur_rings = self._ring_counts(agent_i, view)
         agent.prev_goal_distance = self._goal_distance(agent)
 
     # ------------------------------------------------------------- queries
@@ -337,53 +369,91 @@ class ParkingEnv:
         sp = self.world.spaces[agent.goal_space]
         return math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
 
-    def _ring_counts(self, agent_i: int) -> tuple[int, ...]:
+    def _ring_counts(self, agent_i: int,
+                     arrays: WorldArrays | None = None) -> tuple[int, ...]:
         body = self.agents[agent_i].body
-        return self.world.ring_counts(body.x, body.y, agent_i, self.ring_spec)
+        return self.world.ring_counts(body.x, body.y, agent_i, self.ring_spec,
+                                      arrays)
 
     def nearest_car_distance(self, agent_i: int) -> float:
         """Center distance to the closest other car; arena diagonal when
-        there are no other cars."""
-        body = self.agents[agent_i].body
-        nearest = self.d_max
-        for car in self.world.all_cars():
-            if car.uid == agent_i:
-                continue
-            d = math.hypot(car.x - body.x, car.y - body.y)
-            if d < nearest:
-                nearest = d
-        return nearest
+        there are no other cars. Taken from the sensing pass."""
+        if self._nearest_car_d is None:
+            view = self._sensed
+            nearest = (view.nearest_other_car() if view is not None
+                       else [math.inf] * len(self.agents))
+            self._nearest_car_d = [min(d, self.d_max) for d in nearest]
+        return self._nearest_car_d[agent_i]
 
-    def _refresh_tracking(self, agent_i: int) -> None:
+    def _refresh_tracking(self, agent_i: int,
+                          arrays: WorldArrays | None = None) -> None:
         agent = self.agents[agent_i]
         tracked = self.world.nearest_free_spaces(
-            agent.body.x, agent.body.y, agent.tracker.n_space, math.inf)
+            agent.body.x, agent.body.y, agent.tracker.n_space, math.inf,
+            arrays)
         agent.tracker.update(tracked)
 
-    def _tracked_agents(self, agent_i: int) -> list[int]:
-        """Agent ids among this agent's tracked cars (pre-move state)."""
-        if not self.cfg._obsNearbyCars or self.cfg._obsNearbyCarsCount == 0:
-            return []
-        body = self.agents[agent_i].body
-        cars = self.world.nearest_cars(
-            body.x, body.y, agent_i, self.cfg._obsNearbyCarsCount,
-            float(self.cfg._obsNearbyCarsDiameter))
-        return [c.uid for c in cars if c.kind == "agent"]
+    def _view(self) -> WorldArrays | None:
+        """A view of the world from the agents, with the space columns for
+        dynamic goals; None for a lone car with fixed goals, which has
+        nothing to sense."""
+        world = self.world
+        if self.cfg._dynamicGoals:
+            return WorldArrays(world, with_spaces=True)
+        if len(world.agents) + len(world.parked) > 1:
+            return WorldArrays(world)
+        return None
+
+    def _sense(self, arrays: WorldArrays | None = None) -> None:
+        """The sensing pass, run at the end of reset and step_all: one
+        center-distance matrix from every agent to every car and space
+        fills each agent's nearest-car list and (with dynamic goals) the
+        space table, and is kept for nearest_car_distance. `arrays`, if the
+        caller has it, is the world's current view from the agents."""
+        cfg = self.cfg
+        world = self.world
+        agents = self.agents
+        if arrays is None:
+            arrays = self._view()
+        self._sensed = arrays
+        self._nearest_car_d = None
+        if arrays is None:
+            return
+        if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
+            lists = world.nearest_cars(
+                [a.body.x for a in agents], [a.body.y for a in agents],
+                range(len(agents)), cfg._obsNearbyCarsCount,
+                float(cfg._obsNearbyCarsDiameter), arrays)
+            for agent, cars in zip(agents, lists):
+                agent.nearby = cars
+        if cfg._dynamicGoals:
+            space_d = arrays.distances()[:, arrays.nc:]
+            self._space_any = space_d.min(axis=0).tolist()
+            self._space_agent_d = space_d.T.tolist()
+            self._space_same = {}
+            for i, agent in enumerate(agents):
+                sid = agent.goal_space
+                if sid is not None:
+                    d = self._space_agent_d[sid][i]
+                    if d < self._space_same.get(sid, math.inf):
+                        self._space_same[sid] = d
 
     def context_membership(self, agent_i: int) -> dict:
-        """Give-way context membership on the current full state, for all
-        six contexts. Empty when the agent has no goal."""
+        """Give-way context membership (dynamic goals) on the current full
+        state, for all six contexts. Empty when the agent has no goal.
+        Positions come from the last sensing pass, goals from the agents as
+        they are now."""
         agent = self.agents[agent_i]
         if agent.goal_space is None:
             return {}
-        sp = self.world.spaces[agent.goal_space]
-        my_d = math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
-        tracked = set(self._tracked_agents(agent_i))
+        dists = self._space_agent_d[agent.goal_space]
+        my_d = dists[agent_i]
+        tracked = {c.uid for c in agent.nearby if c.kind == "agent"}
         local_any = local_same = global_any = global_same = False
         for j, other in enumerate(self.agents):
             if j == agent_i:
                 continue
-            d = math.hypot(sp.x - other.body.x, sp.y - other.body.y)
+            d = dists[j]
             if d >= my_d:
                 continue
             global_any = True
@@ -404,12 +474,10 @@ class ParkingEnv:
         }
 
     def global_info(self, agent_i: int, space_id: int) -> tuple[float, float | None]:
-        sp = self.world.spaces[space_id]
-        dists = [math.hypot(sp.x - a.body.x, sp.y - a.body.y)
-                 for a in self.agents]
-        same = [d for a, d in zip(self.agents, dists)
-                if a.goal_space == space_id]
-        return min(dists), (min(same) if same else None)
+        """Distance from the space to the closest agent, and to the closest
+        agent whose goal it is (None when nobody's); read from the sensing
+        pass, so dynamic goals only."""
+        return self._space_any[space_id], self._space_same.get(space_id)
 
     # ------------------------------------------------------------ observing
 
@@ -429,10 +497,7 @@ class ParkingEnv:
             inputs.rings = agent.cur_rings
             inputs.ring_history = agent.ring_history
         if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
-            cars = self.world.nearest_cars(
-                agent.body.x, agent.body.y, agent_i,
-                cfg._obsNearbyCarsCount, float(cfg._obsNearbyCarsDiameter))
-            for car in cars:
+            for car in agent.nearby:
                 lp = localize(agent.body.pose, car.pose, self.grid)
                 entry = NearbyCarObs(lp)
                 if car.kind == "agent":
@@ -554,8 +619,7 @@ class ParkingEnv:
                 for sid in agent.tracker.slots:
                     if sid is None:
                         continue
-                    sp = self.world.spaces[sid]
-                    d = math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
+                    d = self._space_agent_d[sid][i]  # agent i not moved yet
                     if best is None or d < best[1]:
                         best = (sid, d)
                 pre_nearest_space[i] = best
@@ -567,31 +631,40 @@ class ParkingEnv:
             events[i].omega = action.omega
             events[i].velocity = agent.v
 
-        # phase 3: collisions on post-move poses
+        # phase 3: collisions on post-move poses; one array view serves
+        # phases 3, 4 and 6 (unless someone respawns), as nothing moves in
+        # between
+        world = self.world
+        arrays = self._view()
         crashed: dict[int, str] = {}
-        for i, agent in enumerate(self.agents):
-            kind = self.world.collides_static(agent.body)
+        for i, kind in enumerate(world.collides_static(world.agents, arrays)):
             if kind is not None:
                 crashed[i] = kind
-        for i in range(len(self.agents)):
-            for j in range(i + 1, len(self.agents)):
-                if obb_intersects(self.agents[i].body, self.agents[j].body,
-                                  self.grid):
-                    crashed.setdefault(i, "agent-car")
-                    crashed.setdefault(j, "agent-car")
+        for i, j in world.agent_contacts(arrays):
+            crashed.setdefault(i, "agent-car")
+            crashed.setdefault(j, "agent-car")
 
         # phase 4: tracking refresh, lost goals, park checks, rewards
+        if cfg._dynamicGoals or self.ring_spec:
+            xs = [agent.body.x for agent in self.agents]
+            ys = [agent.body.y for agent in self.agents]
+        if cfg._dynamicGoals:
+            tracked = world.nearest_free_spaces(
+                xs, ys, cfg._obsNearbyParkingSpotsCount, math.inf, arrays)
+        if self.ring_spec:
+            rings = world.ring_counts(xs, ys, range(len(self.agents)),
+                                      self.ring_spec, arrays)
         outcomes: list[StepOutcome] = []
         terminals: list[tuple[int, str]] = []
-        occupied_ids = self.world.occupied_space_ids() if cfg._dynamicGoals else set()
+        occupied_ids = world.occupied_space_ids() if cfg._dynamicGoals else set()
         for i, agent in enumerate(self.agents):
             ev = events[i]
             agent.episode_step += 1
             if agent.tracker:
-                self._refresh_tracking(i)
+                agent.tracker.update(tracked[i])
             if self.ring_spec:
                 prev = agent.cur_rings
-                agent.cur_rings = self._ring_counts(i)
+                agent.cur_rings = rings[i]
                 if self.ring_spec.history_len > 0:
                     agent.ring_history.insert(0, prev)
                     del agent.ring_history[self.ring_spec.history_len:]
@@ -649,7 +722,7 @@ class ParkingEnv:
         for i, terminal in terminals:
             agent = self.agents[i]
             if terminal == "parked":
-                self.world.relocate_furthest_parked_car(agent.goal_space)
+                world.relocate_furthest_parked_car(agent.goal_space)
                 filled.append(agent.goal_space)
             self._respawn(i)
         # a relocation may occupy a space another agent targets; that goal
@@ -661,6 +734,12 @@ class ParkingEnv:
                     agent.goal_space = None
                     events[i].lost_goal = True
                     self.stats["lost_goal"] += 1
+
+        # phase 6: the sensing pass on the final state of the tick
+        if terminals:
+            arrays = self._view()
+        if arrays is not None:
+            self._sense(arrays)
         return outcomes
 
     def step(self, action: ActionTuple) -> StepOutcome:

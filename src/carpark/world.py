@@ -1,5 +1,21 @@
 """Static layout, car hitboxes, collision, ring sensing, and relocation.
 
+The world queries are batched: ring counts, nearest cars and nearest free
+spaces take one point per agent, and collisions take a list of bodies, so
+one numpy pass serves every agent of a tick. A ``WorldArrays`` view holds
+what they share: the offsets and center distances from every agent to
+every car and space, and each agent's cars sorted by distance. Three
+rules keep the batched answers equal to the scalar loops they replace:
+center distances are ``np.sqrt(dx*dx + dy*dy)``, which equals
+``math.hypot`` on grid-snapped centers (``np.hypot`` does not); ties sort
+by uid (or space id) with a stable sort; and where a numpy value is too
+close to a threshold to call, or where only a bound is known, the exact
+scalar test (``point_to_obb_distance``, ``obb_intersects``) decides.
+Bearings stay scalar (``geometry.localize``): ``np.arctan2`` differs from
+``math.atan2`` on some inputs. numpy is imported where an array is first
+built, not with this module: config parsing and layout files import it
+and need no BLAS.
+
 The default arena is a 74x74 square bounded by four walls, with 36 parking
 spaces hugging the walls (9 per side) and a square ring road between the
 space rows and the center used for spawning. A car footprint is 3x5 world
@@ -11,13 +27,26 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .geometry import GridSpec, Pose, heading_vector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CAR_HALF_WIDTH = 1.5
 CAR_HALF_LENGTH = 2.5
 SPACE_HALF_WIDTH = 2.5
 SPACE_HALF_DEPTH = 3.5
+
+# Relative half-width of the band around a squared ring radius inside
+# which a numpy distance is too close to call and the exact scalar
+# distance decides; numpy and scalar distances differ by a few ulps.
+RING_BAND = 1e-9
+# Added to the broad-phase reach so that rounding in the numpy
+# circumradius never drops a pair the exact test would keep.
+REACH_SLACK = 1e-6
 
 LAYOUT_MAGIC = "carpark-layout"
 LAYOUT_VERSION = 1
@@ -261,6 +290,131 @@ def point_to_obb_distance(px: float, py: float, body: CarBody, grid: GridSpec) -
     return math.hypot(ef, er)
 
 
+def _is_point(cx) -> bool:
+    return isinstance(cx, (int, float))
+
+
+class WorldArrays:
+    """One world state as arrays, seen from the points (xs, ys).
+
+    Rows are the observers (by default the agents, in agent order);
+    columns are the cars in ``all_cars()`` order (agents, then parked
+    cars), then, if `with_spaces`, the parking spaces in space-id order. Every
+    batched query of a tick reads the same offsets and distances from
+    here. Each field is computed on first use and then kept, so a view is
+    valid only until something in the world moves; a view nothing reads
+    costs no array work.
+    """
+
+    __slots__ = ("world", "cars", "na", "nc", "with_spaces", "_xs", "_ys",
+                 "_offsets", "_d2", "_dist", "_by_distance", "_near", "_boxes",
+                 "_max_radius")
+
+    def __init__(self, world: "WorldState", xs=None, ys=None,
+                 with_spaces: bool = False):
+        self.world = world
+        self.cars = world.agents + world.parked
+        self.na = len(world.agents)
+        self.nc = len(self.cars)
+        self.with_spaces = with_spaces
+        self._xs, self._ys = xs, ys
+        self._offsets = self._d2 = self._dist = self._by_distance = None
+        self._near = self._boxes = self._max_radius = None
+
+    def offsets(self) -> np.ndarray:
+        """Column center minus observer, shape (2, observers, columns):
+        x offsets, then y offsets."""
+        if self._offsets is None:
+            import numpy as np
+            w = self.world
+            cars = self.cars
+            if self.with_spaces:
+                xy = ([c.x for c in cars] + w._space_x
+                      + [c.y for c in cars] + w._space_y)
+            else:
+                xy = [c.x for c in cars] + [c.y for c in cars]
+            p = np.fromiter(xy, float, len(xy)).reshape(2, -1)
+            if self._xs is None:  # the observers are the agents
+                q = p[:, :self.na]
+            else:
+                q = np.array([list(self._xs), list(self._ys)], dtype=float)
+            self._offsets = p[:, None, :] - q[:, :, None]
+        return self._offsets
+
+    def sq_distances(self) -> np.ndarray:
+        """dx*dx + dy*dy per observer and column."""
+        if self._d2 is None:
+            d = self.offsets()
+            sq = d * d
+            self._d2 = sq[0] + sq[1]
+        return self._d2
+
+    def distances(self) -> np.ndarray:
+        """Center distance per observer and column: ``np.sqrt(dx*dx +
+        dy*dy)``, not ``np.hypot``. On grid-snapped centers the sum of
+        squares is exact, so this equals ``math.hypot`` bit for bit, while
+        ``np.hypot`` differs from it on some inputs."""
+        if self._dist is None:
+            import numpy as np
+            self._dist = np.sqrt(self.sq_distances())
+        return self._dist
+
+    def cars_by_distance(self) -> tuple[list[list[int]], list[list[float]]]:
+        """Per observer, the car columns in ascending (center distance,
+        uid) order, and the center distances to the cars by column."""
+        if self._by_distance is None:
+            import numpy as np
+            dist = self.distances()[:, :self.nc]
+            uids = [c.uid for c in self.cars]
+            if uids == sorted(uids):  # a stable sort keeps uid order
+                order = dist.argsort(axis=1, kind="stable")
+            else:
+                order = np.lexsort((np.broadcast_to(uids, dist.shape), dist))
+            self._by_distance = order.tolist(), dist.tolist()
+        return self._by_distance
+
+    def near(self, reach: float) -> list[tuple[int, int]]:
+        """Broad phase: (observer, car column) pairs whose centers are at
+        most `reach` apart, in row-major order."""
+        if self._near is None or self._near[0] != reach:
+            pairs = []
+            for k, (order, row) in enumerate(zip(*self.cars_by_distance())):
+                close = []
+                for j in order:
+                    if row[j] > reach:
+                        break
+                    close.append(j)
+                close.sort()
+                pairs += [(k, j) for j in close]
+            self._near = reach, pairs
+        return self._near[1]
+
+    def nearest_other_car(self) -> list[float]:
+        """Per agent, the center distance to the closest other car (inf
+        when there is none); for a view from the agents."""
+        return [next((row[j] for j in order if j != k), math.inf)
+                for k, (order, row) in enumerate(zip(*self.cars_by_distance()))]
+
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per car, its box axes [[fx, fy], [fy, -fx]] (shape (2, 2, cars))
+        and scaled half-extents [half-length, half-width] (shape (2, cars))."""
+        if self._boxes is None:
+            import numpy as np
+            g = self.world.grid.theta_granularity
+            axes = self.world._axes[[c.theta % g for c in self.cars]]
+            half = np.array([c.half_length * c.scale for c in self.cars]
+                            + [c.half_width * c.scale for c in self.cars])
+            self._boxes = axes.transpose(1, 2, 0), half.reshape(2, -1)
+        return self._boxes
+
+    def max_radius(self) -> float:
+        """The largest car circumradius (0.0 with no cars)."""
+        if self._max_radius is None:
+            self._max_radius = max(map(CarBody.circumradius, self.cars),
+                                   default=0.0)
+        return self._max_radius
+
+
 # ---------------------------------------------------------------- world state
 
 
@@ -286,6 +440,19 @@ class WorldState:
         edges = {frozenset((box[k], box[k - 1])) for k in range(4)}
         walls = {frozenset(((w.x1, w.y1), (w.x2, w.y2))) for w in self.walls}
         self.boundary_walls_only = len(self.walls) == 4 and walls == edges
+        # the space centers, a fixed part of every WorldArrays view
+        self._space_x = [sp.x for sp in self.spaces]
+        self._space_y = [sp.y for sp in self.spaces]
+
+    @cached_property
+    def _axes(self) -> np.ndarray:
+        """Per heading index, the box axes [[fx, fy], [fy, -fx]]."""
+        import numpy as np
+        axes = []
+        for t in range(self.grid.theta_granularity):
+            fx, fy = heading_vector(t, self.grid)
+            axes.append(((fx, fy), (fy, -fx)))
+        return np.array(axes)
 
     @classmethod
     def from_layout(cls, layout: Layout, grid: GridSpec) -> "WorldState":
@@ -354,12 +521,10 @@ class WorldState:
     def all_cars(self) -> list[CarBody]:
         return self.agents + self.parked
 
-    def collides_static(self, body: CarBody) -> str | None:
-        """Check a body against walls and parked cars; returns 'wall',
-        'parked-car', or None."""
-        corners = obb_corners(body, self.grid)
+    def _wall_kind(self, body: CarBody) -> str | None:
+        """'wall' when the body touches a wall, else None."""
         e = float(self.extent)
-        for x, y in corners:
+        for x, y in obb_corners(body, self.grid):
             if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
                 if self.boundary_walls_only:
                     return "wall"
@@ -368,65 +533,177 @@ class WorldState:
             for w in self.walls:
                 if obb_hits_segment(body, w, self.grid):
                     return "wall"
-        for car in self.parked:
-            if obb_intersects(body, car, self.grid):
-                return "parked-car"
         return None
 
-    def ring_counts(self, cx: float, cy: float, exclude_uid: int, spec: RingSpec) -> tuple[int, ...]:
+    def _reach(self, bodies, arrays: WorldArrays) -> float:
+        """Circumradius reach between any body and any car: never less than
+        obb_intersects' own early-out distance for a pair."""
+        r = arrays.max_radius()
+        if bodies is not self.agents:  # the agents are among the cars
+            r = max(r, max(b.circumradius() for b in bodies))
+        return 2.0 * r + REACH_SLACK
+
+    def collides_static(self, bodies, arrays: WorldArrays | None = None):
+        """Check each body against walls and parked cars: one 'wall',
+        'parked-car' or None per body, or a single kind for a single body.
+
+        A circumradius broad phase over all bodies and parked cars picks
+        the pairs that go through the exact obb_intersects test, in
+        parked-car order. `arrays`, if the caller has it, is the current
+        view from the bodies' centers."""
+        if isinstance(bodies, CarBody):
+            return self.collides_static([bodies], arrays)[0]
+        kinds = [self._wall_kind(b) for b in bodies]
+        if self.parked and bodies:
+            if arrays is None:
+                arrays = WorldArrays(self, [b.x for b in bodies],
+                                     [b.y for b in bodies])
+            na = arrays.na
+            for k, j in arrays.near(self._reach(bodies, arrays)):
+                if j >= na and kinds[k] is None and obb_intersects(
+                        bodies[k], self.parked[j - na], self.grid):
+                    kinds[k] = "parked-car"
+        return kinds
+
+    def agent_contacts(self, arrays: WorldArrays | None = None) -> list[tuple[int, int]]:
+        """Index pairs (i, j), i < j, of agents whose hitboxes intersect,
+        in (i, j) order, through the same broad phase as collides_static.
+        `arrays`, if the caller has it, is the current view from the
+        agents."""
+        agents = self.agents
+        if len(agents) < 2:
+            return []
+        if arrays is None:
+            arrays = WorldArrays(self)
+        na = arrays.na
+        return [(i, j) for i, j in arrays.near(self._reach(agents, arrays))
+                if i < j < na
+                and obb_intersects(agents[i], agents[j], self.grid)]
+
+    def ring_counts(self, cx, cy, exclude_uid, spec: RingSpec,
+                    arrays: WorldArrays | None = None):
         """Count obstacles strictly inside each ring's disk, capped at
         max_count. An obstacle is inside when its hitbox is closer to the
-        ring center than the ring radius."""
-        distances: list[float] = []
-        for w in self.walls:
-            distances.append(point_to_segment_distance(cx, cy, w))
-        if not spec.walls_only:
-            for car in self.all_cars():
-                if car.uid == exclude_uid:
-                    continue
-                distances.append(point_to_obb_distance(cx, cy, car, self.grid))
+        ring center than the ring radius; the car whose uid is excluded
+        never counts. cx, cy and exclude_uid hold one entry per ring
+        center and the result one tuple per center; scalars give one
+        center's tuple. `arrays`, if the caller has it, is the current view
+        from these centers.
+
+        Walls, a handful, take the scalar distance. Cars take one numpy
+        pass over all centers that compares squared distances; a pair
+        within RING_BAND of a ring radius is decided by the exact scalar
+        distance, so the counts equal a scalar loop's."""
+        if _is_point(cx):
+            return self.ring_counts([cx], [cy], [exclude_uid], spec, arrays)[0]
+        radii = [d / 2.0 for d in spec.diameters]
+        cap = spec.max_count
+        walls = self.walls
         counts = []
-        for diam in spec.diameters:
-            r = diam / 2.0
-            n = 0
-            for d in distances:
-                if d < r:
-                    n += 1
-                    if n >= spec.max_count:
-                        break
-            counts.append(min(n, spec.max_count))
-        return tuple(counts)
+        for x, y in zip(cx, cy):
+            dists = [point_to_segment_distance(x, y, w) for w in walls]
+            row = []
+            for r in radii:
+                n = 0
+                for d in dists:
+                    if d < r:
+                        n += 1
+                        if n >= cap:
+                            break
+                row.append(n)
+            counts.append(row)
+        cars = self.all_cars()
+        # skip the array pass when the only car is every center's own
+        if not spec.walls_only and radii and cars and (
+                len(cars) > 1 or any(e != cars[0].uid for e in exclude_uid)):
+            if arrays is None:
+                arrays = WorldArrays(self, cx, cy)
+            self._add_car_ring_counts(counts, cx, cy, exclude_uid, radii,
+                                      arrays)
+        return [tuple([n if n < cap else cap for n in row]) for row in counts]
 
-    def nearest_cars(self, cx: float, cy: float, exclude_uid: int, n_track: int, fov_diameter: float) -> list[CarBody]:
-        if n_track <= 0:
-            return []
+    def _add_car_ring_counts(self, counts, cx, cy, exclude_uid, radii,
+                             arrays: WorldArrays) -> None:
+        import numpy as np
+        nc = arrays.nc
+        axes, half = arrays.boxes()
+        d = arrays.offsets()[:, :, :nc]
+        # forward and right components, then the excess over the box
+        terms = d[None] * axes[:, :, None, :]
+        local = terms[:, 0] + terms[:, 1]
+        excess = np.maximum(np.abs(local) - half[:, None, :], 0.0)
+        sq = excess * excess
+        d2 = sq[0] + sq[1]
+        uids = [c.uid for c in arrays.cars]
+        own = np.equal.outer(np.asarray(exclude_uid), uids)
+        d2[own] = np.inf
+        r = np.array(radii)
+        r2 = r * r
+        band = RING_BAND * np.maximum(r2, 1.0)
+        gap = d2[:, :, None] - r2
+        inside = (gap < -band).sum(axis=1).tolist()
+        for row, add in zip(counts, inside):
+            for k, n in enumerate(add):
+                row[k] += n
+        unsure = np.abs(gap) <= band
+        if unsure.any():
+            for k, j, ring in zip(*(a.tolist() for a in unsure.nonzero())):
+                dist = point_to_obb_distance(float(cx[k]), float(cy[k]),
+                                             arrays.cars[j], self.grid)
+                counts[k][ring] += dist < radii[ring]
+
+    def nearest_cars(self, cx, cy, exclude_uid, n_track: int,
+                     fov_diameter: float, arrays: WorldArrays | None = None):
+        """Up to n_track cars within the field of view, ascending center
+        distance, ties by uid; the car whose uid is excluded never counts.
+        cx, cy and exclude_uid hold one entry per observer and the result
+        one list per observer; scalars give one observer's list. `arrays`,
+        if the caller has it, is the current view from these observers."""
+        if _is_point(cx):
+            return self.nearest_cars([cx], [cy], [exclude_uid], n_track,
+                                     fov_diameter, arrays)[0]
+        if arrays is None:
+            arrays = WorldArrays(self, cx, cy)
+        cars = arrays.cars
+        if n_track <= 0 or not cars:
+            return [[] for _ in cx]
+        uids = [c.uid for c in cars]
         reach = fov_diameter / 2.0
-        found: list[tuple[float, int, CarBody]] = []
-        for car in self.all_cars():
-            if car.uid == exclude_uid:
-                continue
-            d = math.hypot(car.x - cx, car.y - cy)
-            if d <= reach:
-                found.append((d, car.uid, car))
-        found.sort(key=lambda t: (t[0], t[1]))
-        return [car for _, _, car in found[:n_track]]
+        out = []
+        for (order, row), ex in zip(zip(*arrays.cars_by_distance()),
+                                    exclude_uid):
+            found = []
+            for j in order:
+                if uids[j] == ex:
+                    continue
+                if len(found) == n_track or not row[j] <= reach:
+                    break
+                found.append(cars[j])
+            out.append(found)
+        return out
 
-    def nearest_free_spaces(self, cx: float, cy: float, n_space: int, fov_diameter: float) -> list[int]:
+    def nearest_free_spaces(self, cx, cy, n_space: int, fov_diameter: float,
+                            arrays: WorldArrays | None = None):
         """Free spaces within the field of view, ascending center distance,
-        ties by space id. Slot stability lives in SpaceTracker."""
-        if n_space <= 0:
-            return []
+        ties by space id. Slot stability lives in SpaceTracker. cx and cy
+        hold one entry per observer and the result one list per observer;
+        scalars give one observer's list. `arrays`, if the caller has it,
+        is the current view from these observers."""
+        if _is_point(cx):
+            return self.nearest_free_spaces([cx], [cy], n_space,
+                                            fov_diameter, arrays)[0]
+        if n_space <= 0 or not self.spaces:
+            return [[] for _ in cx]
+        if arrays is None:
+            arrays = WorldArrays(self, cx, cy, with_spaces=True)
+        dist = arrays.distances()[:, arrays.nc:]
+        if self.parked_space:
+            dist = dist.copy()
+            dist[:, self.parked_space] = math.nan  # occupied
         reach = fov_diameter / 2.0
-        occ = self.occupied_space_ids()
-        found: list[tuple[float, int]] = []
-        for sp in self.spaces:
-            if sp.sid in occ:
-                continue
-            d = math.hypot(sp.x - cx, sp.y - cy)
-            if d <= reach:
-                found.append((d, sp.sid))
-        found.sort()
-        return [sid for _, sid in found[:n_space]]
+        order = dist.argsort(axis=1, kind="stable")[:, :n_space].tolist()
+        return [[j for j in cols if row[j] <= reach]
+                for row, cols in zip(dist.tolist(), order)]
 
 
 class SpaceTracker:

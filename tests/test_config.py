@@ -188,6 +188,19 @@ def test_signature_covers_observation_shape_fields():
     assert config_signature(a) == config_signature(c)
 
 
+def test_signature_covers_slot_meaning_fields():
+    # same observation width, different meaning: the car field of view
+    # (and its distance normalizer), and whether rings count cars
+    base = {"_obsRings": True, "_ringMaxNumObjTrack": 2, "_rd0": 11,
+            "_obsNearbyCars": True, "_obsNearbyCarsCount": 1,
+            "_obsNearbyCarsDiameter": 300}
+    a = config_from_mapping(base)
+    for key, value in (("_obsNearbyCarsDiameter", 100),
+                       ("_ringOnlyWall", True)):
+        b = config_from_mapping({**base, key: value})
+        assert config_signature(a) != config_signature(b), key
+
+
 def test_round_trip_is_idempotent():
     doc = {"_thetaGranularity": 24, "_obsRings": True,
            "_ringMaxNumObjTrack": 2, "_rd0": 11, "spawnCloseRatio": 0.2}

@@ -98,6 +98,7 @@ def place(env, i, x, y, theta, v=0, goal="keep", refresh=True):
         agent.cur_rings = env._ring_counts(i)
         agent.ring_history = []
     agent.prev_goal_distance = env._goal_distance(agent)
+    env._sense()  # the nearest-car lists and the space table
 
 
 def still(env, delta_g=None):
@@ -141,6 +142,21 @@ def test_spawn_respects_min_distance():
             if car.uid == 0 and car.kind == "agent":
                 continue
             assert math.hypot(car.x - body.x, car.y - body.y) >= 4.5
+
+
+def test_crowded_respawn_failure_names_agent_and_tries():
+    # 14 parked cars and a 13-unit spawn clearance leave the road almost
+    # full: on this seed a respawn in the middle of a run finds no spot
+    env = make_env({"_numAgents": 3, "_numParkedCars": 14}, base=PPO_FIXED,
+                   seed=0)
+    rng = random.Random(0)
+    with pytest.raises(RuntimeError, match=(
+            r"could not find a legal spawn position for agent 2 "
+            r"in 200 plain-spawn tries")):
+        for _ in range(400):
+            env.step_all([ActionTuple(rng.randint(-2, 2), rng.randint(-3, 3))
+                          for _ in env.agents])
+    assert env.stats["episodes"] > 0  # it failed mid-run, not in reset
 
 
 def test_spawn_close_lands_near_goal():
