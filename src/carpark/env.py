@@ -158,11 +158,8 @@ class ParkingEnv:
         self.world: WorldState = None  # type: ignore[assignment]
         self.agents: list[AgentState] = []
         # space table of the sensing pass (dynamic goals only): per space,
-        # the closest agent's distance, every agent's distance, and (for
-        # spaces someone has as a goal) the closest such agent's distance
-        self._space_any: list[float] = []
+        # every agent's distance to it
         self._space_agent_d: list[list[float]] = []
-        self._space_same: dict[int, float] = {}
         # the sensing pass's array view, and the nearest-car distances
         # taken from it on the first nearest_car_distance call
         self._sensed: WorldArrays | None = None
@@ -427,16 +424,7 @@ class ParkingEnv:
             for agent, cars in zip(agents, lists):
                 agent.nearby = cars
         if cfg._dynamicGoals:
-            space_d = arrays.distances()[:, arrays.nc:]
-            self._space_any = space_d.min(axis=0).tolist()
-            self._space_agent_d = space_d.T.tolist()
-            self._space_same = {}
-            for i, agent in enumerate(agents):
-                sid = agent.goal_space
-                if sid is not None:
-                    d = self._space_agent_d[sid][i]
-                    if d < self._space_same.get(sid, math.inf):
-                        self._space_same[sid] = d
+            self._space_agent_d = arrays.distances()[:, arrays.nc:].T.tolist()
 
     def context_membership(self, agent_i: int) -> dict:
         """Give-way context membership (dynamic goals) on the current full
@@ -475,9 +463,12 @@ class ParkingEnv:
 
     def global_info(self, agent_i: int, space_id: int) -> tuple[float, float | None]:
         """Distance from the space to the closest agent, and to the closest
-        agent whose goal it is (None when nobody's); read from the sensing
-        pass, so dynamic goals only."""
-        return self._space_any[space_id], self._space_same.get(space_id)
+        agent whose goal it is (None when nobody's). Positions come from the
+        last sensing pass, so dynamic goals only; goals from the agents as
+        they are now."""
+        row = self._space_agent_d[space_id]
+        same = [d for a, d in zip(self.agents, row) if a.goal_space == space_id]
+        return min(row), (min(same) if same else None)
 
     # ------------------------------------------------------------ observing
 
@@ -619,7 +610,8 @@ class ParkingEnv:
                 for sid in agent.tracker.slots:
                     if sid is None:
                         continue
-                    d = self._space_agent_d[sid][i]  # agent i not moved yet
+                    sp = self.world.spaces[sid]
+                    d = math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
                     if best is None or d < best[1]:
                         best = (sid, d)
                 pre_nearest_space[i] = best

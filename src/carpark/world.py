@@ -1,16 +1,17 @@
 """Static layout, car hitboxes, collision, ring sensing, and relocation.
 
-The world queries are batched: ring counts, nearest cars and nearest free
-spaces take one point per agent, and collisions take a list of bodies, so
-one numpy pass serves every agent of a tick. A ``WorldArrays`` view holds
-what they share: the offsets and center distances from every agent to
-every car and space, and each agent's cars sorted by distance. Three
-rules keep the batched answers equal to the scalar loops they replace:
-center distances are ``np.sqrt(dx*dx + dy*dy)``, which equals
-``math.hypot`` on grid-snapped centers (``np.hypot`` does not); ties sort
-by uid (or space id) with a stable sort; and where a numpy value is too
-close to a threshold to call, or where only a bound is known, the exact
-scalar test (``point_to_obb_distance``, ``obb_intersects``) decides.
+The sensing queries are batched: ring counts, nearest cars and nearest
+free spaces take one point per agent, so one numpy pass serves every agent
+of a tick. A ``WorldArrays`` view holds what they share: the offsets and
+center distances from every agent to every car and space, and each agent's
+cars sorted by distance. Three rules keep the batched answers equal to the
+scalar loops they replace: center distances are ``np.sqrt(dx*dx + dy*dy)``,
+which equals ``math.hypot`` on grid-snapped centers (``np.hypot`` does
+not); ties sort by uid (or space id) with a stable sort; and where a numpy
+value is too close to a threshold to call, the exact scalar
+``point_to_obb_distance`` decides. Collisions take a list of bodies too;
+given the tick's view, a broad phase over its sorted center distances
+sends only nearby pairs to the exact ``obb_intersects``.
 Bearings stay scalar (``geometry.localize``): ``np.arctan2`` differs from
 ``math.atan2`` on some inputs. numpy is imported where an array is first
 built, not with this module: config parsing and layout files import it
@@ -44,8 +45,8 @@ SPACE_HALF_DEPTH = 3.5
 # which a numpy distance is too close to call and the exact scalar
 # distance decides; numpy and scalar distances differ by a few ulps.
 RING_BAND = 1e-9
-# Added to the broad-phase reach so that rounding in the numpy
-# circumradius never drops a pair the exact test would keep.
+# Added to the broad-phase reach so that rounding in the numpy center
+# distance never drops a pair the exact test would keep.
 REACH_SLACK = 1e-6
 
 LAYOUT_MAGIC = "carpark-layout"
@@ -307,8 +308,7 @@ class WorldArrays:
     """
 
     __slots__ = ("world", "cars", "na", "nc", "with_spaces", "_xs", "_ys",
-                 "_offsets", "_d2", "_dist", "_by_distance", "_near", "_boxes",
-                 "_max_radius")
+                 "_offsets", "_dist", "_by_distance", "_near", "_boxes")
 
     def __init__(self, world: "WorldState", xs=None, ys=None,
                  with_spaces: bool = False):
@@ -318,8 +318,8 @@ class WorldArrays:
         self.nc = len(self.cars)
         self.with_spaces = with_spaces
         self._xs, self._ys = xs, ys
-        self._offsets = self._d2 = self._dist = self._by_distance = None
-        self._near = self._boxes = self._max_radius = None
+        self._offsets = self._dist = self._by_distance = None
+        self._near = self._boxes = None
 
     def offsets(self) -> np.ndarray:
         """Column center minus observer, shape (2, observers, columns):
@@ -341,14 +341,6 @@ class WorldArrays:
             self._offsets = p[:, None, :] - q[:, :, None]
         return self._offsets
 
-    def sq_distances(self) -> np.ndarray:
-        """dx*dx + dy*dy per observer and column."""
-        if self._d2 is None:
-            d = self.offsets()
-            sq = d * d
-            self._d2 = sq[0] + sq[1]
-        return self._d2
-
     def distances(self) -> np.ndarray:
         """Center distance per observer and column: ``np.sqrt(dx*dx +
         dy*dy)``, not ``np.hypot``. On grid-snapped centers the sum of
@@ -356,7 +348,9 @@ class WorldArrays:
         ``np.hypot`` differs from it on some inputs."""
         if self._dist is None:
             import numpy as np
-            self._dist = np.sqrt(self.sq_distances())
+            d = self.offsets()
+            sq = d * d
+            self._dist = np.sqrt(sq[0] + sq[1])
         return self._dist
 
     def cars_by_distance(self) -> tuple[list[list[int]], list[list[float]]]:
@@ -365,29 +359,29 @@ class WorldArrays:
         if self._by_distance is None:
             import numpy as np
             dist = self.distances()[:, :self.nc]
-            uids = [c.uid for c in self.cars]
-            if uids == sorted(uids):  # a stable sort keeps uid order
-                order = dist.argsort(axis=1, kind="stable")
-            else:
-                order = np.lexsort((np.broadcast_to(uids, dist.shape), dist))
+            uids = np.array([[c.uid for c in self.cars]]).repeat(len(dist), 0)
+            order = np.lexsort((uids, dist))
             self._by_distance = order.tolist(), dist.tolist()
         return self._by_distance
 
-    def near(self, reach: float) -> list[tuple[int, int]]:
-        """Broad phase: (observer, car column) pairs whose centers are at
-        most `reach` apart, in row-major order."""
-        if self._near is None or self._near[0] != reach:
-            pairs = []
-            for k, (order, row) in enumerate(zip(*self.cars_by_distance())):
+    def near(self) -> list[list[int]]:
+        """Broad phase: per observer, in column order, the cars whose
+        centers are at most twice the largest car circumradius (plus
+        REACH_SLACK) away; no pair outside it gets past obb_intersects'
+        own circumradius check."""
+        if self._near is None:
+            reach = 2.0 * max(map(CarBody.circumradius, self.cars),
+                              default=0.0) + REACH_SLACK
+            self._near = []
+            for order, row in zip(*self.cars_by_distance()):
                 close = []
                 for j in order:
                     if row[j] > reach:
                         break
                     close.append(j)
                 close.sort()
-                pairs += [(k, j) for j in close]
-            self._near = reach, pairs
-        return self._near[1]
+                self._near.append(close)
+        return self._near
 
     def nearest_other_car(self) -> list[float]:
         """Per agent, the center distance to the closest other car (inf
@@ -406,13 +400,6 @@ class WorldArrays:
                             + [c.half_width * c.scale for c in self.cars])
             self._boxes = axes.transpose(1, 2, 0), half.reshape(2, -1)
         return self._boxes
-
-    def max_radius(self) -> float:
-        """The largest car circumradius (0.0 with no cars)."""
-        if self._max_radius is None:
-            self._max_radius = max(map(CarBody.circumradius, self.cars),
-                                   default=0.0)
-        return self._max_radius
 
 
 # ---------------------------------------------------------------- world state
@@ -521,8 +508,21 @@ class WorldState:
     def all_cars(self) -> list[CarBody]:
         return self.agents + self.parked
 
-    def _wall_kind(self, body: CarBody) -> str | None:
-        """'wall' when the body touches a wall, else None."""
+    def collides_static(self, bodies, arrays: WorldArrays | None = None):
+        """Check each body against walls and parked cars: one 'wall',
+        'parked-car' or None per body, or a single kind for a single body.
+        With `arrays`, the current view from the agents, the bodies are
+        the agents and only the parked cars its broad phase keeps are
+        tested."""
+        if isinstance(bodies, CarBody):
+            return self._static_kind(bodies, self.parked)
+        if arrays is None:
+            return [self._static_kind(b, self.parked) for b in bodies]
+        cars, na = arrays.cars, arrays.na
+        return [self._static_kind(b, [cars[j] for j in close if j >= na])
+                for b, close in zip(bodies, arrays.near())]
+
+    def _static_kind(self, body: CarBody, parked) -> str | None:
         e = float(self.extent)
         for x, y in obb_corners(body, self.grid):
             if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
@@ -533,52 +533,22 @@ class WorldState:
             for w in self.walls:
                 if obb_hits_segment(body, w, self.grid):
                     return "wall"
+        for car in parked:
+            if obb_intersects(body, car, self.grid):
+                return "parked-car"
         return None
-
-    def _reach(self, bodies, arrays: WorldArrays) -> float:
-        """Circumradius reach between any body and any car: never less than
-        obb_intersects' own early-out distance for a pair."""
-        r = arrays.max_radius()
-        if bodies is not self.agents:  # the agents are among the cars
-            r = max(r, max(b.circumradius() for b in bodies))
-        return 2.0 * r + REACH_SLACK
-
-    def collides_static(self, bodies, arrays: WorldArrays | None = None):
-        """Check each body against walls and parked cars: one 'wall',
-        'parked-car' or None per body, or a single kind for a single body.
-
-        A circumradius broad phase over all bodies and parked cars picks
-        the pairs that go through the exact obb_intersects test, in
-        parked-car order. `arrays`, if the caller has it, is the current
-        view from the bodies' centers."""
-        if isinstance(bodies, CarBody):
-            return self.collides_static([bodies], arrays)[0]
-        kinds = [self._wall_kind(b) for b in bodies]
-        if self.parked and bodies:
-            if arrays is None:
-                arrays = WorldArrays(self, [b.x for b in bodies],
-                                     [b.y for b in bodies])
-            na = arrays.na
-            for k, j in arrays.near(self._reach(bodies, arrays)):
-                if j >= na and kinds[k] is None and obb_intersects(
-                        bodies[k], self.parked[j - na], self.grid):
-                    kinds[k] = "parked-car"
-        return kinds
 
     def agent_contacts(self, arrays: WorldArrays | None = None) -> list[tuple[int, int]]:
         """Index pairs (i, j), i < j, of agents whose hitboxes intersect,
-        in (i, j) order, through the same broad phase as collides_static.
-        `arrays`, if the caller has it, is the current view from the
-        agents."""
+        in (i, j) order. With `arrays`, the current view from the agents,
+        only the pairs its broad phase keeps are tested."""
         agents = self.agents
-        if len(agents) < 2:
+        na = len(agents)
+        if na < 2:
             return []
-        if arrays is None:
-            arrays = WorldArrays(self)
-        na = arrays.na
-        return [(i, j) for i, j in arrays.near(self._reach(agents, arrays))
-                if i < j < na
-                and obb_intersects(agents[i], agents[j], self.grid)]
+        near = [range(na)] * na if arrays is None else arrays.near()
+        return [(i, j) for i in range(na) for j in near[i]
+                if i < j < na and obb_intersects(agents[i], agents[j], self.grid)]
 
     def ring_counts(self, cx, cy, exclude_uid, spec: RingSpec,
                     arrays: WorldArrays | None = None):
@@ -610,19 +580,20 @@ class WorldState:
                         n += 1
                         if n >= cap:
                             break
-                row.append(n)
+                row.append(n if n < cap else cap)
             counts.append(row)
-        cars = self.all_cars()
-        # skip the array pass when the only car is every center's own
-        if not spec.walls_only and radii and cars and (
-                len(cars) > 1 or any(e != cars[0].uid for e in exclude_uid)):
-            if arrays is None:
-                arrays = WorldArrays(self, cx, cy)
-            self._add_car_ring_counts(counts, cx, cy, exclude_uid, radii,
-                                      arrays)
-        return [tuple([n if n < cap else cap for n in row]) for row in counts]
+        if not spec.walls_only and radii:
+            cars = self.all_cars()
+            # skip the array pass when the only car is every center's own
+            if len(cars) > 1 or (cars and any(e != cars[0].uid
+                                              for e in exclude_uid)):
+                if arrays is None:
+                    arrays = WorldArrays(self, cx, cy)
+                self._add_car_ring_counts(counts, cx, cy, exclude_uid, radii,
+                                          cap, arrays)
+        return list(map(tuple, counts))
 
-    def _add_car_ring_counts(self, counts, cx, cy, exclude_uid, radii,
+    def _add_car_ring_counts(self, counts, cx, cy, exclude_uid, radii, cap,
                              arrays: WorldArrays) -> None:
         import numpy as np
         nc = arrays.nc
@@ -642,15 +613,16 @@ class WorldState:
         band = RING_BAND * np.maximum(r2, 1.0)
         gap = d2[:, :, None] - r2
         inside = (gap < -band).sum(axis=1).tolist()
-        for row, add in zip(counts, inside):
-            for k, n in enumerate(add):
-                row[k] += n
         unsure = np.abs(gap) <= band
         if unsure.any():
             for k, j, ring in zip(*(a.tolist() for a in unsure.nonzero())):
                 dist = point_to_obb_distance(float(cx[k]), float(cy[k]),
                                              arrays.cars[j], self.grid)
-                counts[k][ring] += dist < radii[ring]
+                inside[k][ring] += dist < radii[ring]
+        for row, add in zip(counts, inside):
+            for k, n in enumerate(add):
+                n += row[k]
+                row[k] = n if n < cap else cap
 
     def nearest_cars(self, cx, cy, exclude_uid, n_track: int,
                      fov_diameter: float, arrays: WorldArrays | None = None):

@@ -15,6 +15,7 @@ from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.world import (
     RingSpec,
+    WorldArrays,
     obb_corners,
     obb_hits_segment,
     obb_intersects,
@@ -250,9 +251,15 @@ def test_batched_queries_equal_scalar_loops(env, data):
                     walls_only=draw(st.booleans()))
     assert world.ring_counts(xs, ys, ids, spec) == [
         oracle_ring_counts(world, x, y, u, spec) for x, y, u in zip(xs, ys, ids)]
-    assert world.collides_static(agents) == [
-        oracle_collides_static(world, b) for b in agents]
-    assert world.agent_contacts() == oracle_agent_contacts(world)
+    # plain loops, and the broad phase through the view from the agents
+    view = WorldArrays(world)
+    want = [oracle_collides_static(world, b) for b in agents]
+    assert world.collides_static(agents) == want
+    assert world.collides_static(agents, view) == want
+    assert [world.collides_static(b) for b in agents] == want
+    want = oracle_agent_contacts(world)
+    assert world.agent_contacts() == want
+    assert world.agent_contacts(view) == want
     check_tables(env)
 
 
