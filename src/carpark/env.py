@@ -12,9 +12,11 @@ center-distance matrix from every agent to every car and space gives each
 agent's nearest-car list and nearest-car distance and each space's
 closest-agent distances.
 
-Collisions, tracking and ring counts are batched world queries over all
-agents at once. Everything `observe` reads is derived state that `reset`
-and `step_all` leave behind: the ring counts (`cur_rings`, from the
+Every world query is seen from agents through one `WorldArrays` view:
+the tick's view from all agents serves collisions, tracking, ring counts
+and the sensing pass, and a respawn senses through a view from the
+respawned agent alone. Everything `observe` reads is derived state that
+`reset` and `step_all` leave behind: the ring counts (`cur_rings`, from the
 tracking phase or a respawn), and the nearest-car lists (`nearby`) and the
 space table behind `global_info` from the sensing pass. The next tick's
 goal transitions read the same tables, since nothing moves between the
@@ -223,7 +225,7 @@ class ParkingEnv:
                 continue
             if math.hypot(car.x - body.x, car.y - body.y) < min_d:
                 return False
-        if self.world.collides_static(body) is not None:
+        if self.world.collides_static([body])[0] is not None:
             return False
         for j, other in enumerate(self.agents):
             if j != agent_i and obb_intersects(body, other.body, self.grid):
@@ -347,15 +349,15 @@ class ParkingEnv:
         agent.steps_toward_goal = 0
         agent.steps_toward_space_exploring = 0
         agent.ring_history = []
-        # one array view from the new position serves tracking and rings
-        view = (WorldArrays(self.world, [agent.body.x], [agent.body.y],
-                            with_spaces=agent.tracker is not None)
-                if agent.tracker or self.ring_spec else None)
+        # one view from the respawned agent serves tracking and rings
+        view = WorldArrays(self.world, [agent_i],
+                           with_spaces=agent.tracker is not None)
         if agent.tracker:
             agent.tracker.reset()
-            self._refresh_tracking(agent_i, view)
+            agent.tracker.update(self.world.nearest_free_spaces(
+                agent.tracker.n_space, math.inf, view)[0])
         if self.ring_spec:
-            agent.cur_rings = self._ring_counts(agent_i, view)
+            agent.cur_rings = self.world.ring_counts(self.ring_spec, view)[0]
         agent.prev_goal_distance = self._goal_distance(agent)
 
     # ------------------------------------------------------------- queries
@@ -366,12 +368,6 @@ class ParkingEnv:
         sp = self.world.spaces[agent.goal_space]
         return math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
 
-    def _ring_counts(self, agent_i: int,
-                     arrays: WorldArrays | None = None) -> tuple[int, ...]:
-        body = self.agents[agent_i].body
-        return self.world.ring_counts(body.x, body.y, agent_i, self.ring_spec,
-                                      arrays)
-
     def nearest_car_distance(self, agent_i: int) -> float:
         """Center distance to the closest other car; arena diagonal when
         there are no other cars. Taken from the sensing pass."""
@@ -381,14 +377,6 @@ class ParkingEnv:
                        else [math.inf] * len(self.agents))
             self._nearest_car_d = [min(d, self.d_max) for d in nearest]
         return self._nearest_car_d[agent_i]
-
-    def _refresh_tracking(self, agent_i: int,
-                          arrays: WorldArrays | None = None) -> None:
-        agent = self.agents[agent_i]
-        tracked = self.world.nearest_free_spaces(
-            agent.body.x, agent.body.y, agent.tracker.n_space, math.inf,
-            arrays)
-        agent.tracker.update(tracked)
 
     def _view(self) -> WorldArrays | None:
         """A view of the world from the agents, with the space columns for
@@ -417,10 +405,9 @@ class ParkingEnv:
         if arrays is None:
             return
         if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
-            lists = world.nearest_cars(
-                [a.body.x for a in agents], [a.body.y for a in agents],
-                range(len(agents)), cfg._obsNearbyCarsCount,
-                float(cfg._obsNearbyCarsDiameter), arrays)
+            lists = world.nearest_cars(cfg._obsNearbyCarsCount,
+                                       float(cfg._obsNearbyCarsDiameter),
+                                       arrays)
             for agent, cars in zip(agents, lists):
                 agent.nearby = cars
         if cfg._dynamicGoals:
@@ -461,7 +448,7 @@ class ParkingEnv:
             ("G+", "A"): global_any and not local_any,
         }
 
-    def global_info(self, agent_i: int, space_id: int) -> tuple[float, float | None]:
+    def global_info(self, space_id: int) -> tuple[float, float | None]:
         """Distance from the space to the closest agent, and to the closest
         agent whose goal it is (None when nobody's). Positions come from the
         last sensing pass, so dynamic goals only; goals from the agents as
@@ -520,7 +507,7 @@ class ParkingEnv:
                     inputs.spaces.append(localize(
                         agent.body.pose, Pose(sp.x, sp.y, sp.theta),
                         self.grid))
-                    any_d, same_d = self.global_info(agent_i, sid)
+                    any_d, same_d = self.global_info(sid)
                     inputs.global_any.append(any_d)
                     inputs.global_same.append(same_d)
         return build_observation(self.schema, cfg, inputs, self.obs_mode)
@@ -637,15 +624,13 @@ class ParkingEnv:
             crashed.setdefault(j, "agent-car")
 
         # phase 4: tracking refresh, lost goals, park checks, rewards
-        if cfg._dynamicGoals or self.ring_spec:
-            xs = [agent.body.x for agent in self.agents]
-            ys = [agent.body.y for agent in self.agents]
         if cfg._dynamicGoals:
             tracked = world.nearest_free_spaces(
-                xs, ys, cfg._obsNearbyParkingSpotsCount, math.inf, arrays)
+                cfg._obsNearbyParkingSpotsCount, math.inf, arrays)
         if self.ring_spec:
-            rings = world.ring_counts(xs, ys, range(len(self.agents)),
-                                      self.ring_spec, arrays)
+            # a lone car with fixed goals has no tick view; it counts walls
+            rings = world.ring_counts(self.ring_spec,
+                                      arrays or WorldArrays(world))
         outcomes: list[StepOutcome] = []
         terminals: list[tuple[int, str]] = []
         occupied_ids = world.occupied_space_ids() if cfg._dynamicGoals else set()

@@ -164,27 +164,6 @@ def local_offset(lp_d: float, angle_index_units: float, grid: GridSpec) -> tuple
     return lp_d * sx, lp_d * sy
 
 
-def compose_shared_goal(other: LocalPose, others_goal: LocalPose, grid: GridSpec) -> LocalPose:
-    """Localize the other agent's goal into the observer's frame.
-
-    `other` is the other agent as seen by the observer; `others_goal` is
-    that agent's goal as seen by the other agent. The observer's own pose
-    cancels out, so the work happens in the observer's local frame
-    (origin, facing +y): the other agent sits at distance d along bearing
-    theta_rel with heading -delta_theta, and the goal hangs off it.
-    """
-    gtheta = grid.theta_granularity
-    ox, oy = local_offset(other.d, other.theta_rel, grid)
-    other_heading = -other.delta_theta
-    gx_ang = other_heading + others_goal.theta_rel
-    gx, gy = local_offset(others_goal.d, gx_ang, grid)
-    x, y = ox + gx, oy + gy
-    d = math.hypot(x, y)
-    theta_rel = 0.0 if d == 0.0 else bearing_index_units(x, y, grid)
-    delta_theta = wrap_signed_index(other.delta_theta + others_goal.delta_theta, gtheta)
-    return LocalPose(d, theta_rel, delta_theta)
-
-
 def reconstruct(observer: Pose, lp: LocalPose, grid: GridSpec) -> tuple[float, float]:
     """Recover the target's world position from observer + LocalPose."""
     dx, dy = local_offset(lp.d, lp.theta_rel + observer.theta, grid)

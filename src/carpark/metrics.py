@@ -112,7 +112,7 @@ class MetricSeries:
 
 class _SeriesState:
     __slots__ = ("mode", "last_step", "window_end", "dirty", "count",
-                 "total", "cum", "last", "points", "raw")
+                 "total", "cum", "last", "points")
 
     def __init__(self, mode: str):
         self.mode = mode
@@ -218,12 +218,6 @@ class MetricStore:
             self._fh.close()
             self._fh = None
         self._closed = True
-
-    def __enter__(self) -> "MetricStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # --------------------------------------------------------------- reading
 

@@ -55,14 +55,6 @@ class QTable:
                 raise ValueError("table entries must be finite")
             self.values = values
 
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.values.shape[1]
-
     # ---------------------------------------------------------- persistence
 
     def save(self, path: str) -> None:

@@ -1,21 +1,20 @@
 """Static layout, car hitboxes, collision, ring sensing, and relocation.
 
-The sensing queries are batched: ring counts, nearest cars and nearest
-free spaces take one point per agent, so one numpy pass serves every agent
-of a tick. A ``WorldArrays`` view holds what they share: the offsets and
-center distances from every agent to every car and space, and each agent's
-cars sorted by distance. Three rules keep the batched answers equal to the
-scalar loops they replace: center distances are ``np.sqrt(dx*dx + dy*dy)``,
-which equals ``math.hypot`` on grid-snapped centers (``np.hypot`` does
-not); ties sort by uid (or space id) with a stable sort; and where a numpy
-value is too close to a threshold to call, the exact scalar
-``point_to_obb_distance`` decides. Collisions take a list of bodies too;
-given the tick's view, a broad phase over its sorted center distances
-sends only nearby pairs to the exact ``obb_intersects``.
+Ring counts, nearest cars and nearest free spaces are seen from agents: a
+``WorldArrays`` view names the observing agents (all, by default) and holds
+what the queries share, the offsets and center distances from each
+observer to every car and space and its cars sorted by distance. Each query
+answers one row per observer, never counting the observer's own car. Three
+rules keep these batched answers equal to scalar loops: center distances
+are ``np.sqrt(dx*dx + dy*dy)``, which equals ``math.hypot`` on grid-snapped
+centers (``np.hypot`` does not); ties sort by uid (or space id) with a
+stable sort; and where a numpy value is too close to a threshold to call,
+the exact scalar ``point_to_obb_distance`` decides. Collisions take a list
+of bodies; given the tick's view, a broad phase over its sorted center
+distances sends only nearby pairs to the exact ``obb_intersects``.
 Bearings stay scalar (``geometry.localize``): ``np.arctan2`` differs from
 ``math.atan2`` on some inputs. numpy is imported where an array is first
-built, not with this module: config parsing and layout files import it
-and need no BLAS.
+built, not with this module: config parsing and layout files need no BLAS.
 
 The default arena is a 74x74 square bounded by four walls, with 36 parking
 spaces hugging the walls (9 per side) and a square ring road between the
@@ -291,33 +290,30 @@ def point_to_obb_distance(px: float, py: float, body: CarBody, grid: GridSpec) -
     return math.hypot(ef, er)
 
 
-def _is_point(cx) -> bool:
-    return isinstance(cx, (int, float))
-
-
 class WorldArrays:
-    """One world state as arrays, seen from the points (xs, ys).
+    """One world state as arrays, seen from the agents in `rows`.
 
-    Rows are the observers (by default the agents, in agent order);
-    columns are the cars in ``all_cars()`` order (agents, then parked
-    cars), then, if `with_spaces`, the parking spaces in space-id order. Every
-    batched query of a tick reads the same offsets and distances from
-    here. Each field is computed on first use and then kept, so a view is
-    valid only until something in the world moves; a view nothing reads
-    costs no array work.
+    Rows are the observers: the agent indices in `rows`, all agents in
+    agent order by default. Columns are the cars in ``all_cars()`` order
+    (agents, then parked cars, so agent i is column i), then, if
+    `with_spaces`, the parking spaces in space-id order. Every batched
+    query of a tick reads the same offsets and distances from here. Each
+    field is computed on first use and then kept, so a view is valid only
+    until something in the world moves; a view nothing reads costs no
+    array work.
     """
 
-    __slots__ = ("world", "cars", "na", "nc", "with_spaces", "_xs", "_ys",
+    __slots__ = ("world", "cars", "na", "nc", "rows", "with_spaces",
                  "_offsets", "_dist", "_by_distance", "_near", "_boxes")
 
-    def __init__(self, world: "WorldState", xs=None, ys=None,
+    def __init__(self, world: "WorldState", rows=None,
                  with_spaces: bool = False):
         self.world = world
         self.cars = world.agents + world.parked
         self.na = len(world.agents)
         self.nc = len(self.cars)
+        self.rows = list(range(self.na) if rows is None else rows)
         self.with_spaces = with_spaces
-        self._xs, self._ys = xs, ys
         self._offsets = self._dist = self._by_distance = None
         self._near = self._boxes = None
 
@@ -334,10 +330,7 @@ class WorldArrays:
             else:
                 xy = [c.x for c in cars] + [c.y for c in cars]
             p = np.fromiter(xy, float, len(xy)).reshape(2, -1)
-            if self._xs is None:  # the observers are the agents
-                q = p[:, :self.na]
-            else:
-                q = np.array([list(self._xs), list(self._ys)], dtype=float)
+            q = p[:, self.rows]
             self._offsets = p[:, None, :] - q[:, :, None]
         return self._offsets
 
@@ -384,10 +377,10 @@ class WorldArrays:
         return self._near
 
     def nearest_other_car(self) -> list[float]:
-        """Per agent, the center distance to the closest other car (inf
-        when there is none); for a view from the agents."""
-        return [next((row[j] for j in order if j != k), math.inf)
-                for k, (order, row) in enumerate(zip(*self.cars_by_distance()))]
+        """Per observer, the center distance to the closest other car (inf
+        when there is none)."""
+        return [next((row[j] for j in order if j != own), math.inf)
+                for own, order, row in zip(self.rows, *self.cars_by_distance())]
 
     def boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per car, its box axes [[fx, fy], [fy, -fx]] (shape (2, 2, cars))
@@ -510,12 +503,9 @@ class WorldState:
 
     def collides_static(self, bodies, arrays: WorldArrays | None = None):
         """Check each body against walls and parked cars: one 'wall',
-        'parked-car' or None per body, or a single kind for a single body.
-        With `arrays`, the current view from the agents, the bodies are
-        the agents and only the parked cars its broad phase keeps are
-        tested."""
-        if isinstance(bodies, CarBody):
-            return self._static_kind(bodies, self.parked)
+        'parked-car' or None per body. With `arrays`, the current view from
+        all agents, the bodies are the agents and only the parked cars its
+        broad phase keeps are tested."""
         if arrays is None:
             return [self._static_kind(b, self.parked) for b in bodies]
         cars, na = arrays.cars, arrays.na
@@ -540,7 +530,7 @@ class WorldState:
 
     def agent_contacts(self, arrays: WorldArrays | None = None) -> list[tuple[int, int]]:
         """Index pairs (i, j), i < j, of agents whose hitboxes intersect,
-        in (i, j) order. With `arrays`, the current view from the agents,
+        in (i, j) order. With `arrays`, the current view from all agents,
         only the pairs its broad phase keeps are tested."""
         agents = self.agents
         na = len(agents)
@@ -550,27 +540,23 @@ class WorldState:
         return [(i, j) for i in range(na) for j in near[i]
                 if i < j < na and obb_intersects(agents[i], agents[j], self.grid)]
 
-    def ring_counts(self, cx, cy, exclude_uid, spec: RingSpec,
-                    arrays: WorldArrays | None = None):
-        """Count obstacles strictly inside each ring's disk, capped at
-        max_count. An obstacle is inside when its hitbox is closer to the
-        ring center than the ring radius; the car whose uid is excluded
-        never counts. cx, cy and exclude_uid hold one entry per ring
-        center and the result one tuple per center; scalars give one
-        center's tuple. `arrays`, if the caller has it, is the current view
-        from these centers.
+    def ring_counts(self, spec: RingSpec, arrays: WorldArrays):
+        """Per observer of `arrays`, the obstacles strictly inside each
+        ring's disk around it, capped at max_count: one tuple per observer.
+        An obstacle is inside when its hitbox is closer to the observer than
+        the ring radius; the observer's own car never counts.
 
         Walls, a handful, take the scalar distance. Cars take one numpy
-        pass over all centers that compares squared distances; a pair
+        pass over all observers that compares squared distances; a pair
         within RING_BAND of a ring radius is decided by the exact scalar
         distance, so the counts equal a scalar loop's."""
-        if _is_point(cx):
-            return self.ring_counts([cx], [cy], [exclude_uid], spec, arrays)[0]
         radii = [d / 2.0 for d in spec.diameters]
         cap = spec.max_count
         walls = self.walls
+        cars = arrays.cars
         counts = []
-        for x, y in zip(cx, cy):
+        for k in arrays.rows:
+            x, y = cars[k].x, cars[k].y
             dists = [point_to_segment_distance(x, y, w) for w in walls]
             row = []
             for r in radii:
@@ -582,21 +568,18 @@ class WorldState:
                             break
                 row.append(n if n < cap else cap)
             counts.append(row)
-        if not spec.walls_only and radii:
-            cars = self.all_cars()
-            # skip the array pass when the only car is every center's own
-            if len(cars) > 1 or (cars and any(e != cars[0].uid
-                                              for e in exclude_uid)):
-                if arrays is None:
-                    arrays = WorldArrays(self, cx, cy)
-                self._add_car_ring_counts(counts, cx, cy, exclude_uid, radii,
-                                          cap, arrays)
+        # the array pass has nothing to count when the only car is the
+        # observer's own
+        if not spec.walls_only and radii and arrays.nc > 1:
+            self._add_cars_in_rings(counts, radii, cap, arrays)
         return list(map(tuple, counts))
 
-    def _add_car_ring_counts(self, counts, cx, cy, exclude_uid, radii, cap,
-                             arrays: WorldArrays) -> None:
+    def _add_cars_in_rings(self, counts, radii, cap,
+                           arrays: WorldArrays) -> None:
         import numpy as np
         nc = arrays.nc
+        rows = arrays.rows
+        cars = arrays.cars
         axes, half = arrays.boxes()
         d = arrays.offsets()[:, :, :nc]
         # forward and right components, then the excess over the box
@@ -605,9 +588,7 @@ class WorldState:
         excess = np.maximum(np.abs(local) - half[:, None, :], 0.0)
         sq = excess * excess
         d2 = sq[0] + sq[1]
-        uids = [c.uid for c in arrays.cars]
-        own = np.equal.outer(np.asarray(exclude_uid), uids)
-        d2[own] = np.inf
+        d2[range(len(rows)), rows] = np.inf  # the observer's own car
         r = np.array(radii)
         r2 = r * r
         band = RING_BAND * np.maximum(r2, 1.0)
@@ -616,37 +597,27 @@ class WorldState:
         unsure = np.abs(gap) <= band
         if unsure.any():
             for k, j, ring in zip(*(a.tolist() for a in unsure.nonzero())):
-                dist = point_to_obb_distance(float(cx[k]), float(cy[k]),
-                                             arrays.cars[j], self.grid)
+                own = cars[rows[k]]
+                dist = point_to_obb_distance(own.x, own.y, cars[j], self.grid)
                 inside[k][ring] += dist < radii[ring]
         for row, add in zip(counts, inside):
             for k, n in enumerate(add):
                 n += row[k]
                 row[k] = n if n < cap else cap
 
-    def nearest_cars(self, cx, cy, exclude_uid, n_track: int,
-                     fov_diameter: float, arrays: WorldArrays | None = None):
-        """Up to n_track cars within the field of view, ascending center
-        distance, ties by uid; the car whose uid is excluded never counts.
-        cx, cy and exclude_uid hold one entry per observer and the result
-        one list per observer; scalars give one observer's list. `arrays`,
-        if the caller has it, is the current view from these observers."""
-        if _is_point(cx):
-            return self.nearest_cars([cx], [cy], [exclude_uid], n_track,
-                                     fov_diameter, arrays)[0]
-        if arrays is None:
-            arrays = WorldArrays(self, cx, cy)
+    def nearest_cars(self, n_track: int, fov_diameter: float,
+                     arrays: WorldArrays):
+        """Per observer of `arrays`, up to n_track other cars within the
+        field of view, ascending center distance, ties by uid."""
         cars = arrays.cars
-        if n_track <= 0 or not cars:
-            return [[] for _ in cx]
-        uids = [c.uid for c in cars]
+        if n_track <= 0:
+            return [[] for _ in arrays.rows]
         reach = fov_diameter / 2.0
         out = []
-        for (order, row), ex in zip(zip(*arrays.cars_by_distance()),
-                                    exclude_uid):
+        for own, order, row in zip(arrays.rows, *arrays.cars_by_distance()):
             found = []
             for j in order:
-                if uids[j] == ex:
+                if j == own:
                     continue
                 if len(found) == n_track or not row[j] <= reach:
                     break
@@ -654,20 +625,13 @@ class WorldState:
             out.append(found)
         return out
 
-    def nearest_free_spaces(self, cx, cy, n_space: int, fov_diameter: float,
-                            arrays: WorldArrays | None = None):
-        """Free spaces within the field of view, ascending center distance,
-        ties by space id. Slot stability lives in SpaceTracker. cx and cy
-        hold one entry per observer and the result one list per observer;
-        scalars give one observer's list. `arrays`, if the caller has it,
-        is the current view from these observers."""
-        if _is_point(cx):
-            return self.nearest_free_spaces([cx], [cy], n_space,
-                                            fov_diameter, arrays)[0]
+    def nearest_free_spaces(self, n_space: int, fov_diameter: float,
+                            arrays: WorldArrays):
+        """Per observer of `arrays`, which has the space columns, up to
+        n_space free spaces within the field of view, ascending center
+        distance, ties by space id. Slot stability lives in SpaceTracker."""
         if n_space <= 0 or not self.spaces:
-            return [[] for _ in cx]
-        if arrays is None:
-            arrays = WorldArrays(self, cx, cy, with_spaces=True)
+            return [[] for _ in arrays.rows]
         dist = arrays.distances()[:, arrays.nc:]
         if self.parked_space:
             dist = dist.copy()

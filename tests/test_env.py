@@ -9,7 +9,7 @@ import pytest
 from carpark.config import EnvironmentConfig, config_from_mapping, max_world_distance
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.geometry import GridSpec, bearing_index_units, round_half_up
-from carpark.world import obb_intersects
+from carpark.world import WorldArrays, obb_intersects
 
 D_MAX = max_world_distance(74)
 
@@ -92,10 +92,12 @@ def place(env, i, x, y, theta, v=0, goal="keep", refresh=True):
     agent.v = v
     if goal != "keep":
         agent.goal_space = goal
+    view = WorldArrays(env.world, [i], with_spaces=True)
     if agent.tracker and refresh:
-        env._refresh_tracking(i)
+        agent.tracker.update(env.world.nearest_free_spaces(
+            agent.tracker.n_space, math.inf, view)[0])
     if env.ring_spec:
-        agent.cur_rings = env._ring_counts(i)
+        agent.cur_rings = env.world.ring_counts(env.ring_spec, view)[0]
         agent.ring_history = []
     agent.prev_goal_distance = env._goal_distance(agent)
     env._sense()  # the nearest-car lists and the space table
@@ -766,14 +768,28 @@ def test_caches_invalidate_on_relocation():
                if env.world.spaces[s].y == 3.5)
     sp = env.world.spaces[sid]
     probe = (sp.x, sp.y + 6.0)
-    before = env.world.ring_counts(*probe, 0, env.ring_spec)
+    place(env, 0, *probe, 0)
+    [before] = env.world.ring_counts(env.ring_spec, WorldArrays(env.world))
     place(env, 0, sp.x, sp.y, sp.theta, v=0, goal=sid)
     out = env.step(ActionTuple(0, 0))
     assert out.terminal == "parked"  # a parked car moved into the space
-    place(env, 0, probe[0], probe[1], 0)
-    after = env.world.ring_counts(*probe, 0, env.ring_spec)
-    assert env._ring_counts(0) == after
+    place(env, 0, *probe, 0)
+    [after] = env.world.ring_counts(env.ring_spec, WorldArrays(env.world))
+    assert env.agents[0].cur_rings == after
     assert after != before  # a parked car now sits within the probe rings
+
+
+def test_lone_car_counts_wall_rings_every_tick():
+    # a lone agent with fixed goals and no parked cars senses nothing else,
+    # so the tick has no array view; its rings still count the walls
+    env = make_env({"_numParkedCars": 0, "_obsRings": True,
+                    "_ringMaxNumObjTrack": 3, "_rd0": 40, "_rd1": 10,
+                    "_ringOnlyWall": False}, seed=5)
+    place(env, 0, 10.0, 10.0, 0)
+    assert env.agents[0].cur_rings == (2, 0)  # the bottom and left walls
+    out = env.step(ActionTuple(0, 0))
+    assert out.terminal is None
+    assert env.agents[0].cur_rings == (2, 0)
 
 
 # -------------------------------------------------------------- observations

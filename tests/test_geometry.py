@@ -13,7 +13,6 @@ from carpark.geometry import (
     Pose,
     bearing_index_units,
     clamp_velocity,
-    compose_shared_goal,
     heading_vector,
     local_offset,
     localize,
@@ -228,64 +227,6 @@ def test_localize_reconstruction():
         x, y = reconstruct(p1, lp, grid)
         assert x == pytest.approx(p2.x, abs=1e-9)
         assert y == pytest.approx(p2.y, abs=1e-9)
-
-
-# ------------------------------------------------------- shared-goal compose
-
-
-def coordinate_frame_compose_oracle(observer, other_pose, goal_pose, grid):
-    """Independent oracle: localize through explicit world poses."""
-    return localize(observer, goal_pose, grid)
-
-
-def test_compose_collinear_chain():
-    other = LocalPose(5.0, 0.0, 0.0)
-    goal = LocalPose(5.0, 0.0, 0.0)
-    out = compose_shared_goal(other, goal, G8)
-    assert out.d == pytest.approx(10.0, abs=1e-12)
-    assert out.theta_rel == pytest.approx(0.0, abs=1e-12)
-    assert out.delta_theta == 0.0
-
-
-def test_compose_right_angle():
-    # coordinate-composition oracle: other at (5,0) heading +y, goal dead
-    # ahead of it at 5 -> world (5,5), d = sqrt(50), bearing 45 deg = index 1
-    other = LocalPose(5.0, 2.0, 0.0)  # bearing 90 deg at Gtheta=8
-    goal = LocalPose(5.0, 0.0, 0.0)
-    out = compose_shared_goal(other, goal, G8)
-    assert out.d == pytest.approx(math.sqrt(50.0), abs=1e-12)
-    assert out.theta_rel == pytest.approx(1.0, abs=1e-12)
-
-
-def test_compose_zero_offset_goal():
-    other = LocalPose(4.0, 3.0, -1.0)
-    goal = LocalPose(0.0, 0.0, 2.0)
-    out = compose_shared_goal(other, goal, G8)
-    assert out.d == other.d
-    assert out.theta_rel == pytest.approx(other.theta_rel)
-    assert out.delta_theta == wrap_signed_index(-1.0 + 2.0, 8)
-
-
-def test_compose_matches_world_frame_oracle():
-    # build explicit world poses, localize pairwise, compose, and compare
-    # against localizing the goal directly (the pre-discretization check)
-    rng = random.Random(23)
-    grid = GridSpec(theta_granularity=24, position_granularity=2)
-    for _ in range(1000):
-        obs = random_grid_pose(rng, grid)
-        other = random_grid_pose(rng, grid)
-        goal = random_grid_pose(rng, grid)
-        if (other.x, other.y) == (obs.x, obs.y):
-            continue  # bearing convention at coincidence is a separate case
-        lp_other = localize(obs, other, grid)
-        lp_goal = localize(other, goal, grid)
-        composed = compose_shared_goal(lp_other, lp_goal, grid)
-        direct = coordinate_frame_compose_oracle(obs, other, goal, grid)
-        assert composed.d == pytest.approx(direct.d, abs=1e-9)
-        assert composed.delta_theta == direct.delta_theta
-        if direct.d > 1e-6:
-            diff = (composed.theta_rel - direct.theta_rel) % grid.theta_granularity
-            assert min(diff, grid.theta_granularity - diff) < 1e-9
 
 
 # ---------------------------------------------------------------- discretize

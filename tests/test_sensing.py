@@ -171,7 +171,7 @@ def check_tables(env):
             assert env.context_membership(i) == oracle_context_membership(env, i)
     if cfg._dynamicGoals:
         for sp in world.spaces:
-            assert env.global_info(0, sp.sid) == oracle_global_info(env, sp.sid)
+            assert env.global_info(sp.sid) == oracle_global_info(env, sp.sid)
 
 
 # ------------------------------------------------------------ random worlds
@@ -232,31 +232,33 @@ def test_batched_queries_equal_scalar_loops(env, data):
     draw = data.draw
     world = env.world
     agents = world.agents
-    xs = [a.x for a in agents]
-    ys = [a.y for a in agents]
-    ids = [a.uid for a in agents]
     n = draw(st.integers(0, 5))
     fov = draw(st.sampled_from([10.0, 11.0, 13.0, 24.0, math.inf]))
-    got = world.nearest_cars(xs, ys, ids, n, fov)
-    assert [uids(g) for g in got] == [
-        uids(oracle_nearest_cars(world, x, y, u, n, fov))
-        for x, y, u in zip(xs, ys, ids)]
-    got = world.nearest_free_spaces(xs, ys, n, fov)
-    assert got == [oracle_nearest_free_spaces(world, x, y, n, fov)
-                   for x, y in zip(xs, ys)]
     # 5.0, 7.0 and 11.0 put hitbox edges exactly on a ring
     diams = tuple(draw(st.lists(st.sampled_from(
         [1.0, 5.0, 6.0, 7.0, 10.0, 11.0, 14.0, 21.0]), min_size=1, max_size=3)))
     spec = RingSpec(diams, draw(st.integers(0, 4)),
                     walls_only=draw(st.booleans()))
-    assert world.ring_counts(xs, ys, ids, spec) == [
-        oracle_ring_counts(world, x, y, u, spec) for x, y, u in zip(xs, ys, ids)]
-    # plain loops, and the broad phase through the view from the agents
+    # seen from every agent, as a tick senses, and from one, as a respawn
+    one = draw(st.integers(0, len(agents) - 1))
+    for rows in (range(len(agents)), [one]):
+        seen = [agents[k] for k in rows]
+        view = WorldArrays(world, rows, with_spaces=True)
+        got = world.nearest_cars(n, fov, view)
+        assert [uids(g) for g in got] == [
+            uids(oracle_nearest_cars(world, a.x, a.y, a.uid, n, fov))
+            for a in seen]
+        assert world.nearest_free_spaces(n, fov, view) == [
+            oracle_nearest_free_spaces(world, a.x, a.y, n, fov) for a in seen]
+        assert world.ring_counts(spec, view) == [
+            oracle_ring_counts(world, a.x, a.y, a.uid, spec) for a in seen]
+    # plain loops, one body at a time, and the broad phase through the view
+    # from the agents
     view = WorldArrays(world)
     want = [oracle_collides_static(world, b) for b in agents]
     assert world.collides_static(agents) == want
     assert world.collides_static(agents, view) == want
-    assert [world.collides_static(b) for b in agents] == want
+    assert [world.collides_static([b])[0] for b in agents] == want
     want = oracle_agent_contacts(world)
     assert world.agent_contacts() == want
     assert world.agent_contacts(view) == want

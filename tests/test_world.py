@@ -17,6 +17,7 @@ from carpark.world import (
     RingSpec,
     SpaceTracker,
     Wall,
+    WorldArrays,
     WorldState,
     default_layout,
     load_layout,
@@ -218,7 +219,7 @@ def test_ring_counts_strictness():
                             kind="parked", uid=1))
     w.parked_space.append(0)
     spec = RingSpec(diameters=(14.0, 11.0, 10.0, 7.0, 6.0), max_count=3)
-    assert w.ring_counts(0.0, 0.0, 0, spec) == (1, 1, 1, 1, 0)
+    assert w.ring_counts(spec, WorldArrays(w)) == [(1, 1, 1, 1, 0)]
 
 
 def test_ring_counts_cap_and_exclusion():
@@ -229,10 +230,10 @@ def test_ring_counts_cap_and_exclusion():
                                 half_length=0.0, kind="parked", uid=1 + i))
         w.parked_space.append(i)
     spec = RingSpec(diameters=(10.0,), max_count=3)
-    assert w.ring_counts(0.0, 0.0, 0, spec) == (3,)
+    assert w.ring_counts(spec, WorldArrays(w)) == [(3,)]
     # the querying car's own hitbox never counts
     spec1 = RingSpec(diameters=(10.0,), max_count=9)
-    assert w.ring_counts(0.0, 0.0, 0, spec1) == (5,)
+    assert w.ring_counts(spec1, WorldArrays(w)) == [(5,)]
 
 
 def test_ring_counts_walls_only():
@@ -243,8 +244,8 @@ def test_ring_counts_walls_only():
     both = RingSpec(diameters=(24.0,), max_count=9)
     walls = RingSpec(diameters=(24.0,), max_count=9, walls_only=True)
     # near the corner both boundary walls are within 11 < 12
-    assert w.ring_counts(11.0, 11.0, 0, walls)[0] == 2
-    assert w.ring_counts(11.0, 11.0, 0, both)[0] == 3
+    assert w.ring_counts(walls, WorldArrays(w)) == [(2,)]
+    assert w.ring_counts(both, WorldArrays(w)) == [(3,)]
 
 
 def test_ring_counts_hitbox_not_center():
@@ -255,7 +256,7 @@ def test_ring_counts_hitbox_not_center():
     w.parked.append(CarBody(0.0, 6.0, 0, kind="parked", uid=1))
     w.parked_space.append(0)
     spec = RingSpec(diameters=(8.0,), max_count=1)
-    assert w.ring_counts(0.0, 0.0, 0, spec) == (1,)
+    assert w.ring_counts(spec, WorldArrays(w)) == [(1,)]
 
 
 # --------------------------------------------------------- proximity queries
@@ -268,9 +269,9 @@ def test_nearest_cars_order_and_fov():
     w.parked.append(CarBody(0.0, 3.0, 0, kind="parked", uid=2))
     w.parked.append(CarBody(40.0, 0.0, 0, kind="parked", uid=3))
     w.parked_space.extend([0, 1])
-    got = w.nearest_cars(0.0, 0.0, 0, 5, 20.0)
+    [got] = w.nearest_cars(5, 20.0, WorldArrays(w, [0]))
     assert [c.uid for c in got] == [2, 1]  # 3.0 before 4.0; uid 3 out of range
-    got = w.nearest_cars(0.0, 0.0, 0, 1, 20.0)
+    [got] = w.nearest_cars(1, 20.0, WorldArrays(w, [0]))
     assert [c.uid for c in got] == [2]
 
 
@@ -280,7 +281,7 @@ def test_nearest_cars_tie_breaks_by_uid():
     w.parked.append(CarBody(0.0, 5.0, 0, kind="parked", uid=7))
     w.parked.append(CarBody(5.0, 0.0, 0, kind="parked", uid=3))
     w.parked_space.extend([0, 1])
-    got = w.nearest_cars(0.0, 0.0, 0, 2, 50.0)
+    [got] = w.nearest_cars(2, 50.0, WorldArrays(w))
     assert [c.uid for c in got] == [3, 7]
 
 
@@ -292,7 +293,7 @@ def test_nearest_free_spaces_skips_occupied():
     # occupy the nearest space (id 0 at (17, 3.5))
     w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=1))
     w.parked_space.append(0)
-    got = w.nearest_free_spaces(17.0, 12.0, 3, 30.0)
+    [got] = w.nearest_free_spaces(3, 30.0, WorldArrays(w, with_spaces=True))
     assert 0 not in got
     assert got == sorted(got, key=lambda sid: (
         math.hypot(w.spaces[sid].x - 17.0, w.spaces[sid].y - 12.0), sid))
@@ -374,8 +375,8 @@ def test_four_interior_walls_are_not_the_arena_box():
     interior = (Wall(30.0, 30.0, 44.0, 30.0), Wall(30.0, 44.0, 44.0, 44.0),
                 Wall(30.0, 30.0, 30.0, 44.0), Wall(44.0, 30.0, 44.0, 44.0))
     w = make_world(layout=Layout(74, 4, interior, (), ()))
-    assert w.collides_static(CarBody(37.0, 30.0, 0)) == "wall"
-    assert w.collides_static(CarBody(37.0, 37.0, 0)) is None
+    assert w.collides_static([CarBody(37.0, 30.0, 0)]) == ["wall"]
+    assert w.collides_static([CarBody(37.0, 37.0, 0)]) == [None]
     assert not w.boundary_walls_only
     # the arena's own edges keep the corner test, whichever way they run
     assert make_world().boundary_walls_only
@@ -387,9 +388,9 @@ def test_collides_static_wall_and_parked():
     w = make_world()
     w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=9))
     w.parked_space.append(0)
-    assert w.collides_static(CarBody(10.0, 2.0, 0)) == "wall"
-    assert w.collides_static(CarBody(17.0, 7.0, 0)) == "parked-car"
-    assert w.collides_static(CarBody(37.0, 37.0, 3)) is None
+    assert w.collides_static([CarBody(10.0, 2.0, 0), CarBody(17.0, 7.0, 0),
+                              CarBody(37.0, 37.0, 3)]) == [
+        "wall", "parked-car", None]
 
 
 def test_parked_cars_inside_their_spaces():
