@@ -21,6 +21,10 @@ tracking phase or a respawn), and the nearest-car lists (`nearby`) and the
 space table behind `global_info` from the sensing pass. The next tick's
 goal transitions read the same tables, since nothing moves between the
 end of one tick and the goal transitions of the next.
+
+`observe` is the one walk that gathers an agent's raw feature values, in
+schema order and with the sentinels for what it cannot see; the schema's
+feature kinds say how `build_observation` encodes them.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .config import EnvironmentConfig, max_world_distance
 from .geometry import (
     GridSpec,
     LocalPose,
-    Pose,
     bearing_index_units,
     clamp_velocity,
     heading_vector,
@@ -43,8 +46,6 @@ from .geometry import (
 )
 from .observation import (
     ActionSchema,
-    NearbyCarObs,
-    ObsInputs,
     ObsSchema,
     build_action_schema,
     build_observation,
@@ -132,6 +133,14 @@ class AgentState:
     steps_exploring: int = 0
     steps_toward_goal: int = 0
     steps_toward_space_exploring: int = 0
+
+
+def _pose_values(lp: LocalPose | None, bound: float) -> tuple:
+    """Distance, angle and rotation delta of a seen target, or the sentinel
+    for an unseen one: the bound distance with zero angle and delta."""
+    if lp is None:
+        return bound, 0.0, 0.0
+    return lp.d, lp.theta_rel, lp.delta_theta
 
 
 class ParkingEnv:
@@ -460,57 +469,74 @@ class ParkingEnv:
     # ------------------------------------------------------------ observing
 
     def observe(self, agent_i: int) -> list:
+        """The agent's observation: one raw value per schema feature, in
+        schema order with the sentinels for what the agent cannot see,
+        encoded by build_observation."""
         agent = self.agents[agent_i]
         cfg = self.cfg
-        inputs = ObsInputs(velocity=agent.v)
-        if agent.goal_space is not None:
-            sp = self.world.spaces[agent.goal_space]
-            inputs.goal = localize(
-                agent.body.pose, Pose(sp.x, sp.y, sp.theta), self.grid)
+        grid = self.grid
+        pose = agent.body.pose
+        spaces = self.world.spaces
+        d_max = self.d_max
+        tracker = agent.tracker
+        n_space = cfg._obsNearbyParkingSpotsCount
+        raw: list = [agent.v]
+        goal = _pose_values(
+            localize(pose, spaces[agent.goal_space].pose, grid)
+            if agent.goal_space is not None else None, d_max)
+        for value, on in zip(goal, (cfg._obsDist, cfg._obsAngle,
+                                    cfg._obsGoalDeltaPose)):
+            if on:
+                raw.append(value)
         if cfg._dynamicGoals:
-            slot = (agent.tracker.slot_of(agent.goal_space)
+            slot = (tracker.slot_of(agent.goal_space)
                     if agent.goal_space is not None else None)
-            inputs.own_goal_index = slot + 1 if slot is not None else 0
+            raw.append(slot + 1 if slot is not None else 0)
         if self.ring_spec:
-            inputs.rings = agent.cur_rings
-            inputs.ring_history = agent.ring_history
-        if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
-            for car in agent.nearby:
-                lp = localize(agent.body.pose, car.pose, self.grid)
-                entry = NearbyCarObs(lp)
-                if car.kind == "agent":
-                    other = self.agents[car.uid]
-                    entry.velocity = other.v
-                    if cfg._obsNearbyCarsGoal and other.goal_space is not None:
-                        if cfg._dynamicGoals:
-                            slot = (agent.tracker.slot_of(other.goal_space)
-                                    if agent.tracker else None)
-                            n_space = cfg._obsNearbyParkingSpotsCount
-                            entry.goal_index = (
-                                slot + 1 if slot is not None else n_space + 1)
-                        else:
-                            osp = self.world.spaces[other.goal_space]
-                            entry.goal_lp = localize(
-                                other.body.pose,
-                                Pose(osp.x, osp.y, osp.theta), self.grid)
-                    elif cfg._obsNearbyCarsGoal and cfg._dynamicGoals:
-                        entry.goal_index = 0  # exploring
-                inputs.nearby.append(entry)
-        if cfg._dynamicGoals and agent.tracker:
-            for sid in agent.tracker.slots:
-                if sid is None:
-                    inputs.spaces.append(None)
-                    inputs.global_any.append(None)
-                    inputs.global_same.append(None)
+            raw.extend(agent.cur_rings)
+            for state in agent.ring_history:
+                raw.extend(state)
+            # zero-filled history at episode start
+            missing = cfg._ringNumPrevObs - len(agent.ring_history)
+            raw.extend([0] * (missing * len(cfg.ringDiams)))
+        if cfg._obsNearbyCars:
+            car_bound = min(cfg._obsNearbyCarsDiameter / 2.0, d_max)
+            nearby = agent.nearby
+            for k in range(cfg._obsNearbyCarsCount):
+                car = nearby[k] if k < len(nearby) else None
+                other = (self.agents[car.uid]
+                         if car is not None and car.kind == "agent" else None)
+                raw += _pose_values(localize(pose, car.pose, grid)
+                                    if car is not None else None, car_bound)
+                if cfg._obsNearbyCarsVelocity:
+                    raw.append(other.v if other else 0)
+                if not cfg._obsNearbyCarsGoal:
+                    continue
+                goal_sid = other.goal_space if other else None
+                if not cfg._dynamicGoals:
+                    raw += _pose_values(
+                        localize(other.body.pose, spaces[goal_sid].pose, grid)
+                        if goal_sid is not None else None, d_max)
+                elif car is None:
+                    raw.append(n_space + 1)  # absent slot
+                elif goal_sid is None:
+                    raw.append(0)  # parked or exploring: no goal
                 else:
-                    sp = self.world.spaces[sid]
-                    inputs.spaces.append(localize(
-                        agent.body.pose, Pose(sp.x, sp.y, sp.theta),
-                        self.grid))
-                    any_d, same_d = self.global_info(sid)
-                    inputs.global_any.append(any_d)
-                    inputs.global_same.append(same_d)
-        return build_observation(self.schema, cfg, inputs, self.obs_mode)
+                    slot = tracker.slot_of(goal_sid) if tracker else None
+                    raw.append(slot + 1 if slot is not None else n_space + 1)
+        if cfg._dynamicGoals and tracker:
+            for sid in tracker.slots:
+                raw += _pose_values(localize(pose, spaces[sid].pose, grid)
+                                    if sid is not None else None, d_max)
+            if (cfg._obsParkingSpotClosestAgent
+                    or cfg._obsParkingSpotClosestGoalAgent):
+                info = [self.global_info(sid) if sid is not None
+                        else (None, None) for sid in tracker.slots]
+                if cfg._obsParkingSpotClosestAgent:
+                    raw.extend(d_max if a is None else a for a, _ in info)
+                if cfg._obsParkingSpotClosestGoalAgent:
+                    raw.extend(d_max if s is None else s for _, s in info)
+        return build_observation(self.schema, cfg, raw, self.obs_mode)
 
     # -------------------------------------------------------------- stepping
 

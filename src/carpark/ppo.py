@@ -156,6 +156,9 @@ class PolicyParams:
             if "meta" not in archive or "branches" not in archive:
                 raise ValueError(f"{path}: not a policy checkpoint")
             meta = archive["meta"]
+            if meta.shape != (5,) or meta.dtype.kind not in "iu":
+                raise ValueError(
+                    f"{path}: meta must be 5 integers, got {meta!r}")
             if meta[0] != CHECKPOINT_VERSION:
                 raise ValueError(
                     f"{path}: unsupported checkpoint version {meta[0]}")

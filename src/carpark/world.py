@@ -50,6 +50,8 @@ REACH_SLACK = 1e-6
 
 LAYOUT_MAGIC = "carpark-layout"
 LAYOUT_VERSION = 1
+# values each layout record carries
+_RECORD_SIZES = {"extent": 1, "gtheta": 1, "wall": 4, "space": 3, "road": 2}
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +70,10 @@ class ParkingSpace:
     theta: int  # rotation index in the environment's granularity
     half_width: float = SPACE_HALF_WIDTH
     half_depth: float = SPACE_HALF_DEPTH
+
+    @property
+    def pose(self) -> Pose:
+        return Pose(self.x, self.y, self.theta)
 
 
 @dataclass(slots=True)
@@ -162,7 +168,7 @@ def load_layout(path: str) -> Layout:
     if not lines:
         raise ValueError(f"{path}: empty layout file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != LAYOUT_MAGIC or int(head[1]) != LAYOUT_VERSION:
+    if len(head) != 2 or head[0] != LAYOUT_MAGIC or head[1] != str(LAYOUT_VERSION):
         raise ValueError(f"{path}: unrecognized layout header {lines[0]!r}")
     extent = 0
     gtheta = 0
@@ -170,20 +176,25 @@ def load_layout(path: str) -> Layout:
     spaces: list[tuple[float, float, int]] = []
     road: list[tuple[float, float]] = []
     for ln in lines[1:]:
-        parts = ln.split()
-        tag, args = parts[0], parts[1:]
-        if tag == "extent":
-            extent = int(args[0])
-        elif tag == "gtheta":
-            gtheta = int(args[0])
-        elif tag == "wall":
-            walls.append(Wall(*(float(a) for a in args)))
-        elif tag == "space":
-            spaces.append((float(args[0]), float(args[1]), int(args[2])))
-        elif tag == "road":
-            road.append((float(args[0]), float(args[1])))
-        else:
+        tag, *args = ln.split()
+        if tag not in _RECORD_SIZES:
             raise ValueError(f"{path}: unknown layout record {tag!r}")
+        try:
+            if len(args) != _RECORD_SIZES[tag]:
+                raise ValueError(f"expected {_RECORD_SIZES[tag]} values")
+            if tag == "extent":
+                extent = int(args[0])
+            elif tag == "gtheta":
+                gtheta = int(args[0])
+            elif tag == "wall":
+                walls.append(Wall(*(float(a) for a in args)))
+            elif tag == "space":
+                spaces.append((float(args[0]), float(args[1]), int(args[2])))
+            else:
+                road.append((float(args[0]), float(args[1])))
+        except ValueError as e:
+            raise ValueError(
+                f"{path}: malformed layout record {ln!r}: {e}") from None
     if extent <= 0 or gtheta <= 0:
         raise ValueError(f"{path}: missing extent or gtheta record")
     return Layout(extent, gtheta, tuple(walls), tuple(spaces), tuple(road))

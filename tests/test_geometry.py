@@ -21,7 +21,7 @@ from carpark.geometry import (
     round_half_up,
     wrap_signed_index,
 )
-from carpark.observation import ObsInputs, build_observation, build_schema
+from carpark.observation import build_observation, build_schema
 
 G8 = GridSpec(theta_granularity=8, position_granularity=0)
 
@@ -237,8 +237,8 @@ def discrete_goal(lp: LocalPose, dist_gran: float = 1.0) -> tuple:
     observation rounds them at Gtheta=8."""
     cfg = config_from_mapping({"_obsDist": True, "_obsGoalDeltaPose": True,
                                "_distGranularity": dist_gran})
-    obs = build_observation(build_schema(cfg), cfg,
-                            ObsInputs(velocity=0, goal=lp), "discrete")
+    raw = [0, lp.d, lp.theta_rel, lp.delta_theta]
+    obs = build_observation(build_schema(cfg), cfg, raw, "discrete")
     return tuple(obs[1:])
 
 

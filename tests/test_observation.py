@@ -5,10 +5,8 @@ import math
 import pytest
 
 from carpark.config import config_from_mapping
-from carpark.geometry import LocalPose
+from carpark.env import ParkingEnv
 from carpark.observation import (
-    NearbyCarObs,
-    ObsInputs,
     build_action_schema,
     build_observation,
     build_schema,
@@ -80,14 +78,9 @@ def test_ppo_fixed_schema_layout():
 def test_basic_discrete_observation():
     # velocity 0 sits at index 1 of its 3-value domain; angle index copied
     schema = build_schema(BASIC)
-    obs = build_observation(
-        schema, BASIC,
-        ObsInputs(velocity=0, goal=LocalPose(10.0, 5.0, 0.0)), "discrete")
-    assert obs == [1, 5]
-    obs = build_observation(
-        schema, BASIC,
-        ObsInputs(velocity=-1, goal=LocalPose(10.0, 7.6, 0.0)), "discrete")
-    assert obs == [0, 0]  # 7.6 rounds up to 8 == 0 mod 8
+    assert build_observation(schema, BASIC, [0, 5.0], "discrete") == [1, 5]
+    # 7.6 rounds up to 8 == 0 mod 8
+    assert build_observation(schema, BASIC, [-1, 7.6], "discrete") == [0, 0]
 
 
 def test_normalized_velocity_half():
@@ -95,26 +88,21 @@ def test_normalized_velocity_half():
         {"_maxVelocityMagnitude": 4, "_minVelocityMagnitude": 2,
          "_normalizeObs": True})
     schema = build_schema(cfg)
-    obs = build_observation(
-        schema, cfg, ObsInputs(velocity=2, goal=LocalPose(1.0, 0.0, 0.0)),
-        "normalized")
+    obs = build_observation(schema, cfg, [2, 0.0], "normalized")
     assert obs[0] == 0.5
-    obs = build_observation(
-        schema, cfg, ObsInputs(velocity=-2, goal=LocalPose(1.0, 0.0, 0.0)),
-        "normalized")
+    obs = build_observation(schema, cfg, [-2, 0.0], "normalized")
     assert obs[0] == -0.5
 
 
 def test_normalized_values_bounded():
     schema = build_schema(PPO_FIXED)
-    inputs = ObsInputs(
-        velocity=4,
-        goal=LocalPose(104.0, 23.9, 12.0),
-        rings=(1,),
-        nearby=[NearbyCarObs(LocalPose(150.0, 0.1, -12.0), velocity=-2,
-                             goal_lp=LocalPose(104.6, 23.0, 5.0))],
-    )
-    obs = build_observation(schema, PPO_FIXED, inputs, "normalized")
+    raw = [4,                   # velocity
+           104.0, 23.9, 12.0,   # goal
+           1,                   # ring0
+           150.0, 0.1, -12.0,   # car0
+           -2,                  # car0 velocity
+           104.6, 23.0, 5.0]    # car0 goal
+    obs = build_observation(schema, PPO_FIXED, raw, "normalized")
     assert len(obs) == len(schema.features)
     for v, f in zip(obs, schema.features):
         lo = -1.0 if f.signed else 0.0
@@ -122,10 +110,12 @@ def test_normalized_values_bounded():
 
 
 def test_absent_slots_use_sentinel():
-    schema = build_schema(PPO_FIXED)
-    inputs = ObsInputs(velocity=0, goal=LocalPose(5.0, 0.0, 0.0), rings=(0,))
-    obs = build_observation(schema, PPO_FIXED, inputs, "normalized")
-    names = [f.name for f in schema.features]
+    # a lone agent: its one car slot stays empty
+    cfg = config_from_mapping({**PPO_FIXED.to_mapping(), "_numAgents": 1,
+                               "_numParkedCars": 0})
+    env = ParkingEnv(cfg, seed=0)
+    obs = env.observe(0)
+    names = [f.name for f in env.schema.features]
     assert obs[names.index("car0-distance")] == 1.0
     assert obs[names.index("car0-angle")] == 0.0
     assert obs[names.index("car0-velocity")] == 0.0
@@ -138,25 +128,33 @@ def test_ring_history_zero_filled():
         "ringDiams": [10, 6], "_ringNumPrevObs": 2,
     })
     schema = build_schema(cfg)
-    obs = build_observation(
-        schema, cfg,
-        ObsInputs(velocity=0, goal=LocalPose(3.0, 2.0, 0.0), rings=(2, 1),
-                  ring_history=[(1, 0)]),
-        "discrete")
+    obs = build_observation(schema, cfg, [0, 2.0, 2, 1, 1, 0, 0, 0],
+                            "discrete")
     # velocity, angle, current(2), prev1(2), prev2 zero-filled(2)
     assert obs == [1, 2, 2, 1, 1, 0, 0, 0]
+    # env.observe fills the history an episode has not reached yet
+    env = ParkingEnv(cfg, seed=0)
+    agent = env.agents[0]
+    agent.cur_rings = (2, 1)
+    agent.ring_history = [(1, 0)]
+    assert env.observe(0)[2:] == [2, 1, 1, 0, 0, 0]
+
+
+def two_agents(mapping: dict) -> ParkingEnv:
+    return ParkingEnv(config_from_mapping(
+        {**mapping, "_numAgents": 2, "_numParkedCars": 0}), seed=0)
 
 
 def test_dynamic_goal_features():
-    cfg = config_from_mapping({
+    mapping = {
         "_dynamicGoals": True, "_obsNearbyParkingSpotsCount": 2,
         "_normalizeObs": True, "_obsNearbyCars": True,
         "_obsNearbyCarsCount": 1, "_obsNearbyCarsDiameter": 300,
         "_obsNearbyCarsGoal": True,
         "_obsParkingSpotClosestAgent": True,
         "_obsParkingSpotClosestGoalAgent": True,
-    })
-    schema = build_schema(cfg)
+    }
+    schema = build_schema(config_from_mapping(mapping))
     names = [f.name for f in schema.features]
     assert "own-goal-slot" in names
     assert "car0-goal-slot" in names
@@ -164,34 +162,38 @@ def test_dynamic_goal_features():
     assert "space0-nearest-agent" in names
     assert "space1-nearest-goal-agent" in names
     d_max = math.hypot(74, 74)
-    inputs = ObsInputs(
-        velocity=0, goal=LocalPose(6.0, 1.0, 0.0), own_goal_index=2,
-        nearby=[NearbyCarObs(LocalPose(10.0, 0.0, 0.0), goal_index=None)],
-        spaces=[LocalPose(6.0, 1.0, 0.0), None],
-        global_any=[4.0, None], global_same=[None, None],
-    )
-    obs = build_observation(schema, cfg, inputs, "normalized")
+    env = two_agents(mapping)
+    me, other = env.agents
+    near, goal = env.world.spaces[0], env.world.spaces[-1]
+    # I sit on my goal in my second slot; the other agent explores 4 units
+    # from the space in my first slot, which is nobody's goal
+    me.goal_space, me.tracker.slots = goal.sid, [near.sid, goal.sid]
+    me.body.x, me.body.y = goal.x, goal.y
+    other.goal_space, other.tracker.slots = None, [near.sid, None]
+    other.body.x, other.body.y = near.x, near.y + 4.0
+    env._sense()
+    obs = env.observe(0)
     assert obs[names.index("own-goal-slot")] == 1.0  # slot 2 of 2
     assert obs[names.index("car0-goal-slot")] == 0.0  # tracked car has no goal
-    assert obs[names.index("space1-distance")] == 1.0  # absent slot sentinel
     assert obs[names.index("space0-nearest-agent")] == pytest.approx(4.0 / d_max)
     assert obs[names.index("space0-nearest-goal-agent")] == 1.0  # empty set
+    # the other agent's second slot is empty
+    assert env.observe(1)[names.index("space1-distance")] == 1.0
 
 
 def test_untracked_goal_sentinel_index():
-    cfg = config_from_mapping({
+    env = two_agents({
         "_dynamicGoals": True, "_obsNearbyParkingSpotsCount": 1,
         "_normalizeObs": True, "_obsNearbyCars": True,
         "_obsNearbyCarsCount": 2, "_obsNearbyCarsDiameter": 300,
         "_obsNearbyCarsGoal": True,
     })
-    schema = build_schema(cfg)
-    names = [f.name for f in schema.features]
-    inputs = ObsInputs(
-        velocity=0, goal=None,
-        nearby=[NearbyCarObs(LocalPose(10.0, 0.0, 0.0), goal_index=1)],
-    )
-    obs = build_observation(schema, cfg, inputs, "normalized")
+    names = [f.name for f in env.schema.features]
+    me, other = env.agents
+    sid = env.world.spaces[0].sid
+    me.goal_space, me.tracker.slots = None, [sid]
+    other.goal_space = sid  # in my only slot: index 1
+    obs = env.observe(0)
     # absent second slot reports the untracked sentinel n_space+1
     assert obs[names.index("car1-goal-slot")] == 1.0
     assert obs[names.index("car0-goal-slot")] == pytest.approx(0.5)
@@ -200,9 +202,7 @@ def test_untracked_goal_sentinel_index():
 def test_out_of_domain_rejected():
     schema = build_schema(BASIC)
     with pytest.raises(ValueError, match="velocity"):
-        build_observation(schema, BASIC,
-                          ObsInputs(velocity=5, goal=LocalPose(1.0, 0.0, 0.0)),
-                          "discrete")
+        build_observation(schema, BASIC, [5, 0.0], "discrete")
 
 
 # ---------------------------------------------------------------- actions

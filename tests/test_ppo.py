@@ -627,6 +627,17 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         PolicyParams.load(path)
 
 
+def test_checkpoint_rejects_short_meta(tmp_path):
+    params = tiny_params()
+    path = str(tmp_path / "model.npz")
+    params.save(path)
+    arrays = dict(np.load(path))
+    arrays["meta"] = arrays["meta"][:3]
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="model.npz: meta must be 5 integers"):
+        PolicyParams.load(path)
+
+
 def test_checkpoint_rejects_missing_array(tmp_path):
     params = tiny_params()
     path = str(tmp_path / "model.npz")

@@ -7,6 +7,7 @@ other); distance expectations against boundary sampling.
 
 import math
 import random
+import re
 
 import pytest
 
@@ -79,10 +80,20 @@ def test_layout_roundtrip(tmp_path):
     assert back == lay
 
 
-def test_layout_rejects_bad_header(tmp_path):
+@pytest.mark.parametrize("body", [
+    "some-other-format 3\n",
+    "carpark-layout one\n",
+    "carpark-layout 1\nextent\n",
+    "carpark-layout 1\nextent 74\ngtheta 4\nspace 1 2\n",
+    "carpark-layout 1\nextent 74\ngtheta 4\nwall 0 0 1\n",
+], ids=["header", "header-version", "extent-no-value", "space-two-values",
+        "wall-three-values"])
+def test_layout_rejects_bad_header(tmp_path, body):
     p = tmp_path / "bad.layout"
-    p.write_text("some-other-format 3\n")
-    with pytest.raises(ValueError):
+    p.write_text(body)
+    last = body.splitlines()[-1]
+    match = "header" if body.count("\n") == 1 else re.escape(repr(last))
+    with pytest.raises(ValueError, match=f"bad.layout: .*{match}"):
         load_layout(str(p))
 
 
