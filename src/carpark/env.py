@@ -24,7 +24,12 @@ end of one tick and the goal transitions of the next.
 
 `observe` is the one walk that gathers an agent's raw feature values, in
 schema order and with the sentinels for what it cannot see; the schema's
-feature kinds say how `build_observation` encodes them.
+feature kinds say how `build_observation` encodes them. Agents that track
+the same space share its closest-agent distances through the per-tick
+space table: `global_info` fills a space's entry on the first `observe`
+that needs it, and the next sensing pass empties the table, since goals
+and positions only change in `reset` and `step_all`, which both end with
+that pass.
 """
 
 from __future__ import annotations
@@ -138,9 +143,7 @@ class AgentState:
 def _pose_values(lp: LocalPose | None, bound: float) -> tuple:
     """Distance, angle and rotation delta of a seen target, or the sentinel
     for an unseen one: the bound distance with zero angle and delta."""
-    if lp is None:
-        return bound, 0.0, 0.0
-    return lp.d, lp.theta_rel, lp.delta_theta
+    return (bound, 0.0, 0.0) if lp is None else lp
 
 
 class ParkingEnv:
@@ -175,6 +178,9 @@ class ParkingEnv:
         # taken from it on the first nearest_car_distance call
         self._sensed: WorldArrays | None = None
         self._nearest_car_d: list[float] | None = None
+        # the per-tick space table: global_info of each space an observe
+        # has needed since the last sensing pass
+        self._space_info: dict[int, tuple[float, float | None]] = {}
         # running totals, read by trainers for metric recording
         self.stats = {
             "episodes": 0,
@@ -411,6 +417,7 @@ class ParkingEnv:
             arrays = self._view()
         self._sensed = arrays
         self._nearest_car_d = None
+        self._space_info = {}
         if arrays is None:
             return
         if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
@@ -475,14 +482,14 @@ class ParkingEnv:
         agent = self.agents[agent_i]
         cfg = self.cfg
         grid = self.grid
-        pose = agent.body.pose
+        body = agent.body  # localize reads only x, y and theta
         spaces = self.world.spaces
         d_max = self.d_max
         tracker = agent.tracker
         n_space = cfg._obsNearbyParkingSpotsCount
         raw: list = [agent.v]
         goal = _pose_values(
-            localize(pose, spaces[agent.goal_space].pose, grid)
+            localize(body, spaces[agent.goal_space], grid)
             if agent.goal_space is not None else None, d_max)
         for value, on in zip(goal, (cfg._obsDist, cfg._obsAngle,
                                     cfg._obsGoalDeltaPose)):
@@ -506,7 +513,7 @@ class ParkingEnv:
                 car = nearby[k] if k < len(nearby) else None
                 other = (self.agents[car.uid]
                          if car is not None and car.kind == "agent" else None)
-                raw += _pose_values(localize(pose, car.pose, grid)
+                raw += _pose_values(localize(body, car, grid)
                                     if car is not None else None, car_bound)
                 if cfg._obsNearbyCarsVelocity:
                     raw.append(other.v if other else 0)
@@ -515,7 +522,7 @@ class ParkingEnv:
                 goal_sid = other.goal_space if other else None
                 if not cfg._dynamicGoals:
                     raw += _pose_values(
-                        localize(other.body.pose, spaces[goal_sid].pose, grid)
+                        localize(other.body, spaces[goal_sid], grid)
                         if goal_sid is not None else None, d_max)
                 elif car is None:
                     raw.append(n_space + 1)  # absent slot
@@ -526,12 +533,17 @@ class ParkingEnv:
                     raw.append(slot + 1 if slot is not None else n_space + 1)
         if cfg._dynamicGoals and tracker:
             for sid in tracker.slots:
-                raw += _pose_values(localize(pose, spaces[sid].pose, grid)
+                raw += _pose_values(localize(body, spaces[sid], grid)
                                     if sid is not None else None, d_max)
             if (cfg._obsParkingSpotClosestAgent
                     or cfg._obsParkingSpotClosestGoalAgent):
-                info = [self.global_info(sid) if sid is not None
-                        else (None, None) for sid in tracker.slots]
+                table = self._space_info
+                info = []
+                for sid in tracker.slots:
+                    pair = table.get(sid) if sid is not None else (None, None)
+                    if pair is None:
+                        pair = table[sid] = self.global_info(sid)
+                    info.append(pair)
                 if cfg._obsParkingSpotClosestAgent:
                     raw.extend(d_max if a is None else a for a, _ in info)
                 if cfg._obsParkingSpotClosestGoalAgent:
@@ -631,7 +643,7 @@ class ParkingEnv:
             agent.v = clamp_velocity(
                 agent.v, action.accel,
                 cfg._maxVelocityMagnitude, cfg._minVelocityMagnitude)
-            pose = motion_step(agent.body.pose, agent.v, action.omega, self.grid)
+            pose = motion_step(agent.body, agent.v, action.omega, self.grid)
             agent.body.x, agent.body.y, agent.body.theta = pose.x, pose.y, pose.theta
             events[i].omega = action.omega
             events[i].velocity = agent.v

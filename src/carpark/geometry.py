@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +59,9 @@ class Pose:
     theta: int
 
 
-@dataclass(frozen=True, slots=True)
-class LocalPose:
-    """Pose of a target relative to an observer.
+class LocalPose(NamedTuple):
+    """Pose of a target relative to an observer, as the triple an
+    observation takes in this order.
 
     d is the center distance in world units. theta_rel is the bearing of
     the target from the observer's facing direction, in (real-valued)

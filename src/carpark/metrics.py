@@ -429,8 +429,9 @@ def evaluate_policy(env, episodes: int, act,
     """Greedy rollouts with no learning; returns outcome rates and the
     per-episode rewards.
 
-    Each tick asks ``act(i, step)`` for agent i's ``ActionTuple``, where
-    step is the agent-step count before the tick, then steps all agents.
+    Each tick asks ``act(step)`` for every agent's ``ActionTuple``, in
+    agent order, where step is the agent-step count before the tick, then
+    steps all agents.
     """
     if episodes <= 0:
         return {"episodes": 0, "park_rate": None, "crash_rate": None,
@@ -443,7 +444,7 @@ def evaluate_policy(env, episodes: int, act,
     lengths: list[int] = []
     gstep = 0
     while len(rewards) < episodes:
-        outs = env.step_all([act(i, gstep) for i in range(n)])
+        outs = env.step_all(act(gstep))
         gstep += n
         if recorder is not None:
             recorder.after_step(gstep, outs)

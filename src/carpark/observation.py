@@ -31,7 +31,10 @@ round is half-up, gran is _distGranularity, wrap maps into
 (-Gtheta/2, Gtheta/2], and offset is _minVelocityMagnitude for velocities.
 Discrete values must lie in the feature's domain of `size` values;
 normalized ones in [0, 1], or [-1, 1] for the signed and delta kinds. A
-feature without a size exists only in normalized form.
+feature without a size exists only in normalized form. `build_observation`
+runs once per agent per tick, so it reads all this from the schema's
+encode plan, a tuple per feature built once per schema, rather than
+asking every feature for its kind and limits on every call.
 
 `env.observe` also emits the sentinels for what an agent cannot see. A
 missing target (no goal, an absent car slot, a tracked car without a goal
@@ -45,6 +48,7 @@ track. Ring history an episode has not reached yet reads as zero counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import EnvironmentConfig, max_world_distance
 from .geometry import round_half_up, wrap_signed_index
@@ -70,12 +74,26 @@ class Feature:
         return self.kind in ("signed", "delta")
 
 
+# kind codes of an encode plan; signed and index values encode alike
+_DISTANCE, _ANGLE, _DELTA, _LINEAR = range(4)
+_KIND_CODES = {"distance": _DISTANCE, "angle": _ANGLE, "delta": _DELTA,
+               "signed": _LINEAR, "index": _LINEAR}
+
+
 @dataclass(frozen=True)
 class ObsSchema:
     features: tuple[Feature, ...]
 
     def __len__(self) -> int:
         return len(self.features)
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The encode plan, built once per schema: per feature its kind
+        code, bound, normalized lower limit, size, offset and the feature
+        itself (for error messages)."""
+        return tuple((_KIND_CODES[f.kind], f.bound, -1.0 if f.signed else 0.0,
+                      f.size, f.offset, f) for f in self.features)
 
     def discrete_dims(self) -> list[int]:
         return [_discrete_size(f) for f in self.features]
@@ -203,15 +221,14 @@ def build_observation(
     gtheta = cfg._thetaGranularity
     out = []
     if mode == "normalized":
-        for x, f in zip(raw, schema.features, strict=True):
-            kind = f.kind
-            if kind == "distance":
-                v = min(x, f.bound) / f.bound
-            elif kind == "delta":
-                v = wrap_signed_index(x, gtheta) / f.bound
+        for x, (code, bound, lo, _, _, f) in zip(raw, schema.plan,
+                                                 strict=True):
+            if code == _DISTANCE:
+                v = (bound if bound < x else x) / bound  # min(x, bound)
+            elif code == _DELTA:
+                v = wrap_signed_index(x, gtheta) / bound
             else:
-                v = x / f.bound
-            lo = -1.0 if f.signed else 0.0
+                v = x / bound
             if not lo <= v <= 1.0:
                 raise ValueError(f"{f.name}={v} outside [{lo}, 1.0]")
             out.append(v)
@@ -219,15 +236,16 @@ def build_observation(
     if mode != "discrete":
         raise ValueError(f"unknown observation mode {mode!r}")
     dist_gran = cfg._distGranularity
-    for x, f in zip(raw, schema.features, strict=True):
-        size = _discrete_size(f)
-        kind = f.kind
-        if kind == "distance":
+    for x, (code, _, _, size, offset, f) in zip(raw, schema.plan,
+                                                strict=True):
+        if size is None:
+            _discrete_size(f)  # raises: the feature is continuous-only
+        if code == _DISTANCE:
             iv = round_half_up(x / dist_gran)
-        elif kind == "angle" or kind == "delta":
-            iv = round_half_up(x) % gtheta
+        elif code == _LINEAR:
+            iv = int(x + offset)
         else:
-            iv = int(x + f.offset)
+            iv = round_half_up(x) % gtheta
         if not 0 <= iv < size:
             raise ValueError(
                 f"{f.name}={iv} outside its domain of {size} values")

@@ -13,8 +13,11 @@ advances its moments and step counter and skips the parameter write.
 
 An update pass writes every minibatch's gradients into one workspace:
 `gradients` returns the `out` dict it is given, and the next call with
-the same `out` overwrites it. A non-finite policy output during rollout
-or evaluation raises FloatingPointError at the step that produced it.
+the same `out` overwrites it. Rollout and greedy evaluation stack the
+agents' observations of a tick and run one actor pass (and, in the
+rollout, one critic pass) over them. A non-finite policy output during
+rollout or evaluation raises FloatingPointError at the step that produced
+it, naming the first agent whose output is not finite.
 """
 
 from __future__ import annotations
@@ -196,8 +199,8 @@ def _mlp_acts(data: dict, prefix: str, layers: int,
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _actor_logps(params: PolicyParams, x: np.ndarray):
@@ -237,9 +240,14 @@ def _check_finite(where: str, *outputs: np.ndarray) -> None:
     """Raise FloatingPointError unless every log-prob and value array
     is finite. A NaN or infinite weight makes whole log-prob rows NaN,
     which sampling and argmax would otherwise turn into a valid-looking
-    action."""
-    if not all(np.isfinite(arr).all() for arr in outputs):
-        raise FloatingPointError(f"non-finite policy output {where}")
+    action. The outputs hold one row per agent; `where` names the first
+    agent whose row is not finite as {agent}."""
+    if all(np.isfinite(arr).all() for arr in outputs):
+        return
+    ok = np.logical_and.reduce([np.isfinite(arr).reshape(len(arr), -1).all(1)
+                                for arr in outputs])
+    raise FloatingPointError(
+        "non-finite policy output " + where.format(agent=int(ok.argmin())))
 
 
 def gae(rewards, values, terminals, gamma: float, lam: float,
@@ -610,21 +618,23 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
             series.clear()
 
     while gstep < hyper.total_steps:
-        step_obs = []
+        # one actor and one critic pass per tick; [:, None, :] multiplies
+        # each agent's row as its own batch of one, which gives bit for bit
+        # what a batch-1 call gives (one (n, d) product would not)
+        step_obs = np.array([env.observe(i) for i in range(n)],
+                            dtype=np.float64)
+        logps, _ = _actor_logps(params, step_obs[:, None, :])
+        step_values, _ = _critic_values(params, step_obs[:, None, :])
+        _check_finite(f"for agent {{agent}} at step {gstep}", *logps,
+                      step_values)
         step_idx = []
         step_logp = []
-        step_values = []
         acts = []
-        for i in range(n):
-            x = np.asarray(env.observe(i), dtype=np.float64)
-            logps, _ = _actor_logps(params, x.reshape(1, -1))
-            values, _ = _critic_values(params, x.reshape(1, -1))
-            _check_finite(f"for agent {i} at step {gstep}", *logps, values)
-            idx, action, logp = _sample_branches(logps, offsets, np_rng)
-            step_obs.append(x)
+        for i in range(n):  # sampling draws stay in agent order
+            idx, action, logp = _sample_branches([lp[i] for lp in logps],
+                                                 offsets, np_rng)
             step_idx.append(idx)
             step_logp.append(logp)
-            step_values.append(float(values[0]))
             acts.append(action)
         outs = env.step_all(acts)
         gstep += n
@@ -640,7 +650,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
             seg["actions"].append(step_idx[i])
             seg["logp"].append(step_logp[i])
             seg["rewards"].append(out.reward)
-            seg["values"].append(step_values[i])
+            seg["values"].append(float(step_values[i]))
             seg["terminals"].append(terminal)
             if terminal:
                 flush_segment(i, 0.0)
@@ -692,12 +702,13 @@ def evaluate_ppo(params: PolicyParams, env: ParkingEnv, episodes: int,
                          "observation mode; set _normalizeObs")
     _check_params_dims(params, env, len(env.observe(0)))
     offsets = env.action_schema.offsets
+    n = len(env.agents)
 
-    def act(i: int, step: int) -> ActionTuple:
-        x = np.asarray(env.observe(i), dtype=np.float64).reshape(1, -1)
-        logps, _ = _actor_logps(params, x)
-        _check_finite(f"for agent {i} at step {step}", *logps)
-        return ActionTuple(*(int(lp[0].argmax()) - off
-                             for lp, off in zip(logps, offsets)))
+    def act(step: int) -> list[ActionTuple]:
+        x = np.array([env.observe(i) for i in range(n)], dtype=np.float64)
+        logps, _ = _actor_logps(params, x[:, None, :])
+        _check_finite(f"for agent {{agent}} at step {step}", *logps)
+        best = np.stack([lp[:, 0].argmax(axis=1) for lp in logps], axis=1)
+        return [ActionTuple(*row) for row in (best - offsets).tolist()]
 
     return evaluate_policy(env, episodes, act, store)

@@ -334,9 +334,10 @@ def evaluate_q(table: QTable, env: ParkingEnv, episodes: int,
     dims = env.schema.discrete_dims()
     actions = _flat_actions(env)
     values = table.values
+    n = len(env.agents)
 
-    def act(i: int, _step: int) -> ActionTuple:
-        s = encode_state(dims, env.observe(i))
-        return actions[int(values[s].argmax())]
+    def act(_step: int) -> list[ActionTuple]:
+        states = [encode_state(dims, env.observe(i)) for i in range(n)]
+        return [actions[int(values[s].argmax())] for s in states]
 
     return evaluate_policy(env, episodes, act, store)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .geometry import GridSpec, Pose, heading_vector
+from .geometry import GridSpec, heading_vector
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,10 +71,6 @@ class ParkingSpace:
     half_width: float = SPACE_HALF_WIDTH
     half_depth: float = SPACE_HALF_DEPTH
 
-    @property
-    def pose(self) -> Pose:
-        return Pose(self.x, self.y, self.theta)
-
 
 @dataclass(slots=True)
 class CarBody:
@@ -88,10 +84,6 @@ class CarBody:
     scale: float = 1.0
     kind: str = "agent"
     uid: int = 0
-
-    @property
-    def pose(self) -> Pose:
-        return Pose(self.x, self.y, self.theta)
 
     def circumradius(self) -> float:
         return math.hypot(self.half_width, self.half_length) * self.scale

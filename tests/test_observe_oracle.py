@@ -5,8 +5,8 @@ closure per feature kind.
 
 The committed digests hash observations for three env configs only (and
 the ppo-fixed4 digest hashes none), so this runs the oracle over a config
-matrix of seeded random-action episodes that force parks. Every comparison
-is exact (==).
+matrix of seeded random-action episodes that force parks, the layouts of
+the benchmark workloads included. Every comparison is exact (==).
 """
 
 import random
@@ -48,6 +48,10 @@ class ObsInputs:
     global_same: list[float | None] = field(default_factory=list)
 
 
+def pose_of(obj):
+    return Pose(obj.x, obj.y, obj.theta)
+
+
 def oracle_inputs(env, agent_i):
     agent = env.agents[agent_i]
     cfg = env.cfg
@@ -55,7 +59,7 @@ def oracle_inputs(env, agent_i):
     if agent.goal_space is not None:
         sp = env.world.spaces[agent.goal_space]
         inputs.goal = localize(
-            agent.body.pose, Pose(sp.x, sp.y, sp.theta), env.grid)
+            pose_of(agent.body), pose_of(sp), env.grid)
     if cfg._dynamicGoals:
         slot = (agent.tracker.slot_of(agent.goal_space)
                 if agent.goal_space is not None else None)
@@ -65,7 +69,7 @@ def oracle_inputs(env, agent_i):
         inputs.ring_history = agent.ring_history
     if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
         for car in agent.nearby:
-            lp = localize(agent.body.pose, car.pose, env.grid)
+            lp = localize(pose_of(agent.body), pose_of(car), env.grid)
             entry = NearbyCarObs(lp)
             if car.kind == "agent":
                 other = env.agents[car.uid]
@@ -80,8 +84,7 @@ def oracle_inputs(env, agent_i):
                     else:
                         osp = env.world.spaces[other.goal_space]
                         entry.goal_lp = localize(
-                            other.body.pose,
-                            Pose(osp.x, osp.y, osp.theta), env.grid)
+                            pose_of(other.body), pose_of(osp), env.grid)
                 elif cfg._obsNearbyCarsGoal and cfg._dynamicGoals:
                     entry.goal_index = 0  # exploring
             inputs.nearby.append(entry)
@@ -94,7 +97,7 @@ def oracle_inputs(env, agent_i):
             else:
                 sp = env.world.spaces[sid]
                 inputs.spaces.append(localize(
-                    agent.body.pose, Pose(sp.x, sp.y, sp.theta), env.grid))
+                    pose_of(agent.body), pose_of(sp), env.grid))
                 any_d, same_d = env.global_info(sid)
                 inputs.global_any.append(any_d)
                 inputs.global_same.append(same_d)
@@ -266,6 +269,43 @@ CONFIGS = {
     "fixed-goals-car-goal": {**_CARS, "_obsNearbyCarsGoal": True,
                              "_obsNearbyCarsVelocity": True,
                              "_obsGoalDeltaPose": True},
+    # the observation layouts of the ppo-fixed4 and env-dynamic8 benchmark
+    # workloads (benchmarks/workloads.py), copied; every key of _BASE is
+    # overridden
+    "ppo-fixed4": {
+        "_positionGranularity": 4, "_velocityGranularity": 4,
+        "_thetaGranularity": 24, "_maxVelocityMagnitude": 4,
+        "_minVelocityMagnitude": 2, "_maxDeltaVMagnitude": 2,
+        "_minDeltaVMagnitude": 2, "_maxDeltaThetaMagnitude": 3,
+        "_numAgents": 4, "_normalizeObs": True, "_numParkedCars": 8,
+        "_obsDist": True, "_obsRings": True, "_ringMaxNumObjTrack": 1,
+        "_rd0": 11, "_ringOnlyWall": True, "_obsGoalDeltaPose": True,
+        "_obsNearbyCars": True, "_obsNearbyCarsCount": 1,
+        "_obsNearbyCarsDiameter": 300, "_obsNearbyCarsGoal": True,
+        "_obsNearbyCarsVelocity": True, "spawnCloseRatio": 0.2,
+        "carSpawnMinDistance": 210, "_maxSteps": 200,
+        "spawnCrashRatio": 0.2, "spawnCrashTargetAgentMinDist": 210,
+        "rewTimeSum": 0.2, "rewReachGoal": 1.0, "rewCrash": 1.0,
+        "rewReverseSum": 0.1, "rewDistSum": 0.15, "rewDeltaThetaSum": 0.05,
+    },
+    "env-dynamic8": {
+        "_positionGranularity": 4, "_velocityGranularity": 4,
+        "_thetaGranularity": 24, "_maxVelocityMagnitude": 4,
+        "_minVelocityMagnitude": 2, "_maxDeltaVMagnitude": 2,
+        "_minDeltaVMagnitude": 2, "_maxDeltaThetaMagnitude": 3,
+        "_numAgents": 8, "_numParkedCars": 20, "_normalizeObs": True,
+        "_obsDist": True, "_obsGoalDeltaPose": True, "_obsRings": True,
+        "_ringMaxNumObjTrack": 3, "_rd0": 11, "_rd1": 21,
+        "_obsNearbyCars": True, "_obsNearbyCarsCount": 3,
+        "_obsNearbyCarsDiameter": 300, "_obsNearbyCarsGoal": True,
+        "_obsNearbyCarsVelocity": True, "_dynamicGoals": True,
+        "_obsNearbyParkingSpotsCount": 4,
+        "_obsParkingSpotClosestAgent": True,
+        "_obsParkingSpotClosestGoalAgent": True, "_maxSteps": 200,
+        "rewTimeSum": 0.2, "rewDistSum": 0.15,
+        "rewDeltaGoalContinueExp": -0.002, "rewDeltaGoalDiffGoal": -0.05,
+        "_rewDeltaGoalStopGoal": -1,
+    },
 }
 
 

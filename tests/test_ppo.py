@@ -4,6 +4,7 @@ differences, advantage estimation against brute-force discounted sums,
 and the trainer's schedule/persistence contracts."""
 
 import copy
+import hashlib
 import math
 import os
 
@@ -23,6 +24,8 @@ from carpark.ppo import (
     PpoHyper,
     RolloutBuffer,
     _actor_logps,
+    _check_finite,
+    _critic_values,
     _orthogonal,
     _sample_branches,
     adam_step,
@@ -134,6 +137,43 @@ def test_forward_rejects_non_finite_activations():
     params.data["critic.value.b"][0] = np.nan
     with pytest.raises(FloatingPointError):
         forward(params, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("hidden,layers", [(256, 3), (32, 2)])
+@pytest.mark.parametrize("width", [12, 40, 90])
+def test_stacked_pass_equals_batch_one_calls(width, hidden, layers):
+    """The rollout's one pass per tick over X[:, None, :] gives every
+    agent's row bit for bit what a batch-1 call on that row gives."""
+    params = PolicyParams(width, (5, 7, 5), hidden, layers,
+                          rng=np.random.default_rng(width))
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 4, 8):
+        x = rng.uniform(-1.0, 1.0, (n, width))
+        logps, _ = _actor_logps(params, x[:, None, :])
+        values, _ = _critic_values(params, x[:, None, :])
+        assert values.shape == (n,)
+        for i in range(n):
+            row_logps, _ = _actor_logps(params, x[i:i + 1])
+            row_values, _ = _critic_values(params, x[i:i + 1])
+            for lp, row in zip(logps, row_logps):
+                assert np.array_equal(lp[i], row)
+            assert np.array_equal(values[i:i + 1], row_values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [(1,), (2, 3), (0, 3)])
+def test_stacked_check_names_first_non_finite_agent(bad):
+    params = tiny_params(obs_dim=5)
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 5))
+    x[list(bad), 2] = np.nan
+    logps, _ = _actor_logps(params, x[:, None, :])
+    values, _ = _critic_values(params, x[:, None, :])
+    with pytest.raises(FloatingPointError,
+                       match=f"for agent {bad[0]} at step 7$"):
+        _check_finite("for agent {agent} at step 7", *logps, values)
+    good = [i for i in range(4) if i not in bad]
+    _check_finite("for agent {agent} at step 7",
+                  *(lp[good] for lp in logps), values[good])
 
 
 def test_branch_distributions_normalize():
@@ -338,7 +378,6 @@ def test_stationary_point_has_zero_gradients():
     logps, _ = _actor_logps(params, obs)
     rows = np.arange(7)
     logp_old = sum(lp[rows, actions[:, k]] for k, lp in enumerate(logps))
-    from carpark.ppo import _critic_values
     values, _ = _critic_values(params, obs)
     grads, parts = gradients(params, obs, actions, logp_old, np.zeros(7),
                              values, epsilon_clip=0.25, beta=0.0)
@@ -431,7 +470,6 @@ def test_empty_buffer_update_is_noop():
 def fill_buffer(buf, params, rng, steps):
     obs = rng.standard_normal((steps, params.obs_dim))
     logps, _ = _actor_logps(params, obs)
-    from carpark.ppo import _critic_values
     values, _ = _critic_values(params, obs)
     for start in range(0, steps, buf.horizon):
         chunk = slice(start, min(start + buf.horizon, steps))
@@ -777,6 +815,61 @@ def test_train_is_deterministic(tmp_path):
     assert runs[0][2] == runs[1][2]
 
 
+# benchmarks/workloads.py's PPO_FIXED4 environment, copied so that the gate
+# below does not move with the benchmark
+PPO_FIXED4 = {
+    "_positionGranularity": 4, "_velocityGranularity": 4,
+    "_thetaGranularity": 24, "_maxVelocityMagnitude": 4,
+    "_minVelocityMagnitude": 2, "_maxDeltaVMagnitude": 2,
+    "_minDeltaVMagnitude": 2, "_maxDeltaThetaMagnitude": 3,
+    "_numAgents": 4, "_normalizeObs": True, "_numParkedCars": 8,
+    "_obsDist": True, "_obsRings": True, "_ringMaxNumObjTrack": 1,
+    "_rd0": 11, "_ringOnlyWall": True, "_obsGoalDeltaPose": True,
+    "_obsNearbyCars": True, "_obsNearbyCarsCount": 1,
+    "_obsNearbyCarsDiameter": 300, "_obsNearbyCarsGoal": True,
+    "_obsNearbyCarsVelocity": True, "spawnCloseRatio": 0.2,
+    "carSpawnMinDistance": 210, "_maxSteps": 200, "spawnCrashRatio": 0.2,
+    "spawnCrashTargetAgentMinDist": 210, "rewTimeSum": 0.2,
+    "rewReachGoal": 1.0, "rewCrash": 1.0, "rewReverseSum": 0.1,
+    "rewDistSum": 0.15, "rewDeltaThetaSum": 0.05,
+}
+
+# sha256 of the rollout buffers and the final parameter checksum of the
+# run below, recorded with one batch-1 actor and critic call per agent, so
+# that the stacked pass per tick must reproduce them bit for bit
+ROLLOUT_SHA256 = (
+    "8f35f62f147880859b13fbfb0c1cba3bb8c46d364c348cff7fe35d7550e035ba")
+ROLLOUT_CHECKSUM = 17.747863293669877
+
+
+def test_four_agent_rollout_and_update_are_pinned(monkeypatch):
+    """A fixed-seed 4-agent run with an lr>0 update: every buffer the
+    updates see (observations, actions, behaviour log-probs, values) and
+    the parameters they end with are pinned bit for bit."""
+    import carpark.ppo as ppo_module
+
+    h = hashlib.sha256()
+    update = ppo_module.ppo_update
+    lrs = []
+
+    def hashing_update(params, buffer, hyper, lr, rng):
+        h.update(np.asarray(buffer.obs, "<f8").tobytes())
+        h.update(np.asarray(buffer.actions, "<i8").tobytes())
+        h.update(np.asarray(buffer.logp, "<f8").tobytes())
+        h.update(np.asarray(buffer.values, "<f8").tobytes())
+        lrs.append(lr)
+        return update(params, buffer, hyper, lr, rng)
+
+    monkeypatch.setattr(ppo_module, "ppo_update", hashing_update)
+    cfg = config_from_mapping(PPO_FIXED4)
+    hyper = PpoHyper(total_steps=256, buffer=128, horizon=16, hidden=32,
+                     layers=2, epochs=2)
+    result = train_ppo(cfg, hyper, seed=3)
+    assert lrs[0] > 0.0 and len(lrs) == 2
+    assert (h.hexdigest(), result.params.checksum()) == (
+        ROLLOUT_SHA256, ROLLOUT_CHECKSUM)
+
+
 def test_train_writes_run_directory(tmp_path):
     cfg = norm_cfg()
     out = str(tmp_path / "run")
@@ -829,6 +922,28 @@ def test_evaluate_fails_fast_on_non_finite_policy():
     params.data["actor.head1.w"][0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="agent 0 at step 0$"):
         evaluate_ppo(params, env, episodes=5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("trainer", ["train", "evaluate"])
+def test_stacked_rollout_names_the_agent_with_a_non_finite_row(trainer):
+    cfg = config_from_mapping(PPO_FIXED4)
+    env = ParkingEnv(cfg, seed=0)
+    params = PolicyParams(len(env.observe(0)), env.action_schema.branches,
+                          16, 2, rng=np.random.default_rng(1))
+    observe = env.observe
+
+    def observe_nan_for_agent_2(i):
+        obs = observe(i)
+        return [math.nan] * len(obs) if i == 2 else obs
+
+    env.observe = observe_nan_for_agent_2
+    with pytest.raises(FloatingPointError, match="agent 2 at step 0$"):
+        if trainer == "train":
+            train_ppo(cfg, short_hyper(total_steps=64), env=env,
+                      params=params, seed=0)
+        else:
+            evaluate_ppo(params, env, episodes=5)
 
 
 def test_evaluate_zero_episodes():

@@ -29,3 +29,37 @@ def test_unit_patches_every_target_and_restores_it(tracing_module):
             assert owner.__dict__[attr] is not original, (owner, attr)
     for (owner, attr), original in zip(targets, originals):
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+# the observation and policy layers each traced workload must reach
+OBSERVATION_LAYERS = ("env.observe", "observation.build_observation",
+                      "geometry.localize")
+LAYERS = {
+    "env-dynamic8": OBSERVATION_LAYERS + ("env.global_info",),
+    "ppo-fixed4": OBSERVATION_LAYERS + ("ppo.rollout_forward",),
+}
+
+
+@pytest.mark.parametrize("workload", list(LAYERS))
+def test_traced_unit_reaches_every_observation_layer(tracing_module,
+                                                     workload, tmp_path):
+    """A traced tiny unit records calls to every layer its per-layer
+    metrics name, so a refactor that routes around a traced name fails
+    here instead of zeroing a metric. The stacked rollout runs one actor
+    and one critic pass per tick, plus one critic pass per bootstrapped
+    segment."""
+    import workloads
+    unit = workloads.WORKLOADS[workload]("tiny", str(tmp_path))
+    ctx = unit.setup(0)
+    tracer = tracing_module.Tracer()
+    with tracer.unit():
+        steps = unit.run(ctx)
+    totals = tracer.totals()
+    for name in LAYERS[workload]:
+        calls = (tracer.counts[name] if name in tracer.counts
+                 else totals[name][0])
+        assert calls > 0, name
+    if workload == "ppo-fixed4":
+        ticks = steps // len(ctx["env"].agents)
+        assert totals["ppo.rollout_forward"][0] <= (
+            2 * ticks + tracer.counts["ppo.buffer_flushes"])
