@@ -86,6 +86,10 @@ TRANSITIONS = (
     "StopExplore", "StopGoal", "ChangeGoal", "ContinueExplore", "ContinueGoal",
 )
 
+# context id -> (name, total stat key, positive stat key)
+GAVE_WAY_KEYS = {ctx: (name, f"gave_way_{name}_total", f"gave_way_{name}_pos")
+                 for ctx, name in CONTEXTS.items()}
+
 
 @dataclass(slots=True)
 class ActionTuple:
@@ -102,7 +106,9 @@ class StepEvents:
     lost_goal: bool = False
     transition: str | None = None
     transition_reward: float = 0.0
-    gave_way: dict = field(default_factory=dict)  # context name -> bool
+    # context name -> whether the agent gave way, for each context it was
+    # in; set by the goal transition (dynamic goals), None without one
+    gave_way: dict | None = None
     velocity: int = 0
     omega: int = 0
     exploring: bool = False
@@ -167,6 +173,7 @@ class ParkingEnv:
         self.schema: ObsSchema = build_schema(cfg, layout.extent)
         self.action_schema: ActionSchema = build_action_schema(cfg)
         self.obs_mode = "normalized" if cfg._normalizeObs else "discrete"
+        self._accel_range = (-cfg.max_reverse_accel, cfg._maxDeltaVMagnitude)
         self.d_max = max_world_distance(layout.extent)
         self.car_scale = 1.0
         self.world: WorldState = None  # type: ignore[assignment]
@@ -554,7 +561,8 @@ class ParkingEnv:
 
     def _check_action(self, action: ActionTuple) -> None:
         cfg = self.cfg
-        if not -cfg.max_reverse_accel <= action.accel <= cfg._maxDeltaVMagnitude:
+        lo, hi = self._accel_range
+        if not lo <= action.accel <= hi:
             raise ValueError(f"acceleration {action.accel} outside domain")
         if abs(action.omega) > cfg._maxDeltaThetaMagnitude:
             raise ValueError(f"angular velocity {action.omega} outside domain")
@@ -573,17 +581,19 @@ class ParkingEnv:
         cfg = self.cfg
         old = agent.goal_space
         memberships = self.context_membership(agent_i)
+        stats = self.stats
+        gave = events.gave_way = {}
         # conformity: did the agent change goal when a context said to
         if old is not None:
             old_slot = agent.tracker.slot_of(old)
             gave_way = delta_g != (old_slot + 1 if old_slot is not None else 0)
             for ctx, inside in memberships.items():
                 if inside:
-                    name = CONTEXTS[ctx]
-                    events.gave_way[name] = gave_way
-                    self.stats[f"gave_way_{name}_total"] += 1
+                    name, total, pos = GAVE_WAY_KEYS[ctx]
+                    gave[name] = gave_way
+                    stats[total] += 1
                     if gave_way:
-                        self.stats[f"gave_way_{name}_pos"] += 1
+                        stats[pos] += 1
         new: int | None = None
         if delta_g > 0:
             new = agent.tracker.slots[delta_g - 1]  # empty slot -> explore
@@ -607,51 +617,53 @@ class ParkingEnv:
             agent.prev_goal_distance = self._goal_distance(agent)
         events.transition = category
         events.transition_reward = reward
-        self.stats[f"transition_{category}"] += 1
+        stats["transition_" + category] += 1
         return reward
 
     def step_all(self, actions: list[ActionTuple]) -> list[StepOutcome]:
-        if len(actions) != len(self.agents):
-            raise ValueError(
-                f"expected {len(self.agents)} actions, got {len(actions)}")
+        agents = self.agents
+        n = len(agents)
+        if len(actions) != n:
+            raise ValueError(f"expected {n} actions, got {len(actions)}")
         for action in actions:
             self._check_action(action)
         cfg = self.cfg
-        tau = cfg._maxSteps
-        events = [StepEvents() for _ in self.agents]
-        rewards = [0.0 for _ in self.agents]
+        dynamic = cfg._dynamicGoals
+        world = self.world
+        spaces = world.spaces
+        ring_spec = self.ring_spec
+        events = [StepEvents() for _ in agents]
+        rewards = [0.0] * n
 
         # phase 1: goal transitions on the pre-move full state
-        if cfg._dynamicGoals:
+        if dynamic:
             for i, action in enumerate(actions):
                 rewards[i] += self._goal_transition(i, action.delta_g, events[i])
 
         # phase 2: kinematics, in index order
-        pre_nearest_space: list[tuple[int, float] | None] = [None] * len(self.agents)
-        for i, action in enumerate(actions):
-            agent = self.agents[i]
-            if cfg._dynamicGoals and agent.goal_space is None and agent.tracker:
+        grid = self.grid
+        v_fwd, v_rev = cfg._maxVelocityMagnitude, cfg._minVelocityMagnitude
+        pre_nearest_space: list[tuple[int, float] | None] = [None] * n
+        for i, (agent, action, ev) in enumerate(zip(agents, actions, events)):
+            body = agent.body
+            if dynamic and agent.goal_space is None and agent.tracker:
                 best = None
                 for sid in agent.tracker.slots:
                     if sid is None:
                         continue
-                    sp = self.world.spaces[sid]
-                    d = math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
+                    sp = spaces[sid]
+                    d = math.hypot(sp.x - body.x, sp.y - body.y)
                     if best is None or d < best[1]:
                         best = (sid, d)
                 pre_nearest_space[i] = best
-            agent.v = clamp_velocity(
-                agent.v, action.accel,
-                cfg._maxVelocityMagnitude, cfg._minVelocityMagnitude)
-            pose = motion_step(agent.body, agent.v, action.omega, self.grid)
-            agent.body.x, agent.body.y, agent.body.theta = pose.x, pose.y, pose.theta
-            events[i].omega = action.omega
-            events[i].velocity = agent.v
+            agent.v = v = clamp_velocity(agent.v, action.accel, v_fwd, v_rev)
+            body.x, body.y, body.theta = motion_step(body, v, action.omega, grid)
+            ev.omega = action.omega
+            ev.velocity = v
 
         # phase 3: collisions on post-move poses; one array view serves
         # phases 3, 4 and 6 (unless someone respawns), as nothing moves in
         # between
-        world = self.world
         arrays = self._view()
         crashed: dict[int, str] = {}
         for i, kind in enumerate(world.collides_static(world.agents, arrays)):
@@ -662,28 +674,29 @@ class ParkingEnv:
             crashed.setdefault(j, "agent-car")
 
         # phase 4: tracking refresh, lost goals, park checks, rewards
-        if cfg._dynamicGoals:
+        if dynamic:
             tracked = world.nearest_free_spaces(
                 cfg._obsNearbyParkingSpotsCount, math.inf, arrays)
-        if self.ring_spec:
+            occupied_ids = world.occupied_space_ids()
+        if ring_spec:
             # a lone car with fixed goals has no tick view; it counts walls
-            rings = world.ring_counts(self.ring_spec,
-                                      arrays or WorldArrays(world))
+            rings = world.ring_counts(ring_spec, arrays or WorldArrays(world))
+            history_len = ring_spec.history_len
+        tau = cfg._maxSteps
         outcomes: list[StepOutcome] = []
         terminals: list[tuple[int, str]] = []
-        occupied_ids = world.occupied_space_ids() if cfg._dynamicGoals else set()
-        for i, agent in enumerate(self.agents):
-            ev = events[i]
+        for i, (agent, ev) in enumerate(zip(agents, events)):
+            body = agent.body
             agent.episode_step += 1
             if agent.tracker:
                 agent.tracker.update(tracked[i])
-            if self.ring_spec:
+            if ring_spec:
                 prev = agent.cur_rings
                 agent.cur_rings = rings[i]
-                if self.ring_spec.history_len > 0:
+                if history_len > 0:
                     agent.ring_history.insert(0, prev)
-                    del agent.ring_history[self.ring_spec.history_len:]
-            if cfg._dynamicGoals and agent.goal_space is not None and i not in crashed:
+                    del agent.ring_history[history_len:]
+            if dynamic and agent.goal_space is not None and i not in crashed:
                 occupied = agent.goal_space in occupied_ids
                 untracked = agent.tracker.slot_of(agent.goal_space) is None
                 if occupied or untracked:
@@ -702,28 +715,25 @@ class ParkingEnv:
                     ev.moved_toward_goal = -1
             elif pre_nearest_space[i] is not None:
                 sid, old_d = pre_nearest_space[i]
-                sp = self.world.spaces[sid]
-                if math.hypot(sp.x - agent.body.x,
-                              sp.y - agent.body.y) < old_d:
+                sp = spaces[sid]
+                if math.hypot(sp.x - body.x, sp.y - body.y) < old_d:
                     agent.steps_toward_space_exploring += 1
             terminal: str | None = None
             if i in crashed:
                 ev.crash_kind = crashed[i]
                 rewards[i] -= cfg.rewCrash
                 terminal = "crashed"
+            elif self._parked_in_goal(agent):
+                ev.parked = True
+                ev.park_velocity = agent.v
+                rewards[i] += self._park_reward(agent)
+                terminal = "parked"
             else:
-                parked = self._parked_in_goal(agent)
-                if parked:
-                    ev.parked = True
-                    ev.park_velocity = agent.v
-                    rewards[i] += self._park_reward(agent)
-                    terminal = "parked"
-                else:
-                    rewards[i] += self._dense_reward(i, actions[i], ev)
-                    if agent.episode_step >= tau:
-                        ev.halted = True
-                        terminal = "timeout"
-            ev.exploring = agent.goal_space is None and cfg._dynamicGoals
+                rewards[i] += self._dense_reward(i, actions[i], ev)
+                if agent.episode_step >= tau:
+                    ev.halted = True
+                    terminal = "timeout"
+            ev.exploring = agent.goal_space is None and dynamic
             if ev.exploring:
                 agent.steps_exploring += 1
             agent.episode_reward += rewards[i]

@@ -50,8 +50,7 @@ class GridSpec:
         return math.floor(x * s + 0.5) / s, math.floor(y * s + 0.5) / s
 
 
-@dataclass(frozen=True, slots=True)
-class Pose:
+class Pose(NamedTuple):
     """World position plus heading index."""
 
     x: float
@@ -115,13 +114,14 @@ def round_half_up(x: float) -> int:
 def motion_step(pose: Pose, v: int, omega: int, grid: GridSpec) -> Pose:
     """Advance one time-step: rotate first, then translate along the new
     heading by v/Gv world units, then snap to the divided grid."""
-    theta = (pose.theta + omega) % grid.theta_granularity
-    if v == 0:
-        x, y = grid.snap(pose.x, pose.y)
-        return Pose(x, y, theta)
-    s, c = _trig_table(grid.theta_granularity)[theta]
-    d = v / grid.velocity_granularity
-    x, y = grid.snap(pose.x + d * s, pose.y + d * c)
+    gtheta = grid.theta_granularity
+    theta = (pose.theta + omega) % gtheta
+    x, y = pose.x, pose.y
+    if v != 0:
+        s, c = _trig_table(gtheta)[theta]
+        d = v / grid.velocity_granularity
+        x, y = x + d * s, y + d * c
+    x, y = grid.snap(x, y)
     return Pose(x, y, theta)
 
 

@@ -117,7 +117,7 @@ class _SeriesState:
     def __init__(self, mode: str):
         self.mode = mode
         self.last_step = -1
-        self.window_end: int | None = None
+        self.window_end = -1  # end step of the open window; -1 before any
         self.dirty = False
         self.count = 0
         self.total = 0.0
@@ -170,13 +170,11 @@ class MetricStore:
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"non-finite value for {path}: {value}")
-        freq = self.summary_freq
-        end = ((step + freq - 1) // freq) * freq
-        if st.window_end is None:
-            st.window_end = end
-        elif end > st.window_end:
+        if step > st.window_end:
+            # the step opens the window ((k-1)*freq, k*freq] that holds it
             self._close_window(path, st, st.window_end)
-            st.window_end = end
+            freq = self.summary_freq
+            st.window_end = ((step + freq - 1) // freq) * freq
         st.last_step = step
         if st.mode == "mean":
             st.total += value
@@ -209,7 +207,7 @@ class MetricStore:
         if self._closed:
             return
         for path, st in self._states.items():
-            if st.dirty and st.window_end is not None:
+            if st.dirty:
                 # partial window: flush at the data's actual extent
                 at = min(st.window_end, st.last_step)
                 self._close_window(path, st, at)
@@ -335,12 +333,13 @@ class TrainingRecorder:
 
     def after_step(self, step: int, outcomes) -> None:
         record = self.store.record
+        nearest_car_distance = self.env.nearest_car_distance
+        v_scale = self.v_scale
         for i, out in enumerate(outcomes):
             ev = out.events
             record("Metrics/DeltaThetaAvg", ev.omega, step)
-            record("Metrics/VelocityAvg", ev.velocity * self.v_scale, step)
-            record("Metrics/NearestCarDistAvg",
-                   self.env.nearest_car_distance(i), step)
+            record("Metrics/VelocityAvg", ev.velocity * v_scale, step)
+            record("Metrics/NearestCarDistAvg", nearest_car_distance(i), step)
             if out.terminal is not None:
                 self._episode_end(step, ev)
 

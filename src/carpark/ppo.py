@@ -349,36 +349,14 @@ def _entropy_terms(logps: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def ppo_loss(params: PolicyParams, obs, actions, logp_old, advantages,
-             returns, epsilon_clip: float, beta: float) -> tuple[float, dict]:
-    """Composite minimization loss: negative clipped surrogate, plus
-    half the value MSE, minus beta times the summed branch entropy."""
-    x = np.asarray(obs, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.int64)
-    logp_old = np.asarray(logp_old, dtype=np.float64)
-    advantages = np.asarray(advantages, dtype=np.float64)
-    returns = np.asarray(returns, dtype=np.float64)
-    n = len(x)
-    logps, _ = _actor_logps(params, x)
-    rows = np.arange(n)
-    logp = sum(lp[rows, actions[:, k]] for k, lp in enumerate(logps))
-    ratio = np.exp(logp - logp_old)
-    unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - epsilon_clip, 1.0 + epsilon_clip) \
-        * advantages
-    policy_loss = -float(np.minimum(unclipped, clipped).mean())
-    entropy = float(sum(term.mean() for term in _entropy_terms(logps)))
-    values, _ = _critic_values(params, x)
-    value_loss = float(((values - returns) ** 2).mean())
-    total = policy_loss + VALUE_LOSS_WEIGHT * value_loss - beta * entropy
-    return total, {"policy_loss": policy_loss, "value_loss": value_loss,
-                   "entropy": entropy}
-
-
 def gradients(params: PolicyParams, obs, actions, logp_old, advantages,
               returns, epsilon_clip: float, beta: float,
               out: dict | None = None) -> tuple[dict, dict]:
-    """Exact reverse-mode gradients of ppo_loss for every parameter.
+    """Exact reverse-mode gradients of the PPO loss for every parameter:
+    the negative clipped surrogate, plus VALUE_LOSS_WEIGHT times the value
+    MSE, minus beta times the summed branch entropy. tests/test_ppo.py
+    holds that loss as ``ppo_loss``, the oracle of the finite-difference
+    check.
 
     The gradients are written into `out`, a dict of arrays shaped like
     `params.data`, which is returned; without one a fresh dict is

@@ -105,8 +105,8 @@ def q_update(table: QTable, s: int, a: int, r: float, s_next: int | None,
     if not math.isfinite(r):
         raise ValueError(f"non-finite reward {r!r}")
     values = table.values
-    best_next = 0.0 if s_next is None else float(values[s_next].max())
-    new = (1.0 - alpha) * float(values[s, a]) + alpha * (r + gamma * best_next)
+    best_next = 0.0 if s_next is None else max(values[s_next].tolist())
+    new = (1.0 - alpha) * values.item(s, a) + alpha * (r + gamma * best_next)
     values[s, a] = new
     return new
 
@@ -271,14 +271,17 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
     env.set_car_scale(cfg.carScaleTrain if boundary is None else 1.0)
     rewards: list[float] = []
 
+    rates_at = None  # the episode count the rates below were taken at
     while episodes_done < total:
-        training = episodes_done < schedule.train_episodes
-        if training:
-            eps_t = schedule.epsilon_at(episodes_done)
-            alpha_t = schedule.alpha_at(episodes_done)
-        else:
-            eps_t = 0.0
-            alpha_t = 0.0
+        if rates_at != episodes_done:
+            rates_at = episodes_done
+            if episodes_done < schedule.train_episodes:
+                eps_t = schedule.epsilon_at(episodes_done)
+                alpha_t = schedule.alpha_at(episodes_done)
+            else:
+                eps_t = 0.0
+                alpha_t = 0.0
+            update = alpha_t > 0.0
         flats = []
         for i in range(n):
             if cur[i] is None:
@@ -289,7 +292,6 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
         if recorder is not None:
             recorder.after_step(gstep, outs)
         for i, out in enumerate(outs):
-            update = training and alpha_t > 0.0
             if out.terminal is None:
                 s_next = encode_state(dims, observe(i))
                 if update:

@@ -8,10 +8,11 @@ answers one row per observer, never counting the observer's own car. Three
 rules keep these batched answers equal to scalar loops: center distances
 are ``np.sqrt(dx*dx + dy*dy)``, which equals ``math.hypot`` on grid-snapped
 centers (``np.hypot`` does not); ties sort by uid (or space id) with a
-stable sort; and where a numpy value is too close to a threshold to call,
-the exact scalar ``point_to_obb_distance`` decides. Collisions take a list
-of bodies; given the tick's view, a broad phase over its sorted center
-distances sends only nearby pairs to the exact ``obb_intersects``.
+stable sort; and numpy only picks candidates, while an exact scalar test
+decides every hitbox question. Ring counts and collisions walk each
+observer's sorted center distances up to a reach that no hitbox within the
+threshold can exceed, and send only those cars to the exact
+``point_to_obb_distance`` or ``obb_intersects``.
 Bearings stay scalar (``geometry.localize``): ``np.arctan2`` differs from
 ``math.atan2`` on some inputs. numpy is imported where an array is first
 built, not with this module: config parsing and layout files need no BLAS.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .geometry import GridSpec, heading_vector
@@ -40,11 +40,7 @@ CAR_HALF_LENGTH = 2.5
 SPACE_HALF_WIDTH = 2.5
 SPACE_HALF_DEPTH = 3.5
 
-# Relative half-width of the band around a squared ring radius inside
-# which a numpy distance is too close to call and the exact scalar
-# distance decides; numpy and scalar distances differ by a few ulps.
-RING_BAND = 1e-9
-# Added to the broad-phase reach so that rounding in the numpy center
+# Added to a broad-phase reach so that rounding in the numpy center
 # distance never drops a pair the exact test would keep.
 REACH_SLACK = 1e-6
 
@@ -307,7 +303,7 @@ class WorldArrays:
     """
 
     __slots__ = ("world", "cars", "na", "nc", "rows", "with_spaces",
-                 "_offsets", "_dist", "_by_distance", "_near", "_boxes")
+                 "_offsets", "_dist", "_by_distance", "_near", "_circ")
 
     def __init__(self, world: "WorldState", rows=None,
                  with_spaces: bool = False):
@@ -318,7 +314,7 @@ class WorldArrays:
         self.rows = list(range(self.na) if rows is None else rows)
         self.with_spaces = with_spaces
         self._offsets = self._dist = self._by_distance = None
-        self._near = self._boxes = None
+        self._near = self._circ = None
 
     def offsets(self) -> np.ndarray:
         """Column center minus observer, shape (2, observers, columns):
@@ -360,14 +356,19 @@ class WorldArrays:
             self._by_distance = order.tolist(), dist.tolist()
         return self._by_distance
 
+    def max_circumradius(self) -> float:
+        """The largest circumradius of the cars."""
+        if self._circ is None:
+            self._circ = max(map(CarBody.circumradius, self.cars), default=0.0)
+        return self._circ
+
     def near(self) -> list[list[int]]:
         """Broad phase: per observer, in column order, the cars whose
         centers are at most twice the largest car circumradius (plus
         REACH_SLACK) away; no pair outside it gets past obb_intersects'
         own circumradius check."""
         if self._near is None:
-            reach = 2.0 * max(map(CarBody.circumradius, self.cars),
-                              default=0.0) + REACH_SLACK
+            reach = 2.0 * self.max_circumradius() + REACH_SLACK
             self._near = []
             for order, row in zip(*self.cars_by_distance()):
                 close = []
@@ -384,18 +385,6 @@ class WorldArrays:
         when there is none)."""
         return [next((row[j] for j in order if j != own), math.inf)
                 for own, order, row in zip(self.rows, *self.cars_by_distance())]
-
-    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per car, its box axes [[fx, fy], [fy, -fx]] (shape (2, 2, cars))
-        and scaled half-extents [half-length, half-width] (shape (2, cars))."""
-        if self._boxes is None:
-            import numpy as np
-            g = self.world.grid.theta_granularity
-            axes = self.world._axes[[c.theta % g for c in self.cars]]
-            half = np.array([c.half_length * c.scale for c in self.cars]
-                            + [c.half_width * c.scale for c in self.cars])
-            self._boxes = axes.transpose(1, 2, 0), half.reshape(2, -1)
-        return self._boxes
 
 
 # ---------------------------------------------------------------- world state
@@ -423,19 +412,10 @@ class WorldState:
         edges = {frozenset((box[k], box[k - 1])) for k in range(4)}
         walls = {frozenset(((w.x1, w.y1), (w.x2, w.y2))) for w in self.walls}
         self.boundary_walls_only = len(self.walls) == 4 and walls == edges
+        self._edge = e  # the far edge of the arena box
         # the space centers, a fixed part of every WorldArrays view
         self._space_x = [sp.x for sp in self.spaces]
         self._space_y = [sp.y for sp in self.spaces]
-
-    @cached_property
-    def _axes(self) -> np.ndarray:
-        """Per heading index, the box axes [[fx, fy], [fy, -fx]]."""
-        import numpy as np
-        axes = []
-        for t in range(self.grid.theta_granularity):
-            fx, fy = heading_vector(t, self.grid)
-            axes.append(((fx, fy), (fy, -fx)))
-        return np.array(axes)
 
     @classmethod
     def from_layout(cls, layout: Layout, grid: GridSpec) -> "WorldState":
@@ -516,13 +496,16 @@ class WorldState:
                 for b, close in zip(bodies, arrays.near())]
 
     def _static_kind(self, body: CarBody, parked) -> str | None:
-        e = float(self.extent)
-        for x, y in obb_corners(body, self.grid):
-            if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
-                if self.boundary_walls_only:
-                    return "wall"
-                break
-        if not self.boundary_walls_only:
+        if self.boundary_walls_only:
+            # a corner can only reach an edge within the circumradius (plus
+            # REACH_SLACK for rounding in the corners) of it
+            e = self._edge
+            r = body.circumradius() + REACH_SLACK
+            if not (r < body.x < e - r and r < body.y < e - r):
+                for x, y in obb_corners(body, self.grid):
+                    if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
+                        return "wall"
+        else:
             for w in self.walls:
                 if obb_hits_segment(body, w, self.grid):
                     return "wall"
@@ -549,10 +532,11 @@ class WorldState:
         An obstacle is inside when its hitbox is closer to the observer than
         the ring radius; the observer's own car never counts.
 
-        Walls, a handful, take the scalar distance. Cars take one numpy
-        pass over all observers that compares squared distances; a pair
-        within RING_BAND of a ring radius is decided by the exact scalar
-        distance, so the counts equal a scalar loop's."""
+        The exact scalar distance decides every obstacle. Walls, a handful,
+        are all measured. A car can only be inside when its center is
+        within the largest radius plus its circumradius, so each observer
+        walks its distance-sorted cars from `arrays` up to that reach (plus
+        REACH_SLACK), and stops as soon as every ring is at the cap."""
         radii = [d / 2.0 for d in spec.diameters]
         cap = spec.max_count
         walls = self.walls
@@ -571,42 +555,27 @@ class WorldState:
                             break
                 row.append(n if n < cap else cap)
             counts.append(row)
-        # the array pass has nothing to count when the only car is the
-        # observer's own
+        # nothing to walk when the only car is the observer's own
         if not spec.walls_only and radii and arrays.nc > 1:
-            self._add_cars_in_rings(counts, radii, cap, arrays)
+            grid = self.grid
+            reach = max(radii) + arrays.max_circumradius() + REACH_SLACK
+            for k, row, order, center in zip(arrays.rows, counts,
+                                             *arrays.cars_by_distance()):
+                if min(row) >= cap:
+                    continue
+                x, y = cars[k].x, cars[k].y
+                for j in order:
+                    if center[j] > reach:
+                        break
+                    if j == k:
+                        continue
+                    d = point_to_obb_distance(x, y, cars[j], grid)
+                    for ring, r in enumerate(radii):
+                        if d < r and row[ring] < cap:
+                            row[ring] += 1
+                    if min(row) >= cap:
+                        break
         return list(map(tuple, counts))
-
-    def _add_cars_in_rings(self, counts, radii, cap,
-                           arrays: WorldArrays) -> None:
-        import numpy as np
-        nc = arrays.nc
-        rows = arrays.rows
-        cars = arrays.cars
-        axes, half = arrays.boxes()
-        d = arrays.offsets()[:, :, :nc]
-        # forward and right components, then the excess over the box
-        terms = d[None] * axes[:, :, None, :]
-        local = terms[:, 0] + terms[:, 1]
-        excess = np.maximum(np.abs(local) - half[:, None, :], 0.0)
-        sq = excess * excess
-        d2 = sq[0] + sq[1]
-        d2[range(len(rows)), rows] = np.inf  # the observer's own car
-        r = np.array(radii)
-        r2 = r * r
-        band = RING_BAND * np.maximum(r2, 1.0)
-        gap = d2[:, :, None] - r2
-        inside = (gap < -band).sum(axis=1).tolist()
-        unsure = np.abs(gap) <= band
-        if unsure.any():
-            for k, j, ring in zip(*(a.tolist() for a in unsure.nonzero())):
-                own = cars[rows[k]]
-                dist = point_to_obb_distance(own.x, own.y, cars[j], self.grid)
-                inside[k][ring] += dist < radii[ring]
-        for row, add in zip(counts, inside):
-            for k, n in enumerate(add):
-                n += row[k]
-                row[k] = n if n < cap else cap
 
     def nearest_cars(self, n_track: int, fov_diameter: float,
                      arrays: WorldArrays):
@@ -635,13 +604,12 @@ class WorldState:
         distance, ties by space id. Slot stability lives in SpaceTracker."""
         if n_space <= 0 or not self.spaces:
             return [[] for _ in arrays.rows]
-        dist = arrays.distances()[:, arrays.nc:]
-        if self.parked_space:
-            dist = dist.copy()
-            dist[:, self.parked_space] = math.nan  # occupied
+        free = self.free_space_ids()
+        nc = arrays.nc
+        dist = arrays.distances()[:, [nc + sid for sid in free]]
         reach = fov_diameter / 2.0
         order = dist.argsort(axis=1, kind="stable")[:, :n_space].tolist()
-        return [[j for j in cols if row[j] <= reach]
+        return [[free[c] for c in cols if row[c] <= reach]
                 for row, cols in zip(dist.tolist(), order)]
 
 
@@ -660,15 +628,18 @@ class SpaceTracker:
         self.slots = [None] * self.n_space
 
     def update(self, tracked_ids: list[int]) -> None:
+        slots = self.slots
         wanted = set(tracked_ids)
-        for i, sid in enumerate(self.slots):
+        current = set(slots)
+        current.discard(None)
+        if current == wanted:
+            return
+        for i, sid in enumerate(slots):
             if sid is not None and sid not in wanted:
-                self.slots[i] = None
-        current = {sid for sid in self.slots if sid is not None}
-        new_ids = [sid for sid in tracked_ids if sid not in current]
-        for sid in new_ids:
-            free = self.slots.index(None)
-            self.slots[free] = sid
+                slots[i] = None
+        for sid in tracked_ids:
+            if sid not in current:
+                slots[slots.index(None)] = sid
 
     def slot_of(self, sid: int) -> int | None:
         try:

@@ -4,7 +4,9 @@ export, and the trainer-side recorder."""
 import csv
 import json
 import math
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.metrics import (
     CONTEXT_COLUMNS,
+    MODES,
     ROW_COLUMNS,
     MetricSeries,
     MetricStore,
@@ -127,6 +130,68 @@ def test_mean_buckets_match_brute_force(recs):
     assert len(points) == len(groups)
     for (_, got), (_, vals) in zip(points, sorted(groups.items())):
         assert got == pytest.approx(math.fsum(vals) / len(vals))
+
+
+@st.composite
+def record_runs(draw):
+    """A summary frequency and (series, step, value) records on one
+    nondecreasing step axis: repeated steps, steps on window ends and gaps
+    of several windows."""
+    freq = draw(st.sampled_from([1, 3, 10]))
+    step = draw(st.integers(0, 2)) * freq
+    gaps = st.one_of(st.just(0), st.integers(1, freq),
+                     st.sampled_from([freq, 2 * freq, 3 * freq + 1]),
+                     st.integers(4 * freq, 9 * freq))
+    recs = []
+    for _ in range(draw(st.integers(1, 60))):
+        step += draw(gaps)
+        recs.append((draw(st.sampled_from(MODES)), step,
+                     draw(st.floats(-100, 100, allow_nan=False))))
+    return freq, recs
+
+
+def brute_force_buckets(freq, recs):
+    """Per mode, the (step, value) buckets of the records of that mode,
+    grouped by the window ((k-1)*freq, k*freq] each step falls in; the
+    last window flushes at its last step."""
+    out = {}
+    for mode in MODES:
+        windows: dict[int, list] = {}
+        for m, step, v in recs:
+            if m == mode:
+                windows.setdefault(-(-step // freq) * freq, []).append((step, v))
+        cum = 0.0
+        points = []
+        for end, group in sorted(windows.items()):
+            total = 0.0
+            for _, v in group:
+                total += v
+                cum += v
+            value = {"mean": total / len(group), "sum": cum,
+                     "last": group[-1][1]}[mode]
+            points.append((end, value))
+        if points:
+            points[-1] = (windows[points[-1][0]][-1][0], points[-1][1])
+            out[mode] = points
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_runs())
+def test_read_store_matches_brute_force_buckets(run):
+    """read_store gives back exactly the buckets a brute-force grouping of
+    the raw records makes, for every mode."""
+    freq, recs = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "metrics.jsonl")
+        store = MetricStore(path, summary_freq=freq)
+        for mode, step, v in recs:
+            store.record(mode, v, step, mode)
+        store.close()
+        back = read_store(path)
+    want = brute_force_buckets(freq, recs)
+    assert {k: (s.mode, s.points) for k, s in back.items()} == {
+        mode: (mode, points) for mode, points in want.items()}
 
 
 def test_store_file_round_trip(tmp_path):

@@ -20,12 +20,14 @@ from carpark.ppo import (
     ADAM_EPS,
     ADV_NORM_EPS,
     PPO_MODEL_BASENAME,
+    VALUE_LOSS_WEIGHT,
     PolicyParams,
     PpoHyper,
     RolloutBuffer,
     _actor_logps,
     _check_finite,
     _critic_values,
+    _entropy_terms,
     _orthogonal,
     _sample_branches,
     adam_step,
@@ -34,7 +36,6 @@ from carpark.ppo import (
     gae,
     gradients,
     lr_schedule,
-    ppo_loss,
     ppo_update,
     train_ppo,
 )
@@ -301,6 +302,32 @@ def test_gae_rejects_misaligned_series():
 
 
 # ------------------------------------------------------------- loss surface
+
+
+def ppo_loss(params, obs, actions, logp_old, advantages, returns,
+             epsilon_clip, beta):
+    """The loss `gradients` differentiates, written forward only: the
+    negative clipped surrogate, plus VALUE_LOSS_WEIGHT times the value MSE,
+    minus beta times the summed branch entropy. The oracle of the
+    finite-difference gradient test."""
+    x = np.asarray(obs, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.int64)
+    advantages = np.asarray(advantages, dtype=np.float64)
+    logps, _ = _actor_logps(params, x)
+    rows = np.arange(len(x))
+    logp = sum(lp[rows, actions[:, k]] for k, lp in enumerate(logps))
+    ratio = np.exp(logp - np.asarray(logp_old, dtype=np.float64))
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - epsilon_clip, 1.0 + epsilon_clip) \
+        * advantages
+    policy_loss = -float(np.minimum(unclipped, clipped).mean())
+    entropy = float(sum(term.mean() for term in _entropy_terms(logps)))
+    values, _ = _critic_values(params, x)
+    value_loss = float(((values - np.asarray(returns, dtype=np.float64))
+                        ** 2).mean())
+    total = policy_loss + VALUE_LOSS_WEIGHT * value_loss - beta * entropy
+    return total, {"policy_loss": policy_loss, "value_loss": value_loss,
+                   "entropy": entropy}
 
 
 def test_unit_ratio_surrogate_is_negative_mean_advantage():

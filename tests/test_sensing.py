@@ -234,13 +234,26 @@ def test_batched_queries_equal_scalar_loops(env, data):
     agents = world.agents
     n = draw(st.integers(0, 5))
     fov = draw(st.sampled_from([10.0, 11.0, 13.0, 24.0, math.inf]))
-    # 5.0, 7.0 and 11.0 put hitbox edges exactly on a ring
-    diams = tuple(draw(st.lists(st.sampled_from(
-        [1.0, 5.0, 6.0, 7.0, 10.0, 11.0, 14.0, 21.0]), min_size=1, max_size=3)))
-    spec = RingSpec(diams, draw(st.integers(0, 4)),
-                    walls_only=draw(st.booleans()))
-    # seen from every agent, as a tick senses, and from one, as a respawn
+    # 5.0, 7.0 and 11.0 put hitbox edges exactly on a ring; 110.0 and
+    # 300.0 reach past the arena diagonal (74 * sqrt(2)), so every car is
+    # a candidate
+    diams = draw(st.lists(st.sampled_from(
+        [1.0, 5.0, 6.0, 7.0, 10.0, 11.0, 14.0, 21.0, 110.0, 300.0]),
+        min_size=1, max_size=3))
     one = draw(st.integers(0, len(agents) - 1))
+    cars = world.all_cars()
+    if len(cars) > 1 and draw(st.booleans()):
+        # a ring whose radius plus a car's circumradius is exactly that
+        # car's center distance from the observer: the edge of the reach
+        car = draw(st.sampled_from([c for c in cars if c.uid != one]))
+        r = math.hypot(car.x - agents[one].x,
+                       car.y - agents[one].y) - car.circumradius()
+        if r > 0.0:
+            diams.append(2.0 * r)
+    # caps of 0 and 1, and one above every wall and car together
+    cap = draw(st.sampled_from([0, 1, 2, 3, 4, len(world.walls) + len(cars) + 1]))
+    spec = RingSpec(tuple(diams), cap, walls_only=draw(st.booleans()))
+    # seen from every agent, as a tick senses, and from one, as a respawn
     for rows in (range(len(agents)), [one]):
         seen = [agents[k] for k in rows]
         view = WorldArrays(world, rows, with_spaces=True)

@@ -31,12 +31,16 @@ def test_unit_patches_every_target_and_restores_it(tracing_module):
         assert owner.__dict__[attr] is original, (owner, attr)
 
 
-# the observation and policy layers each traced workload must reach
+# the observation, world, policy and metrics layers each traced workload
+# must reach; ring counts reach point_to_obb_distance for every nearby car
 OBSERVATION_LAYERS = ("env.observe", "observation.build_observation",
                       "geometry.localize")
 LAYERS = {
-    "env-dynamic8": OBSERVATION_LAYERS + ("env.global_info",),
+    "env-dynamic8": OBSERVATION_LAYERS + ("env.global_info",
+                                          "world.point_to_obb_distance"),
     "ppo-fixed4": OBSERVATION_LAYERS + ("ppo.rollout_forward",),
+    "q-basic": OBSERVATION_LAYERS + ("metrics.MetricStore.record",
+                                     "qlearning.q_update"),
 }
 
 
