@@ -24,12 +24,14 @@ end of one tick and the goal transitions of the next.
 
 `observe` is the one walk that gathers an agent's raw feature values, in
 schema order and with the sentinels for what it cannot see; the schema's
-feature kinds say how `build_observation` encodes them. Agents that track
-the same space share its closest-agent distances through the per-tick
-space table: `global_info` fills a space's entry on the first `observe`
-that needs it, and the next sensing pass empties the table, since goals
-and positions only change in `reset` and `step_all`, which both end with
-that pass.
+feature kinds say how `build_observation` encodes them. The sensing pass
+also builds the whole per-tick space table: each space's closest-agent
+distance (a column min of the distance matrix) and closest-goal-agent
+distance (one pass over the agents' goals), so `global_info` is a read of
+two lists. Goals are read at the sensing pass, which is exact, since
+goals and positions only change in `reset` and `step_all`, which both end
+with that pass. An agent's own goal pose serves the tracked slot that
+holds its goal, so `observe` localizes each (observer, target) pair once.
 """
 
 from __future__ import annotations
@@ -175,19 +177,21 @@ class ParkingEnv:
         self.obs_mode = "normalized" if cfg._normalizeObs else "discrete"
         self._accel_range = (-cfg.max_reverse_accel, cfg._maxDeltaVMagnitude)
         self.d_max = max_world_distance(layout.extent)
+        # the raw values of one absent nearby-car slot, in schema order
+        self._absent_car = self._absent_car_values()
         self.car_scale = 1.0
         self.world: WorldState = None  # type: ignore[assignment]
         self.agents: list[AgentState] = []
         # space table of the sensing pass (dynamic goals only): per space,
-        # every agent's distance to it
+        # every agent's distance to it, the closest agent's distance, and
+        # the closest distance of an agent whose goal it is (None if none)
         self._space_agent_d: list[list[float]] = []
+        self._space_near: list[float] = []
+        self._space_goal_near: list[float | None] = []
         # the sensing pass's array view, and the nearest-car distances
         # taken from it on the first nearest_car_distance call
         self._sensed: WorldArrays | None = None
         self._nearest_car_d: list[float] | None = None
-        # the per-tick space table: global_info of each space an observe
-        # has needed since the last sensing pass
-        self._space_info: dict[int, tuple[float, float | None]] = {}
         # running totals, read by trainers for metric recording
         self.stats = {
             "episodes": 0,
@@ -201,9 +205,9 @@ class ParkingEnv:
         }
         for t in TRANSITIONS:
             self.stats[f"transition_{t}"] = 0
-        for name in CONTEXTS.values():
-            self.stats[f"gave_way_{name}_pos"] = 0
-            self.stats[f"gave_way_{name}_total"] = 0
+        for _, total, pos in GAVE_WAY_KEYS.values():
+            self.stats[pos] = 0
+            self.stats[total] = 0
         self.reset()
 
     # ------------------------------------------------------------- lifecycle
@@ -232,6 +236,20 @@ class ParkingEnv:
         self.car_scale = scale
         for car in self.world.all_cars():
             car.scale = scale
+
+    def _absent_car_values(self) -> list:
+        """The sentinels of an absent nearby-car slot: bound distance, zero
+        angle, delta and velocity, and no goal (the bound pose triple with
+        fixed goals, the absent-slot index n_space + 1 with dynamic ones)."""
+        cfg = self.cfg
+        car_bound = min(cfg._obsNearbyCarsDiameter / 2.0, self.d_max)
+        values = list(_pose_values(None, car_bound))
+        if cfg._obsNearbyCarsVelocity:
+            values.append(0)
+        if cfg._obsNearbyCarsGoal:
+            values += ((cfg._obsNearbyParkingSpotsCount + 1,)
+                       if cfg._dynamicGoals else _pose_values(None, self.d_max))
+        return values
 
     # -------------------------------------------------------------- spawning
 
@@ -415,7 +433,10 @@ class ParkingEnv:
         """The sensing pass, run at the end of reset and step_all: one
         center-distance matrix from every agent to every car and space
         fills each agent's nearest-car list and (with dynamic goals) the
-        space table, and is kept for nearest_car_distance. `arrays`, if the
+        space table, and is kept for nearest_car_distance. The space table
+        holds every agent's distance to each space, the closest of them (a
+        column min, exact like min) and the closest among the agents whose
+        goal the space is, with goals as they are now. `arrays`, if the
         caller has it, is the world's current view from the agents."""
         cfg = self.cfg
         world = self.world
@@ -424,7 +445,6 @@ class ParkingEnv:
             arrays = self._view()
         self._sensed = arrays
         self._nearest_car_d = None
-        self._space_info = {}
         if arrays is None:
             return
         if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
@@ -434,7 +454,18 @@ class ParkingEnv:
             for agent, cars in zip(agents, lists):
                 agent.nearby = cars
         if cfg._dynamicGoals:
-            self._space_agent_d = arrays.distances()[:, arrays.nc:].T.tolist()
+            dist = arrays.distances()[:, arrays.nc:]
+            by_space = self._space_agent_d = dist.T.tolist()
+            self._space_near = dist.min(axis=0).tolist()
+            goal_near: list[float | None] = [None] * len(by_space)
+            for i, agent in enumerate(agents):
+                sid = agent.goal_space
+                if sid is not None:
+                    d = by_space[sid][i]
+                    near = goal_near[sid]
+                    if near is None or d < near:
+                        goal_near[sid] = d
+            self._space_goal_near = goal_near
 
     def context_membership(self, agent_i: int) -> dict:
         """Give-way context membership (dynamic goals) on the current full
@@ -473,12 +504,9 @@ class ParkingEnv:
 
     def global_info(self, space_id: int) -> tuple[float, float | None]:
         """Distance from the space to the closest agent, and to the closest
-        agent whose goal it is (None when nobody's). Positions come from the
-        last sensing pass, so dynamic goals only; goals from the agents as
-        they are now."""
-        row = self._space_agent_d[space_id]
-        same = [d for a, d in zip(self.agents, row) if a.goal_space == space_id]
-        return min(row), (min(same) if same else None)
+        agent whose goal it is (None when nobody's), from the space table
+        of the last sensing pass, so dynamic goals only."""
+        return self._space_near[space_id], self._space_goal_near[space_id]
 
     # ------------------------------------------------------------ observing
 
@@ -494,17 +522,17 @@ class ParkingEnv:
         d_max = self.d_max
         tracker = agent.tracker
         n_space = cfg._obsNearbyParkingSpotsCount
+        goal_sid = agent.goal_space
+        goal = (localize(body, spaces[goal_sid], grid)
+                if goal_sid is not None else None)
         raw: list = [agent.v]
-        goal = _pose_values(
-            localize(body, spaces[agent.goal_space], grid)
-            if agent.goal_space is not None else None, d_max)
-        for value, on in zip(goal, (cfg._obsDist, cfg._obsAngle,
-                                    cfg._obsGoalDeltaPose)):
+        for value, on in zip(_pose_values(goal, d_max),
+                             (cfg._obsDist, cfg._obsAngle,
+                              cfg._obsGoalDeltaPose)):
             if on:
                 raw.append(value)
         if cfg._dynamicGoals:
-            slot = (tracker.slot_of(agent.goal_space)
-                    if agent.goal_space is not None else None)
+            slot = tracker.slot_of(goal_sid) if goal_sid is not None else None
             raw.append(slot + 1 if slot is not None else 0)
         if self.ring_spec:
             raw.extend(agent.cur_rings)
@@ -514,47 +542,50 @@ class ParkingEnv:
             missing = cfg._ringNumPrevObs - len(agent.ring_history)
             raw.extend([0] * (missing * len(cfg.ringDiams)))
         if cfg._obsNearbyCars:
-            car_bound = min(cfg._obsNearbyCarsDiameter / 2.0, d_max)
-            nearby = agent.nearby
-            for k in range(cfg._obsNearbyCarsCount):
-                car = nearby[k] if k < len(nearby) else None
-                other = (self.agents[car.uid]
-                         if car is not None and car.kind == "agent" else None)
-                raw += _pose_values(localize(body, car, grid)
-                                    if car is not None else None, car_bound)
+            nearby = agent.nearby[:cfg._obsNearbyCarsCount]
+            for car in nearby:
+                other = self.agents[car.uid] if car.kind == "agent" else None
+                raw += localize(body, car, grid)
                 if cfg._obsNearbyCarsVelocity:
                     raw.append(other.v if other else 0)
                 if not cfg._obsNearbyCarsGoal:
                     continue
-                goal_sid = other.goal_space if other else None
+                other_sid = other.goal_space if other else None
                 if not cfg._dynamicGoals:
                     raw += _pose_values(
-                        localize(other.body, spaces[goal_sid], grid)
-                        if goal_sid is not None else None, d_max)
-                elif car is None:
-                    raw.append(n_space + 1)  # absent slot
-                elif goal_sid is None:
+                        localize(other.body, spaces[other_sid], grid)
+                        if other_sid is not None else None, d_max)
+                elif other_sid is None:
                     raw.append(0)  # parked or exploring: no goal
                 else:
-                    slot = tracker.slot_of(goal_sid) if tracker else None
+                    slot = tracker.slot_of(other_sid) if tracker else None
                     raw.append(slot + 1 if slot is not None else n_space + 1)
+            raw += self._absent_car * (cfg._obsNearbyCarsCount - len(nearby))
         if cfg._dynamicGoals and tracker:
-            for sid in tracker.slots:
-                raw += _pose_values(localize(body, spaces[sid], grid)
-                                    if sid is not None else None, d_max)
+            slots = tracker.slots
+            for sid in slots:
+                if sid is None:
+                    raw += _pose_values(None, d_max)
+                elif sid == goal_sid:
+                    raw += goal  # the own goal, localized above
+                else:
+                    raw += localize(body, spaces[sid], grid)
             if (cfg._obsParkingSpotClosestAgent
                     or cfg._obsParkingSpotClosestGoalAgent):
-                table = self._space_info
-                info = []
-                for sid in tracker.slots:
-                    pair = table.get(sid) if sid is not None else (None, None)
-                    if pair is None:
-                        pair = table[sid] = self.global_info(sid)
-                    info.append(pair)
+                near = []
+                goal_near = []
+                for sid in slots:
+                    if sid is None:
+                        near.append(d_max)
+                        goal_near.append(d_max)
+                        continue
+                    a, g = self.global_info(sid)
+                    near.append(a)
+                    goal_near.append(d_max if g is None else g)
                 if cfg._obsParkingSpotClosestAgent:
-                    raw.extend(d_max if a is None else a for a, _ in info)
+                    raw += near
                 if cfg._obsParkingSpotClosestGoalAgent:
-                    raw.extend(d_max if s is None else s for _, s in info)
+                    raw += goal_near
         return build_observation(self.schema, cfg, raw, self.obs_mode)
 
     # -------------------------------------------------------------- stepping

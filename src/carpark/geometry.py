@@ -152,11 +152,17 @@ def localize(observer: Pose, target: Pose, grid: GridSpec) -> LocalPose:
     dy = target.y - observer.y
     d = math.hypot(dx, dy)
     gtheta = grid.theta_granularity
+    theta = observer.theta
+    # bearing_index_units and wrap_signed_index inlined, operation for
+    # operation: localize runs about seven times per observation
     if d == 0.0:
         theta_rel = 0.0
     else:
-        theta_rel = (bearing_index_units(dx, dy, grid) - observer.theta) % gtheta
-    delta_theta = wrap_signed_index(observer.theta - target.theta, gtheta)
+        bearing = (math.degrees(math.atan2(dx, dy)) / (360.0 / gtheta)) % gtheta
+        theta_rel = (bearing - theta) % gtheta
+    delta_theta = (theta - target.theta) % gtheta
+    if delta_theta > gtheta / 2:
+        delta_theta -= gtheta
     return LocalPose(d, theta_rel, delta_theta)
 
 

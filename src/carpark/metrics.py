@@ -26,6 +26,8 @@ import os
 import warnings
 from dataclasses import dataclass, field
 
+from .env import GAVE_WAY_KEYS
+
 MODES = ("mean", "sum", "last")
 DEFAULT_SUMMARY_FREQ = 10_000
 
@@ -377,12 +379,11 @@ class TrainingRecorder:
         if ev.ratio_toward_space_exploring is not None:
             record("Metrics/RatioMoveTowardsExploringPerEps",
                    ev.ratio_toward_space_exploring, step)
-        for name in ("LocalSameGoal", "LocalAnyGoal", "GlobalSameGoal",
-                     "GlobalAnyGoal", "NonLocalSameGoal", "NonLocalAnyGoal"):
+        for name, total, pos in GAVE_WAY_KEYS.values():
             record(f"Metrics/GaveWay{name}_PostiveCount",  # sic
-                   stats[f"gave_way_{name}_pos"], step, "last")
-            record(f"Metrics/GaveWay{name}_TotalCount",
-                   stats[f"gave_way_{name}_total"], step, "last")
+                   stats[pos], step, "last")
+            record(f"Metrics/GaveWay{name}_TotalCount", stats[total], step,
+                   "last")
 
 
 class RunDir:

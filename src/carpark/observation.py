@@ -224,11 +224,11 @@ def build_observation(
         for x, (code, bound, lo, _, _, f) in zip(raw, schema.plan,
                                                  strict=True):
             if code == _DISTANCE:
-                v = (bound if bound < x else x) / bound  # min(x, bound)
+                if bound < x:
+                    x = bound  # min(x, bound)
             elif code == _DELTA:
-                v = wrap_signed_index(x, gtheta) / bound
-            else:
-                v = x / bound
+                x = wrap_signed_index(x, gtheta)
+            v = x / bound
             if not lo <= v <= 1.0:
                 raise ValueError(f"{f.name}={v} outside [{lo}, 1.0]")
             out.append(v)

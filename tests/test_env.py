@@ -1,5 +1,5 @@
 """Environment tests: spawning, stepping, rewards, goal mechanics, give-way
-contexts, relocation, and the per-position caches."""
+contexts, relocation and observations."""
 
 import math
 import random
@@ -865,6 +865,31 @@ def test_observe_space_distances_carry_global_info():
     place(env, 1, 17.0, 7.5, 4, goal=None)
     obs = env.observe(0)
     assert obs[names.index(f"space{slot}-nearest-goal-agent")] == 1.0
+
+
+def test_observe_localizes_each_pair_once(monkeypatch):
+    """One observe localizes the own goal, every nearby car and every other
+    tracked space once: the tracked slot that holds the own goal reuses the
+    goal's pose."""
+    import carpark.env
+
+    env = dyn_env(seed=43)
+    sid = space_at(env, 17.0, 3.5)
+    place(env, 0, 17.0, 12.0, 4, goal=sid)
+    agent = env.agents[0]
+    slot = agent.tracker.slot_of(sid)
+    filled = [s for s in agent.tracker.slots if s is not None]
+    assert slot is not None and len(filled) > 1 and agent.nearby
+    calls = []
+    localize = carpark.env.localize
+    monkeypatch.setattr(carpark.env, "localize",
+                        lambda *args: calls.append(args) or localize(*args))
+    obs = env.observe(0)
+    assert len(calls) == 1 + len(agent.nearby) + (len(filled) - 1)
+    names = [f.name for f in env.schema.features]
+    sp = env.world.spaces[sid]
+    assert obs[names.index(f"space{slot}-distance")] == (
+        localize(agent.body, sp, env.grid).d / D_MAX)
 
 
 def test_basic_discrete_observation_roundtrip():

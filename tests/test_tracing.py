@@ -31,16 +31,25 @@ def test_unit_patches_every_target_and_restores_it(tracing_module):
         assert owner.__dict__[attr] is original, (owner, attr)
 
 
-# the observation, world, policy and metrics layers each traced workload
-# must reach; ring counts reach point_to_obb_distance for every nearby car
+# every per-layer span and count that each traced tiny unit reaches, so
+# that no BENCHMARK.json metric of a workload silently reads zero; ring
+# counts reach point_to_obb_distance for every nearby car
 OBSERVATION_LAYERS = ("env.observe", "observation.build_observation",
                       "geometry.localize")
 LAYERS = {
-    "env-dynamic8": OBSERVATION_LAYERS + ("env.global_info",
-                                          "world.point_to_obb_distance"),
-    "ppo-fixed4": OBSERVATION_LAYERS + ("ppo.rollout_forward",),
-    "q-basic": OBSERVATION_LAYERS + ("metrics.MetricStore.record",
-                                     "qlearning.q_update"),
+    "env-dynamic8": OBSERVATION_LAYERS + (
+        "env.global_info", "env.context_membership", "world.nearest_cars",
+        "world.nearest_free_spaces", "world.collides_static",
+        "world.point_to_obb_distance"),
+    "ppo-fixed4": OBSERVATION_LAYERS + (
+        "ppo.rollout_forward", "ppo.ppo_update", "ppo.gradients",
+        "ppo.adam_step", "ppo.gae"),
+    "q-basic": OBSERVATION_LAYERS + (
+        "metrics.MetricStore.record", "metrics.TrainingRecorder.after_step",
+        "qlearning.q_update", "qlearning.select_action",
+        "observation.encode_state"),
+    "export-tree": ("metrics.export_rows", "metrics.read_store",
+                    "metrics.model_row"),
 }
 
 
