@@ -286,11 +286,6 @@ def load_config(text: str) -> EnvironmentConfig:
     return config_from_mapping(yaml.safe_load(text))
 
 
-def load_config_file(path: str) -> EnvironmentConfig:
-    with open(path, encoding="utf-8") as f:
-        return load_config(f.read())
-
-
 def _warn_soft_constraints(cfg: EnvironmentConfig, num_spaces: int = 36) -> None:
     if cfg._numParkedCars >= num_spaces:
         warnings.warn(

@@ -237,6 +237,14 @@ class ParkingEnv:
         for car in self.world.all_cars():
             car.scale = scale
 
+    def require_obs_mode(self, mode: str, user: str) -> None:
+        """Reject an environment whose observation mode is not the one the
+        user (a trainer or an evaluator) needs."""
+        if self.obs_mode != mode:
+            fix = "set" if mode == "normalized" else "unset"
+            raise ValueError(f"{user} requires the {mode} observation mode; "
+                             f"{fix} _normalizeObs")
+
     def _absent_car_values(self) -> list:
         """The sentinels of an absent nearby-car slot: bound distance, zero
         angle, delta and velocity, and no goal (the bound pose triple with

@@ -7,10 +7,10 @@ size stay bounded regardless of run length. Closed buckets stream to a
 line-delimited JSON file as they close, which means a crashed job still
 leaves a readable store behind.
 
-Both trainers share the run plumbing here: ``RunDir`` opens a run
-directory (metadata, metric store, recorder) and ``finish`` closes it
-with the reward series and the run totals; ``evaluate_policy`` is the
-greedy evaluation loop behind ``evaluate_q`` and ``evaluate_ppo``.
+Both trainers share the run scaffold here: ``TrainingRun`` steps the
+environment for them, keeps the tick bookkeeping and the training
+boundary, and opens and finishes the run directory; ``evaluate_policy``
+is the greedy evaluation loop behind ``evaluate_q`` and ``evaluate_ppo``.
 
 The aggregation functions reduce a series over the evaluation period --
 every bucket at or past the period-start step -- and ``export_rows``
@@ -24,7 +24,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .env import GAVE_WAY_KEYS
 
@@ -386,46 +386,118 @@ class TrainingRecorder:
                    "last")
 
 
-class RunDir:
-    """One training run's output directory.
+class TrainingRun:
+    """The run scaffold both trainers share.
 
-    Opening it creates the directory, writes ``run.json`` with
-    ``finished`` False, and opens the metric store and its recorder;
-    ``finish`` writes the per-episode reward series, closes the store and
-    rewrites ``run.json`` as finished with the run totals. A run that
-    dies in between leaves its metadata marked unfinished.
+    ``step`` steps every agent once, counts the agent-steps (the step
+    axis), records the outcomes, collects each finished episode's reward
+    and logs a progress line every ``dump_interval`` episodes. The run
+    starts on the training hitboxes; ``end_training`` marks the training
+    boundary and switches to the true ones. The budget is
+    ``max_episodes`` episodes or ``max_steps`` agent-steps.
+
+    With an output directory, whose basename is the run id, the run
+    writes ``run.json`` unfinished when it opens; ``finish`` saves the
+    model, writes the reward series, closes the metric store and marks
+    ``run.json`` finished with the run totals.
     """
 
-    def __init__(self, out_dir: str, kind: str, env, *, seed, experiment,
-                 run_id: str | None = None,
-                 summary_freq: int = DEFAULT_SUMMARY_FREQ):
-        os.makedirs(out_dir, exist_ok=True)
-        if run_id is None:
-            run_id = os.path.basename(os.path.normpath(out_dir))
+    def __init__(self, kind: str, cfg, hyper, env, out_dir: str | None, *,
+                 seed, summary_freq: int = DEFAULT_SUMMARY_FREQ,
+                 max_episodes: int | None = None,
+                 max_steps: int | None = None, dump_interval: int = 0,
+                 log=None, rates=None):
+        self.env = env
+        self.n = len(env.agents)
+        self.max_episodes = max_episodes
+        self.max_steps = max_steps
+        self.dump_interval = (dump_interval if log is not None
+                              and dump_interval > 0 else 0)
+        self.log = log
+        self.rates = rates  # rates(step) -> the trainer's rate fields
+        self.steps = 0
+        self.rewards: list[float] = []  # per finished episode
+        self.boundary: int | None = None
+        env.set_car_scale(cfg.carScaleTrain)
         self.out_dir = out_dir
-        self._meta = {"kind": kind, "run_id": run_id, "seed": seed,
-                      "experiment": experiment}
+        self.store = self.recorder = None
+        if out_dir is None:
+            return
+        os.makedirs(out_dir, exist_ok=True)
+        experiment = {"trainer": kind,
+                      "environment_parameters": cfg.to_mapping(),
+                      "hyperparameters": asdict(hyper)}
+        self._meta = {"kind": kind,
+                      "run_id": os.path.basename(os.path.normpath(out_dir)),
+                      "seed": seed, "experiment": experiment}
         write_run_meta(out_dir, {**self._meta, "finished": False})
         self.store = MetricStore(self.path(STORE_BASENAME), summary_freq)
         self.recorder = TrainingRecorder(self.store, env)
 
+    @property
+    def episodes(self) -> int:
+        return len(self.rewards)
+
+    @property
+    def done(self) -> bool:
+        if self.max_steps is None:
+            return len(self.rewards) >= self.max_episodes
+        return self.steps >= self.max_steps
+
     def path(self, basename: str) -> str:
         return os.path.join(self.out_dir, basename)
 
-    def finish(self, rewards: list[float], **totals) -> None:
+    def step(self, actions) -> list:
+        """One tick of every agent; returns the step outcomes."""
+        outs = self.env.step_all(actions)
+        self.steps += self.n
+        if self.recorder is not None:
+            self.recorder.after_step(self.steps, outs)
+        rewards = self.rewards
+        for out in outs:
+            if out.terminal is not None:
+                rewards.append(out.events.episode_reward)
+                if (self.dump_interval
+                        and len(rewards) % self.dump_interval == 0):
+                    self._log_progress()
+        return outs
+
+    def _log_progress(self) -> None:
+        recent = self.rewards[-self.dump_interval:]
+        budget = (f"/{self.max_episodes}" if self.max_steps is None
+                  else f"  step {self.steps}/{self.max_steps}")
+        self.log(f"episode {len(self.rewards)}{budget}  mean reward "
+                 f"{sum(recent) / len(recent):.3f}  {self.rates(self.steps)}")
+
+    def end_training(self) -> None:
+        """Mark the training boundary at the current step, once, and switch
+        to the true hitboxes."""
+        if self.boundary is None:
+            self.boundary = self.steps
+            self.env.set_car_scale(1.0)
+
+    def finish(self, model, model_basename: str, **totals) -> None:
+        """Close the run; a run that never ended training has its boundary
+        at the last step."""
+        if self.boundary is None:
+            self.boundary = self.steps
+        if self.out_dir is None:
+            return
+        model.save(self.path(model_basename))
         with open(self.path(REWARDS_BASENAME), "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["episode", "reward"])
-            for episode, reward in enumerate(rewards):
+            for episode, reward in enumerate(self.rewards):
                 writer.writerow([episode, reward])
         self.store.close()
         write_run_meta(self.out_dir,
-                       {**self._meta, "finished": True, **totals})
+                       {**self._meta, "finished": True,
+                        "total_steps": self.steps,
+                        "train_boundary_step": self.boundary, **totals})
 
 
-def evaluate_policy(env, episodes: int, act,
-                    store: MetricStore | None = None) -> dict:
+def evaluate_policy(env, episodes: int, act) -> dict:
     """Greedy rollouts with no learning; returns outcome rates and the
     per-episode rewards.
 
@@ -437,7 +509,6 @@ def evaluate_policy(env, episodes: int, act,
         return {"episodes": 0, "park_rate": None, "crash_rate": None,
                 "halt_rate": None, "mean_reward": None,
                 "mean_length": None, "rewards": []}
-    recorder = TrainingRecorder(store, env) if store is not None else None
     before = dict(env.stats)
     n = len(env.agents)
     rewards: list[float] = []
@@ -446,8 +517,6 @@ def evaluate_policy(env, episodes: int, act,
     while len(rewards) < episodes:
         outs = env.step_all(act(gstep))
         gstep += n
-        if recorder is not None:
-            recorder.after_step(gstep, outs)
         for out in outs:
             if out.terminal is not None:
                 rewards.append(out.events.episode_reward)

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import EnvironmentConfig
 from .env import ActionTuple, ParkingEnv
-from .metrics import DEFAULT_SUMMARY_FREQ, MetricStore, RunDir, evaluate_policy
+from .metrics import DEFAULT_SUMMARY_FREQ, TrainingRun, evaluate_policy
 
 CHECKPOINT_VERSION = 1
 PPO_MODEL_BASENAME = "model.npz"
@@ -502,7 +502,6 @@ class PpoTrainResult:
     rewards: list[float]  # cumulative reward per finished episode
     total_steps: int
     train_boundary_step: int
-    out_dir: str | None
 
 
 def _check_params_dims(params: PolicyParams, env: ParkingEnv,
@@ -536,55 +535,42 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
               out_dir: str | None = None, *, env: ParkingEnv | None = None,
               params: PolicyParams | None = None, seed: int | None = None,
               summary_freq: int = DEFAULT_SUMMARY_FREQ,
-              dump_interval: int = 0, run_id: str | None = None,
-              experiment: dict | None = None, log=None) -> PpoTrainResult:
+              dump_interval: int = 0, log=None) -> PpoTrainResult:
     """Collect rollouts from all agents into one buffer and optimize a
     single shared policy for total_steps agent-steps.
 
-    With an output directory the run persists the checkpoint, the
-    per-episode reward series, the metric store, and run metadata
-    carrying the recorded training boundary.
+    The training boundary falls at the lr=0 cut. With an output directory
+    the run (a ``TrainingRun``) persists the checkpoint, the per-episode
+    reward series, the metric store, and run metadata carrying the
+    recorded training boundary.
     """
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
     if env is None:
         env = ParkingEnv(cfg, rng=rng)
-    if env.obs_mode != "normalized":
-        raise ValueError(
-            "policy-gradient training requires the normalized observation "
-            "mode; set _normalizeObs")
+    env.require_obs_mode("normalized", "policy-gradient training")
     obs_dim = len(env.observe(0))
     if params is None:
         params = PolicyParams(obs_dim, env.action_schema.branches,
                               hyper.hidden, hyper.layers, rng=np_rng)
     else:
         _check_params_dims(params, env, obs_dim)
-    # training hitboxes until the boundary, true ones for the lr=0 phase
-    env.set_car_scale(cfg.carScaleTrain)
 
-    if experiment is None:
-        experiment = {
-            "trainer": "ppo",
-            "environment_parameters": cfg.to_mapping(),
-            "hyperparameters": asdict(hyper),
-        }
-    run = None
-    recorder = None
-    if out_dir is not None:
-        run = RunDir(out_dir, "ppo", env, seed=seed, experiment=experiment,
-                     run_id=run_id, summary_freq=summary_freq)
-        recorder = run.recorder
+    def lr_at(step: int) -> float:
+        return lr_schedule(step, hyper.total_steps, hyper.lr,
+                           hyper.train_fraction)
 
-    n = len(env.agents)
+    run = TrainingRun(
+        "ppo", cfg, hyper, env, out_dir, seed=seed,
+        summary_freq=summary_freq, max_steps=hyper.total_steps,
+        dump_interval=dump_interval, log=log,
+        rates=lambda step: f"lr {lr_at(step):.2e}")
+    n = run.n
     offsets = env.action_schema.offsets
     buffer = RolloutBuffer(hyper.buffer, hyper.horizon)
     pending: list[dict] = [
         {"obs": [], "actions": [], "logp": [], "rewards": [], "values": [],
          "terminals": []} for _ in range(n)]
-    rewards: list[float] = []
-    episodes_done = 0
-    gstep = 0
-    boundary = None
     cut = hyper.train_fraction * hyper.total_steps
 
     def flush_segment(i: int, bootstrap: float) -> None:
@@ -595,7 +581,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
         for series in seg.values():
             series.clear()
 
-    while gstep < hyper.total_steps:
+    while not run.done:
         # one actor and one critic pass per tick; [:, None, :] multiplies
         # each agent's row as its own batch of one, which gives bit for bit
         # what a batch-1 call gives (one (n, d) product would not)
@@ -603,7 +589,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
                             dtype=np.float64)
         logps, _ = _actor_logps(params, step_obs[:, None, :])
         step_values, _ = _critic_values(params, step_obs[:, None, :])
-        _check_finite(f"for agent {{agent}} at step {gstep}", *logps,
+        _check_finite(f"for agent {{agent}} at step {run.steps}", *logps,
                       step_values)
         step_idx = []
         step_logp = []
@@ -614,13 +600,10 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
             step_idx.append(idx)
             step_logp.append(logp)
             acts.append(action)
-        outs = env.step_all(acts)
-        gstep += n
-        if boundary is None and gstep >= cut:
-            boundary = gstep
-            env.set_car_scale(1.0)
-        if recorder is not None:
-            recorder.after_step(gstep, outs)
+        outs = run.step(acts)
+        gstep = run.steps
+        if gstep >= cut:
+            run.end_training()
         for i, out in enumerate(outs):
             seg = pending[i]
             terminal = out.terminal is not None
@@ -632,15 +615,6 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
             seg["terminals"].append(terminal)
             if terminal:
                 flush_segment(i, 0.0)
-                episodes_done += 1
-                rewards.append(out.events.episode_reward)
-                if (log is not None and dump_interval > 0
-                        and episodes_done % dump_interval == 0):
-                    recent = rewards[-dump_interval:]
-                    log(f"episode {episodes_done}  step "
-                        f"{gstep}/{hyper.total_steps}  mean reward "
-                        f"{sum(recent) / len(recent):.3f}  lr "
-                        f"{lr_schedule(gstep, hyper.total_steps, hyper.lr, hyper.train_fraction):.2e}")
             elif len(seg["rewards"]) >= hyper.horizon:
                 x_next = np.asarray(env.observe(i), dtype=np.float64)
                 values, _ = _critic_values(params, x_next.reshape(1, -1))
@@ -648,36 +622,24 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
                               f"{gstep}", values)
                 flush_segment(i, float(values[0]))
         if buffer.full:
-            lr = lr_schedule(gstep, hyper.total_steps, hyper.lr,
-                             hyper.train_fraction)
-            diag = ppo_update(params, buffer, hyper, lr, np_rng)
-            if run is not None and diag["updates"]:
+            diag = ppo_update(params, buffer, hyper, lr_at(gstep), np_rng)
+            if run.store is not None and diag["updates"]:
                 record = run.store.record
                 record("Losses/Policy Loss", diag["policy_loss"], gstep)
                 record("Losses/Value Loss", diag["value_loss"], gstep)
                 record("Policy/Entropy", diag["entropy"], gstep)
 
     if buffer.size > 0:  # final flush of the leftover tail
-        lr = lr_schedule(gstep, hyper.total_steps, hyper.lr,
-                         hyper.train_fraction)
-        ppo_update(params, buffer, hyper, lr, np_rng)
-    if boundary is None:
-        boundary = gstep
-    result = PpoTrainResult(params, rewards, gstep, boundary, out_dir)
-    if run is not None:
-        params.save(run.path(PPO_MODEL_BASENAME))
-        run.finish(rewards, total_steps=gstep, total_episodes=episodes_done,
-                   train_boundary_step=boundary)
-    return result
+        ppo_update(params, buffer, hyper, lr_at(run.steps), np_rng)
+    run.finish(params, PPO_MODEL_BASENAME, total_episodes=run.episodes)
+    return PpoTrainResult(params, run.rewards, run.steps, run.boundary)
 
 
-def evaluate_ppo(params: PolicyParams, env: ParkingEnv, episodes: int,
-                 store: MetricStore | None = None) -> dict:
+def evaluate_ppo(params: PolicyParams, env: ParkingEnv,
+                 episodes: int) -> dict:
     """Greedy rollouts (argmax per branch, no learning); returns
     outcome rates and the per-episode rewards."""
-    if env.obs_mode != "normalized":
-        raise ValueError("policy evaluation requires the normalized "
-                         "observation mode; set _normalizeObs")
+    env.require_obs_mode("normalized", "policy evaluation")
     _check_params_dims(params, env, len(env.observe(0)))
     offsets = env.action_schema.offsets
     n = len(env.agents)
@@ -689,4 +651,4 @@ def evaluate_ppo(params: PolicyParams, env: ParkingEnv, episodes: int,
         best = np.stack([lp[:, 0].argmax(axis=1) for lp in logps], axis=1)
         return [ActionTuple(*row) for row in (best - offsets).tolist()]
 
-    return evaluate_policy(env, episodes, act, store)
+    return evaluate_policy(env, episodes, act)

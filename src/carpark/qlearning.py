@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import random
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import EnvironmentConfig
 from .env import ActionTuple, ParkingEnv
-from .metrics import DEFAULT_SUMMARY_FREQ, MetricStore, RunDir, evaluate_policy
+from .metrics import DEFAULT_SUMMARY_FREQ, TrainingRun, evaluate_policy
 from .observation import decode_action, encode_state
 
 QTABLE_MAGIC = b"QTBL"
@@ -197,14 +197,6 @@ class QTrainResult:
     rewards: list[float]  # cumulative reward per finished episode
     total_steps: int
     train_boundary_step: int
-    out_dir: str | None
-
-
-def _check_discrete(env: ParkingEnv) -> None:
-    if env.obs_mode != "discrete":
-        raise ValueError(
-            "tabular Q-learning requires the discrete observation mode; "
-            "unset _normalizeObs")
 
 
 def _check_table_dims(table: QTable, env: ParkingEnv) -> None:
@@ -227,57 +219,45 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
             out_dir: str | None = None, *, env: ParkingEnv | None = None,
             table: QTable | None = None, seed: int | None = None,
             summary_freq: int = DEFAULT_SUMMARY_FREQ, dump_interval: int = 0,
-            run_id: str | None = None, experiment: dict | None = None,
             log=None) -> QTrainResult:
     """Run the episode budget and return the trained table.
 
-    With an output directory the run also persists the model file, the
-    per-episode reward series, the metric store, and a metadata file
-    whose recorded training boundary the analysis stage reads back.
+    The training boundary falls where the training episodes are done.
+    With an output directory the run (a ``TrainingRun``) also persists
+    the model file, the per-episode reward series, the metric store, and
+    a metadata file whose recorded training boundary the analysis stage
+    reads back.
     """
     rng = random.Random(seed)
     if env is None:
         env = ParkingEnv(cfg, rng=rng)
-    _check_discrete(env)
+    env.require_obs_mode("discrete", "tabular Q-learning")
     if table is None:
         table = QTable(env.schema.discrete_dims(),
                        env.action_schema.branches)
     else:
         _check_table_dims(table, env)
 
-    if experiment is None:
-        experiment = {
-            "trainer": "q",
-            "environment_parameters": cfg.to_mapping(),
-            "hyperparameters": asdict(schedule),
-        }
-    run = None
-    recorder = None
-    if out_dir is not None:
-        run = RunDir(out_dir, "q", env, seed=seed, experiment=experiment,
-                     run_id=run_id, summary_freq=summary_freq)
-        recorder = run.recorder
-
-    total = schedule.total_episodes
-    n = len(env.agents)
+    run = TrainingRun(
+        "q", cfg, schedule, env, out_dir, seed=seed,
+        summary_freq=summary_freq, max_episodes=schedule.total_episodes,
+        dump_interval=dump_interval, log=log,
+        rates=lambda _step: f"eps {eps_t:.4f}  alpha {alpha_t:.4f}")
+    n = run.n
     dims = env.schema.discrete_dims()
     actions = _flat_actions(env)
     observe = env.observe
     cur: list[int | None] = [None] * n
-    episodes_done = 0
-    gstep = 0
-    boundary = 0 if schedule.train_episodes == 0 else None
-    # training hitboxes until the boundary, true ones for evaluation
-    env.set_car_scale(cfg.carScaleTrain if boundary is None else 1.0)
-    rewards: list[float] = []
+    if schedule.train_episodes == 0:
+        run.end_training()
 
     rates_at = None  # the episode count the rates below were taken at
-    while episodes_done < total:
-        if rates_at != episodes_done:
-            rates_at = episodes_done
-            if episodes_done < schedule.train_episodes:
-                eps_t = schedule.epsilon_at(episodes_done)
-                alpha_t = schedule.alpha_at(episodes_done)
+    while not run.done:
+        if rates_at != run.episodes:
+            rates_at = run.episodes
+            if rates_at < schedule.train_episodes:
+                eps_t = schedule.epsilon_at(rates_at)
+                alpha_t = schedule.alpha_at(rates_at)
             else:
                 eps_t = 0.0
                 alpha_t = 0.0
@@ -287,10 +267,7 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
             if cur[i] is None:
                 cur[i] = encode_state(dims, observe(i))
             flats.append(select_action(table, cur[i], eps_t, rng))
-        outs = env.step_all([actions[f] for f in flats])
-        gstep += n
-        if recorder is not None:
-            recorder.after_step(gstep, outs)
+        outs = run.step([actions[f] for f in flats])
         for i, out in enumerate(outs):
             if out.terminal is None:
                 s_next = encode_state(dims, observe(i))
@@ -303,35 +280,19 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
                 q_update(table, cur[i], flats[i], out.reward, None,
                          alpha_t, schedule.gamma)
             cur[i] = None
-            episodes_done += 1
-            rewards.append(out.events.episode_reward)
-            if boundary is None and episodes_done >= schedule.train_episodes:
-                boundary = gstep
-                env.set_car_scale(1.0)
-            if (log is not None and dump_interval > 0
-                    and episodes_done % dump_interval == 0):
-                recent = rewards[-dump_interval:]
-                log(f"episode {episodes_done}/{total}  "
-                    f"mean reward {sum(recent) / len(recent):.3f}  "
-                    f"eps {eps_t:.4f}  alpha {alpha_t:.4f}")
+        if run.episodes >= schedule.train_episodes:
+            run.end_training()
 
-    if boundary is None:
-        boundary = gstep
-    result = QTrainResult(table, rewards, gstep, boundary, out_dir)
-    if run is not None:
-        table.save(run.path(MODEL_BASENAME))
-        run.finish(rewards, total_steps=gstep, total_episodes=total,
-                   train_episodes=schedule.train_episodes,
-                   eval_episodes=schedule.eval_episodes,
-                   train_boundary_step=boundary)
-    return result
+    run.finish(table, MODEL_BASENAME, total_episodes=schedule.total_episodes,
+               train_episodes=schedule.train_episodes,
+               eval_episodes=schedule.eval_episodes)
+    return QTrainResult(table, run.rewards, run.steps, run.boundary)
 
 
-def evaluate_q(table: QTable, env: ParkingEnv, episodes: int,
-               store: MetricStore | None = None) -> dict:
+def evaluate_q(table: QTable, env: ParkingEnv, episodes: int) -> dict:
     """Greedy rollouts with no learning; returns outcome rates and the
     per-episode rewards."""
-    _check_discrete(env)
+    env.require_obs_mode("discrete", "tabular Q-learning")
     _check_table_dims(table, env)
     dims = env.schema.discrete_dims()
     actions = _flat_actions(env)
@@ -342,4 +303,4 @@ def evaluate_q(table: QTable, env: ParkingEnv, episodes: int,
         states = [encode_state(dims, env.observe(i)) for i in range(n)]
         return [actions[int(values[s].argmax())] for s in states]
 
-    return evaluate_policy(env, episodes, act, store)
+    return evaluate_policy(env, episodes, act)
