@@ -14,8 +14,6 @@ import re
 import warnings
 from dataclasses import dataclass, field, fields
 
-import yaml
-
 from .geometry import GridSpec
 from .world import RingSpec
 
@@ -283,6 +281,8 @@ def config_from_mapping(doc: dict) -> EnvironmentConfig:
 
 def load_config(text: str) -> EnvironmentConfig:
     """Parse a YAML/JSON document of environment parameters."""
+    import yaml  # here, so that importing the package does not load PyYAML
+
     return config_from_mapping(yaml.safe_load(text))
 
 

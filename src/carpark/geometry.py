@@ -93,12 +93,6 @@ def heading_vector(theta: int, grid: GridSpec) -> tuple[float, float]:
     return _trig_table(grid.theta_granularity)[theta % grid.theta_granularity]
 
 
-def angle_vector(theta_index_units: float, grid: GridSpec) -> tuple[float, float]:
-    """Unit vector for a real-valued angle given in rotation-index units."""
-    rad = math.radians(theta_index_units * grid.degrees_per_index)
-    return math.sin(rad), math.cos(rad)
-
-
 def wrap_signed_index(value: float, gtheta: int) -> float:
     """Wrap an index difference into (-Gtheta/2, Gtheta/2]."""
     w = value % gtheta
@@ -165,13 +159,3 @@ def localize(observer: Pose, target: Pose, grid: GridSpec) -> LocalPose:
         delta_theta -= gtheta
     return LocalPose(d, theta_rel, delta_theta)
 
-
-def local_offset(lp_d: float, angle_index_units: float, grid: GridSpec) -> tuple[float, float]:
-    sx, sy = angle_vector(angle_index_units, grid)
-    return lp_d * sx, lp_d * sy
-
-
-def reconstruct(observer: Pose, lp: LocalPose, grid: GridSpec) -> tuple[float, float]:
-    """Recover the target's world position from observer + LocalPose."""
-    dx, dy = local_offset(lp.d, lp.theta_rel + observer.theta, grid)
-    return observer.x + dx, observer.y + dy

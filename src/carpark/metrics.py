@@ -14,7 +14,10 @@ is the greedy evaluation loop behind ``evaluate_q`` and ``evaluate_ppo``.
 
 The aggregation functions reduce a series over the evaluation period --
 every bucket at or past the period-start step -- and ``export_rows``
-assembles one summary row per model directory from them.
+assembles one summary row per model directory from them. Each run
+directory is read in one pass: one read of ``run.json``, one of the
+store, decoded line by line. A file that does not parse raises
+``ValueError``, which ``export_rows`` turns into a skip warning.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ DEFAULT_SUMMARY_FREQ = 10_000
 STORE_BASENAME = "metrics.jsonl"
 META_BASENAME = "run.json"
 REWARDS_BASENAME = "rewards.csv"
+
+# one store line -> (record, end index); read_store rejects trailing data
+_decode = json.JSONDecoder().raw_decode
 
 # Conformity column ids, in export order. The recorded count paths are
 # "Metrics/<id>_PostiveCount" (sic) and "Metrics/<id>_TotalCount".
@@ -229,15 +235,28 @@ class MetricStore:
 
 
 def read_store(path: str) -> dict[str, MetricSeries]:
-    """Load a persisted store; buckets come back exactly as flushed."""
+    """Load a persisted store; buckets come back exactly as flushed.
+
+    The file is read whole, which is safe because a store holds one
+    point per closed window. Each line must hold one JSON object; any
+    other line, a mode switch or a step that does not increase raises
+    ``ValueError`` (``json.JSONDecodeError`` when undecodable) naming
+    ``path:line``.
+    """
     series: dict[str, MetricSeries] = {}
     freq = 0
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
+        text = fh.read()
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        rec, end = _decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{line_no}: not a JSON object")
+        try:
             if "format" in rec:
                 freq = int(rec.get("summary_freq", 0))
                 continue
@@ -254,6 +273,9 @@ def read_store(path: str) -> dict[str, MetricSeries]:
                 raise ValueError(
                     f"{path}:{line_no}: {key} bucket steps not increasing")
             s.points.append((step, float(rec["value"])))
+        except TypeError as e:  # a null step or value, a list as path ...
+            raise ValueError(
+                f"{path}:{line_no}: malformed record: {e}") from None
     return series
 
 
@@ -546,8 +568,13 @@ def write_run_meta(model_dir: str, meta: dict) -> str:
 
 
 def read_run_meta(model_dir: str) -> dict:
-    with open(os.path.join(model_dir, META_BASENAME), encoding="utf-8") as fh:
-        return json.load(fh)
+    path = os.path.join(model_dir, META_BASENAME)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    meta = json.loads(data.decode("utf-8"))  # a UTF-8 BOM still raises
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return meta
 
 
 def dig(mapping: dict, dotted_path: str):
@@ -565,11 +592,26 @@ def dig(mapping: dict, dotted_path: str):
 
 def discover_model_dirs(root: str) -> list[str]:
     """Directories under root holding a metric store, sorted for stable
-    row order."""
+    row order. Symlinked directories are not descended, as in os.walk."""
     found = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        if STORE_BASENAME in filenames:
-            found.append(dirpath)
+    stack = [root]
+    while stack:
+        top = stack.pop()
+        try:
+            with os.scandir(top) as it:
+                entries = list(it)
+        except OSError:
+            continue  # as os.walk: a missing or unreadable dir is skipped
+        for entry in entries:
+            try:
+                is_dir = entry.is_dir()
+            except OSError:
+                is_dir = False
+            if not is_dir:
+                if entry.name == STORE_BASENAME:
+                    found.append(top)
+            elif not entry.is_symlink():
+                stack.append(entry.path)
     return sorted(found)
 
 

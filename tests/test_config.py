@@ -1,5 +1,8 @@
 """Parameter schema parsing and validation."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -207,3 +210,24 @@ def test_round_trip_is_idempotent():
     cfg = config_from_mapping(doc)
     again = config_from_mapping(cfg.to_mapping())
     assert again == cfg
+
+
+def test_importing_the_package_leaves_yaml_unloaded():
+    """PyYAML loads only when load_config parses a document."""
+    code = (
+        "import sys\n"
+        "import carpark.env, carpark.qlearning, carpark.ppo, carpark.metrics\n"
+        "assert 'yaml' not in sys.modules, 'yaml imported with the package'\n"
+        "from carpark.config import load_config\n"
+        "cfg = load_config('_numAgents: 3\\n_obsDist: true\\n')\n"
+        "assert (cfg._numAgents, cfg._obsDist) == (3, True)\n"
+        "assert 'yaml' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

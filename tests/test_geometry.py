@@ -14,16 +14,35 @@ from carpark.geometry import (
     bearing_index_units,
     clamp_velocity,
     heading_vector,
-    local_offset,
     localize,
     motion_step,
-    reconstruct,
     round_half_up,
     wrap_signed_index,
 )
 from carpark.observation import build_observation, build_schema
 
 G8 = GridSpec(theta_granularity=8, position_granularity=0)
+
+
+# The inverse of localize, kept here as its oracle: localize encodes a
+# target relative to an observer, and these recover the target from it.
+
+
+def angle_vector(theta_index_units: float, grid: GridSpec) -> tuple[float, float]:
+    """Unit vector for a real-valued angle given in rotation-index units."""
+    rad = math.radians(theta_index_units * grid.degrees_per_index)
+    return math.sin(rad), math.cos(rad)
+
+
+def local_offset(lp_d: float, angle_index_units: float, grid: GridSpec) -> tuple[float, float]:
+    sx, sy = angle_vector(angle_index_units, grid)
+    return lp_d * sx, lp_d * sy
+
+
+def reconstruct(observer: Pose, lp: LocalPose, grid: GridSpec) -> tuple[float, float]:
+    """Recover the target's world position from observer + LocalPose."""
+    dx, dy = local_offset(lp.d, lp.theta_rel + observer.theta, grid)
+    return observer.x + dx, observer.y + dy
 
 
 def random_grid_pose(rng: random.Random, grid: GridSpec) -> Pose:

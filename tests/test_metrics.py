@@ -7,6 +7,7 @@ import math
 import os
 import random
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from carpark.metrics import (
     mean_metric_period,
     model_row,
     per_eps,
+    read_run_meta,
     read_store,
     write_run_meta,
 )
@@ -220,6 +222,239 @@ def test_read_store_rejects_corrupt_order(tmp_path):
         read_store(str(path))
 
 
+# ------------------------------------------------------- reading the files
+
+
+def reference_read_store(path):
+    """The line-by-line reader: one json.loads per line of a text-mode
+    file, so read_store has to agree with it on every store."""
+    out: dict[str, MetricSeries] = {}
+    freq = 0
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            if "format" in rec:
+                freq = int(rec.get("summary_freq", 0))
+                continue
+            key = rec["path"]
+            s = out.get(key)
+            if s is None:
+                s = out[key] = MetricSeries(key, rec["mode"], freq)
+            elif s.mode != rec["mode"]:
+                raise ValueError(
+                    f"{path}:{line_no}: {key} switches mode "
+                    f"{s.mode!r} -> {rec['mode']!r}")
+            step = int(rec["step"])
+            if s.points and step <= s.points[-1][0]:
+                raise ValueError(
+                    f"{path}:{line_no}: {key} bucket steps not increasing")
+            s.points.append((step, float(rec["value"])))
+    return out
+
+
+HEADER = {"format": "carpark-metrics", "version": 1, "summary_freq": 10}
+
+
+def rec_line(path, step, value, mode="mean"):
+    return json.dumps({"path": path, "step": step, "value": value,
+                       "mode": mode})
+
+
+def write_store_bytes(tmp_path, data: bytes):
+    path = tmp_path / "metrics.jsonl"
+    path.write_bytes(data)
+    return str(path)
+
+
+def test_read_store_skips_blank_whitespace_and_crlf_lines(tmp_path):
+    lines = ["", json.dumps(HEADER), "   ", rec_line("a", 10, 1.5), "\t",
+             rec_line("a", 20, 2.5), "", rec_line("b", 20, 3.0, "sum"), ""]
+    for newline in ("\n", "\r\n", "\r"):
+        path = write_store_bytes(tmp_path, newline.join(lines).encode())
+        back = read_store(path)
+        assert back == {
+            "a": MetricSeries("a", "mean", 10, [(10, 1.5), (20, 2.5)]),
+            "b": MetricSeries("b", "sum", 10, [(20, 3.0)]),
+        }
+        assert back == reference_read_store(path)
+
+
+def test_read_store_without_header_has_summary_freq_zero(tmp_path):
+    path = write_store_bytes(tmp_path, (rec_line("a", 5, 1.0) + "\n").encode())
+    assert read_store(path) == {"a": MetricSeries("a", "mean", 0, [(5, 1.0)])}
+
+
+def test_read_store_reports_line_of_step_and_mode_errors(tmp_path):
+    body = "\n".join([json.dumps(HEADER), "", rec_line("a", 10, 1.0),
+                      rec_line("a", 20, 1.0, "sum")])
+    path = write_store_bytes(tmp_path, body.encode())
+    with pytest.raises(ValueError, match=r"metrics\.jsonl:4: a switches mode"):
+        read_store(path)
+    body = "\n".join([rec_line("a", 10, 1.0), "  ", rec_line("a", 10, 1.0)])
+    path = write_store_bytes(tmp_path, body.encode())
+    with pytest.raises(ValueError, match=r"metrics\.jsonl:3: a bucket steps"):
+        read_store(path)
+
+
+UNDECODABLE_STORES = {
+    "truncated last line": (json.dumps(HEADER) + "\n"
+                            + rec_line("a", 10, 1.0)[:-3]).encode(),
+    "two records on one line": (rec_line("a", 10, 1.0) + " "
+                                + rec_line("a", 20, 1.0) + "\n").encode(),
+    "one record over two lines": (rec_line("a", 10, 1.0) + "\n"
+                                  + '{"path": "a", "step": 20,\n'
+                                  + '"value": 1.0, "mode": "mean"}\n').encode(),
+    "leading UTF-8 BOM": b"\xef\xbb\xbf" + (json.dumps(HEADER) + "\n").encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_STORES))
+def test_read_store_rejects_undecodable_lines(tmp_path, case):
+    path = write_store_bytes(tmp_path, UNDECODABLE_STORES[case])
+    with pytest.raises(json.JSONDecodeError):
+        read_store(path)
+    with pytest.raises(json.JSONDecodeError):
+        reference_read_store(path)
+
+
+UNDECODABLE_METAS = {
+    "leading UTF-8 BOM": b"\xef\xbb\xbf" + json.dumps({"run_id": "x"}).encode(),
+    "truncated": json.dumps({"run_id": "x", "total_steps": 10}).encode()[:-4],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_METAS))
+def test_read_run_meta_rejects_undecodable_file(tmp_path, case):
+    (tmp_path / "run.json").write_bytes(UNDECODABLE_METAS[case])
+    with pytest.raises(json.JSONDecodeError):
+        read_run_meta(str(tmp_path))
+
+
+def export_with_one_bad_dir(tmp_path, bad_store=None, bad_meta=None):
+    """Export a good model dir beside one whose store or run.json holds
+    the given bytes; returns the exported rows and the skip warnings."""
+    synthetic_model_dir(tmp_path, "good")
+    bad = synthetic_model_dir(tmp_path, "bad")
+    if bad_store is not None:
+        (bad / "metrics.jsonl").write_bytes(bad_store)
+    if bad_meta is not None:
+        (bad / "run.json").write_bytes(bad_meta)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = export_rows(discover_model_dirs(str(tmp_path)),
+                           str(tmp_path / "rows.csv"))
+    skipped = [str(w.message) for w in caught
+               if "skipping model dir" in str(w.message)]
+    return rows, skipped
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_STORES))
+def test_export_rows_skips_undecodable_store(tmp_path, case):
+    rows, skipped = export_with_one_bad_dir(
+        tmp_path, bad_store=UNDECODABLE_STORES[case])
+    assert [r["Model"] for r in rows] == ["good"]
+    assert len(skipped) == 1 and os.sep + "bad:" in skipped[0]
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_METAS))
+def test_export_rows_skips_undecodable_run_meta(tmp_path, case):
+    rows, skipped = export_with_one_bad_dir(
+        tmp_path, bad_meta=UNDECODABLE_METAS[case])
+    assert [r["Model"] for r in rows] == ["good"]
+    assert len(skipped) == 1 and os.sep + "bad:" in skipped[0]
+
+
+MALFORMED_STORE_LINES = {
+    "list": "[1, 2]",
+    "number": "3",
+    "null": "null",
+    "string": '"format"',
+    "null step": '{"path": "a", "step": null, "value": 1.0, "mode": "mean"}',
+    "null value": '{"path": "a", "step": 20, "value": null, "mode": "mean"}',
+    "list as path": '{"path": [1], "step": 20, "value": 1.0, "mode": "mean"}',
+    "null summary_freq": '{"format": "carpark-metrics", "summary_freq": null}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STORE_LINES))
+def test_read_store_rejects_malformed_record_with_its_line(tmp_path, case):
+    body = "\n".join([json.dumps(HEADER), rec_line("a", 10, 1.0),
+                      MALFORMED_STORE_LINES[case]])
+    path = write_store_bytes(tmp_path, body.encode())
+    with pytest.raises(ValueError, match=r"metrics\.jsonl:3: ") as info:
+        read_store(path)
+    assert not isinstance(info.value, json.JSONDecodeError)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STORE_LINES))
+def test_export_rows_skips_malformed_store(tmp_path, case):
+    bad_store = (rec_line("a", 10, 1.0) + "\n" + MALFORMED_STORE_LINES[case]
+                 + "\n").encode()
+    rows, skipped = export_with_one_bad_dir(tmp_path, bad_store=bad_store)
+    assert [r["Model"] for r in rows] == ["good"]
+    assert len(skipped) == 1 and "metrics.jsonl:2: " in skipped[0]
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", '"run"'])
+def test_run_meta_that_is_not_an_object_is_skipped(tmp_path, doc):
+    rows, skipped = export_with_one_bad_dir(tmp_path, bad_meta=doc.encode())
+    assert [r["Model"] for r in rows] == ["good"]
+    assert len(skipped) == 1 and "run.json: not a JSON object" in skipped[0]
+    with pytest.raises(ValueError, match=r"run\.json: not a JSON object"):
+        read_run_meta(str(tmp_path / "bad"))
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1.0 / 3.0)
+
+
+@st.composite
+def store_texts(draw):
+    """A store's lines as the recorder writes them or close to it: an
+    optional header, non-ASCII series paths in every mode, increasing
+    steps per series, edge-case floats, either JSON escaping of non-ASCII
+    text, blank and padded lines and any of the three newlines."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(json.dumps(
+            {**HEADER, "summary_freq": draw(st.integers(1, 10_000))}))
+    names = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1,
+                          max_size=4, unique=True))
+    modes = {name: draw(st.sampled_from(MODES)) for name in names}
+    steps = dict.fromkeys(names, -1)
+    ensure_ascii = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 30))):
+        name = draw(st.sampled_from(names))
+        steps[name] += draw(st.integers(1, 20_000))
+        value = draw(st.one_of(st.sampled_from(EDGE_FLOATS),
+                               st.floats(allow_nan=False,
+                                         allow_infinity=False)))
+        line = json.dumps({"path": name, "step": steps[name], "value": value,
+                           "mode": modes[name]}, ensure_ascii=ensure_ascii)
+        pad = draw(st.sampled_from(["", " ", "\t", "  "]))
+        lines.append(pad + line + pad)
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(store_texts())
+def test_read_store_matches_line_by_line_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "metrics.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        got, want = read_store(path), reference_read_store(path)
+    assert got == want
+    # repr tells -0.0 from 0.0 and shows every float's exact round trip
+    assert repr(got) == repr(want)
+
+
 # -------------------------------------------------------------- aggregation
 
 
@@ -404,6 +639,60 @@ def test_export_rows_deterministic_bytes(tmp_path):
     export_rows(dirs, str(out1))
     export_rows(dirs, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def reference_discover(root):
+    """The os.walk discovery: every directory whose files include a store,
+    symlinked directories not descended."""
+    return sorted(dirpath for dirpath, _dirs, files in os.walk(root)
+                  if "metrics.jsonl" in files)
+
+
+def make_tree(root, store_dirs, empty_dirs=()):
+    for rel in store_dirs:
+        d = os.path.join(root, rel)
+        os.makedirs(d, exist_ok=True)
+        with open(os.path.join(d, "metrics.jsonl"), "w") as fh:
+            fh.write("")
+    for rel in empty_dirs:
+        os.makedirs(os.path.join(root, rel), exist_ok=True)
+
+
+def test_discover_nested_groups_sorted(tmp_path):
+    # created out of order, and one group nests inside a run directory
+    make_tree(str(tmp_path), ["q/q-02", "ppo/b", "q/q-00", "ppo/a/inner",
+                              "ppo/a", "z", "q/q-01/x/y"],
+              empty_dirs=["q/empty", "ppo/a/none"])
+    (tmp_path / "q" / "notes.txt").write_text("")
+    got = discover_model_dirs(str(tmp_path))
+    assert got == reference_discover(str(tmp_path))
+    assert got == sorted(got)
+    assert got == [os.path.join(str(tmp_path), rel) for rel in
+                   ("ppo/a", "ppo/a/inner", "ppo/b", "q/q-00",
+                    "q/q-01/x/y", "q/q-02", "z")]
+
+
+def test_discover_root_holding_a_store(tmp_path):
+    make_tree(str(tmp_path), ["", "sub"])
+    for root in (str(tmp_path), str(tmp_path) + os.sep):
+        got = discover_model_dirs(root)
+        assert got == reference_discover(root)
+        assert len(got) == 2
+
+
+def test_discover_does_not_descend_symlinked_dirs(tmp_path):
+    make_tree(str(tmp_path), ["real/run", "outside/run"])
+    os.symlink(tmp_path / "outside", tmp_path / "real" / "link")
+    os.symlink(tmp_path / "outside" / "run", tmp_path / "real" / "run-link")
+    root = str(tmp_path / "real")
+    got = discover_model_dirs(root)
+    assert got == reference_discover(root)
+    assert got == [os.path.join(root, "run")]
+
+
+def test_discover_missing_root(tmp_path):
+    missing = str(tmp_path / "nope")
+    assert discover_model_dirs(missing) == reference_discover(missing) == []
 
 
 # ----------------------------------------------------------------- recorder
