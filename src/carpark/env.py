@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .config import EnvironmentConfig, max_world_distance
 from .geometry import (
     GridSpec,
-    LocalPose,
     bearing_index_units,
     clamp_velocity,
     heading_vector,
@@ -100,8 +100,11 @@ class ActionTuple:
     delta_g: int | None = None
 
 
-@dataclass(slots=True)
 class StepEvents:
+    """What happened to one agent in one tick. Every field has its
+    default on the class, so a fresh instance runs no __init__; setting a
+    field sets it on that instance alone."""
+
     crash_kind: str | None = None  # agent-car | parked-car | wall
     parked: bool = False
     halted: bool = False
@@ -148,9 +151,9 @@ class AgentState:
     steps_toward_space_exploring: int = 0
 
 
-def _pose_values(lp: LocalPose | None, bound: float) -> tuple:
-    """Distance, angle and rotation delta of a seen target, or the sentinel
-    for an unseen one: the bound distance with zero angle and delta."""
+def _pose_values(lp: tuple | None, bound: float) -> tuple:
+    """The triple (d, theta_rel, delta_theta) of a seen target as localize
+    gives it, or the sentinel for an unseen one: (bound, 0.0, 0.0)."""
     return (bound, 0.0, 0.0) if lp is None else lp
 
 
@@ -532,13 +535,10 @@ class ParkingEnv:
         n_space = cfg._obsNearbyParkingSpotsCount
         goal_sid = agent.goal_space
         goal = (localize(body, spaces[goal_sid], grid)
-                if goal_sid is not None else None)
-        raw: list = [agent.v]
-        for value, on in zip(_pose_values(goal, d_max),
-                             (cfg._obsDist, cfg._obsAngle,
-                              cfg._obsGoalDeltaPose)):
-            if on:
-                raw.append(value)
+                if goal_sid is not None else _pose_values(None, d_max))
+        raw: list = [agent.v,
+                     *compress(goal, (cfg._obsDist, cfg._obsAngle,
+                                      cfg._obsGoalDeltaPose))]
         if cfg._dynamicGoals:
             slot = tracker.slot_of(goal_sid) if goal_sid is not None else None
             raw.append(slot + 1 if slot is not None else 0)
@@ -744,7 +744,8 @@ class ParkingEnv:
                     self.stats["lost_goal"] += 1
             # movement bookkeeping covers terminal steps too
             if agent.goal_space is not None:
-                new_d = self._goal_distance(agent)
+                sp = spaces[agent.goal_space]  # self._goal_distance, inlined
+                new_d = math.hypot(sp.x - body.x, sp.y - body.y)
                 moved = agent.prev_goal_distance - new_d
                 agent.prev_goal_distance = new_d
                 if moved > 0:
@@ -768,12 +769,12 @@ class ParkingEnv:
                 rewards[i] += self._park_reward(agent)
                 terminal = "parked"
             else:
-                rewards[i] += self._dense_reward(i, actions[i], ev)
+                rewards[i] += self._dense_reward(agent, actions[i], ev)
                 if agent.episode_step >= tau:
                     ev.halted = True
                     terminal = "timeout"
-            ev.exploring = agent.goal_space is None and dynamic
-            if ev.exploring:
+            if dynamic and agent.goal_space is None:
+                ev.exploring = True
                 agent.steps_exploring += 1
             agent.episode_reward += rewards[i]
             if terminal:
@@ -846,10 +847,9 @@ class ParkingEnv:
                 return False
         return True
 
-    def _dense_reward(self, agent_i: int, action: ActionTuple,
+    def _dense_reward(self, agent: AgentState, action: ActionTuple,
                       ev: StepEvents) -> float:
         cfg = self.cfg
-        agent = self.agents[agent_i]
         tau = cfg._maxSteps
         reward = -cfg.rewTimeSum / tau
         if agent.goal_space is not None and ev.moved_toward_goal:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,30 +49,6 @@ class GridSpec:
         return math.floor(x * s + 0.5) / s, math.floor(y * s + 0.5) / s
 
 
-class Pose(NamedTuple):
-    """World position plus heading index."""
-
-    x: float
-    y: float
-    theta: int
-
-
-class LocalPose(NamedTuple):
-    """Pose of a target relative to an observer, as the triple an
-    observation takes in this order.
-
-    d is the center distance in world units. theta_rel is the bearing of
-    the target from the observer's facing direction, in (real-valued)
-    rotation-index units wrapped to [0, Gtheta). delta_theta is observer
-    heading minus target heading, wrapped to (-Gtheta/2, Gtheta/2]; it is
-    integer-valued whenever both headings are plain indices.
-    """
-
-    d: float
-    theta_rel: float
-    delta_theta: float
-
-
 @lru_cache(maxsize=None)
 def _trig_table(gtheta: int) -> tuple[tuple[float, float], ...]:
     """(sin, cos) per rotation index, exact on the quadrant indices."""
@@ -105,9 +80,14 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def motion_step(pose: Pose, v: int, omega: int, grid: GridSpec) -> Pose:
+def motion_step(pose, v: int, omega: int,
+                grid: GridSpec) -> tuple[float, float, int]:
     """Advance one time-step: rotate first, then translate along the new
-    heading by v/Gv world units, then snap to the divided grid."""
+    heading by v/Gv world units, then snap to the divided grid.
+
+    pose is anything with x, y and theta (a car body); the result is the
+    plain triple (x, y, theta) of the new pose.
+    """
     gtheta = grid.theta_granularity
     theta = (pose.theta + omega) % gtheta
     x, y = pose.x, pose.y
@@ -115,8 +95,10 @@ def motion_step(pose: Pose, v: int, omega: int, grid: GridSpec) -> Pose:
         s, c = _trig_table(gtheta)[theta]
         d = v / grid.velocity_granularity
         x, y = x + d * s, y + d * c
-    x, y = grid.snap(x, y)
-    return Pose(x, y, theta)
+    # grid.snap inlined, operation for operation
+    scale = float(1 << grid.position_granularity)
+    return (math.floor(x * scale + 0.5) / scale,
+            math.floor(y * scale + 0.5) / scale, theta)
 
 
 def clamp_velocity(v: int, a: int, vmax_fwd: int, vmax_rev: int) -> int:
@@ -135,12 +117,18 @@ def bearing_index_units(dx: float, dy: float, grid: GridSpec) -> float:
     return (deg / grid.degrees_per_index) % grid.theta_granularity
 
 
-def localize(observer: Pose, target: Pose, grid: GridSpec) -> LocalPose:
-    """Encode the target's pose relative to the observer.
+def localize(observer, target, grid: GridSpec) -> tuple[float, float, float]:
+    """Encode the target's pose relative to the observer as the plain
+    triple (d, theta_rel, delta_theta), the order an observation takes.
 
-    A coincident target has bearing 0 by convention. delta_theta is
-    observer.theta - target.theta (signed, wrapped), so the triple is
-    invariant under a joint translation or joint rotation of both poses.
+    Both poses are anything with x, y and theta. d is the center distance
+    in world units. theta_rel is the bearing of the target from the
+    observer's facing direction, in (real-valued) rotation-index units
+    wrapped to [0, Gtheta); a coincident target has bearing 0 by
+    convention. delta_theta is observer.theta - target.theta wrapped to
+    (-Gtheta/2, Gtheta/2]; it is integer-valued whenever both headings are
+    plain indices. The triple is invariant under a joint translation or
+    joint rotation of both poses.
     """
     dx = target.x - observer.x
     dy = target.y - observer.y
@@ -157,5 +145,4 @@ def localize(observer: Pose, target: Pose, grid: GridSpec) -> LocalPose:
     delta_theta = (theta - target.theta) % gtheta
     if delta_theta > gtheta / 2:
         delta_theta -= gtheta
-    return LocalPose(d, theta_rel, delta_theta)
-
+    return d, theta_rel, delta_theta

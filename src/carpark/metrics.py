@@ -119,15 +119,14 @@ class MetricSeries:
 
 
 class _SeriesState:
-    __slots__ = ("mode", "last_step", "window_end", "dirty", "count",
-                 "total", "cum", "last", "points")
+    __slots__ = ("mode", "last_step", "window_end", "count", "total",
+                 "cum", "last", "points")
 
     def __init__(self, mode: str):
         self.mode = mode
-        self.last_step = -1
+        self.last_step = 0  # so that the regression check rejects step < 0
         self.window_end = -1  # end step of the open window; -1 before any
-        self.dirty = False
-        self.count = 0
+        self.count = 0  # points in the open window; 0 means nothing to flush
         self.total = 0.0
         self.cum = 0.0  # survives window closes: running-sum semantics
         self.last = 0.0
@@ -172,7 +171,7 @@ class MetricStore:
         elif mode != st.mode:
             raise ValueError(
                 f"{path} records in {st.mode!r} mode, got {mode!r}")
-        if step < 0 or step < st.last_step:
+        if step < st.last_step:
             raise ValueError(
                 f"step regression on {path}: {step} after {st.last_step}")
         value = float(value)
@@ -184,17 +183,16 @@ class MetricStore:
             freq = self.summary_freq
             st.window_end = ((step + freq - 1) // freq) * freq
         st.last_step = step
-        if st.mode == "mean":
+        if mode == "mean":
             st.total += value
-            st.count += 1
-        elif st.mode == "sum":
+        elif mode == "sum":
             st.cum += value
         else:
             st.last = value
-        st.dirty = True
+        st.count += 1
 
     def _close_window(self, path: str, st: _SeriesState, at_step: int) -> None:
-        if not st.dirty:
+        if not st.count:
             return
         if st.mode == "mean":
             value = st.total / st.count
@@ -209,13 +207,12 @@ class MetricStore:
                  "mode": st.mode}) + "\n")
         st.total = 0.0
         st.count = 0
-        st.dirty = False
 
     def close(self) -> None:
         if self._closed:
             return
         for path, st in self._states.items():
-            if st.dirty:
+            if st.count:
                 # partial window: flush at the data's actual extent
                 at = min(st.window_end, st.last_step)
                 self._close_window(path, st, at)
@@ -439,6 +436,10 @@ class TrainingRun:
         self.rates = rates  # rates(step) -> the trainer's rate fields
         self.steps = 0
         self.rewards: list[float] = []  # per finished episode
+        self.episodes = 0  # len(self.rewards)
+        # whether the budget is spent; a plain attribute, as trainers read
+        # it every tick
+        self.done = (max_episodes if max_steps is None else max_steps) <= 0
         self.boundary: int | None = None
         env.set_car_scale(cfg.carScaleTrain)
         self.out_dir = out_dir
@@ -456,16 +457,6 @@ class TrainingRun:
         self.store = MetricStore(self.path(STORE_BASENAME), summary_freq)
         self.recorder = TrainingRecorder(self.store, env)
 
-    @property
-    def episodes(self) -> int:
-        return len(self.rewards)
-
-    @property
-    def done(self) -> bool:
-        if self.max_steps is None:
-            return len(self.rewards) >= self.max_episodes
-        return self.steps >= self.max_steps
-
     def path(self, basename: str) -> str:
         return os.path.join(self.out_dir, basename)
 
@@ -482,6 +473,9 @@ class TrainingRun:
                 if (self.dump_interval
                         and len(rewards) % self.dump_interval == 0):
                     self._log_progress()
+        self.episodes = episodes = len(rewards)
+        self.done = (episodes >= self.max_episodes if self.max_steps is None
+                     else self.steps >= self.max_steps)
         return outs
 
     def _log_progress(self) -> None:
@@ -620,11 +614,18 @@ def model_row(model_dir: str, period_start: int | None = None,
     """Aggregate one model directory into a summary-row mapping.
 
     The evaluation period starts at the run's recorded training
-    boundary when the metadata has one, else at period_start. Absent
+    boundary when the metadata has one, else at period_start. A recorded
+    step count that is not an integer raises ``ValueError``. Absent
     aggregates stay None and export as empty cells.
     """
     meta = read_run_meta(model_dir)
     series = read_store(os.path.join(model_dir, STORE_BASENAME))
+    for key in ("total_steps", "train_boundary_step"):
+        value = meta.get(key)
+        if value is not None and (type(value) is bool
+                                  or not isinstance(value, int)):
+            raise ValueError(f"{model_dir}: {key} {value!r} in "
+                             f"{META_BASENAME} is not an integer")
     boundary = meta.get("train_boundary_step")
     if boundary is None:
         boundary = period_start

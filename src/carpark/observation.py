@@ -47,6 +47,7 @@ track. Ring history an episode has not reached yet reads as zero counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -236,16 +237,17 @@ def build_observation(
     if mode != "discrete":
         raise ValueError(f"unknown observation mode {mode!r}")
     dist_gran = cfg._distGranularity
+    floor = math.floor  # round_half_up(x) is floor(x + 0.5), inlined
     for x, (code, _, _, size, offset, f) in zip(raw, schema.plan,
                                                 strict=True):
         if size is None:
             _discrete_size(f)  # raises: the feature is continuous-only
         if code == _DISTANCE:
-            iv = round_half_up(x / dist_gran)
+            iv = floor(x / dist_gran + 0.5)
         elif code == _LINEAR:
             iv = int(x + offset)
         else:
-            iv = round_half_up(x) % gtheta
+            iv = floor(x + 0.5) % gtheta
         if not 0 <= iv < size:
             raise ValueError(
                 f"{f.name}={iv} outside its domain of {size} values")
@@ -256,23 +258,9 @@ def build_observation(
 # ---------------------------------------------------------- action encoding
 
 
-def encode_action(schema: ActionSchema, values: tuple[int, ...]) -> int:
-    """Row-major flattening; the first branch is the most significant."""
-    if len(values) != len(schema.branches):
-        raise ValueError(
-            f"expected {len(schema.branches)} action components, "
-            f"got {len(values)}"
-        )
-    flat = 0
-    for value, size, offset in zip(values, schema.branches, schema.offsets):
-        idx = value + offset
-        if not 0 <= idx < size:
-            raise ValueError(f"action component {value} outside its branch")
-        flat = flat * size + idx
-    return flat
-
-
 def decode_action(schema: ActionSchema, flat: int) -> tuple[int, ...]:
+    """Action components of a flat action index, row-major: the first
+    branch is the most significant."""
     if not 0 <= flat < schema.flat_size:
         raise ValueError(f"flat action {flat} outside {schema.flat_size}")
     out = []

@@ -222,20 +222,6 @@ def _critic_values(params: PolicyParams, x: np.ndarray):
     return values, acts
 
 
-def forward(params: PolicyParams, observation) -> tuple[list[np.ndarray], float]:
-    """Distribution per action branch and the state value for a single
-    observation vector."""
-    x = np.asarray(observation, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != params.obs_dim:
-        raise ValueError(
-            f"observation has {x.shape[1]} features, the policy expects "
-            f"{params.obs_dim}")
-    logps, _ = _actor_logps(params, x)
-    values, _ = _critic_values(params, x)
-    _check_finite("in policy forward", *logps, values)
-    return [np.exp(lp[0]) for lp in logps], float(values[0])
-
-
 def _check_finite(where: str, *outputs: np.ndarray) -> None:
     """Raise FloatingPointError unless every log-prob and value array
     is finite. A NaN or infinite weight makes whole log-prob rows NaN,

@@ -500,7 +500,9 @@ class WorldState:
             # a corner can only reach an edge within the circumradius (plus
             # REACH_SLACK for rounding in the corners) of it
             e = self._edge
-            r = body.circumradius() + REACH_SLACK
+            # body.circumradius(), inlined: this runs once per agent-step
+            r = (math.hypot(body.half_width, body.half_length) * body.scale
+                 + REACH_SLACK)
             if not (r < body.x < e - r and r < body.y < e - r):
                 for x, y in obb_corners(body, self.grid):
                     if x <= 0.0 or x >= e or y <= 0.0 or y >= e:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from carpark.config import EnvironmentConfig, config_from_mapping, max_world_distance
-from carpark.env import ActionTuple, ParkingEnv
+from carpark.env import ActionTuple, ParkingEnv, StepEvents
 from carpark.geometry import GridSpec, bearing_index_units, round_half_up
 from carpark.world import WorldArrays, obb_intersects
 
@@ -867,6 +867,35 @@ def test_observe_space_distances_carry_global_info():
     assert obs[names.index(f"space{slot}-nearest-goal-agent")] == 1.0
 
 
+STEP_EVENT_DEFAULTS = {
+    "crash_kind": None, "parked": False, "halted": False, "lost_goal": False,
+    "transition": None, "transition_reward": 0.0, "gave_way": None,
+    "velocity": 0, "omega": 0, "exploring": False, "moved_toward_goal": 0,
+    "park_velocity": None, "episode_steps": 0, "episode_reward": 0.0,
+    "ratio_explore": None, "ratio_toward_goal": None,
+    "ratio_toward_space_exploring": None,
+}
+
+
+def test_step_events_defaults_are_per_instance():
+    """A fresh StepEvents reads every documented default; a field set on
+    one instance changes neither another instance nor the class."""
+    assert set(StepEvents.__annotations__) == set(STEP_EVENT_DEFAULTS)
+
+    def values(obj):
+        return {k: (type(getattr(obj, k)), getattr(obj, k))
+                for k in STEP_EVENT_DEFAULTS}
+
+    want = {k: (type(v), v) for k, v in STEP_EVENT_DEFAULTS.items()}
+    a, b = StepEvents(), StepEvents()
+    assert values(a) == values(b) == values(StepEvents) == want
+    for k in STEP_EVENT_DEFAULTS:
+        setattr(a, k, "set")
+    a.gave_way = {"LocalAnyGoal": True}
+    assert values(b) == values(StepEvents) == values(StepEvents()) == want
+    assert a.gave_way == {"LocalAnyGoal": True} and a.parked == "set"
+
+
 def test_observe_localizes_each_pair_once(monkeypatch):
     """One observe localizes the own goal, every nearby car and every other
     tracked space once: the tracked slot that holds the own goal reuses the
@@ -889,7 +918,7 @@ def test_observe_localizes_each_pair_once(monkeypatch):
     names = [f.name for f in env.schema.features]
     sp = env.world.spaces[sid]
     assert obs[names.index(f"space{slot}-distance")] == (
-        localize(agent.body, sp, env.grid).d / D_MAX)
+        localize(agent.body, sp, env.grid)[0] / D_MAX)
 
 
 def test_basic_discrete_observation_roundtrip():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +10,6 @@ from hypothesis import given, strategies as st
 from carpark.config import config_from_mapping
 from carpark.geometry import (
     GridSpec,
-    LocalPose,
-    Pose,
     bearing_index_units,
     clamp_velocity,
     heading_vector,
@@ -22,6 +21,33 @@ from carpark.geometry import (
 from carpark.observation import build_observation, build_schema
 
 G8 = GridSpec(theta_granularity=8, position_granularity=0)
+
+
+class Pose(NamedTuple):
+    """World position plus heading index: a pose for localize and
+    motion_step, which read x, y and theta."""
+
+    x: float
+    y: float
+    theta: int
+
+
+class LocalPose(NamedTuple):
+    """localize's plain triple with its field names, in its order.
+
+    d is the center distance in world units. theta_rel is the bearing of
+    the target from the observer's facing direction, in (real-valued)
+    rotation-index units wrapped to [0, Gtheta). delta_theta is observer
+    heading minus target heading, wrapped to (-Gtheta/2, Gtheta/2].
+    """
+
+    d: float
+    theta_rel: float
+    delta_theta: float
+
+
+def local_pose(observer, target, grid: GridSpec) -> LocalPose:
+    return LocalPose(*localize(observer, target, grid))
 
 
 # The inverse of localize, kept here as its oracle: localize encodes a
@@ -106,6 +132,26 @@ def test_motion_identity_on_grid_poses():
             assert motion_step(p, 0, 0, grid) == p
 
 
+def test_motion_step_snaps_as_grid_snap_does():
+    # motion_step inlines GridSpec.snap; off-grid starts exercise its
+    # rounding, and the result is a plain (x, y, theta) tuple
+    rng = random.Random(23)
+    for gp in (0, 1, 4):
+        grid = GridSpec(position_granularity=gp, velocity_granularity=3,
+                        theta_granularity=24)
+        for _ in range(300):
+            p = Pose(rng.uniform(0.0, 74.0), rng.uniform(0.0, 74.0),
+                     rng.randrange(24))
+            v, omega = rng.randint(-3, 3), rng.randint(-2, 2)
+            out = motion_step(p, v, omega, grid)
+            assert type(out) is tuple
+            theta = (p.theta + omega) % 24
+            fx, fy = heading_vector(theta, grid)
+            d = v / 3
+            x, y = (p.x + d * fx, p.y + d * fy) if v else (p.x, p.y)
+            assert out == (*grid.snap(x, y), theta)
+
+
 def test_motion_velocity_quantum_scales_with_granularity():
     grid = GridSpec(position_granularity=4, velocity_granularity=4)
     p = motion_step(Pose(10.0, 10.0, 0), 1, 0, grid)
@@ -159,21 +205,21 @@ def test_clamp_always_within_domain(v, a, fwd, rev):
 
 
 def test_localize_dead_ahead():
-    lp = localize(Pose(0, 0, 0), Pose(0, 5, 0), G8)
+    lp = local_pose(Pose(0, 0, 0), Pose(0, 5, 0), G8)
     assert (lp.d, lp.theta_rel, lp.delta_theta) == (5.0, 0.0, 0.0)
 
 
 def test_localize_offset_target():
     # numpy trig oracle: d=5, bearing=36.86989764584402 deg = 0.8193310587965338
     # index units at Gtheta=8, delta = -90 deg = -2 indices
-    lp = localize(Pose(0, 0, 0), Pose(3, 4, 2), G8)
+    lp = local_pose(Pose(0, 0, 0), Pose(3, 4, 2), G8)
     assert lp.d == 5.0
     assert lp.theta_rel == pytest.approx(0.8193310587965338, abs=1e-12)
     assert lp.delta_theta == -2.0
 
 
 def test_localize_coincident_positions():
-    lp = localize(Pose(3, 3, 1), Pose(3, 3, 5), G8)
+    lp = local_pose(Pose(3, 3, 1), Pose(3, 3, 5), G8)
     assert lp.d == 0.0
     assert lp.theta_rel == 0.0
     assert lp.delta_theta == -4.0 or lp.delta_theta == 4.0
@@ -203,8 +249,8 @@ def test_localize_quarter_rotation_invariance_exact_indices():
         p2 = random_grid_pose(rng, grid)
         r1 = Pose(p1.y, -p1.x, (p1.theta + q) % grid.theta_granularity)
         r2 = Pose(p2.y, -p2.x, (p2.theta + q) % grid.theta_granularity)
-        base = localize(p1, p2, grid)
-        rot = localize(r1, r2, grid)
+        base = local_pose(p1, p2, grid)
+        rot = local_pose(r1, r2, grid)
         assert rot.d == base.d  # hypot is exact under coordinate swap/negate
         assert rot.delta_theta == base.delta_theta
         assert discrete_goal(rot) == discrete_goal(base)
@@ -227,8 +273,8 @@ def test_localize_general_rotation_invariance_within_tolerance():
             y = -p.x * sin_a + p.y * cos_a
             return Pose(x, y, (p.theta + j) % grid.theta_granularity)
 
-        base = localize(p1, p2, grid)
-        r = localize(rot(p1), rot(p2), grid)
+        base = local_pose(p1, p2, grid)
+        r = local_pose(rot(p1), rot(p2), grid)
         assert r.d == pytest.approx(base.d, abs=1e-9)
         assert r.delta_theta == base.delta_theta
         if base.d > 1e-6:
@@ -242,7 +288,7 @@ def test_localize_reconstruction():
     for _ in range(500):
         p1 = random_grid_pose(rng, grid)
         p2 = random_grid_pose(rng, grid)
-        lp = localize(p1, p2, grid)
+        lp = local_pose(p1, p2, grid)
         x, y = reconstruct(p1, lp, grid)
         assert x == pytest.approx(p2.x, abs=1e-9)
         assert y == pytest.approx(p2.y, abs=1e-9)

@@ -367,6 +367,19 @@ def test_export_rows_skips_undecodable_run_meta(tmp_path, case):
     assert len(skipped) == 1 and os.sep + "bad:" in skipped[0]
 
 
+@pytest.mark.parametrize("key", ["total_steps", "train_boundary_step"])
+@pytest.mark.parametrize("value", ['"100"', "100.0", "true", "[100]"])
+def test_export_rows_skips_non_integer_step_counts(tmp_path, key, value):
+    meta = {"run_id": "bad", "total_steps": 1000, "train_boundary_step": 800}
+    text = json.dumps(meta).replace(f'"{key}": {meta[key]}',
+                                    f'"{key}": {value}')
+    rows, skipped = export_with_one_bad_dir(tmp_path, bad_meta=text.encode())
+    assert [r["Model"] for r in rows] == ["good"]
+    assert len(skipped) == 1
+    assert f"{key} {json.loads(value)!r} in run.json is not an integer" \
+        in skipped[0]
+
+
 MALFORMED_STORE_LINES = {
     "list": "[1, 2]",
     "number": "3",

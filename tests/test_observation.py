@@ -11,7 +11,6 @@ from carpark.observation import (
     build_observation,
     build_schema,
     decode_action,
-    encode_action,
     encode_state,
 )
 
@@ -214,6 +213,23 @@ def test_action_schema_branches():
     dyn = config_from_mapping(
         {"_dynamicGoals": True, "_obsNearbyParkingSpotsCount": 1})
     assert build_action_schema(dyn).branches == (3, 3, 2)
+
+
+def encode_action(schema, values):
+    """Flat index of an action tuple, row-major: the inverse of
+    decode_action, kept here as its oracle."""
+    if len(values) != len(schema.branches):
+        raise ValueError(
+            f"expected {len(schema.branches)} action components, "
+            f"got {len(values)}"
+        )
+    flat = 0
+    for value, size, offset in zip(values, schema.branches, schema.offsets):
+        idx = value + offset
+        if not 0 <= idx < size:
+            raise ValueError(f"action component {value} outside its branch")
+        flat = flat * size + idx
+    return flat
 
 
 def test_encode_action_examples():

@@ -11,20 +11,29 @@ the benchmark workloads included. Every comparison is exact (==).
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import pytest
 
 from carpark.config import config_from_mapping, max_world_distance
 from carpark.env import ActionTuple, ParkingEnv
-from carpark.geometry import (
-    LocalPose,
-    Pose,
-    localize,
-    round_half_up,
-    wrap_signed_index,
-)
+from carpark.geometry import localize, round_half_up, wrap_signed_index
 
 # ------------------------------------------------------------------ oracle
+
+
+class Pose(NamedTuple):
+    x: float
+    y: float
+    theta: int
+
+
+class LocalPose(NamedTuple):
+    """localize's plain triple with its field names, in its order."""
+
+    d: float
+    theta_rel: float
+    delta_theta: float
 
 
 @dataclass
@@ -52,14 +61,17 @@ def pose_of(obj):
     return Pose(obj.x, obj.y, obj.theta)
 
 
+def local_pose(observer, target, grid) -> LocalPose:
+    return LocalPose(*localize(pose_of(observer), pose_of(target), grid))
+
+
 def oracle_inputs(env, agent_i):
     agent = env.agents[agent_i]
     cfg = env.cfg
     inputs = ObsInputs(velocity=agent.v)
     if agent.goal_space is not None:
         sp = env.world.spaces[agent.goal_space]
-        inputs.goal = localize(
-            pose_of(agent.body), pose_of(sp), env.grid)
+        inputs.goal = local_pose(agent.body, sp, env.grid)
     if cfg._dynamicGoals:
         slot = (agent.tracker.slot_of(agent.goal_space)
                 if agent.goal_space is not None else None)
@@ -69,7 +81,7 @@ def oracle_inputs(env, agent_i):
         inputs.ring_history = agent.ring_history
     if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
         for car in agent.nearby:
-            lp = localize(pose_of(agent.body), pose_of(car), env.grid)
+            lp = local_pose(agent.body, car, env.grid)
             entry = NearbyCarObs(lp)
             if car.kind == "agent":
                 other = env.agents[car.uid]
@@ -83,8 +95,7 @@ def oracle_inputs(env, agent_i):
                             slot + 1 if slot is not None else n_space + 1)
                     else:
                         osp = env.world.spaces[other.goal_space]
-                        entry.goal_lp = localize(
-                            pose_of(other.body), pose_of(osp), env.grid)
+                        entry.goal_lp = local_pose(other.body, osp, env.grid)
                 elif cfg._obsNearbyCarsGoal and cfg._dynamicGoals:
                     entry.goal_index = 0  # exploring
             inputs.nearby.append(entry)
@@ -96,8 +107,7 @@ def oracle_inputs(env, agent_i):
                 inputs.global_same.append(None)
             else:
                 sp = env.world.spaces[sid]
-                inputs.spaces.append(localize(
-                    pose_of(agent.body), pose_of(sp), env.grid))
+                inputs.spaces.append(local_pose(agent.body, sp, env.grid))
                 any_d, same_d = env.global_info(sid)
                 inputs.global_any.append(any_d)
                 inputs.global_same.append(same_d)

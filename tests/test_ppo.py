@@ -32,7 +32,6 @@ from carpark.ppo import (
     _sample_branches,
     adam_step,
     evaluate_ppo,
-    forward,
     gae,
     gradients,
     lr_schedule,
@@ -50,6 +49,20 @@ def norm_cfg(**overrides):
 def tiny_params(obs_dim=3, branches=(3, 2), hidden=4, layers=2, seed=7):
     return PolicyParams(obs_dim, branches, hidden, layers,
                         rng=np.random.default_rng(seed))
+
+
+def forward(params, observation):
+    """Distribution per action branch and the state value for a single
+    observation vector: the trainer's batched passes at batch 1."""
+    x = np.asarray(observation, dtype=np.float64).reshape(1, -1)
+    if x.shape[1] != params.obs_dim:
+        raise ValueError(
+            f"observation has {x.shape[1]} features, the policy expects "
+            f"{params.obs_dim}")
+    logps, _ = _actor_logps(params, x)
+    values, _ = _critic_values(params, x)
+    _check_finite("in policy forward", *logps, values)
+    return [np.exp(lp[0]) for lp in logps], float(values[0])
 
 
 def zero_params(*args, **kwargs):
