@@ -100,11 +100,14 @@ class ActionTuple:
     delta_g: int | None = None
 
 
-class StepEvents:
-    """What happened to one agent in one tick. Every field has its
-    default on the class, so a fresh instance runs no __init__; setting a
-    field sets it on that instance alone."""
+class StepOutcome:
+    """What happened to one agent in one tick: its reward, how its
+    episode ended, if it did, and the events behind them. Every field has
+    its default on the class, so a fresh instance runs no __init__;
+    setting a field sets it on that instance alone."""
 
+    reward: float = 0.0
+    terminal: str | None = None  # parked | crashed | timeout | None
     crash_kind: str | None = None  # agent-car | parked-car | wall
     parked: bool = False
     halted: bool = False
@@ -125,13 +128,6 @@ class StepEvents:
     ratio_explore: float | None = None
     ratio_toward_goal: float | None = None
     ratio_toward_space_exploring: float | None = None
-
-
-@dataclass(slots=True)
-class StepOutcome:
-    reward: float
-    terminal: str | None  # parked | crashed | timeout | None
-    events: StepEvents
 
 
 @dataclass(slots=True)
@@ -613,7 +609,7 @@ class ParkingEnv:
         elif action.delta_g not in (None, 0):
             raise ValueError("delta_g is only available with dynamic goals")
 
-    def _goal_transition(self, agent_i: int, delta_g: int, events: StepEvents) -> float:
+    def _goal_transition(self, agent_i: int, delta_g: int, events: StepOutcome) -> float:
         """Apply the dynamic-goal action on the pre-move state; returns the
         transition reward and records conformity counts."""
         agent = self.agents[agent_i]
@@ -671,13 +667,12 @@ class ParkingEnv:
         world = self.world
         spaces = world.spaces
         ring_spec = self.ring_spec
-        events = [StepEvents() for _ in agents]
-        rewards = [0.0] * n
+        events = [StepOutcome() for _ in agents]
 
         # phase 1: goal transitions on the pre-move full state
         if dynamic:
-            for i, action in enumerate(actions):
-                rewards[i] += self._goal_transition(i, action.delta_g, events[i])
+            for i, (action, ev) in enumerate(zip(actions, events)):
+                ev.reward += self._goal_transition(i, action.delta_g, ev)
 
         # phase 2: kinematics, in index order
         grid = self.grid
@@ -722,7 +717,6 @@ class ParkingEnv:
             rings = world.ring_counts(ring_spec, arrays or WorldArrays(world))
             history_len = ring_spec.history_len
         tau = cfg._maxSteps
-        outcomes: list[StepOutcome] = []
         terminals: list[tuple[int, str]] = []
         for i, (agent, ev) in enumerate(zip(agents, events)):
             body = agent.body
@@ -761,26 +755,26 @@ class ParkingEnv:
             terminal: str | None = None
             if i in crashed:
                 ev.crash_kind = crashed[i]
-                rewards[i] -= cfg.rewCrash
+                ev.reward -= cfg.rewCrash
                 terminal = "crashed"
             elif self._parked_in_goal(agent):
                 ev.parked = True
                 ev.park_velocity = agent.v
-                rewards[i] += self._park_reward(agent)
+                ev.reward += self._park_reward(agent)
                 terminal = "parked"
             else:
-                rewards[i] += self._dense_reward(agent, actions[i], ev)
+                ev.reward += self._dense_reward(agent, actions[i], ev)
                 if agent.episode_step >= tau:
                     ev.halted = True
                     terminal = "timeout"
             if dynamic and agent.goal_space is None:
                 ev.exploring = True
                 agent.steps_exploring += 1
-            agent.episode_reward += rewards[i]
+            agent.episode_reward += ev.reward
             if terminal:
+                ev.terminal = terminal
                 terminals.append((i, terminal))
                 self._finish_episode(i, terminal, ev)
-            outcomes.append(StepOutcome(rewards[i], terminal, ev))
 
         # phase 5: respawns (park relocation first)
         filled: list[int] = []
@@ -805,7 +799,7 @@ class ParkingEnv:
             arrays = self._view()
         if arrays is not None:
             self._sense(arrays)
-        return outcomes
+        return events
 
     def step(self, action: ActionTuple) -> StepOutcome:
         """Single-agent convenience wrapper."""
@@ -848,7 +842,7 @@ class ParkingEnv:
         return True
 
     def _dense_reward(self, agent: AgentState, action: ActionTuple,
-                      ev: StepEvents) -> float:
+                      ev: StepOutcome) -> float:
         cfg = self.cfg
         tau = cfg._maxSteps
         reward = -cfg.rewTimeSum / tau
@@ -865,7 +859,7 @@ class ParkingEnv:
             reward -= cfg.rewDeltaThetaSum / tau * smooth
         return reward
 
-    def _finish_episode(self, agent_i: int, terminal: str, ev: StepEvents) -> None:
+    def _finish_episode(self, agent_i: int, terminal: str, ev: StepOutcome) -> None:
         agent = self.agents[agent_i]
         self.stats["episodes"] += 1
         if terminal == "parked":

@@ -11,6 +11,9 @@ Both trainers share the run scaffold here: ``TrainingRun`` steps the
 environment for them, keeps the tick bookkeeping and the training
 boundary, and opens and finishes the run directory; ``evaluate_policy``
 is the greedy evaluation loop behind ``evaluate_q`` and ``evaluate_ppo``.
+A run directory holds ``run.json``, ``metrics.jsonl``, ``rewards.csv``
+and the trained model, ``model.npz``: both trainers' models are npz
+archives written and read through ``save_model`` and ``load_model``.
 
 The aggregation functions reduce a series over the evaluation period --
 every bucket at or past the period-start step -- and ``export_rows``
@@ -37,6 +40,8 @@ DEFAULT_SUMMARY_FREQ = 10_000
 STORE_BASENAME = "metrics.jsonl"
 META_BASENAME = "run.json"
 REWARDS_BASENAME = "rewards.csv"
+MODEL_BASENAME = "model.npz"
+MODEL_VERSION = 1
 
 # one store line -> (record, end index); read_store rejects trailing data
 _decode = json.JSONDecoder().raw_decode
@@ -357,12 +362,11 @@ class TrainingRecorder:
         nearest_car_distance = self.env.nearest_car_distance
         v_scale = self.v_scale
         for i, out in enumerate(outcomes):
-            ev = out.events
-            record("Metrics/DeltaThetaAvg", ev.omega, step)
-            record("Metrics/VelocityAvg", ev.velocity * v_scale, step)
+            record("Metrics/DeltaThetaAvg", out.omega, step)
+            record("Metrics/VelocityAvg", out.velocity * v_scale, step)
             record("Metrics/NearestCarDistAvg", nearest_car_distance(i), step)
             if out.terminal is not None:
-                self._episode_end(step, ev)
+                self._episode_end(step, out)
 
     def _episode_end(self, step: int, ev) -> None:
         record = self.store.record
@@ -417,8 +421,8 @@ class TrainingRun:
 
     With an output directory, whose basename is the run id, the run
     writes ``run.json`` unfinished when it opens; ``finish`` saves the
-    model, writes the reward series, closes the metric store and marks
-    ``run.json`` finished with the run totals.
+    model to ``model.npz``, writes the reward series, closes the metric
+    store and marks ``run.json`` finished with the run totals.
     """
 
     def __init__(self, kind: str, cfg, hyper, env, out_dir: str | None, *,
@@ -469,7 +473,7 @@ class TrainingRun:
         rewards = self.rewards
         for out in outs:
             if out.terminal is not None:
-                rewards.append(out.events.episode_reward)
+                rewards.append(out.episode_reward)
                 if (self.dump_interval
                         and len(rewards) % self.dump_interval == 0):
                     self._log_progress()
@@ -492,14 +496,14 @@ class TrainingRun:
             self.boundary = self.steps
             self.env.set_car_scale(1.0)
 
-    def finish(self, model, model_basename: str, **totals) -> None:
+    def finish(self, model, **totals) -> None:
         """Close the run; a run that never ended training has its boundary
         at the last step."""
         if self.boundary is None:
             self.boundary = self.steps
         if self.out_dir is None:
             return
-        model.save(self.path(model_basename))
+        model.save(self.path(MODEL_BASENAME))
         with open(self.path(REWARDS_BASENAME), "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -535,8 +539,8 @@ def evaluate_policy(env, episodes: int, act) -> dict:
         gstep += n
         for out in outs:
             if out.terminal is not None:
-                rewards.append(out.events.episode_reward)
-                lengths.append(out.events.episode_steps)
+                rewards.append(out.episode_reward)
+                lengths.append(out.episode_steps)
     done = len(rewards)
     return {
         "episodes": done,
@@ -548,6 +552,55 @@ def evaluate_policy(env, episodes: int, act) -> dict:
         "rewards": rewards,
         "total_steps": gstep,
     }
+
+
+# ------------------------------------------------------------ model files
+
+
+class _ModelArrays(dict):
+    """A loaded model's arrays by name; a missing name raises ValueError."""
+
+    path = ""
+
+    def __missing__(self, key: str):
+        raise ValueError(f"{self.path}: missing array {key!r}")
+
+
+def save_model(path: str, kind: str, arrays: dict) -> None:
+    """Write a trainer's arrays to exactly `path`, an npz archive whose
+    ``format`` entry names the trainer kind and the format version."""
+    import numpy as np
+
+    with open(path, "wb") as fh:
+        np.savez(fh, format=np.array(f"{kind}/{MODEL_VERSION}"), **arrays)
+
+
+def load_model(path: str, kind: str) -> dict:
+    """The arrays ``save_model`` wrote for a `kind` model. Any other file
+    (empty, truncated, foreign, a ``.npy`` array, another trainer's model
+    or another version) and a lookup of an array the model lacks raise
+    ``ValueError`` naming `path`."""
+    import zipfile
+    import zlib
+
+    import numpy as np
+
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with archive:
+                arrays = _ModelArrays(archive.items())
+        except (EOFError, OSError, RuntimeError, ValueError,
+                zipfile.BadZipFile, zlib.error) as e:
+            raise ValueError(f"{path}: not a model checkpoint: {e}") from None
+    arrays.path = path
+    found = arrays.pop("format", None)
+    if str(found) != f"{kind}/{MODEL_VERSION}":
+        raise ValueError(f"{path}: not a version {MODEL_VERSION} {kind} "
+                         f"checkpoint (its format entry is {found})")
+    return arrays
 
 
 # ------------------------------------------------------------ run metadata

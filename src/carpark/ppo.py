@@ -30,10 +30,13 @@ import numpy as np
 
 from .config import EnvironmentConfig
 from .env import ActionTuple, ParkingEnv
-from .metrics import DEFAULT_SUMMARY_FREQ, TrainingRun, evaluate_policy
-
-CHECKPOINT_VERSION = 1
-PPO_MODEL_BASENAME = "model.npz"
+from .metrics import (
+    DEFAULT_SUMMARY_FREQ,
+    TrainingRun,
+    evaluate_policy,
+    load_model,
+    save_model,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -148,42 +151,32 @@ class PolicyParams:
         arrays.update({f"m.{k}": v for k, v in self.m.items()})
         arrays.update({f"v.{k}": v for k, v in self.v.items()})
         arrays["meta"] = np.array(
-            [CHECKPOINT_VERSION, self.obs_dim, self.hidden, self.layers,
-             self.t], dtype=np.int64)
+            [self.obs_dim, self.hidden, self.layers, self.t], dtype=np.int64)
         arrays["branches"] = np.array(self.branches, dtype=np.int64)
-        np.savez(path, **arrays)
+        save_model(path, "ppo", arrays)
 
     @classmethod
     def load(cls, path: str) -> "PolicyParams":
-        with np.load(path) as archive:
-            if "meta" not in archive or "branches" not in archive:
-                raise ValueError(f"{path}: not a policy checkpoint")
-            meta = archive["meta"]
-            if meta.shape != (5,) or meta.dtype.kind not in "iu":
-                raise ValueError(
-                    f"{path}: meta must be 5 integers, got {meta!r}")
-            if meta[0] != CHECKPOINT_VERSION:
-                raise ValueError(
-                    f"{path}: unsupported checkpoint version {meta[0]}")
-            obs_dim, hidden, layers = int(meta[1]), int(meta[2]), int(meta[3])
-            branches = tuple(int(b) for b in archive["branches"])
-            params = cls(obs_dim, branches, hidden, layers,
-                         rng=np.random.default_rng(0))
-            for name in params.data:
-                for store, tag in ((params.data, "p"), (params.m, "m"),
-                                   (params.v, "v")):
-                    key = f"{tag}.{name}"
-                    if key not in archive:
-                        raise ValueError(f"{path}: missing array {key}")
-                    arr = archive[key]
-                    if arr.shape != store[name].shape:
-                        raise ValueError(
-                            f"{path}: {key} has shape {arr.shape}, expected "
-                            f"{store[name].shape}")
-                    if not np.isfinite(arr).all():
-                        raise ValueError(f"{path}: non-finite values in {key}")
-                    store[name] = arr.astype(np.float64)
-            params.t = int(meta[4])
+        arrays = load_model(path, "ppo")
+        meta = arrays["meta"]
+        if meta.shape != (4,) or meta.dtype.kind not in "iu":
+            raise ValueError(f"{path}: meta must be 4 integers, got {meta!r}")
+        obs_dim, hidden, layers, t = (int(x) for x in meta)
+        params = cls(obs_dim, arrays["branches"], hidden, layers,
+                     rng=np.random.default_rng(0))
+        for name in params.data:
+            for store, tag in ((params.data, "p"), (params.m, "m"),
+                               (params.v, "v")):
+                key = f"{tag}.{name}"
+                arr = arrays[key]
+                if arr.shape != store[name].shape:
+                    raise ValueError(
+                        f"{path}: {key} has shape {arr.shape}, expected "
+                        f"{store[name].shape}")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{path}: non-finite values in {key}")
+                store[name] = arr.astype(np.float64)
+        params.t = t
         return params
 
 
@@ -617,7 +610,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
 
     if buffer.size > 0:  # final flush of the leftover tail
         ppo_update(params, buffer, hyper, lr_at(run.steps), np_rng)
-    run.finish(params, PPO_MODEL_BASENAME, total_episodes=run.episodes)
+    run.finish(params, total_episodes=run.episodes)
     return PpoTrainResult(params, run.rewards, run.steps, run.boundary)
 
 

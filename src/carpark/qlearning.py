@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import EnvironmentConfig
 from .env import ActionTuple, ParkingEnv
-from .metrics import DEFAULT_SUMMARY_FREQ, TrainingRun, evaluate_policy
+from .metrics import (
+    DEFAULT_SUMMARY_FREQ,
+    MODEL_BASENAME,  # noqa: F401  re-exported: the run's model file name
+    TrainingRun,
+    evaluate_policy,
+    load_model,
+    save_model,
+)
 from .observation import decode_action, encode_state
-
-QTABLE_MAGIC = b"QTBL"
-QTABLE_VERSION = 1
-
-MODEL_BASENAME = "model.qtable"
 
 
 class QTable:
@@ -58,44 +59,15 @@ class QTable:
     # ---------------------------------------------------------- persistence
 
     def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(QTABLE_MAGIC)
-            fh.write(struct.pack("<B", QTABLE_VERSION))
-            fh.write(struct.pack("<II", len(self.state_sizes),
-                                 len(self.action_sizes)))
-            fh.write(struct.pack(f"<{len(self.state_sizes)}I",
-                                 *self.state_sizes))
-            fh.write(struct.pack(f"<{len(self.action_sizes)}I",
-                                 *self.action_sizes))
-            fh.write(np.ascontiguousarray(
-                self.values, dtype="<f8").tobytes())
+        save_model(path, "q", {"values": self.values,
+                               "state_sizes": self.state_sizes,
+                               "action_sizes": self.action_sizes})
 
     @classmethod
     def load(cls, path: str) -> "QTable":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:4] != QTABLE_MAGIC:
-            raise ValueError(f"{path}: not a Q-table file")
-        if len(blob) < 13:
-            raise ValueError(f"{path}: truncated header")
-        version = blob[4]
-        if version != QTABLE_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        n_s, n_a = struct.unpack_from("<II", blob, 5)
-        offset = 13
-        need = offset + 4 * (n_s + n_a)
-        if len(blob) < need:
-            raise ValueError(f"{path}: truncated radix vectors")
-        state_sizes = struct.unpack_from(f"<{n_s}I", blob, offset)
-        action_sizes = struct.unpack_from(f"<{n_a}I", blob, offset + 4 * n_s)
-        shape = (math.prod(state_sizes), math.prod(action_sizes))
-        payload = blob[need:]
-        if len(payload) != shape[0] * shape[1] * 8:
-            raise ValueError(
-                f"{path}: payload holds {len(payload)} bytes, expected "
-                f"{shape[0] * shape[1] * 8}")
-        values = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-        return cls(state_sizes, action_sizes, values)
+        arrays = load_model(path, "q")
+        return cls(arrays["state_sizes"], arrays["action_sizes"],
+                   arrays["values"])
 
 
 def q_update(table: QTable, s: int, a: int, r: float, s_next: int | None,
@@ -283,7 +255,7 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
         if run.episodes >= schedule.train_episodes:
             run.end_training()
 
-    run.finish(table, MODEL_BASENAME, total_episodes=schedule.total_episodes,
+    run.finish(table, total_episodes=schedule.total_episodes,
                train_episodes=schedule.train_episodes,
                eval_episodes=schedule.eval_episodes)
     return QTrainResult(table, run.rewards, run.steps, run.boundary)

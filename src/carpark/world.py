@@ -516,15 +516,16 @@ class WorldState:
                 return "parked-car"
         return None
 
-    def agent_contacts(self, arrays: WorldArrays | None = None) -> list[tuple[int, int]]:
+    def agent_contacts(self, arrays: WorldArrays | None) -> list[tuple[int, int]]:
         """Index pairs (i, j), i < j, of agents whose hitboxes intersect,
-        in (i, j) order. With `arrays`, the current view from all agents,
-        only the pairs its broad phase keeps are tested."""
+        in (i, j) order. Only the pairs kept by the broad phase of
+        `arrays`, the current view from all agents, are tested; a lone
+        agent needs no view."""
         agents = self.agents
         na = len(agents)
         if na < 2:
             return []
-        near = [range(na)] * na if arrays is None else arrays.near()
+        near = arrays.near()
         return [(i, j) for i in range(na) for j in near[i]
                 if i < j < na and obb_intersects(agents[i], agents[j], self.grid)]
 

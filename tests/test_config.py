@@ -213,10 +213,14 @@ def test_round_trip_is_idempotent():
 
 
 def test_importing_the_package_leaves_yaml_unloaded():
-    """PyYAML loads only when load_config parses a document."""
+    """PyYAML loads only when load_config parses a document, and numpy
+    not with the config, the environment or the metrics: the export path
+    reads run directories without it."""
     code = (
         "import sys\n"
-        "import carpark.env, carpark.qlearning, carpark.ppo, carpark.metrics\n"
+        "import carpark.config, carpark.env, carpark.metrics\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported with metrics'\n"
+        "import carpark.qlearning, carpark.ppo\n"
         "assert 'yaml' not in sys.modules, 'yaml imported with the package'\n"
         "from carpark.config import load_config\n"
         "cfg = load_config('_numAgents: 3\\n_obsDist: true\\n')\n"

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from carpark.config import EnvironmentConfig, config_from_mapping, max_world_distance
-from carpark.env import ActionTuple, ParkingEnv, StepEvents
+from carpark.env import ActionTuple, ParkingEnv, StepOutcome
 from carpark.geometry import GridSpec, bearing_index_units, round_half_up
 from carpark.world import WorldArrays, obb_intersects
 
@@ -279,7 +279,7 @@ def test_wall_crash_reward_and_respawn():
     place(env, 0, 30.0, 2.8, 4, goal=sid)  # nose 0.3 from the bottom wall
     out = env.step(ActionTuple(1, 0))
     assert out.terminal == "crashed"
-    assert out.events.crash_kind == "wall"
+    assert out.crash_kind == "wall"
     assert out.reward == -10.0
     assert env.stats["crashed"] == 1 and env.stats["crash_wall"] == 1
     # respawned fresh
@@ -293,7 +293,7 @@ def test_parked_car_crash_kind():
     place(env, 0, car.x, car.y + 6.0, 4, goal=env.agents[0].goal_space)
     out = env.step(ActionTuple(1, 0))
     assert out.terminal == "crashed"
-    assert out.events.crash_kind == "parked-car"
+    assert out.crash_kind == "parked-car"
     assert env.stats["crash_parked"] == 1
 
 
@@ -304,7 +304,7 @@ def test_agent_agent_crash_hits_both():
     place(env, 1, 35.0, 30.0, 6, goal=g1)  # facing each other, 5 apart
     outs = env.step_all([ActionTuple(1, 0), ActionTuple(1, 0)])
     assert [o.terminal for o in outs] == ["crashed", "crashed"]
-    assert all(o.events.crash_kind == "agent-car" for o in outs)
+    assert all(o.crash_kind == "agent-car" for o in outs)
     assert env.stats["crash_agent"] == 2
     assert env.stats["episodes"] == 2
 
@@ -317,8 +317,8 @@ def test_timeout_is_halt():
         if k < env.cfg._maxSteps - 1:
             assert outs.terminal is None
     assert outs.terminal == "timeout"
-    assert outs.events.halted
-    assert outs.events.episode_steps == env.cfg._maxSteps
+    assert outs.halted
+    assert outs.episode_steps == env.cfg._maxSteps
     assert env.stats["halted"] == 1
 
 
@@ -352,7 +352,7 @@ def test_park_at_center_pays_full_reward():
     out = env.step(ActionTuple(0, 0))
     assert out.terminal == "parked"
     assert out.reward == 10.0  # no velocity or heading penalty configured
-    assert out.events.park_velocity == 0
+    assert out.park_velocity == 0
     assert env.stats["parked"] == 1
     # the freed-up space got refilled by the relocated parked car
     assert len(env.world.parked) == parked_before
@@ -372,7 +372,7 @@ def test_park_reward_velocity_and_heading_penalties():
     delta = min(delta, 8 - delta)
     want = 10.0 - 0.25 * 1.0 / 1.0 - 0.05 * delta / 4.0
     assert out.reward == pytest.approx(want, rel=1e-12)
-    assert out.events.park_velocity == 1
+    assert out.park_velocity == 1
 
 
 def test_park_threshold_is_closed():
@@ -412,7 +412,7 @@ def test_crash_wins_over_park():
           goal=env.agents[1].goal_space)  # overlapping hitboxes
     outs = env.step_all([ActionTuple(0, 0), ActionTuple(0, 0)])
     assert outs[0].terminal == "crashed"
-    assert outs[0].events.crash_kind == "agent-car"
+    assert outs[0].crash_kind == "agent-car"
     assert env.stats["parked"] == 0
 
 
@@ -425,7 +425,7 @@ def test_dense_reward_time_only_while_exploring():
     place(env, 1, 50.0, 50.0, 0, goal=None)
     outs = env.step_all(still(env, delta_g=0))
     assert outs[0].reward == pytest.approx(-0.2 / 200, rel=1e-12)
-    assert outs[0].events.transition == "ContinueExplore"
+    assert outs[0].transition == "ContinueExplore"
 
 
 def test_dense_reward_movement_bonus():
@@ -436,7 +436,7 @@ def test_dense_reward_movement_bonus():
     assert env.agents[0].v == 1
     assert env.agents[0].body.y == pytest.approx(19.75)
     assert out.reward == pytest.approx(-0.2 / 200 + 0.15 / 200, rel=1e-12)
-    assert out.events.moved_toward_goal == 1
+    assert out.moved_toward_goal == 1
 
 
 def test_dense_reward_away_and_reverse_penalties():
@@ -446,7 +446,7 @@ def test_dense_reward_away_and_reverse_penalties():
     out = env.step(ActionTuple(-1, 0))  # backs away from the goal
     assert env.agents[0].v == -1
     assert out.reward == pytest.approx(-(0.2 + 0.15 + 0.1) / 200, rel=1e-12)
-    assert out.events.moved_toward_goal == -1
+    assert out.moved_toward_goal == -1
 
 
 def test_dense_reward_smoothness_penalty():
@@ -455,7 +455,7 @@ def test_dense_reward_smoothness_penalty():
     place(env, 0, 17.0, 20.0, 12, goal=sid)
     out = env.step(ActionTuple(0, 3))  # spin in place at full rate
     assert out.reward == pytest.approx(-0.2 / 200 - 0.05 / 200, rel=1e-12)
-    assert out.events.moved_toward_goal == 0  # distance unchanged
+    assert out.moved_toward_goal == 0  # distance unchanged
 
     scaled = make_env({"_rewDeltaThetaVelMult": True}, base=PPO_FIXED, seed=15)
     place(scaled, 0, 17.0, 20.0, 12, goal=space_at(scaled, 17.0, 3.5))
@@ -478,8 +478,8 @@ def test_goal_transition_stop_explore_takes_tracked_space():
     slot0 = env.agents[0].tracker.slots[0]
     outs = env.step_all([ActionTuple(0, 0, 1), ActionTuple(0, 0, 0)])
     assert env.agents[0].goal_space == slot0
-    assert outs[0].events.transition == "StopExplore"
-    assert outs[0].events.transition_reward == 0.0
+    assert outs[0].transition == "StopExplore"
+    assert outs[0].transition_reward == 0.0
     assert env.stats["transition_StopExplore"] == 1
 
 
@@ -488,17 +488,17 @@ def test_goal_transition_continue_and_change_and_stop():
     env.step_all([ActionTuple(0, 0, 1), ActionTuple(0, 0, 0)])
     s1 = env.agents[0].goal_space
     outs = env.step_all([ActionTuple(0, 0, 1), ActionTuple(0, 0, 0)])
-    assert outs[0].events.transition == "ContinueGoal"
-    assert outs[0].events.transition_reward == 0.0
+    assert outs[0].transition == "ContinueGoal"
+    assert outs[0].transition_reward == 0.0
     assert env.agents[0].goal_space == s1
     outs = env.step_all([ActionTuple(0, 0, 2), ActionTuple(0, 0, 0)])
-    assert outs[0].events.transition == "ChangeGoal"
-    assert outs[0].events.transition_reward == -0.05
+    assert outs[0].transition == "ChangeGoal"
+    assert outs[0].transition_reward == -0.05
     assert env.agents[0].goal_space == env.agents[0].tracker.slots[1]
     outs = env.step_all([ActionTuple(0, 0, 0), ActionTuple(0, 0, 0)])
-    assert outs[0].events.transition == "StopGoal"
+    assert outs[0].transition == "StopGoal"
     # sentinel -1 mirrors the change-goal reward
-    assert outs[0].events.transition_reward == -0.05
+    assert outs[0].transition_reward == -0.05
     assert env.agents[0].goal_space is None
 
 
@@ -506,7 +506,7 @@ def test_goal_transition_explicit_stop_goal_reward():
     env = dyn_env({"_rewDeltaGoalStopGoal": -0.3})
     env.step_all([ActionTuple(0, 0, 1), ActionTuple(0, 0, 0)])
     outs = env.step_all([ActionTuple(0, 0, 0), ActionTuple(0, 0, 0)])
-    assert outs[0].events.transition_reward == pytest.approx(-0.3)
+    assert outs[0].transition_reward == pytest.approx(-0.3)
 
 
 def test_goal_transition_empty_slot_means_explore():
@@ -515,14 +515,14 @@ def test_goal_transition_empty_slot_means_explore():
     env.agents[0].tracker.slots[1] = None  # surgery: second slot empty
     outs = env.step_all([ActionTuple(0, 0, 2), ActionTuple(0, 0, 0)])
     assert env.agents[0].goal_space is None
-    assert outs[0].events.transition == "StopGoal"
+    assert outs[0].transition == "StopGoal"
 
 
 def test_continue_exploring_reward():
     env = dyn_env()
     outs = env.step_all([ActionTuple(0, 0, 0), ActionTuple(0, 0, 0)])
-    assert outs[0].events.transition == "ContinueExplore"
-    assert outs[0].events.transition_reward == pytest.approx(-0.002)
+    assert outs[0].transition == "ContinueExplore"
+    assert outs[0].transition_reward == pytest.approx(-0.002)
 
 
 def test_prev_goal_distance_resets_on_new_goal():
@@ -535,7 +535,7 @@ def test_prev_goal_distance_resets_on_new_goal():
     assert sp.y == 3.5  # nearest free space is in the bottom row
     outs = env.step_all([ActionTuple(1, 0, 1), ActionTuple(0, 0, 0)])
     assert env.agents[0].goal_space == slot0
-    assert outs[0].events.moved_toward_goal == 1
+    assert outs[0].moved_toward_goal == 1
     assert outs[0].reward == pytest.approx(-0.2 / 200 + 0.15 / 200, rel=1e-12)
 
 
@@ -625,12 +625,12 @@ def test_conformity_counting():
                  "GlobalAnyGoal"):
         assert env.stats[f"gave_way_{name}_total"] == 1
         assert env.stats[f"gave_way_{name}_pos"] == 0
-        assert outs[0].events.gave_way[name] is False
+        assert outs[0].gave_way[name] is False
     assert env.stats["gave_way_NonLocalSameGoal_total"] == 0
     # second tick: giving the goal up counts as a positive everywhere
     keep1 = env.agents[1].tracker.slot_of(sid) + 1
     outs = env.step_all([ActionTuple(0, 0, 0), ActionTuple(0, 0, keep1)])
-    assert outs[0].events.gave_way["GlobalSameGoal"] is True
+    assert outs[0].gave_way["GlobalSameGoal"] is True
     for name in ("LocalSameGoal", "LocalAnyGoal", "GlobalSameGoal",
                  "GlobalAnyGoal"):
         assert env.stats[f"gave_way_{name}_total"] == 2
@@ -645,9 +645,9 @@ def test_bad_goal_punishment_same_goal_scheme():
     keep0 = env.agents[0].tracker.slot_of(sid) + 1
     keep1 = env.agents[1].tracker.slot_of(sid) + 1
     outs = env.step_all([ActionTuple(0, 0, keep0), ActionTuple(0, 0, keep1)])
-    assert outs[0].events.transition == "ContinueGoal"
-    assert outs[0].events.transition_reward == pytest.approx(-0.01)
-    assert outs[1].events.transition_reward == 0.0
+    assert outs[0].transition == "ContinueGoal"
+    assert outs[0].transition_reward == pytest.approx(-0.01)
+    assert outs[1].transition_reward == 0.0
 
 
 def test_bad_goal_needs_matching_goal_under_same_scheme():
@@ -659,7 +659,7 @@ def test_bad_goal_needs_matching_goal_under_same_scheme():
     keep0 = env.agents[0].tracker.slot_of(sid) + 1
     keep1 = env.agents[1].tracker.slot_of(other_sid) + 1
     outs = env.step_all([ActionTuple(0, 0, keep0), ActionTuple(0, 0, keep1)])
-    assert outs[0].events.transition_reward == 0.0
+    assert outs[0].transition_reward == 0.0
 
 
 # ------------------------------------------------------------------ lost goals
@@ -675,7 +675,7 @@ def test_goal_lost_when_it_leaves_tracking():
     # teleport across the arena: a different space becomes the tracked one
     place(env, 0, 60.0, 60.0, 0, refresh=False)
     outs = env.step_all([ActionTuple(0, 0, 1), ActionTuple(0, 0, 0)])
-    assert outs[0].events.lost_goal
+    assert outs[0].lost_goal
     assert env.agents[0].goal_space is None
     assert env.stats["lost_goal"] == 1
 
@@ -697,7 +697,7 @@ def test_goal_lost_when_relocation_fills_it():
     outs = env.step_all([ActionTuple(0, 0, keep0), ActionTuple(0, 0, keep1)])
     assert outs[1].terminal == "parked"
     assert sid in env.world.occupied_space_ids()
-    assert outs[0].events.lost_goal
+    assert outs[0].lost_goal
     assert env.agents[0].goal_space is None
     assert len(env.world.parked) == 16
 
@@ -739,9 +739,9 @@ def test_episode_reward_accounting():
         if out.terminal:
             break
     assert out.terminal == "parked"
-    assert out.events.episode_steps == steps
-    assert out.events.episode_reward == pytest.approx(total, rel=1e-12)
-    assert out.events.ratio_toward_goal == 1.0
+    assert out.episode_steps == steps
+    assert out.episode_reward == pytest.approx(total, rel=1e-12)
+    assert out.ratio_toward_goal == 1.0
 
 
 def test_ratio_toward_goal_zero_when_fleeing():
@@ -753,7 +753,7 @@ def test_ratio_toward_goal_zero_when_fleeing():
         if out.terminal:
             break
     assert out.terminal == "crashed"
-    assert out.events.ratio_toward_goal == 0.0
+    assert out.ratio_toward_goal == 0.0
 
 
 # ------------------------------------------------------------- relocation
@@ -868,7 +868,7 @@ def test_observe_space_distances_carry_global_info():
 
 
 STEP_EVENT_DEFAULTS = {
-    "crash_kind": None, "parked": False, "halted": False, "lost_goal": False,
+    "reward": 0.0, "terminal": None, "crash_kind": None, "parked": False, "halted": False, "lost_goal": False,
     "transition": None, "transition_reward": 0.0, "gave_way": None,
     "velocity": 0, "omega": 0, "exploring": False, "moved_toward_goal": 0,
     "park_velocity": None, "episode_steps": 0, "episode_reward": 0.0,
@@ -878,21 +878,21 @@ STEP_EVENT_DEFAULTS = {
 
 
 def test_step_events_defaults_are_per_instance():
-    """A fresh StepEvents reads every documented default; a field set on
+    """A fresh StepOutcome reads every documented default; a field set on
     one instance changes neither another instance nor the class."""
-    assert set(StepEvents.__annotations__) == set(STEP_EVENT_DEFAULTS)
+    assert set(StepOutcome.__annotations__) == set(STEP_EVENT_DEFAULTS)
 
     def values(obj):
         return {k: (type(getattr(obj, k)), getattr(obj, k))
                 for k in STEP_EVENT_DEFAULTS}
 
     want = {k: (type(v), v) for k, v in STEP_EVENT_DEFAULTS.items()}
-    a, b = StepEvents(), StepEvents()
-    assert values(a) == values(b) == values(StepEvents) == want
+    a, b = StepOutcome(), StepOutcome()
+    assert values(a) == values(b) == values(StepOutcome) == want
     for k in STEP_EVENT_DEFAULTS:
         setattr(a, k, "set")
     a.gave_way = {"LocalAnyGoal": True}
-    assert values(b) == values(StepEvents) == values(StepEvents()) == want
+    assert values(b) == values(StepOutcome) == values(StepOutcome()) == want
     assert a.gave_way == {"LocalAnyGoal": True} and a.parked == "set"
 
 

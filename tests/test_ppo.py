@@ -13,13 +13,17 @@ import pytest
 
 from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
-from carpark.metrics import REWARDS_BASENAME, read_run_meta, read_store
+from carpark.metrics import (
+    MODEL_BASENAME,
+    REWARDS_BASENAME,
+    read_run_meta,
+    read_store,
+)
 from carpark.ppo import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     ADV_NORM_EPS,
-    PPO_MODEL_BASENAME,
     VALUE_LOSS_WEIGHT,
     PolicyParams,
     PpoHyper,
@@ -682,16 +686,21 @@ def test_checkpoint_round_trip(tmp_path):
     params.t = 17
     params.m["actor.w0"][:] = 0.5
     params.v["critic.value.w"][:] = 0.25
+    params.data["critic.value.b"][0] = -0.0
     path = str(tmp_path / "model.npz")
     params.save(path)
     loaded = PolicyParams.load(path)
     assert loaded.obs_dim == params.obs_dim
     assert loaded.branches == params.branches
+    assert (loaded.hidden, loaded.layers) == (params.hidden, params.layers)
     assert loaded.t == 17
-    for name in params.data:
-        assert np.array_equal(loaded.data[name], params.data[name])
-        assert np.array_equal(loaded.m[name], params.m[name])
-        assert np.array_equal(loaded.v[name], params.v[name])
+    for store in ("data", "m", "v"):
+        got, want = getattr(loaded, store), getattr(params, store)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes()
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
@@ -699,7 +708,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path = str(tmp_path / "model.npz")
     params.save(path)
     arrays = dict(np.load(path))
-    arrays["meta"][0] = 99
+    arrays["format"] = np.array("ppo/99")
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="version"):
         PolicyParams.load(path)
@@ -712,7 +721,7 @@ def test_checkpoint_rejects_short_meta(tmp_path):
     arrays = dict(np.load(path))
     arrays["meta"] = arrays["meta"][:3]
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="model.npz: meta must be 5 integers"):
+    with pytest.raises(ValueError, match="model.npz: meta must be 4 integers"):
         PolicyParams.load(path)
 
 
@@ -917,8 +926,8 @@ def test_train_writes_run_directory(tmp_path):
     hyper = short_hyper(total_steps=1500, train_fraction=0.8)
     result = train_ppo(cfg, hyper, out, seed=3, dump_interval=20,
                        log=lines.append)
-    assert os.path.exists(os.path.join(out, PPO_MODEL_BASENAME))
-    loaded = PolicyParams.load(os.path.join(out, PPO_MODEL_BASENAME))
+    assert os.path.exists(os.path.join(out, MODEL_BASENAME))
+    loaded = PolicyParams.load(os.path.join(out, MODEL_BASENAME))
     assert loaded.checksum() == result.params.checksum()
 
     with open(os.path.join(out, REWARDS_BASENAME), encoding="utf-8") as fh:

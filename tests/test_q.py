@@ -3,7 +3,6 @@ persistence, and the training loop end to end."""
 
 import math
 import random
-import struct
 
 import numpy as np
 import pytest
@@ -12,11 +11,15 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from carpark.config import config_from_mapping
-from carpark.env import ParkingEnv
-from carpark.metrics import read_run_meta, read_store
+from carpark.env import ActionTuple, ParkingEnv
+from carpark.metrics import (
+    MODEL_VERSION,
+    evaluate_policy,
+    read_run_meta,
+    read_store,
+)
 from carpark.qlearning import (
     MODEL_BASENAME,
-    QTABLE_MAGIC,
     QSchedule,
     QTable,
     evaluate_q,
@@ -201,31 +204,37 @@ def test_table_round_trip(tmp_path):
 
 
 def test_table_file_layout(tmp_path):
-    # layout check against independently assembled bytes
-    blob = (QTABLE_MAGIC + b"\x01" + struct.pack("<II", 1, 1)
-            + struct.pack("<I", 1) + struct.pack("<I", 1)
-            + struct.pack("<d", 2.5))
-    path = tmp_path / "one.qtable"
-    path.write_bytes(blob)
+    # layout check against an independently assembled archive
+    path = tmp_path / "one.npz"
+    np.savez(path, format=np.array(f"q/{MODEL_VERSION}"),
+             values=np.array([[2.5]]), state_sizes=np.array([1]),
+             action_sizes=np.array([1]))
     t = QTable.load(str(path))
     assert t.values.tolist() == [[2.5]]
 
     t.save(str(path))
-    assert path.read_bytes() == blob
+    with np.load(path) as archive:
+        assert sorted(archive.files) == [
+            "action_sizes", "format", "state_sizes", "values"]
+        assert str(archive["format"]) == f"q/{MODEL_VERSION}"
+        assert archive["values"].tolist() == [[2.5]]
+        assert archive["values"].dtype == np.float64
+        assert archive["state_sizes"].tolist() == [1]
+        assert archive["action_sizes"].tolist() == [1]
 
 
 @pytest.mark.parametrize("mangle", [
     lambda b: b"XXXX" + b[4:],                  # wrong magic
-    lambda b: b[:4] + b"\x07" + b[5:],          # unknown version
+    lambda b: b"",                              # empty file
     lambda b: b[:10],                           # truncated header
-    lambda b: b[:-4],                           # truncated payload
+    lambda b: b[:-4],                           # truncated archive
 ])
 def test_table_load_rejects_corrupt_files(tmp_path, mangle):
     t = QTable((2, 2), (3,))
     path = tmp_path / "t.qtable"
     t.save(str(path))
     path.write_bytes(mangle(path.read_bytes()))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t.qtable: not a model checkpoint"):
         QTable.load(str(path))
 
 
@@ -427,3 +436,28 @@ def test_small_run_learns_to_park():
     eval_rewards = result.rewards[sched.train_episodes:]
     mean_eval = sum(eval_rewards) / len(eval_rewards)
     assert mean_eval > 5.0
+
+
+def test_trained_table_parks_far_more_than_random_actions():
+    """Greedy actions of the trained table against uniform random actions,
+    each for 300 episodes on the same seeded close-spawn environment,
+    where random actions still park now and then."""
+    cfg = config_from_mapping({"spawnCloseRatio": 1.0})
+    sched = QSchedule(alpha=0.1, gamma=0.9, epsilon=0.3,
+                      train_episodes=1500, decay_episodes=1000)
+    table = train_q(cfg, sched, seed=0).table
+    greedy = evaluate_q(table, ParkingEnv(cfg, seed=10_000), 300)
+
+    env = ParkingEnv(cfg, seed=10_000)
+    schema = env.action_schema
+    rng = random.Random(0)
+
+    def uniform(_step):
+        return [ActionTuple(*(rng.randrange(b) - o for b, o in
+                              zip(schema.branches, schema.offsets)))
+                for _ in env.agents]
+
+    rand = evaluate_policy(env, 300, uniform)
+    assert greedy["episodes"] == rand["episodes"] == 300
+    assert 0.0 < rand["park_rate"] < 0.1
+    assert greedy["park_rate"] >= 0.9

@@ -273,7 +273,6 @@ def test_batched_queries_equal_scalar_loops(env, data):
     assert world.collides_static(agents, view) == want
     assert [world.collides_static([b])[0] for b in agents] == want
     want = oracle_agent_contacts(world)
-    assert world.agent_contacts() == want
     assert world.agent_contacts(view) == want
     check_tables(env)
 

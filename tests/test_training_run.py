@@ -1,13 +1,22 @@
 """What both trainers share through the run scaffold: the observation-mode
-check in front of training and evaluation, and the run metadata derived
-from the run itself rather than passed in."""
+check in front of training and evaluation, the run metadata derived
+from the run itself rather than passed in, and the one model file
+format."""
+
+import os
+import re
 
 import numpy as np
 import pytest
 
 from carpark.config import config_from_mapping
 from carpark.env import ParkingEnv
-from carpark.metrics import model_row, read_run_meta
+from carpark.metrics import (
+    MODEL_BASENAME,
+    MODEL_VERSION,
+    model_row,
+    read_run_meta,
+)
 from carpark.ppo import PolicyParams, PpoHyper, evaluate_ppo, train_ppo
 from carpark.qlearning import QSchedule, QTable, evaluate_q, train_q
 
@@ -78,3 +87,96 @@ def test_run_meta_is_derived_from_the_run(trainer, slash, tmp_path):
     assert meta["train_boundary_step"] == result.train_boundary_step
     assert 0 < result.train_boundary_step < result.total_steps
     assert model_row(out)["Model"] == "job-7"
+
+
+# ------------------------------------------------------------ model files
+
+LOADERS = {"q": QTable.load, "ppo": PolicyParams.load}
+
+
+def _model(kind):
+    if kind == "q":
+        table = QTable((3, 2), (2,))
+        table.values[:] = np.random.default_rng(5).uniform(-1, 1, (6, 2))
+        return table
+    return PolicyParams(4, (3, 2), 8, 1, rng=np.random.default_rng(5))
+
+
+def _other(kind):
+    return "ppo" if kind == "q" else "q"
+
+
+def _format_of(path):
+    with np.load(path) as archive:
+        return str(archive["format"])
+
+
+def _rewrite(path, edit):
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _save_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+# name -> how to spoil a saved model of the given kind at path (a Path)
+SPOILERS = {
+    "empty": lambda path, kind: path.write_bytes(b""),
+    "truncated": lambda path, kind: path.write_bytes(
+        path.read_bytes()[:200]),
+    "npy": lambda path, kind: _save_npy(path),
+    "foreign": lambda path, kind: path.write_bytes(b"episode,reward\n0,1\n"),
+    "other trainer": lambda path, kind: _model(_other(kind)).save(str(path)),
+    "unknown version": lambda path, kind: _rewrite(
+        path, lambda a: a.update(format=np.array(f"{kind}/99"))),
+    "no format entry": lambda path, kind: _rewrite(
+        path, lambda a: a.pop("format")),
+    "missing array": lambda path, kind: _rewrite(
+        path, lambda a: a.pop("values" if kind == "q" else "v.actor.w0")),
+}
+
+
+@pytest.mark.parametrize("kind", ["q", "ppo"])
+def test_model_is_saved_to_exactly_the_given_path(kind, tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    _model(kind).save(path)
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    assert _format_of(path) == f"{kind}/{MODEL_VERSION}"
+    LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("spoiler", sorted(SPOILERS))
+@pytest.mark.parametrize("kind", ["q", "ppo"])
+def test_model_load_rejects_other_files(kind, spoiler, tmp_path):
+    """Anything but a model of the loader's own kind and version raises
+    ValueError naming the file."""
+    path = tmp_path / "model.npz"
+    _model(kind).save(str(path))
+    assert _format_of(path) == f"{kind}/{MODEL_VERSION}"
+    SPOILERS[spoiler](path, kind)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        LOADERS[kind](str(path))
+
+
+@pytest.mark.parametrize("trainer", ["q", "ppo"])
+def test_run_directory_holds_the_model(trainer, tmp_path):
+    """Both trainers write model.npz, and it loads back bit for bit."""
+    out = str(tmp_path / "run")
+    result = _train(trainer, out)
+    path = os.path.join(out, MODEL_BASENAME)
+    assert _format_of(path) == f"{trainer}/{MODEL_VERSION}"
+    loaded = LOADERS[trainer](path)
+    if trainer == "q":
+        assert loaded.values.tobytes() == result.table.values.tobytes()
+        return
+    params = result.params
+    assert loaded.t == params.t > 0
+    for store in ("data", "m", "v"):
+        got, want = getattr(loaded, store), getattr(params, store)
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
