@@ -119,7 +119,6 @@ class StepOutcome:
     gave_way: dict | None = None
     velocity: int = 0
     omega: int = 0
-    exploring: bool = False
     moved_toward_goal: int = 0  # sign of goal-distance decrease
     park_velocity: int | None = None
     # set on terminal steps only
@@ -768,7 +767,6 @@ class ParkingEnv:
                     ev.halted = True
                     terminal = "timeout"
             if dynamic and agent.goal_space is None:
-                ev.exploring = True
                 agent.steps_exploring += 1
             agent.episode_reward += ev.reward
             if terminal:

@@ -17,7 +17,10 @@ archives written and read through ``save_model`` and ``load_model``.
 
 The aggregation functions reduce a series over the evaluation period --
 every bucket at or past the period-start step -- and ``export_rows``
-assembles one summary row per model directory from them. Each run
+assembles one summary row per model directory from them. The export
+catalogue ``EXPORT_COLUMNS`` is the one declaration of that row: each CSV
+column, in order, with its aggregation and the metric it reads;
+``ROW_COLUMNS`` and ``CONTEXT_COLUMNS`` derive from it. Each run
 directory is read in one pass: one read of ``run.json``, one of the
 store, decoded line by line. A file that does not parse raises
 ``ValueError``, which ``export_rows`` turns into a skip warning.
@@ -34,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 from .env import GAVE_WAY_KEYS
 
-MODES = ("mean", "sum", "last")
+MODES = ("mean", "last")
 DEFAULT_SUMMARY_FREQ = 10_000
 
 STORE_BASENAME = "metrics.jsonl"
@@ -46,71 +49,70 @@ MODEL_VERSION = 1
 # one store line -> (record, end index); read_store rejects trailing data
 _decode = json.JSONDecoder().raw_decode
 
-# Conformity column ids, in export order. The recorded count paths are
-# "Metrics/<id>_PostiveCount" (sic) and "Metrics/<id>_TotalCount".
-CONTEXT_COLUMNS = (
-    "GaveWayLocalAnyGoal",
-    "GaveWayGlobalAnyGoal",
-    "GaveWayLocalSameGoal",
-    "GaveWayGlobalSameGoal",
-    "GaveWayNonLocalSameGoal",
-    "GaveWayNonLocalAnyGoal",
+_EPISODES = "Metrics/Num Episodes"
+
+# running totals sampled from env.stats at every episode end, in
+# recording order: (metric path, stats key)
+_RECORDED_TOTALS = (
+    (_EPISODES, "episodes"),
+    ("Metrics/Total Crashes", "crashed"),
+    ("Metrics/Total Reached Goal", "parked"),
+    ("Metrics/Total Halted", "halted"),
+    ("Metrics/Total Crashes Car", "crash_agent"),
+    ("Metrics/Total Crashes Wall", "crash_wall"),
+    ("Metrics/Total Crashes StaticCar", "crash_parked"),
+    ("Metrics/Num Lost Goal", "lost_goal"),
+    ("Metrics/Num Stop Explore", "transition_StopExplore"),
+    ("Metrics/Num Stop Goal", "transition_StopGoal"),
+    ("Metrics/Num Change Goal", "transition_ChangeGoal"),
 )
 
-# (column id, metric path) pairs per aggregation method.
-_LAST_MINUS_START_COLUMNS = (
-    ("Total Crashes Car", "Metrics/Total Crashes Car"),
-    ("Total Crashes Wall", "Metrics/Total Crashes Wall"),
-    ("Total Crashes StaticCar", "Metrics/Total Crashes StaticCar"),
-)
-_PER_EPS_COLUMNS = (
-    ("c", "Metrics/Total Crashes"),
-    ("p", "Metrics/Total Reached Goal"),
-    ("h", "Metrics/Total Halted"),
-    ("Num Lost Goal PerEps", "Metrics/Num Lost Goal"),
-    ("Num Stop Explore PerEps", "Metrics/Num Stop Explore"),
-    ("Num Stop Goal PerEps", "Metrics/Num Stop Goal"),
-    ("Num Change Goal PerEps", "Metrics/Num Change Goal"),
-)
-_MEAN_COLUMNS = (
-    ("Final Mean Reward", "Environment/Cumulative Reward"),
-    ("Final Mean Episode Length", "Environment/Episode Length"),
-    ("DeltaThetaAvg", "Metrics/DeltaThetaAvg"),
-    ("VelocityAvg", "Metrics/VelocityAvg"),
-    ("NearestCarDistAvg", "Metrics/NearestCarDistAvg"),
-    ("RatioExplorePerEps", "Metrics/RatioExplorePerEps"),
-    ("RatioGoalPerEps", "Metrics/RatioGoalPerEps"),
-    ("RatioMoveTowardsPerEps", "Metrics/RatioMoveTowardsPerEps"),
-    ("RatioMoveTowardsExploringPerEps",
+
+def gave_way_paths(name: str) -> tuple[str, str]:
+    """The recorded (positive, total) count paths of a give-way context."""
+    return (f"Metrics/GaveWay{name}_PostiveCount",  # sic
+            f"Metrics/GaveWay{name}_TotalCount")
+
+
+# The export catalogue: one (column, aggregation, source) entry per CSV
+# column, in CSV order. "steps" counts the run's steps past the training
+# boundary; "mean" averages the period's buckets of the source metric,
+# "delta" is a running total's increase over the period and "per_eps"
+# that increase per episode; "context" is a give-way conformance.
+EXPORT_COLUMNS = (
+    ("Max Steps", "steps", None),
+    ("Final Mean Reward", "mean", "Environment/Cumulative Reward"),
+    ("Final Mean Episode Length", "mean", "Environment/Episode Length"),
+    ("c", "per_eps", "Metrics/Total Crashes"),
+    ("p", "per_eps", "Metrics/Total Reached Goal"),
+    ("h", "per_eps", "Metrics/Total Halted"),
+    ("Num Episodes", "delta", _EPISODES),
+    ("Total Crashes Car", "delta", "Metrics/Total Crashes Car"),
+    ("Total Crashes Wall", "delta", "Metrics/Total Crashes Wall"),
+    ("Total Crashes StaticCar", "delta", "Metrics/Total Crashes StaticCar"),
+    ("Num Lost Goal PerEps", "per_eps", "Metrics/Num Lost Goal"),
+    ("Num Stop Explore PerEps", "per_eps", "Metrics/Num Stop Explore"),
+    ("Num Stop Goal PerEps", "per_eps", "Metrics/Num Stop Goal"),
+    ("Num Change Goal PerEps", "per_eps", "Metrics/Num Change Goal"),
+    ("GaveWayLocalAnyGoal", "context", "LocalAnyGoal"),
+    ("GaveWayGlobalAnyGoal", "context", "GlobalAnyGoal"),
+    ("GaveWayLocalSameGoal", "context", "LocalSameGoal"),
+    ("GaveWayGlobalSameGoal", "context", "GlobalSameGoal"),
+    ("GaveWayNonLocalSameGoal", "context", "NonLocalSameGoal"),
+    ("GaveWayNonLocalAnyGoal", "context", "NonLocalAnyGoal"),
+    ("DeltaThetaAvg", "mean", "Metrics/DeltaThetaAvg"),
+    ("VelocityAvg", "mean", "Metrics/VelocityAvg"),
+    ("NearestCarDistAvg", "mean", "Metrics/NearestCarDistAvg"),
+    ("RatioExplorePerEps", "mean", "Metrics/RatioExplorePerEps"),
+    ("RatioGoalPerEps", "mean", "Metrics/RatioGoalPerEps"),
+    ("RatioMoveTowardsPerEps", "mean", "Metrics/RatioMoveTowardsPerEps"),
+    ("RatioMoveTowardsExploringPerEps", "mean",
      "Metrics/RatioMoveTowardsExploringPerEps"),
-    ("Park Velocity", "Metrics/Park Velocity"),
+    ("Park Velocity", "mean", "Metrics/Park Velocity"),
 )
-
-ROW_COLUMNS = (
-    "Max Steps",
-    "Final Mean Reward",
-    "Final Mean Episode Length",
-    "c",
-    "p",
-    "h",
-    "Num Episodes",
-    "Total Crashes Car",
-    "Total Crashes Wall",
-    "Total Crashes StaticCar",
-    "Num Lost Goal PerEps",
-    "Num Stop Explore PerEps",
-    "Num Stop Goal PerEps",
-    "Num Change Goal PerEps",
-    *CONTEXT_COLUMNS,
-    "DeltaThetaAvg",
-    "VelocityAvg",
-    "NearestCarDistAvg",
-    "RatioExplorePerEps",
-    "RatioGoalPerEps",
-    "RatioMoveTowardsPerEps",
-    "RatioMoveTowardsExploringPerEps",
-    "Park Velocity",
-)
+ROW_COLUMNS = tuple(col for col, _, _ in EXPORT_COLUMNS)
+CONTEXT_COLUMNS = tuple(col for col, how, _ in EXPORT_COLUMNS
+                        if how == "context")
 
 
 @dataclass
@@ -124,17 +126,15 @@ class MetricSeries:
 
 
 class _SeriesState:
-    __slots__ = ("mode", "last_step", "window_end", "count", "total",
-                 "cum", "last", "points")
+    __slots__ = ("mode", "last_step", "window_end", "count", "value",
+                 "points")
 
     def __init__(self, mode: str):
         self.mode = mode
         self.last_step = 0  # so that the regression check rejects step < 0
         self.window_end = -1  # end step of the open window; -1 before any
         self.count = 0  # points in the open window; 0 means nothing to flush
-        self.total = 0.0
-        self.cum = 0.0  # survives window closes: running-sum semantics
-        self.last = 0.0
+        self.value = 0.0  # the open window's sum (mean) or last value
         self.points: list[tuple[int, float]] = []
 
 
@@ -144,8 +144,7 @@ class MetricStore:
     Bucket windows span ((k-1)*freq, k*freq] and close at the window-end
     step; a partially filled window is flushed at its last recorded step
     when the store closes. ``mean`` buckets average the window's raw
-    points, ``sum`` buckets carry the running total across the whole
-    series, and ``last`` buckets keep the window's final value.
+    points and ``last`` buckets keep the window's final value.
     """
 
     def __init__(self, path: str | None = None,
@@ -189,28 +188,21 @@ class MetricStore:
             st.window_end = ((step + freq - 1) // freq) * freq
         st.last_step = step
         if mode == "mean":
-            st.total += value
-        elif mode == "sum":
-            st.cum += value
+            st.value += value
         else:
-            st.last = value
+            st.value = value
         st.count += 1
 
     def _close_window(self, path: str, st: _SeriesState, at_step: int) -> None:
         if not st.count:
             return
-        if st.mode == "mean":
-            value = st.total / st.count
-        elif st.mode == "sum":
-            value = st.cum
-        else:
-            value = st.last
+        value = st.value / st.count if st.mode == "mean" else st.value
         st.points.append((at_step, value))
         if self._fh is not None:
             self._fh.write(json.dumps(
                 {"path": path, "step": at_step, "value": value,
                  "mode": st.mode}) + "\n")
-        st.total = 0.0
+        st.value = 0.0
         st.count = 0
 
     def close(self) -> None:
@@ -297,7 +289,7 @@ def mean_metric_period(series: MetricSeries | None,
 
 def last_minus_start_metricperiod(series: MetricSeries | None,
                                   period_start: int) -> float | None:
-    """Increase of a running-sum series over the period.
+    """Increase of a running-total series over the period.
 
     The start value is the last bucket at or before the period start (a
     series that begins inside the period starts from zero); the end
@@ -348,7 +340,7 @@ class TrainingRecorder:
     Both trainers drive this with the environment's step outcomes; the
     step axis is the cumulative agent-step count. Episode-end totals are
     sampled from the environment's running stats, so the recorded series
-    are running sums regardless of bucketing.
+    are running totals regardless of bucketing.
     """
 
     def __init__(self, store: MetricStore, env):
@@ -373,21 +365,8 @@ class TrainingRecorder:
         stats = self.env.stats
         record("Environment/Cumulative Reward", ev.episode_reward, step)
         record("Environment/Episode Length", ev.episode_steps, step)
-        record("Metrics/Num Episodes", stats["episodes"], step, "last")
-        record("Metrics/Total Crashes", stats["crashed"], step, "last")
-        record("Metrics/Total Reached Goal", stats["parked"], step, "last")
-        record("Metrics/Total Halted", stats["halted"], step, "last")
-        record("Metrics/Total Crashes Car", stats["crash_agent"], step, "last")
-        record("Metrics/Total Crashes Wall", stats["crash_wall"], step, "last")
-        record("Metrics/Total Crashes StaticCar", stats["crash_parked"],
-               step, "last")
-        record("Metrics/Num Lost Goal", stats["lost_goal"], step, "last")
-        record("Metrics/Num Stop Explore", stats["transition_StopExplore"],
-               step, "last")
-        record("Metrics/Num Stop Goal", stats["transition_StopGoal"],
-               step, "last")
-        record("Metrics/Num Change Goal", stats["transition_ChangeGoal"],
-               step, "last")
+        for path, key in _RECORDED_TOTALS:
+            record(path, stats[key], step, "last")
         if ev.ratio_toward_goal is not None:
             record("Metrics/RatioMoveTowardsPerEps", ev.ratio_toward_goal,
                    step)
@@ -403,10 +382,9 @@ class TrainingRecorder:
             record("Metrics/RatioMoveTowardsExploringPerEps",
                    ev.ratio_toward_space_exploring, step)
         for name, total, pos in GAVE_WAY_KEYS.values():
-            record(f"Metrics/GaveWay{name}_PostiveCount",  # sic
-                   stats[pos], step, "last")
-            record(f"Metrics/GaveWay{name}_TotalCount", stats[total], step,
-                   "last")
+            pos_path, total_path = gave_way_paths(name)
+            record(pos_path, stats[pos], step, "last")
+            record(total_path, stats[total], step, "last")
 
 
 class TrainingRun:
@@ -558,12 +536,31 @@ def evaluate_policy(env, episodes: int, act) -> dict:
 
 
 class _ModelArrays(dict):
-    """A loaded model's arrays by name; a missing name raises ValueError."""
-
-    path = ""
+    """A loaded model's arrays by name. A missing name, and an array that
+    a typed read does not accept, raise ValueError; the loader names the
+    file."""
 
     def __missing__(self, key: str):
-        raise ValueError(f"{self.path}: missing array {key!r}")
+        raise ValueError(f"missing array {key!r}")
+
+    def integers(self, key: str) -> list[int]:
+        """The 1-d integer array `key`, as ints."""
+        arr = self[key]
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError(f"{key} must be a 1-d integer array: {arr!r}")
+        return arr.tolist()
+
+    def reals(self, key: str, shape: tuple | None = None):
+        """The finite real array `key` as float64, of `shape` unless None."""
+        import numpy as np
+
+        arr = self[key]
+        if arr.dtype.kind not in "fiu" or shape not in (None, arr.shape):
+            raise ValueError(f"{key} is a {arr.dtype} array of shape "
+                             f"{arr.shape}, not a real one of shape {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite values in {key}")
+        return arr.astype(np.float64, copy=False)
 
 
 def save_model(path: str, kind: str, arrays: dict) -> None:
@@ -575,11 +572,10 @@ def save_model(path: str, kind: str, arrays: dict) -> None:
         np.savez(fh, format=np.array(f"{kind}/{MODEL_VERSION}"), **arrays)
 
 
-def load_model(path: str, kind: str) -> dict:
+def load_model(path: str, kind: str) -> _ModelArrays:
     """The arrays ``save_model`` wrote for a `kind` model. Any other file
     (empty, truncated, foreign, a ``.npy`` array, another trainer's model
-    or another version) and a lookup of an array the model lacks raise
-    ``ValueError`` naming `path`."""
+    or another version) raises ``ValueError`` naming `path`."""
     import zipfile
     import zlib
 
@@ -595,7 +591,6 @@ def load_model(path: str, kind: str) -> dict:
         except (EOFError, OSError, RuntimeError, ValueError,
                 zipfile.BadZipFile, zlib.error) as e:
             raise ValueError(f"{path}: not a model checkpoint: {e}") from None
-    arrays.path = path
     found = arrays.pop("format", None)
     if str(found) != f"{kind}/{MODEL_VERSION}":
         raise ValueError(f"{path}: not a version {MODEL_VERSION} {kind} "
@@ -686,22 +681,22 @@ def model_row(model_dir: str, period_start: int | None = None,
         raise ValueError(
             f"{model_dir}: no training boundary recorded or supplied")
     get = series.get
-    eps = get("Metrics/Num Episodes")
-    row: dict = {"Model": meta.get("run_id") or os.path.basename(model_dir)}
+    eps = get(_EPISODES)
     total_steps = meta.get("total_steps")
-    row["Max Steps"] = (
-        total_steps - boundary if total_steps is not None else None)
-    for col, path in _MEAN_COLUMNS:
-        row[col] = mean_metric_period(get(path), boundary)
-    for col, path in _PER_EPS_COLUMNS:
-        row[col] = per_eps(get(path), eps, boundary)
-    row["Num Episodes"] = last_minus_start_metricperiod(eps, boundary)
-    for col, path in _LAST_MINUS_START_COLUMNS:
-        row[col] = last_minus_start_metricperiod(get(path), boundary)
-    for col in CONTEXT_COLUMNS:
-        row[col] = context_conformance(
-            get(f"Metrics/{col}_PostiveCount"),  # sic
-            get(f"Metrics/{col}_TotalCount"), boundary)
+    row: dict = {"Model": meta.get("run_id") or os.path.basename(model_dir)}
+    for col, how, source in EXPORT_COLUMNS:
+        if how == "mean":
+            value = mean_metric_period(get(source), boundary)
+        elif how == "per_eps":
+            value = per_eps(get(source), eps, boundary)
+        elif how == "delta":
+            value = last_minus_start_metricperiod(get(source), boundary)
+        elif how == "context":
+            pos, total = gave_way_paths(source)
+            value = context_conformance(get(pos), get(total), boundary)
+        else:  # steps
+            value = None if total_steps is None else total_steps - boundary
+        row[col] = value
     experiment = meta.get("experiment") or {}
     for p in param_paths:
         row[p] = dig(experiment, p)

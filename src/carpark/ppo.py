@@ -103,14 +103,29 @@ def _orthogonal(rng: np.random.Generator, n_in: int, n_out: int,
 
 class PolicyParams:
     """Named parameter arrays for the actor and critic networks plus
-    the optimizer's moment accumulators and step counter.
-
-    Layer naming: actor.w0/b0 .. actor.w{L-1}, one actor.head{k}.w/b
-    pair per action branch, the critic mirror, and critic.value.w/b.
-    """
+    the optimizer's moment accumulators and step counter, laid out by the
+    layer table that ``_set_dims`` returns."""
 
     def __init__(self, obs_dim: int, branches, hidden: int = 256,
                  layers: int = 3, rng: np.random.Generator | None = None):
+        table = self._set_dims(obs_dim, branches, hidden, layers)
+        if rng is None:
+            rng = np.random.default_rng()
+        data: dict[str, np.ndarray] = {}
+        for w, b, n_in, n_out, gain in table:
+            data[w] = _orthogonal(rng, n_in, n_out, gain)
+            data[b] = np.zeros(n_out)
+        self.data = data
+        self.m = {name: np.zeros_like(arr) for name, arr in data.items()}
+        self.v = {name: np.zeros_like(arr) for name, arr in data.items()}
+        self.t = 0
+
+    def _set_dims(self, obs_dim: int, branches, hidden: int,
+                  layers: int) -> list[tuple[str, str, int, int, float]]:
+        """Set the network dimensions and return the layer table: one
+        (weight name, bias name, inputs, outputs, init gain) entry per
+        layer in draw order, actor.w{i}/b{i}, the critic mirror, one
+        actor.head{k}.w/b pair per action branch, critic.value.w/b."""
         self.obs_dim = int(obs_dim)
         self.branches = tuple(int(b) for b in branches)
         self.hidden = int(hidden)
@@ -119,25 +134,13 @@ class PolicyParams:
             raise ValueError("network dimensions must be positive")
         if not self.branches or min(self.branches) < 1:
             raise ValueError("action branches must be non-empty and positive")
-        if rng is None:
-            rng = np.random.default_rng()
-        data: dict[str, np.ndarray] = {}
-        for prefix in ("actor", "critic"):
-            n_in = self.obs_dim
-            for i in range(self.layers):
-                data[f"{prefix}.w{i}"] = _orthogonal(
-                    rng, n_in, self.hidden, math.sqrt(2.0))
-                data[f"{prefix}.b{i}"] = np.zeros(self.hidden)
-                n_in = self.hidden
-        for k, size in enumerate(self.branches):
-            data[f"actor.head{k}.w"] = _orthogonal(rng, self.hidden, size, 0.01)
-            data[f"actor.head{k}.b"] = np.zeros(size)
-        data["critic.value.w"] = _orthogonal(rng, self.hidden, 1, 1.0)
-        data["critic.value.b"] = np.zeros(1)
-        self.data = data
-        self.m = {name: np.zeros_like(arr) for name, arr in data.items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in data.items()}
-        self.t = 0
+        h = self.hidden
+        table = [(f"{net}.w{i}", f"{net}.b{i}", h if i else self.obs_dim, h,
+                  math.sqrt(2.0))
+                 for net in ("actor", "critic") for i in range(self.layers)]
+        table += [(f"actor.head{k}.w", f"actor.head{k}.b", h, size, 0.01)
+                  for k, size in enumerate(self.branches)]
+        return table + [("critic.value.w", "critic.value.b", h, 1, 1.0)]
 
     def checksum(self) -> float:
         """Order-stable digest of the parameter values; used to verify
@@ -157,26 +160,26 @@ class PolicyParams:
 
     @classmethod
     def load(cls, path: str) -> "PolicyParams":
+        """The saved policy; its arrays are checked against the layer
+        table and nothing is drawn."""
         arrays = load_model(path, "ppo")
-        meta = arrays["meta"]
-        if meta.shape != (4,) or meta.dtype.kind not in "iu":
-            raise ValueError(f"{path}: meta must be 4 integers, got {meta!r}")
-        obs_dim, hidden, layers, t = (int(x) for x in meta)
-        params = cls(obs_dim, arrays["branches"], hidden, layers,
-                     rng=np.random.default_rng(0))
-        for name in params.data:
-            for store, tag in ((params.data, "p"), (params.m, "m"),
-                               (params.v, "v")):
-                key = f"{tag}.{name}"
-                arr = arrays[key]
-                if arr.shape != store[name].shape:
-                    raise ValueError(
-                        f"{path}: {key} has shape {arr.shape}, expected "
-                        f"{store[name].shape}")
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"{path}: non-finite values in {key}")
-                store[name] = arr.astype(np.float64)
-        params.t = t
+        params = cls.__new__(cls)
+        try:
+            meta = arrays.integers("meta")
+            if len(meta) != 4 or min(meta) < 0:
+                raise ValueError(f"meta must be 4 integers, none negative, "
+                                 f"got {meta}")
+            obs_dim, hidden, layers, params.t = meta
+            table = params._set_dims(obs_dim, arrays.integers("branches"),
+                                     hidden, layers)
+            params.data, params.m, params.v = {}, {}, {}
+            for w, b, n_in, n_out, _ in table:
+                for name, shape in ((w, (n_in, n_out)), (b, (n_out,))):
+                    for store, tag in ((params.data, "p"), (params.m, "m"),
+                                       (params.v, "v")):
+                        store[name] = arrays.reals(f"{tag}.{name}", shape)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         return params
 
 

@@ -66,8 +66,11 @@ class QTable:
     @classmethod
     def load(cls, path: str) -> "QTable":
         arrays = load_model(path, "q")
-        return cls(arrays["state_sizes"], arrays["action_sizes"],
-                   arrays["values"])
+        try:
+            return cls(arrays.integers("state_sizes"),
+                       arrays.integers("action_sizes"), arrays.reals("values"))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def q_update(table: QTable, s: int, a: int, r: float, s_next: int | None,

@@ -870,7 +870,7 @@ def test_observe_space_distances_carry_global_info():
 STEP_EVENT_DEFAULTS = {
     "reward": 0.0, "terminal": None, "crash_kind": None, "parked": False, "halted": False, "lost_goal": False,
     "transition": None, "transition_reward": 0.0, "gave_way": None,
-    "velocity": 0, "omega": 0, "exploring": False, "moved_toward_goal": 0,
+    "velocity": 0, "omega": 0, "moved_toward_goal": 0,
     "park_velocity": None, "episode_steps": 0, "episode_reward": 0.0,
     "ratio_explore": None, "ratio_toward_goal": None,
     "ratio_toward_space_exploring": None,

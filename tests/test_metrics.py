@@ -50,14 +50,6 @@ def test_mean_bucket_averages_window():
     assert store.series("m").points == [(10, 5.5)]
 
 
-def test_sum_bucket_is_running_total():
-    store = MetricStore(summary_freq=10)
-    for step, v in ((3, 1.0), (7, 2.0), (12, 4.0), (25, 1.0)):
-        store.record("m", v, step, "sum")
-    store.close()
-    assert store.series("m").points == [(10, 3.0), (20, 7.0), (25, 8.0)]
-
-
 def test_last_bucket_keeps_final_value():
     store = MetricStore(summary_freq=10)
     for step, v in ((2, 5.0), (9, 7.0), (15, 1.0)):
@@ -104,7 +96,7 @@ def test_mode_conflict_and_bad_values_rejected():
     store = MetricStore(summary_freq=10)
     store.record("m", 1.0, 1)
     with pytest.raises(ValueError, match="mode"):
-        store.record("m", 1.0, 2, "sum")
+        store.record("m", 1.0, 2, "last")
     with pytest.raises(ValueError):
         store.record("n", math.nan, 1)
     with pytest.raises(ValueError):
@@ -112,6 +104,21 @@ def test_mode_conflict_and_bad_values_rejected():
     store.close()
     with pytest.raises(RuntimeError):
         store.record("m", 1.0, 3)
+
+
+def test_sum_mode_is_rejected(tmp_path):
+    """Only mean and last buckets are recorded; a stored file's mode string
+    is read back whatever it says."""
+    store = MetricStore(summary_freq=10)
+    with pytest.raises(ValueError, match="'sum'"):
+        store.record("m", 1.0, 1, "sum")
+    assert store.series("m") is None
+    lines = [rec_line("a", 10, 2.0, "sum"), rec_line("b", 10, 3.0, "median")]
+    path = write_store_bytes(tmp_path, "\n".join(lines).encode())
+    assert read_store(path) == {
+        "a": MetricSeries("a", "sum", 0, [(10, 2.0)]),
+        "b": MetricSeries("b", "median", 0, [(10, 3.0)]),
+    }
 
 
 @settings(deadline=None)
@@ -162,15 +169,12 @@ def brute_force_buckets(freq, recs):
         for m, step, v in recs:
             if m == mode:
                 windows.setdefault(-(-step // freq) * freq, []).append((step, v))
-        cum = 0.0
         points = []
         for end, group in sorted(windows.items()):
             total = 0.0
             for _, v in group:
                 total += v
-                cum += v
-            value = {"mean": total / len(group), "sum": cum,
-                     "last": group[-1][1]}[mode]
+            value = {"mean": total / len(group), "last": group[-1][1]}[mode]
             points.append((end, value))
         if points:
             points[-1] = (windows[points[-1][0]][-1][0], points[-1][1])
@@ -201,13 +205,13 @@ def test_store_file_round_trip(tmp_path):
     store = MetricStore(str(path), summary_freq=10)
     for step in range(1, 25):
         store.record("a", float(step), step)
-        store.record("b", 1.0, step, "sum")
+        store.record("b", 1.0, step, "last")
     store.close()
     back = read_store(str(path))
     assert back["a"].points == store.series("a").points
     assert back["b"].points == store.series("b").points
     assert back["a"].mode == "mean"
-    assert back["b"].mode == "sum"
+    assert back["b"].mode == "last"
     assert back["a"].summary_freq == 10
 
 
@@ -643,6 +647,34 @@ def test_export_rows_csv(tmp_path):
     assert by_col["Park Velocity"] == ""  # absent marker is an empty cell
     assert float(by_col["p"]) + float(by_col["c"]) + float(by_col["h"]) == \
         pytest.approx(1.0, abs=1e-9)
+
+
+EXPORT_HEADER = [
+    "Model", "Max Steps", "Final Mean Reward", "Final Mean Episode Length",
+    "c", "p", "h", "Num Episodes", "Total Crashes Car", "Total Crashes Wall",
+    "Total Crashes StaticCar", "Num Lost Goal PerEps",
+    "Num Stop Explore PerEps", "Num Stop Goal PerEps",
+    "Num Change Goal PerEps", "GaveWayLocalAnyGoal", "GaveWayGlobalAnyGoal",
+    "GaveWayLocalSameGoal", "GaveWayGlobalSameGoal",
+    "GaveWayNonLocalSameGoal", "GaveWayNonLocalAnyGoal", "DeltaThetaAvg",
+    "VelocityAvg", "NearestCarDistAvg", "RatioExplorePerEps",
+    "RatioGoalPerEps", "RatioMoveTowardsPerEps",
+    "RatioMoveTowardsExploringPerEps", "Park Velocity",
+]
+
+
+def test_export_header_is_pinned(tmp_path):
+    """The CSV header, written out: "Model", the 28 summary columns in
+    order, then the parameter paths."""
+    synthetic_model_dir(tmp_path, "m1")
+    out = tmp_path / "rows.csv"
+    params = ("environment_parameters.gamma", "trainer")
+    export_rows(discover_model_dirs(str(tmp_path)), str(out),
+                param_paths=params)
+    with open(out, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert len(EXPORT_HEADER) == 29
+    assert header == [*EXPORT_HEADER, *params]
 
 
 def test_export_rows_deterministic_bytes(tmp_path):

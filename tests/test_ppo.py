@@ -7,6 +7,7 @@ import copy
 import hashlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -740,6 +741,70 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path = str(tmp_path / "other.npz")
     np.savez(path, stuff=np.zeros(3))
     with pytest.raises(ValueError, match="checkpoint"):
+        PolicyParams.load(path)
+
+
+def test_load_draws_no_random_init(tmp_path, monkeypatch):
+    """Loading checks the arrays against the layer table: it never draws
+    an orthogonal init, so it runs with the QR factorization broken."""
+    params = tiny_params(obs_dim=5, branches=(3, 4, 2), hidden=6, layers=3,
+                         seed=29)
+    rng = np.random.default_rng(30)
+    for store in (params.m, params.v):
+        for arr in store.values():
+            arr[...] = rng.standard_normal(arr.shape)
+    params.t = 41
+    path = str(tmp_path / "model.npz")
+    params.save(path)
+
+    def broken_qr(*args, **kwargs):
+        raise AssertionError("load drew a random init")
+
+    monkeypatch.setattr(np.linalg, "qr", broken_qr)
+    loaded = PolicyParams.load(path)
+    assert loaded.t == 41
+    for store in ("data", "m", "v"):
+        got, want = getattr(loaded, store), getattr(params, store)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
+
+
+# a valid hand-built archive: 4 inputs, branches (3, 2), one hidden layer of 8
+POLICY_SHAPES = {"actor.w0": (4, 8), "actor.b0": (8,), "critic.w0": (4, 8),
+                 "critic.b0": (8,), "actor.head0.w": (8, 3),
+                 "actor.head0.b": (3,), "actor.head1.w": (8, 2),
+                 "actor.head1.b": (2,), "critic.value.w": (8, 1),
+                 "critic.value.b": (1,)}
+
+# name -> the edit that its loader must refuse
+BAD_POLICY_ARRAYS = {
+    "2-d branches": {"branches": np.array([[3, 2]])},
+    "0-d branches": {"branches": np.array(3)},
+    "non-integer branches": {"branches": np.array([3.5, 2.0])},
+    "negative branch": {"branches": np.array([3, -2])},
+    "string p array": {"p.actor.w0": np.full((4, 8), "x")},
+    "complex m array": {"m.actor.b0": np.zeros(8, dtype=complex)},
+    "negative hidden": {"meta": np.array([4, -8, 1, 0])},
+    "zero layers": {"meta": np.array([4, 8, 0, 0])},
+    "negative t": {"meta": np.array([4, 8, 1, -1])},
+}
+
+
+@pytest.mark.parametrize("case", [None, *BAD_POLICY_ARRAYS])
+def test_load_names_the_file_for_bad_arrays(tmp_path, case):
+    path = str(tmp_path / "model.npz")
+    arrays = {f"{tag}.{name}": np.full(shape, 0.5)
+              for tag in "pmv" for name, shape in POLICY_SHAPES.items()}
+    arrays.update(format=np.array("ppo/1"), meta=np.array([4, 8, 1, 3]),
+                  branches=np.array([3, 2]))
+    np.savez(path, **{**arrays, **BAD_POLICY_ARRAYS.get(case, {})})
+    if case is None:
+        loaded = PolicyParams.load(path)
+        assert (loaded.branches, loaded.t) == ((3, 2), 3)
+        assert list(loaded.data) == list(POLICY_SHAPES)
+        return
+    with pytest.raises(ValueError, match=re.escape(path)):
         PolicyParams.load(path)
 
 

@@ -3,6 +3,7 @@ persistence, and the training loop end to end."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,35 @@ def test_table_load_rejects_corrupt_files(tmp_path, mangle):
     path.write_bytes(mangle(path.read_bytes()))
     with pytest.raises(ValueError, match="t.qtable: not a model checkpoint"):
         QTable.load(str(path))
+
+
+# name -> the arrays of a hand-built q/1 archive that its loader must
+# refuse, each edit applied to a valid 3x2-state, 2-action table
+BAD_TABLE_ARRAYS = {
+    "0-d state_sizes": {"state_sizes": np.array(6)},
+    "2-d action_sizes": {"action_sizes": np.array([[2]])},
+    "string values": {"values": np.full((6, 2), "x")},
+    "non-integer state_sizes": {"state_sizes": np.array([3.5, 2.0])},
+    "complex values": {"values": np.zeros((6, 2), dtype=complex)},
+    "values off the radix product": {"values": np.zeros(12)},
+    "non-finite values": {"values": np.full((6, 2), np.nan)},
+    "zero radix entry": {"state_sizes": np.array([0, 2]),
+                         "values": np.zeros((0, 2))},
+}
+
+
+@pytest.mark.parametrize("case", [None, *BAD_TABLE_ARRAYS])
+def test_table_load_names_the_file_for_bad_arrays(tmp_path, case):
+    path = str(tmp_path / "model.npz")
+    arrays = {"format": np.array(f"q/{MODEL_VERSION}"),
+              "values": np.arange(12.0).reshape(6, 2),
+              "state_sizes": np.array([3, 2]), "action_sizes": np.array([2])}
+    np.savez(path, **{**arrays, **BAD_TABLE_ARRAYS.get(case, {})})
+    if case is None:
+        assert QTable.load(path).values.tolist() == arrays["values"].tolist()
+        return
+    with pytest.raises(ValueError, match=re.escape(path)):
+        QTable.load(path)
 
 
 def test_table_rejects_bad_construction():
