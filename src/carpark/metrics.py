@@ -3,9 +3,10 @@
 Training jobs record raw scalar points against a monotone step axis.
 The store folds them into fixed-width step windows (the summary
 frequency) and keeps one point per closed window, so memory and file
-size stay bounded regardless of run length. Closed buckets stream to a
-line-delimited JSON file as they close, which means a crashed job still
-leaves a readable store behind.
+size stay bounded regardless of run length. ``MetricStore`` only writes:
+closed buckets stream to a line-delimited JSON file as they close, which
+means a crashed job still leaves a readable store behind, and the file is
+their only copy. ``read_store`` is the one reader.
 
 Both trainers share the run scaffold here: ``TrainingRun`` steps the
 environment for them, keeps the tick bookkeeping and the training
@@ -51,22 +52,6 @@ _decode = json.JSONDecoder().raw_decode
 
 _EPISODES = "Metrics/Num Episodes"
 
-# running totals sampled from env.stats at every episode end, in
-# recording order: (metric path, stats key)
-_RECORDED_TOTALS = (
-    (_EPISODES, "episodes"),
-    ("Metrics/Total Crashes", "crashed"),
-    ("Metrics/Total Reached Goal", "parked"),
-    ("Metrics/Total Halted", "halted"),
-    ("Metrics/Total Crashes Car", "crash_agent"),
-    ("Metrics/Total Crashes Wall", "crash_wall"),
-    ("Metrics/Total Crashes StaticCar", "crash_parked"),
-    ("Metrics/Num Lost Goal", "lost_goal"),
-    ("Metrics/Num Stop Explore", "transition_StopExplore"),
-    ("Metrics/Num Stop Goal", "transition_StopGoal"),
-    ("Metrics/Num Change Goal", "transition_ChangeGoal"),
-)
-
 
 def gave_way_paths(name: str) -> tuple[str, str]:
     """The recorded (positive, total) count paths of a give-way context."""
@@ -78,22 +63,31 @@ def gave_way_paths(name: str) -> tuple[str, str]:
 # column, in CSV order. "steps" counts the run's steps past the training
 # boundary; "mean" averages the period's buckets of the source metric,
 # "delta" is a running total's increase over the period and "per_eps"
-# that increase per episode; "context" is a give-way conformance.
+# that increase per episode; "context" is a give-way conformance. The
+# source of a running total is its (metric path, env.stats key) pair:
+# the recorder samples the key at every episode end.
 EXPORT_COLUMNS = (
     ("Max Steps", "steps", None),
     ("Final Mean Reward", "mean", "Environment/Cumulative Reward"),
     ("Final Mean Episode Length", "mean", "Environment/Episode Length"),
-    ("c", "per_eps", "Metrics/Total Crashes"),
-    ("p", "per_eps", "Metrics/Total Reached Goal"),
-    ("h", "per_eps", "Metrics/Total Halted"),
-    ("Num Episodes", "delta", _EPISODES),
-    ("Total Crashes Car", "delta", "Metrics/Total Crashes Car"),
-    ("Total Crashes Wall", "delta", "Metrics/Total Crashes Wall"),
-    ("Total Crashes StaticCar", "delta", "Metrics/Total Crashes StaticCar"),
-    ("Num Lost Goal PerEps", "per_eps", "Metrics/Num Lost Goal"),
-    ("Num Stop Explore PerEps", "per_eps", "Metrics/Num Stop Explore"),
-    ("Num Stop Goal PerEps", "per_eps", "Metrics/Num Stop Goal"),
-    ("Num Change Goal PerEps", "per_eps", "Metrics/Num Change Goal"),
+    ("c", "per_eps", ("Metrics/Total Crashes", "crashed")),
+    ("p", "per_eps", ("Metrics/Total Reached Goal", "parked")),
+    ("h", "per_eps", ("Metrics/Total Halted", "halted")),
+    ("Num Episodes", "delta", (_EPISODES, "episodes")),
+    ("Total Crashes Car", "delta", ("Metrics/Total Crashes Car",
+                                    "crash_agent")),
+    ("Total Crashes Wall", "delta", ("Metrics/Total Crashes Wall",
+                                     "crash_wall")),
+    ("Total Crashes StaticCar", "delta", ("Metrics/Total Crashes StaticCar",
+                                          "crash_parked")),
+    ("Num Lost Goal PerEps", "per_eps", ("Metrics/Num Lost Goal",
+                                         "lost_goal")),
+    ("Num Stop Explore PerEps", "per_eps", ("Metrics/Num Stop Explore",
+                                            "transition_StopExplore")),
+    ("Num Stop Goal PerEps", "per_eps", ("Metrics/Num Stop Goal",
+                                         "transition_StopGoal")),
+    ("Num Change Goal PerEps", "per_eps", ("Metrics/Num Change Goal",
+                                           "transition_ChangeGoal")),
     ("GaveWayLocalAnyGoal", "context", "LocalAnyGoal"),
     ("GaveWayGlobalAnyGoal", "context", "GlobalAnyGoal"),
     ("GaveWayLocalSameGoal", "context", "LocalSameGoal"),
@@ -110,6 +104,12 @@ EXPORT_COLUMNS = (
      "Metrics/RatioMoveTowardsExploringPerEps"),
     ("Park Velocity", "mean", "Metrics/Park Velocity"),
 )
+# the running totals in recording order: the episode count first, then
+# catalogue order (sorted is stable)
+_RECORDED_TOTALS = tuple(sorted(
+    (source for _, how, source in EXPORT_COLUMNS
+     if how in ("delta", "per_eps")),
+    key=lambda source: source[0] != _EPISODES))
 ROW_COLUMNS = tuple(col for col, _, _ in EXPORT_COLUMNS)
 CONTEXT_COLUMNS = tuple(col for col, how, _ in EXPORT_COLUMNS
                         if how == "context")
@@ -126,8 +126,7 @@ class MetricSeries:
 
 
 class _SeriesState:
-    __slots__ = ("mode", "last_step", "window_end", "count", "value",
-                 "points")
+    __slots__ = ("mode", "last_step", "window_end", "count", "value")
 
     def __init__(self, mode: str):
         self.mode = mode
@@ -135,33 +134,29 @@ class _SeriesState:
         self.window_end = -1  # end step of the open window; -1 before any
         self.count = 0  # points in the open window; 0 means nothing to flush
         self.value = 0.0  # the open window's sum (mean) or last value
-        self.points: list[tuple[int, float]] = []
 
 
 class MetricStore:
-    """Step-bucketed scalar recorder, one instance per training job.
+    """Step-bucketed scalar recorder, one instance per training job,
+    writing to the store file at `path`; ``read_store`` reads it back.
 
     Bucket windows span ((k-1)*freq, k*freq] and close at the window-end
     step; a partially filled window is flushed at its last recorded step
     when the store closes. ``mean`` buckets average the window's raw
-    points and ``last`` buckets keep the window's final value.
+    points and ``last`` buckets keep the window's final value. A closed
+    bucket goes to the file and nowhere else.
     """
 
-    def __init__(self, path: str | None = None,
-                 summary_freq: int = DEFAULT_SUMMARY_FREQ):
+    def __init__(self, path: str, summary_freq: int = DEFAULT_SUMMARY_FREQ):
         if summary_freq < 1:
             raise ValueError(f"summary_freq must be positive: {summary_freq}")
         self.summary_freq = int(summary_freq)
         self._states: dict[str, _SeriesState] = {}
         self._closed = False
-        self._fh = None
-        if path is not None:
-            self._fh = open(path, "w", encoding="utf-8")
-            header = {"format": "carpark-metrics", "version": 1,
-                      "summary_freq": self.summary_freq}
-            self._fh.write(json.dumps(header) + "\n")
-
-    # ------------------------------------------------------------- recording
+        self._fh = open(path, "w", encoding="utf-8")
+        header = {"format": "carpark-metrics", "version": 1,
+                  "summary_freq": self.summary_freq}
+        self._fh.write(json.dumps(header) + "\n")
 
     def record(self, path: str, value: float, step: int,
                mode: str = "mean") -> None:
@@ -197,11 +192,9 @@ class MetricStore:
         if not st.count:
             return
         value = st.value / st.count if st.mode == "mean" else st.value
-        st.points.append((at_step, value))
-        if self._fh is not None:
-            self._fh.write(json.dumps(
-                {"path": path, "step": at_step, "value": value,
-                 "mode": st.mode}) + "\n")
+        self._fh.write(json.dumps(
+            {"path": path, "step": at_step, "value": value,
+             "mode": st.mode}) + "\n")
         st.value = 0.0
         st.count = 0
 
@@ -213,19 +206,8 @@ class MetricStore:
                 # partial window: flush at the data's actual extent
                 at = min(st.window_end, st.last_step)
                 self._close_window(path, st, at)
-        if self._fh is not None:
-            self._fh.flush()
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
         self._closed = True
-
-    # --------------------------------------------------------------- reading
-
-    def series(self, path: str) -> MetricSeries | None:
-        st = self._states.get(path)
-        if st is None:
-            return None
-        return MetricSeries(path, st.mode, self.summary_freq, list(st.points))
 
 
 def read_store(path: str) -> dict[str, MetricSeries]:
@@ -688,9 +670,9 @@ def model_row(model_dir: str, period_start: int | None = None,
         if how == "mean":
             value = mean_metric_period(get(source), boundary)
         elif how == "per_eps":
-            value = per_eps(get(source), eps, boundary)
+            value = per_eps(get(source[0]), eps, boundary)
         elif how == "delta":
-            value = last_minus_start_metricperiod(get(source), boundary)
+            value = last_minus_start_metricperiod(get(source[0]), boundary)
         elif how == "context":
             pos, total = gave_way_paths(source)
             value = context_conformance(get(pos), get(total), boundary)

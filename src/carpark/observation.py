@@ -193,6 +193,12 @@ def build_schema(cfg: EnvironmentConfig, extent: int = 74) -> ObsSchema:
             for k in range(n_space):
                 feats.append(Feature(f"space{k}-nearest-goal-agent",
                                      "distance", d_max))
+    for f in feats:  # a zero bound would divide by zero in every observe
+        if not f.bound > 0.0:
+            raise ValueError(
+                f"feature {f.name}: normalization bound {f.bound:g} must be "
+                "positive (a tracked car's distance bound is half of "
+                "_obsNearbyCarsDiameter)")
     return ObsSchema(tuple(feats))
 
 

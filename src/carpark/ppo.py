@@ -4,8 +4,10 @@ action branch, critic with a scalar value head), hand-derived
 reverse-mode gradients of the clipped-surrogate loss, an
 adaptive-moment optimizer, and generalized advantage estimation.
 
-All agents share one parameter set; rollout segments from every agent
-feed a single buffer and are cut at the time horizon or at episode end.
+All agents share one parameter set and feed one rollout buffer. The
+buffer owns every agent's open segment and closes it at the time horizon
+or at episode end; a segment still open at an update carries over to the
+next one, and the open tails are dropped when the run ends.
 The last 0.2 of the step budget is an evaluation phase: the update loop
 keeps running with the learning rate exactly 0, so parameters stay
 bit-identical while the metrics keep flowing. At lr=0 the optimizer
@@ -257,56 +259,64 @@ def gae(rewards, values, terminals, gamma: float, lam: float,
 
 
 class RolloutBuffer:
-    """Trajectory steps awaiting an update pass: observation, action
-    indices per branch, behavior log-prob, reward, value, terminal
-    flag, and the advantages/returns computed when the segment was
-    inserted. Segments enter whole, at the time horizon or at episode
-    end, and the buffer is drained by each update cycle."""
+    """Trajectory steps awaiting an update pass. Each agent's open segment
+    collects its steps (observation, action indices per branch, behavior
+    log-prob, reward, value) until ``add_segment`` closes it, at episode
+    end or at the time horizon. Closing runs ``gae`` over the segment and
+    keeps the five series ``drain`` returns: observation, actions,
+    log-prob, advantage and return. ``drain`` empties the closed steps
+    only; open segments carry over into the next update cycle."""
 
     def __init__(self, capacity: int = 4096, horizon: int = 128):
         if capacity < 1 or horizon < 1:
             raise ValueError("capacity and horizon must be positive")
         self.capacity = int(capacity)
         self.horizon = int(horizon)
-        self.clear()
+        self._open: dict[int, list[tuple]] = {}  # agent -> its open steps
+        self._clear()
 
-    def clear(self) -> None:
+    def _clear(self) -> None:
         self.obs: list[np.ndarray] = []
         self.actions: list[tuple[int, ...]] = []
         self.logp: list[float] = []
-        self.rewards: list[float] = []
-        self.values: list[float] = []
-        self.terminals: list[bool] = []
         self.advantages: list[float] = []
         self.returns: list[float] = []
 
     @property
     def size(self) -> int:
-        return len(self.rewards)
+        """Steps in closed segments."""
+        return len(self.logp)
 
     @property
     def full(self) -> bool:
         return self.size >= self.capacity
 
-    def add_segment(self, obs, actions, logp, rewards, values, terminals,
-                    gamma: float, lam: float, bootstrap: float = 0.0) -> None:
-        n = len(rewards)
-        if n == 0:
-            return
-        if n > self.horizon:
+    def append(self, agent: int, obs, action: tuple[int, ...], logp: float,
+               reward: float, value: float) -> int:
+        """Add one step to the agent's open segment; returns its length."""
+        seg = self._open.setdefault(agent, [])
+        if len(seg) >= self.horizon:
             raise ValueError(
-                f"segment of {n} steps exceeds the time horizon "
-                f"{self.horizon}")
-        if not (len(obs) == len(actions) == len(logp) == len(values)
-                == len(terminals) == n):
-            raise ValueError("segment series must align")
+                f"agent {agent}'s open segment already spans the time "
+                f"horizon {self.horizon}")
+        seg.append((obs, action, logp, reward, value))
+        return len(seg)
+
+    def add_segment(self, agent: int, gamma: float, lam: float,
+                    terminal: bool = False, bootstrap: float = 0.0) -> None:
+        """Close the agent's open segment. A terminal last step bootstraps
+        from zero; a segment cut mid-episode passes the next state's value
+        estimate as bootstrap."""
+        seg = self._open.pop(agent, None)
+        if seg is None:
+            return
+        obs, actions, logp, rewards, values = zip(*seg)
+        terminals = [False] * len(seg)
+        terminals[-1] = terminal
         adv, ret = gae(rewards, values, terminals, gamma, lam, bootstrap)
         self.obs.extend(obs)
         self.actions.extend(actions)
         self.logp.extend(logp)
-        self.rewards.extend(rewards)
-        self.values.extend(values)
-        self.terminals.extend(terminals)
         self.advantages.extend(adv.tolist())
         self.returns.extend(ret.tolist())
 
@@ -318,7 +328,7 @@ class RolloutBuffer:
             "advantages": np.asarray(self.advantages, dtype=np.float64),
             "returns": np.asarray(self.returns, dtype=np.float64),
         }
-        self.clear()
+        self._clear()
         return batch
 
 
@@ -550,18 +560,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
     n = run.n
     offsets = env.action_schema.offsets
     buffer = RolloutBuffer(hyper.buffer, hyper.horizon)
-    pending: list[dict] = [
-        {"obs": [], "actions": [], "logp": [], "rewards": [], "values": [],
-         "terminals": []} for _ in range(n)]
     cut = hyper.train_fraction * hyper.total_steps
-
-    def flush_segment(i: int, bootstrap: float) -> None:
-        seg = pending[i]
-        buffer.add_segment(seg["obs"], seg["actions"], seg["logp"],
-                           seg["rewards"], seg["values"], seg["terminals"],
-                           hyper.gamma, hyper.lam, bootstrap)
-        for series in seg.values():
-            series.clear()
 
     while not run.done:
         # one actor and one critic pass per tick; [:, None, :] multiplies
@@ -587,22 +586,17 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
         if gstep >= cut:
             run.end_training()
         for i, out in enumerate(outs):
-            seg = pending[i]
-            terminal = out.terminal is not None
-            seg["obs"].append(step_obs[i])
-            seg["actions"].append(step_idx[i])
-            seg["logp"].append(step_logp[i])
-            seg["rewards"].append(out.reward)
-            seg["values"].append(float(step_values[i]))
-            seg["terminals"].append(terminal)
-            if terminal:
-                flush_segment(i, 0.0)
-            elif len(seg["rewards"]) >= hyper.horizon:
+            steps = buffer.append(i, step_obs[i], step_idx[i], step_logp[i],
+                                  out.reward, float(step_values[i]))
+            if out.terminal is not None:
+                buffer.add_segment(i, hyper.gamma, hyper.lam, terminal=True)
+            elif steps >= hyper.horizon:
                 x_next = np.asarray(env.observe(i), dtype=np.float64)
                 values, _ = _critic_values(params, x_next.reshape(1, -1))
                 _check_finite(f"for agent {i}'s bootstrap value at step "
                               f"{gstep}", values)
-                flush_segment(i, float(values[0]))
+                buffer.add_segment(i, hyper.gamma, hyper.lam,
+                                   bootstrap=float(values[0]))
         if buffer.full:
             diag = ppo_update(params, buffer, hyper, lr_at(gstep), np_rng)
             if run.store is not None and diag["updates"]:

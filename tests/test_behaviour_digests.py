@@ -1,11 +1,18 @@
 """Bit-exact behaviour gates: the three baseline env digests (poses,
 velocities, goals, rewards, terminals and observations over 300 seeded
 random-action ticks) and the tiny unit digest of every workload case must
-match the values committed in benchmarks/digests.json. The file is only read here; benchmarks/digest.py
---update is the one place that rewrites it."""
+match the values committed in benchmarks/digests.json. The file is only
+read here; benchmarks/digest.py --update is the one place that rewrites
+it. The full-size unit digests take about a minute and a half, so their
+test is marked slow:
+
+    PYTHONPATH=src python -m pytest -m slow tests/test_behaviour_digests.py
+"""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +56,34 @@ def test_tiny_unit_digests_match_committed(digest_module, tmp_path):
         for case in range(workloads.CASES):
             got = digest_module.unit_digest(workload, case)
             assert got == want[name][str(case)], (name, case)
+
+
+# every case of one workload at full size, printed as JSON; importing
+# digest imports run.py, which pins the BLAS threads before numpy loads
+FULL_SIZE_DIGESTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import digest
+workloads = digest.workloads
+workload = workloads.WORKLOADS[sys.argv[2]]("full", sys.argv[3])
+print(json.dumps({str(case): digest.unit_digest(workload, case)
+                  for case in range(workloads.CASES)}))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name", ["q-basic", "ppo-fixed4", "env-dynamic8", "export-tree"])
+def test_full_unit_digests_match_committed(name, tmp_path):
+    """Every case of every workload at full size, each workload in a
+    fresh interpreter, as run.py computes them."""
+    with open(os.path.join(BENCHMARKS, "digests.json"), encoding="utf-8") as fh:
+        want = json.load(fh)["full"]
+    assert sorted(want) == ["env-dynamic8", "export-tree", "ppo-fixed4",
+                            "q-basic"]
+    proc = subprocess.run(
+        [sys.executable, "-c", FULL_SIZE_DIGESTS, BENCHMARKS, name,
+         str(tmp_path / name)],
+        capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want[name]

@@ -1,11 +1,15 @@
 """Parameter schema parsing and validation."""
 
 import os
+import random
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carpark.config import (
     EnvironmentConfig,
@@ -13,6 +17,7 @@ from carpark.config import (
     config_signature,
     load_config,
 )
+from carpark.env import ActionTuple, ParkingEnv
 
 
 def test_empty_document_gives_defaults():
@@ -235,3 +240,64 @@ def test_importing_the_package_leaves_yaml_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# every config field by kind, as config_from_mapping coerces it
+FIELD_KINDS = {
+    ("try" if f.name == "try_" else f.name):
+        {"int | None": "int", "list[int]": "int_list"}.get(f.type, f.type)
+    for f in fields(EnvironmentConfig)}
+KIND_VALUES = {
+    "bool": st.booleans(),
+    "int": st.one_of(st.integers(-1, 12), st.sampled_from([24, 36, 90, 300])),
+    "float": st.one_of(st.floats(-1.0, 20.0, allow_nan=False),
+                       st.sampled_from([0.0, 0.5, 1.0])),
+    "int_list": st.lists(st.integers(-1, 120), max_size=3),
+}
+
+
+@st.composite
+def config_mappings(draw):
+    """A mapping of some config fields, each drawn by its kind."""
+    keys = draw(st.lists(st.sampled_from(sorted(FIELD_KINDS)), unique=True,
+                         max_size=16))
+    return {key: draw(KIND_VALUES[FIELD_KINDS[key]]) for key in keys}
+
+
+def run_random_ticks(cfg, seed, ticks=30):
+    """Build and reset an env, then observe every agent and step them all
+    with random legal actions, ticks times."""
+    rng = random.Random(seed)
+    env = ParkingEnv(cfg, seed=seed)
+    env.reset()
+    schema = env.action_schema
+    for _ in range(ticks):
+        for i in range(len(env.agents)):
+            env.observe(i)
+        env.step_all([
+            ActionTuple(*(rng.randrange(size) - offset for size, offset
+                          in zip(schema.branches, schema.offsets)))
+            for _ in env.agents])
+
+
+@settings(max_examples=150, deadline=None)
+@example({"_normalizeObs": True, "_obsNearbyCars": True,
+          "_obsNearbyCarsCount": 2}, 0)
+@given(config_mappings(), st.integers(0, 1 << 16))
+def test_accepted_config_runs_or_fails_with_a_named_error(doc, seed):
+    """In both observation modes, a config is rejected with ValueError, or
+    it builds, resets, observes and steps every agent for 30 random ticks,
+    or it fails with a ValueError or RuntimeError whose message names the
+    cause (a feature the observation mode cannot encode, no legal spawn
+    position, no free space for a goal)."""
+    for normalize in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                cfg = config_from_mapping({**doc, "_normalizeObs": normalize})
+            except ValueError:
+                return
+        try:
+            run_random_ticks(cfg, seed)
+        except (ValueError, RuntimeError) as err:
+            assert str(err), f"{type(err).__name__} without a message"

@@ -39,61 +39,73 @@ def series(points, mode="mean", freq=10):
     return MetricSeries("m", mode, freq, list(points))
 
 
+def file_store(directory, freq=10):
+    """A store writing metrics.jsonl in directory, and the file's path."""
+    path = os.path.join(str(directory), "metrics.jsonl")
+    return MetricStore(path, summary_freq=freq), path
+
+
+def points(path, name="m"):
+    """The closed buckets of one series, read back from the store file."""
+    return read_store(path)[name].points
+
+
 # ---------------------------------------------------------------- recording
 
 
-def test_mean_bucket_averages_window():
-    store = MetricStore(summary_freq=10)
+def test_mean_bucket_averages_window(tmp_path):
+    store, path = file_store(tmp_path)
     for step in range(1, 11):
         store.record("m", float(step), step)
     store.record("m", 100.0, 11)  # opens the next window, closing the first
-    assert store.series("m").points == [(10, 5.5)]
+    store.close()
+    assert points(path) == [(10, 5.5), (11, 100.0)]
 
 
-def test_last_bucket_keeps_final_value():
-    store = MetricStore(summary_freq=10)
+def test_last_bucket_keeps_final_value(tmp_path):
+    store, path = file_store(tmp_path)
     for step, v in ((2, 5.0), (9, 7.0), (15, 1.0)):
         store.record("m", v, step, "last")
     store.close()
-    assert store.series("m").points == [(10, 7.0), (15, 1.0)]
+    assert points(path) == [(10, 7.0), (15, 1.0)]
 
 
-def test_partial_window_flushes_at_last_step():
-    store = MetricStore(summary_freq=10)
+def test_partial_window_flushes_at_last_step(tmp_path):
+    store, path = file_store(tmp_path)
     for step in range(1, 14):
         store.record("m", float(step), step)
     store.close()
-    assert store.series("m").points == [(10, 5.5), (13, 12.0)]
+    assert points(path) == [(10, 5.5), (13, 12.0)]
 
 
-def test_step_zero_gets_its_own_bucket():
-    store = MetricStore(summary_freq=10)
+def test_step_zero_gets_its_own_bucket(tmp_path):
+    store, path = file_store(tmp_path)
     store.record("m", 4.0, 0)
     store.record("m", 6.0, 1)
     store.close()
     # the second window is still partial at close, so it flushes at its
     # last recorded step
-    assert store.series("m").points == [(0, 4.0), (1, 6.0)]
+    assert points(path) == [(0, 4.0), (1, 6.0)]
 
 
-def test_skipped_windows_leave_no_buckets():
-    store = MetricStore(summary_freq=10)
+def test_skipped_windows_leave_no_buckets(tmp_path):
+    store, path = file_store(tmp_path)
     store.record("m", 1.0, 5)
     store.record("m", 2.0, 95)
     store.close()
-    assert store.series("m").points == [(10, 1.0), (95, 2.0)]
+    assert points(path) == [(10, 1.0), (95, 2.0)]
 
 
-def test_step_regression_rejected():
-    store = MetricStore(summary_freq=10)
+def test_step_regression_rejected(tmp_path):
+    store, _ = file_store(tmp_path)
     store.record("m", 1.0, 5)
     with pytest.raises(ValueError, match="regression"):
         store.record("m", 1.0, 4)
     store.record("m", 1.0, 5)  # equal steps are fine
 
 
-def test_mode_conflict_and_bad_values_rejected():
-    store = MetricStore(summary_freq=10)
+def test_mode_conflict_and_bad_values_rejected(tmp_path):
+    store, _ = file_store(tmp_path)
     store.record("m", 1.0, 1)
     with pytest.raises(ValueError, match="mode"):
         store.record("m", 1.0, 2, "last")
@@ -109,10 +121,12 @@ def test_mode_conflict_and_bad_values_rejected():
 def test_sum_mode_is_rejected(tmp_path):
     """Only mean and last buckets are recorded; a stored file's mode string
     is read back whatever it says."""
-    store = MetricStore(summary_freq=10)
+    (tmp_path / "recorded").mkdir()
+    store, path = file_store(tmp_path / "recorded")
     with pytest.raises(ValueError, match="'sum'"):
         store.record("m", 1.0, 1, "sum")
-    assert store.series("m") is None
+    store.close()
+    assert read_store(path) == {}
     lines = [rec_line("a", 10, 2.0, "sum"), rec_line("b", 10, 3.0, "median")]
     path = write_store_bytes(tmp_path, "\n".join(lines).encode())
     assert read_store(path) == {
@@ -128,17 +142,18 @@ def test_sum_mode_is_rejected(tmp_path):
     min_size=1, max_size=60))
 def test_mean_buckets_match_brute_force(recs):
     recs = sorted(recs, key=lambda r: r[0])
-    store = MetricStore(summary_freq=10)
-    for step, v in recs:
-        store.record("m", v, step)
-    store.close()
+    with tempfile.TemporaryDirectory() as tmp:
+        store, path = file_store(tmp)
+        for step, v in recs:
+            store.record("m", v, step)
+        store.close()
+        got = points(path)
     groups: dict[int, list] = {}
     for step, v in recs:
         groups.setdefault(-(-step // 10) * 10, []).append(v)
-    points = store.series("m").points
-    assert len(points) == len(groups)
-    for (_, got), (_, vals) in zip(points, sorted(groups.items())):
-        assert got == pytest.approx(math.fsum(vals) / len(vals))
+    assert len(got) == len(groups)
+    for (_, value), (_, vals) in zip(got, sorted(groups.items())):
+        assert value == pytest.approx(math.fsum(vals) / len(vals))
 
 
 @st.composite
@@ -189,8 +204,7 @@ def test_read_store_matches_brute_force_buckets(run):
     the raw records makes, for every mode."""
     freq, recs = run
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "metrics.jsonl")
-        store = MetricStore(path, summary_freq=freq)
+        store, path = file_store(tmp, freq)
         for mode, step, v in recs:
             store.record(mode, v, step, mode)
         store.close()
@@ -201,15 +215,14 @@ def test_read_store_matches_brute_force_buckets(run):
 
 
 def test_store_file_round_trip(tmp_path):
-    path = tmp_path / "metrics.jsonl"
-    store = MetricStore(str(path), summary_freq=10)
+    store, path = file_store(tmp_path)
     for step in range(1, 25):
         store.record("a", float(step), step)
         store.record("b", 1.0, step, "last")
     store.close()
-    back = read_store(str(path))
-    assert back["a"].points == store.series("a").points
-    assert back["b"].points == store.series("b").points
+    back = read_store(path)
+    assert back["a"].points == [(10, 5.5), (20, 15.5), (24, 22.5)]
+    assert back["b"].points == [(10, 1.0), (20, 1.0), (24, 1.0)]
     assert back["a"].mode == "mean"
     assert back["b"].mode == "last"
     assert back["a"].summary_freq == 10
@@ -514,11 +527,11 @@ def test_context_conformance():
     assert context_conformance(pos, None, 0) is None
 
 
-def test_context_conformance_scripted_trace():
+def test_context_conformance_scripted_trace(tmp_path):
     # give-way decisions: steps with (should_yield, did_yield)
     decisions = [(True, True), (True, False), (False, False), (True, True),
                  (True, False), (True, True), (False, True), (True, True)]
-    store = MetricStore(summary_freq=2)
+    store, path = file_store(tmp_path, 2)
     pos = tot = 0
     for step, (should, did) in enumerate(decisions, 1):
         if should:
@@ -527,7 +540,8 @@ def test_context_conformance_scripted_trace():
         store.record("pos", pos, step, "last")
         store.record("tot", tot, step, "last")
     store.close()
-    got = context_conformance(store.series("pos"), store.series("tot"), 0)
+    back = read_store(path)
+    got = context_conformance(back["pos"], back["tot"], 0)
     hand_tot = sum(1 for s, _ in decisions if s)
     hand_pos = sum(1 for s, d in decisions if s and d)
     assert got == hand_pos / hand_tot == 4 / 6
@@ -743,9 +757,11 @@ def test_discover_missing_root(tmp_path):
 # ----------------------------------------------------------------- recorder
 
 
-def run_recorded(cfg_map, steps, seed=11, freq=50):
+def run_recorded(directory, cfg_map, steps, seed=11, freq=50):
+    """Random-action ticks recorded into a store in directory; returns the
+    env and the store's path."""
     env = ParkingEnv(config_from_mapping(cfg_map), seed=seed)
-    store = MetricStore(summary_freq=freq)
+    store, path = file_store(directory, freq)
     recorder = TrainingRecorder(store, env)
     rng = random.Random(seed)
     n = len(env.agents)
@@ -761,15 +777,16 @@ def run_recorded(cfg_map, steps, seed=11, freq=50):
         gstep += n
         recorder.after_step(gstep, outs)
     store.close()
-    return env, store
+    return env, path
 
 
-def test_recorder_totals_track_env_stats():
-    env, store = run_recorded({}, 400)
+def test_recorder_totals_track_env_stats(tmp_path):
+    env, path = run_recorded(tmp_path, {}, 400)
     assert env.stats["episodes"] > 0
+    back = read_store(path)
 
-    def last(path):
-        return store.series(path).points[-1][1]
+    def last(name):
+        return back[name].points[-1][1]
 
     assert last("Metrics/Num Episodes") == env.stats["episodes"]
     assert last("Metrics/Total Crashes") == env.stats["crashed"]
@@ -777,11 +794,27 @@ def test_recorder_totals_track_env_stats():
     assert last("Metrics/Total Halted") == env.stats["halted"]
     assert last("Metrics/Total Crashes Wall") == env.stats["crash_wall"]
     # fixed-goal run: exploration metrics never recorded
-    assert store.series("Metrics/RatioExplorePerEps") is None
-    assert store.series("Metrics/GaveWayLocalSameGoal_TotalCount") is None
+    assert "Metrics/RatioExplorePerEps" not in back
+    assert "Metrics/GaveWayLocalSameGoal_TotalCount" not in back
     # per-step means exist and velocity stays inside the world-rate bound
-    for _, v in store.series("Metrics/VelocityAvg").points:
+    for _, v in back["Metrics/VelocityAvg"].points:
         assert -1.0 <= v <= 1.0
+
+
+def test_recorder_writes_running_totals_episode_count_first(tmp_path):
+    """The store file holds the running totals in recording order: the
+    episode count first, then the export catalogue's order."""
+    _, path = run_recorded(tmp_path, {}, 400)
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh][1:]
+    totals = dict.fromkeys(r["path"] for r in records if r["mode"] == "last")
+    assert list(totals) == [
+        "Metrics/Num Episodes", "Metrics/Total Crashes",
+        "Metrics/Total Reached Goal", "Metrics/Total Halted",
+        "Metrics/Total Crashes Car", "Metrics/Total Crashes Wall",
+        "Metrics/Total Crashes StaticCar", "Metrics/Num Lost Goal",
+        "Metrics/Num Stop Explore", "Metrics/Num Stop Goal",
+        "Metrics/Num Change Goal"]
 
 
 def test_recorder_row_invariant_on_real_run(tmp_path):
@@ -806,7 +839,7 @@ def test_recorder_row_invariant_on_real_run(tmp_path):
     assert row["Max Steps"] == gstep
 
 
-def test_recorder_dynamic_mode_emits_context_counts():
+def test_recorder_dynamic_mode_emits_context_counts(tmp_path):
     cfg_map = {
         "_numAgents": 2,
         "_normalizeObs": True,
@@ -814,12 +847,12 @@ def test_recorder_dynamic_mode_emits_context_counts():
         "_obsNearbyParkingSpotsCount": 2,
         "_maxSteps": 60,
     }
-    env, store = run_recorded(cfg_map, 250)
+    _, path = run_recorded(tmp_path, cfg_map, 250)
+    back = read_store(path)
     for ctx in CONTEXT_COLUMNS:
-        assert store.series(f"Metrics/{ctx}_PostiveCount") is not None
-        assert store.series(f"Metrics/{ctx}_TotalCount") is not None
-    assert store.series("Metrics/RatioExplorePerEps") is not None
-    explore = store.series("Metrics/RatioExplorePerEps").points
-    goal = store.series("Metrics/RatioGoalPerEps").points
+        assert f"Metrics/{ctx}_PostiveCount" in back
+        assert f"Metrics/{ctx}_TotalCount" in back
+    explore = back["Metrics/RatioExplorePerEps"].points
+    goal = back["Metrics/RatioGoalPerEps"].points
     for (_, e), (_, g) in zip(explore, goal):
         assert e + g == pytest.approx(1.0)

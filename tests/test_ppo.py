@@ -319,6 +319,17 @@ def test_gae_rejects_misaligned_series():
         gae([1.0, 2.0], [0.0], [False, True], 0.9, 0.9)
 
 
+def test_gae_horizon_cut_returns_bootstrap_the_last_step():
+    """A segment cut at the time horizon ends on a non-terminal step, so
+    its last return is r + gamma * bootstrap; a terminal last step returns
+    r alone. The values are exact in binary, so the sums are too."""
+    rewards, values = [0.5, 1.0], [0.25, 0.75]
+    _, ret = gae(rewards, values, [False, False], 0.5, 0.5, bootstrap=2.0)
+    assert ret[-1] == 1.0 + 0.5 * 2.0
+    _, ret = gae(rewards, values, [False, True], 0.5, 0.5, bootstrap=2.0)
+    assert ret[-1] == 1.0
+
+
 # ------------------------------------------------------------- loss surface
 
 
@@ -470,34 +481,54 @@ def test_gradients_overwrite_every_workspace_entry():
 
 def test_buffer_segments_and_drain():
     buf = RolloutBuffer(capacity=8, horizon=4)
-    obs = [np.zeros(2)] * 3
-    buf.add_segment(obs, [(0, 1)] * 3, [-0.5] * 3, [1.0, 2.0, 3.0],
-                    [0.1, 0.2, 0.3], [False, False, True],
-                    gamma=0.9, lam=0.8)
+    rewards, values = [1.0, 2.0, 3.0], [0.1, 0.2, 0.3]
+    for t in range(3):
+        assert buf.append(0, np.zeros(2), (0, 1), -0.5, rewards[t],
+                          values[t]) == t + 1
+    assert buf.size == 0  # an open segment is not part of the batch yet
+    buf.add_segment(0, gamma=0.9, lam=0.8, terminal=True)
     assert buf.size == 3
     assert not buf.full
-    adv, ret = gae([1.0, 2.0, 3.0], [0.1, 0.2, 0.3], [False, False, True],
-                   0.9, 0.8)
+    adv, ret = gae(rewards, values, [False, False, True], 0.9, 0.8)
     batch = buf.drain()
     assert buf.size == 0
+    assert sorted(batch) == ["actions", "advantages", "logp", "obs",
+                             "returns"]
     assert np.array_equal(batch["advantages"], adv)
     assert np.array_equal(batch["returns"], ret)
     assert batch["obs"].shape == (3, 2)
     assert batch["actions"].shape == (3, 2)
 
 
+def test_buffer_keeps_open_segments_across_drain():
+    """Each agent's segment stays open until add_segment closes it, a
+    drain in between included; closed segments enter in closing order,
+    and a horizon cut bootstraps its last step."""
+    buf = RolloutBuffer(capacity=8, horizon=4)
+    buf.append(0, [0.0], (0,), -0.1, 1.0, 0.5)
+    buf.append(1, [1.0], (1,), -0.2, 2.0, 0.25)
+    buf.add_segment(1, 0.5, 0.5, bootstrap=2.0)
+    buf.add_segment(2, 0.5, 0.5, terminal=True)  # nothing open: a no-op
+    batch = buf.drain()
+    assert batch["obs"].tolist() == [[1.0]]
+    assert batch["returns"].tolist() == [2.0 + 0.5 * 2.0]
+    assert buf.append(0, [2.0], (1,), -0.3, 3.0, 0.75) == 2
+    buf.add_segment(0, 0.5, 0.5, terminal=True)
+    batch = buf.drain()
+    adv, ret = gae([1.0, 3.0], [0.5, 0.75], [False, True], 0.5, 0.5)
+    assert batch["obs"].tolist() == [[0.0], [2.0]]
+    assert batch["actions"].tolist() == [[0], [1]]
+    assert batch["logp"].tolist() == [-0.1, -0.3]
+    assert np.array_equal(batch["advantages"], adv)
+    assert np.array_equal(batch["returns"], ret)
+
+
 def test_buffer_rejects_overlong_segment():
     buf = RolloutBuffer(capacity=64, horizon=2)
+    for _ in range(2):
+        buf.append(0, np.zeros(1), (0,), 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="horizon"):
-        buf.add_segment([np.zeros(1)] * 3, [(0,)] * 3, [0.0] * 3,
-                        [1.0] * 3, [0.0] * 3, [False] * 3, 0.9, 0.9)
-
-
-def test_buffer_rejects_misaligned_segment():
-    buf = RolloutBuffer(capacity=64, horizon=8)
-    with pytest.raises(ValueError, match="align"):
-        buf.add_segment([np.zeros(1)], [(0,)], [0.0, 0.0], [1.0], [0.0],
-                        [True], 0.9, 0.9)
+        buf.append(0, np.zeros(1), (0,), 0.0, 1.0, 0.0)
 
 
 def test_empty_buffer_update_is_noop():
@@ -517,17 +548,14 @@ def fill_buffer(buf, params, rng, steps):
     logps, _ = _actor_logps(params, obs)
     values, _ = _critic_values(params, obs)
     for start in range(0, steps, buf.horizon):
-        chunk = slice(start, min(start + buf.horizon, steps))
-        count = chunk.stop - chunk.start
+        chunk = range(start, min(start + buf.horizon, steps))
         actions = [tuple(int(rng.integers(0, b)) for b in params.branches)
-                   for _ in range(count)]
-        rows = np.arange(chunk.start, chunk.stop)
-        lp = [float(sum(logps[k][r, a[k]] for k in range(len(a))))
-              for r, a in zip(rows, actions)]
-        terminals = [False] * (count - 1) + [True]
-        buf.add_segment(list(obs[chunk]), actions, lp,
-                        rng.standard_normal(count).tolist(),
-                        values[chunk].tolist(), terminals, 0.99, 0.9)
+                   for _ in chunk]
+        rewards = rng.standard_normal(len(chunk)).tolist()
+        for r, a, reward in zip(chunk, actions, rewards):
+            lp = float(sum(logps[k][r, a[k]] for k in range(len(a))))
+            buf.append(0, obs[r], a, lp, reward, float(values[r]))
+        buf.add_segment(0, 0.99, 0.9, terminal=True)
 
 
 def test_zero_lr_update_keeps_params_bit_identical():
@@ -958,22 +986,30 @@ ROLLOUT_CHECKSUM = 17.747863293669877
 
 def test_four_agent_rollout_and_update_are_pinned(monkeypatch):
     """A fixed-seed 4-agent run with an lr>0 update: every buffer the
-    updates see (observations, actions, behaviour log-probs, values) and
-    the parameters they end with are pinned bit for bit."""
+    updates see (observations, actions, behaviour log-probs, and the
+    values its segments passed through gae) and the parameters they end
+    with are pinned bit for bit."""
     import carpark.ppo as ppo_module
 
     h = hashlib.sha256()
-    update = ppo_module.ppo_update
+    update, estimate = ppo_module.ppo_update, ppo_module.gae
     lrs = []
+    values = []  # the closed segments' values since the last update
+
+    def value_spying_gae(rewards, segment_values, *args, **kwargs):
+        values.extend(segment_values)
+        return estimate(rewards, segment_values, *args, **kwargs)
 
     def hashing_update(params, buffer, hyper, lr, rng):
         h.update(np.asarray(buffer.obs, "<f8").tobytes())
         h.update(np.asarray(buffer.actions, "<i8").tobytes())
         h.update(np.asarray(buffer.logp, "<f8").tobytes())
-        h.update(np.asarray(buffer.values, "<f8").tobytes())
+        h.update(np.asarray(values, "<f8").tobytes())
+        values.clear()
         lrs.append(lr)
         return update(params, buffer, hyper, lr, rng)
 
+    monkeypatch.setattr(ppo_module, "gae", value_spying_gae)
     monkeypatch.setattr(ppo_module, "ppo_update", hashing_update)
     cfg = config_from_mapping(PPO_FIXED4)
     hyper = PpoHyper(total_steps=256, buffer=128, horizon=16, hidden=32,
@@ -982,6 +1018,59 @@ def test_four_agent_rollout_and_update_are_pinned(monkeypatch):
     assert lrs[0] > 0.0 and len(lrs) == 2
     assert (h.hexdigest(), result.params.checksum()) == (
         ROLLOUT_SHA256, ROLLOUT_CHECKSUM)
+
+
+# sha256 of the final parameter bytes (sorted by name) and of the reward
+# series of the run below, its optimizer step count and episode count
+TIMEOUT_PARAMS_SHA256 = (
+    "577c86fa6aaf01acf2338e0bb1c902ce534575d218f5a28ffb4e21b82338b54b")
+TIMEOUT_REWARDS_SHA256 = (
+    "313cda4bf28107b5a972388c2c406b4c52047a06c3b935224e85631a0f0aea55")
+TIMEOUT_T = 40
+TIMEOUT_EPISODES = 20
+
+
+def test_timeouts_in_an_lr_positive_update_are_pinned(monkeypatch):
+    """Two agents time out after 8 steps and the horizon cuts segments at
+    3, so the first update, at lr > 0, learns from both kinds of segment
+    end: the parameters, the step count and the rewards are pinned bit for
+    bit. Every closed segment passes through gae; its last terminal flag
+    tells a horizon cut (False) from an episode end (True), and the env's
+    halted count says that time-outs were among the episode ends."""
+    import carpark.ppo as ppo_module
+
+    update, estimate = ppo_module.ppo_update, ppo_module.gae
+    segment_ends = []  # per closed segment: its last terminal flag
+    first = []  # (lr, time-outs, horizon cuts) at the first update
+
+    def spying_gae(rewards, values, terminals, *args, **kwargs):
+        segment_ends.append(bool(terminals[-1]))
+        return estimate(rewards, values, terminals, *args, **kwargs)
+
+    def spying_update(params, buffer, hyper, lr, rng):
+        if not first:
+            first.append((lr, env.stats["halted"],
+                          segment_ends.count(False)))
+        return update(params, buffer, hyper, lr, rng)
+
+    monkeypatch.setattr(ppo_module, "gae", spying_gae)
+    monkeypatch.setattr(ppo_module, "ppo_update", spying_update)
+    cfg = norm_cfg(_numAgents=2, _maxSteps=8)
+    env = ParkingEnv(cfg, seed=21)
+    hyper = PpoHyper(total_steps=160, lr=3e-3, batch=8, buffer=32,
+                     horizon=3, epochs=2, hidden=8, layers=1)
+    result = train_ppo(cfg, hyper, env=env, seed=21)
+    lr, timeouts, cuts = first[0]
+    assert lr > 0.0 and timeouts >= 1 and cuts >= 1
+    params = result.params
+    h = hashlib.sha256()
+    for name in sorted(params.data):
+        h.update(params.data[name].tobytes())
+    rewards = hashlib.sha256(np.asarray(result.rewards, "<f8").tobytes())
+    assert (h.hexdigest(), rewards.hexdigest(), params.t,
+            len(result.rewards)) == (
+        TIMEOUT_PARAMS_SHA256, TIMEOUT_REWARDS_SHA256, TIMEOUT_T,
+        TIMEOUT_EPISODES)
 
 
 def test_train_writes_run_directory(tmp_path):
