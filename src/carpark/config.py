@@ -9,13 +9,12 @@ scales: world units, velocity-grid quanta, and MDP units (world units times
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from dataclasses import dataclass, field, fields
 
 from .geometry import GridSpec
-from .world import RingSpec
+from .world import SPACE_POSES, SPACE_TURNS, RingSpec
 
 _RD_PATTERN = re.compile(r"^_rd(\d+)$")
 
@@ -87,9 +86,8 @@ class EnvironmentConfig:
 
     # ------------------------------------------------------------- derived
 
-    def grid(self, base_extent: int = 74) -> GridSpec:
+    def grid(self) -> GridSpec:
         return GridSpec(
-            base_extent=base_extent,
             position_granularity=self._positionGranularity,
             velocity_granularity=self._velocityGranularity,
             theta_granularity=self._thetaGranularity,
@@ -137,6 +135,11 @@ class EnvironmentConfig:
             raise ValueError(
                 f"_thetaGranularity: {self._thetaGranularity} does not divide 360"
             )
+        if self._thetaGranularity % SPACE_TURNS != 0:
+            raise ValueError(
+                f"_thetaGranularity: {self._thetaGranularity} is not a multiple "
+                f"of the arena's {SPACE_TURNS} space orientations"
+            )
         if self._positionGranularity < 0:
             raise ValueError("_positionGranularity: must be >= 0")
         if self._velocityGranularity < 1:
@@ -155,6 +158,20 @@ class EnvironmentConfig:
             raise ValueError("_numAgents: must be >= 1")
         if self._numParkedCars < 0:
             raise ValueError("_numParkedCars: must be >= 0")
+        spaces = len(SPACE_POSES)
+        if self._numParkedCars > spaces:
+            raise ValueError(
+                f"_numParkedCars: {self._numParkedCars} cars cannot park in "
+                f"the arena's {spaces} spaces"
+            )
+        # a park relocates a parked car, so the free spaces stay as many as
+        # at reset, and each agent holds its own free goal among them
+        if not self._dynamicGoals and self._numAgents + self._numParkedCars > spaces:
+            raise ValueError(
+                f"_numAgents + _numParkedCars: {self._numAgents} agents with "
+                f"fixed goals and {self._numParkedCars} parked cars exceed "
+                f"the arena's {spaces} spaces"
+            )
         if self._maxSteps < 1:
             raise ValueError("_maxSteps: must be >= 1")
         if self._obsRings != bool(self.ringDiams):
@@ -286,11 +303,11 @@ def load_config(text: str) -> EnvironmentConfig:
     return config_from_mapping(yaml.safe_load(text))
 
 
-def _warn_soft_constraints(cfg: EnvironmentConfig, num_spaces: int = 36) -> None:
-    if cfg._numParkedCars >= num_spaces:
+def _warn_soft_constraints(cfg: EnvironmentConfig) -> None:
+    if cfg._numParkedCars >= len(SPACE_POSES):
         warnings.warn(
-            f"_numParkedCars={cfg._numParkedCars} leaves no free space in a "
-            f"{num_spaces}-space arena; goals cannot be assigned",
+            f"_numParkedCars={cfg._numParkedCars} leaves no free space in the "
+            f"{len(SPACE_POSES)}-space arena; goals cannot be assigned",
             stacklevel=3,
         )
     if cfg._dynamicGoals:
@@ -344,7 +361,3 @@ def config_signature(cfg: EnvironmentConfig) -> dict:
         "_distGranularity",
     )
     return {k: getattr(cfg, k) for k in keys}
-
-
-def max_world_distance(extent: int = 74) -> float:
-    return math.hypot(extent, extent)

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .config import EnvironmentConfig, max_world_distance
+from .config import EnvironmentConfig
 from .geometry import (
     GridSpec,
     bearing_index_units,
@@ -59,13 +59,16 @@ from .observation import (
     build_schema,
 )
 from .world import (
+    EXTENT,
+    MAX_WORLD_DISTANCE,
+    ROAD_POINTS,
+    SPACE_HALF_DEPTH,
+    SPACE_HALF_WIDTH,
     CarBody,
-    Layout,
     RingSpec,
     SpaceTracker,
     WorldArrays,
     WorldState,
-    default_layout,
     obb_corners,
     obb_intersects,
     point_to_obb_distance,  # not called here; benchmarks/tracing.py patches it
@@ -73,6 +76,9 @@ from .world import (
 
 PARK_CENTER_THRESHOLD = 1.0  # world units from space center
 PLAIN_SPAWN_TRIES = 200  # random road points tried by one plain spawn
+# a crash point lies on the target agent's line to its goal, at least
+# this share of the line from either end
+CRASH_POINT_MARGIN = 0.2
 
 # context id -> metric name fragment
 CONTEXTS = {
@@ -156,7 +162,6 @@ class ParkingEnv:
     def __init__(
         self,
         cfg: EnvironmentConfig,
-        layout: Layout | None = None,
         rng=None,
         seed: int | None = None,
     ):
@@ -166,15 +171,13 @@ class ParkingEnv:
             rng = _random.Random(seed)
         self.rng = rng
         self.cfg = cfg
-        layout = layout or default_layout()
-        self.grid: GridSpec = cfg.grid(layout.extent)
-        self.layout = layout
+        self.grid: GridSpec = cfg.grid()
         self.ring_spec: RingSpec | None = cfg.ring_spec()
-        self.schema: ObsSchema = build_schema(cfg, layout.extent)
+        self.schema: ObsSchema = build_schema(cfg)
         self.action_schema: ActionSchema = build_action_schema(cfg)
         self.obs_mode = "normalized" if cfg._normalizeObs else "discrete"
         self._accel_range = (-cfg.max_reverse_accel, cfg._maxDeltaVMagnitude)
-        self.d_max = max_world_distance(layout.extent)
+        self.d_max = MAX_WORLD_DISTANCE
         # the raw values of one absent nearby-car slot, in schema order
         self._absent_car = self._absent_car_values()
         self.car_scale = 1.0
@@ -211,7 +214,7 @@ class ParkingEnv:
     # ------------------------------------------------------------- lifecycle
 
     def reset(self) -> None:
-        self.world = WorldState.from_layout(self.layout, self.grid)
+        self.world = WorldState(self.grid)
         self.agents = []
         for i in range(self.cfg._numAgents):
             body = CarBody(0.0, 0.0, 0, scale=self.car_scale, uid=i)
@@ -290,7 +293,7 @@ class ParkingEnv:
 
     def _spawn_plain(self, agent_i: int, near: tuple[float, float] | None = None,
                      radius: float = 0.0) -> bool:
-        points = self.world.road_points
+        points = ROAD_POINTS
         if near is not None:
             points = [p for p in points
                       if math.hypot(p[0] - near[0], p[1] - near[1]) <= radius]
@@ -305,7 +308,7 @@ class ParkingEnv:
 
     def spawn_crash_position(
         self, a2_pos: tuple[float, float], g2_pos: tuple[float, float],
-        g1_pos: tuple[float, float], margin: float = 0.2,
+        g1_pos: tuple[float, float],
     ) -> tuple[float, float, float, float] | None:
         """Position on the line crash-point -> g1, extended past the crash
         point by the target agent's distance to it. Returns (x, y, crash_x,
@@ -313,7 +316,7 @@ class ParkingEnv:
         ex, ey = g2_pos[0] - a2_pos[0], g2_pos[1] - a2_pos[1]
         if ex == 0.0 and ey == 0.0:
             return None
-        u = self.rng.uniform(margin, 1.0 - margin)
+        u = self.rng.uniform(CRASH_POINT_MARGIN, 1.0 - CRASH_POINT_MARGIN)
         cx, cy = a2_pos[0] + u * ex, a2_pos[1] + u * ey
         d2 = math.hypot(cx - a2_pos[0], cy - a2_pos[1])
         gx, gy = cx - g1_pos[0], cy - g1_pos[1]
@@ -348,8 +351,7 @@ class ParkingEnv:
             if got is None:
                 continue
             x, y, cx, cy = got
-            e = float(self.world.extent)
-            if not (0.0 < x < e and 0.0 < y < e):
+            if not (0.0 < x < EXTENT and 0.0 < y < EXTENT):
                 continue
             theta = round_half_up(
                 bearing_index_units(cx - x, cy - y, self.grid)
@@ -835,7 +837,7 @@ class ParkingEnv:
             lx, ly = px - sp.x, py - sp.y
             lf = lx * fx + ly * fy
             lr = lx * fy - ly * fx
-            if abs(lf) > sp.half_depth or abs(lr) > sp.half_width:
+            if abs(lf) > SPACE_HALF_DEPTH or abs(lr) > SPACE_HALF_WIDTH:
                 return False
         return True
 

@@ -19,14 +19,11 @@ from functools import lru_cache
 class GridSpec:
     """Granularities of the discretized world."""
 
-    base_extent: int = 74
     position_granularity: int = 1
     velocity_granularity: int = 1
     theta_granularity: int = 8
 
     def __post_init__(self) -> None:
-        if self.base_extent <= 0:
-            raise ValueError("base_extent must be positive")
         if self.position_granularity < 0:
             raise ValueError("position_granularity must be >= 0")
         if self.velocity_granularity < 1:

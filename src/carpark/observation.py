@@ -51,8 +51,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .config import EnvironmentConfig, max_world_distance
+from .config import EnvironmentConfig
 from .geometry import round_half_up, wrap_signed_index
+from .world import MAX_WORLD_DISTANCE
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,9 +131,9 @@ class ActionSchema:
         return n
 
 
-def build_schema(cfg: EnvironmentConfig, extent: int = 74) -> ObsSchema:
+def build_schema(cfg: EnvironmentConfig) -> ObsSchema:
     gtheta = cfg._thetaGranularity
-    d_max = max_world_distance(extent)
+    d_max = MAX_WORLD_DISTANCE
     vmax = float(max(cfg._maxVelocityMagnitude, cfg._minVelocityMagnitude, 1))
     v_offset = cfg._minVelocityMagnitude
     n_space = cfg._obsNearbyParkingSpotsCount if cfg._dynamicGoals else 0

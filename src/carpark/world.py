@@ -1,4 +1,4 @@
-"""Static layout, car hitboxes, collision, ring sensing, and relocation.
+"""The arena, car hitboxes, collision, ring sensing, and relocation.
 
 Ring counts, nearest cars and nearest free spaces are seen from agents: a
 ``WorldArrays`` view names the observing agents (all, by default) and holds
@@ -15,12 +15,15 @@ threshold can exceed, and send only those cars to the exact
 ``point_to_obb_distance`` or ``obb_intersects``.
 Bearings stay scalar (``geometry.localize``): ``np.arctan2`` differs from
 ``math.atan2`` on some inputs. numpy is imported where an array is first
-built, not with this module: config parsing and layout files need no BLAS.
+built, not with this module: config parsing needs no BLAS.
 
-The default arena is a 74x74 square bounded by four walls, with 36 parking
-spaces hugging the walls (9 per side) and a square ring road between the
-space rows and the center used for spawning. A car footprint is 3x5 world
-units and a space is 5x7, so a space exceeds the car by 2 units per axis.
+The arena is the paper's parking lot, and the only one: a 74x74 square
+bounded by four walls, with 36 parking spaces hugging the walls (9 per
+side) and a square ring road between the space rows and the center used
+for spawning. It is declared once, below (``EXTENT``, ``WALLS``,
+``SPACE_POSES``, ``ROAD_POINTS``), and built at import. A car footprint is
+3x5 world units and a space is 5x7, so a space exceeds the car by 2 units
+per axis.
 """
 
 from __future__ import annotations
@@ -44,11 +47,6 @@ SPACE_HALF_DEPTH = 3.5
 # distance never drops a pair the exact test would keep.
 REACH_SLACK = 1e-6
 
-LAYOUT_MAGIC = "carpark-layout"
-LAYOUT_VERSION = 1
-# values each layout record carries
-_RECORD_SIZES = {"extent": 1, "gtheta": 1, "wall": 4, "space": 3, "road": 2}
-
 
 @dataclass(frozen=True, slots=True)
 class Wall:
@@ -58,14 +56,42 @@ class Wall:
     y2: float
 
 
+# ------------------------------------------------------------------ the arena
+
+EXTENT = 74  # side of the square arena, world units
+MAX_WORLD_DISTANCE = math.hypot(EXTENT, EXTENT)  # the arena's diagonal
+
+WALLS = (
+    Wall(0.0, 0.0, float(EXTENT), 0.0),
+    Wall(float(EXTENT), 0.0, float(EXTENT), float(EXTENT)),
+    Wall(float(EXTENT), float(EXTENT), 0.0, float(EXTENT)),
+    Wall(0.0, float(EXTENT), 0.0, 0.0),
+)
+
+# Space orientations are quarter turns: 0=north, 1=east, 2=south, 3=west.
+SPACE_TURNS = 4
+# The 36 spaces as (cx, cy, quarter turns), in space-id order: 9 per
+# wall, centers 3.5 units off their wall and facing the arena.
+_ROW = [17.0 + 5.0 * k for k in range(9)]
+SPACE_POSES = tuple(
+    [(c, 3.5, 0) for c in _ROW]  # bottom row, opening north
+    + [(EXTENT - 3.5, c, 3) for c in _ROW]  # right column, opening west
+    + [(c, EXTENT - 3.5, 2) for c in _ROW]  # top row, opening south
+    + [(3.5, c, 1) for c in _ROW])  # left column, opening east
+
+# The ring-road spawn band: the grid points 10..12 units from the
+# boundary, in x-major order (a plain spawn draws from it by index).
+ROAD_POINTS = tuple(
+    (float(x), float(y)) for x in range(EXTENT + 1) for y in range(EXTENT + 1)
+    if 10 <= min(x, y, EXTENT - x, EXTENT - y) <= 12)
+
+
 @dataclass(frozen=True, slots=True)
 class ParkingSpace:
     sid: int
     x: float
     y: float
     theta: int  # rotation index in the environment's granularity
-    half_width: float = SPACE_HALF_WIDTH
-    half_depth: float = SPACE_HALF_DEPTH
 
 
 @dataclass(slots=True)
@@ -95,97 +121,6 @@ class RingSpec:
     def __post_init__(self) -> None:
         if self.max_count < 0 or self.history_len < 0:
             raise ValueError("ring counts and history must be non-negative")
-
-
-@dataclass(frozen=True)
-class Layout:
-    extent: int
-    gtheta: int  # granularity the space orientations are expressed in
-    walls: tuple[Wall, ...]
-    spaces: tuple[tuple[float, float, int], ...]  # (cx, cy, theta index)
-    road_points: tuple[tuple[float, float], ...]
-
-
-def default_layout() -> Layout:
-    """36 spaces, 9 per wall, centers 3.5 units off their wall and facing
-    the arena; ring-road spawn band 10..12 units from the boundary."""
-    e = 74
-    walls = (
-        Wall(0.0, 0.0, float(e), 0.0),
-        Wall(float(e), 0.0, float(e), float(e)),
-        Wall(float(e), float(e), 0.0, float(e)),
-        Wall(0.0, float(e), 0.0, 0.0),
-    )
-    # layout gtheta=4: 0=north, 1=east, 2=south, 3=west
-    spaces: list[tuple[float, float, int]] = []
-    centers = [17.0 + 5.0 * k for k in range(9)]
-    for c in centers:
-        spaces.append((c, 3.5, 0))  # bottom row, opening north
-    for c in centers:
-        spaces.append((70.5, c, 3))  # right column, opening west
-    for c in centers:
-        spaces.append((c, 70.5, 2))  # top row, opening south
-    for c in centers:
-        spaces.append((3.5, c, 1))  # left column, opening east
-    road: list[tuple[float, float]] = []
-    for xi in range(e + 1):
-        for yi in range(e + 1):
-            m = min(xi, yi, e - xi, e - yi)
-            if 10 <= m <= 12:
-                road.append((float(xi), float(yi)))
-    return Layout(e, 4, walls, tuple(spaces), tuple(road))
-
-
-def save_layout(layout: Layout, path: str) -> None:
-    lines = [f"{LAYOUT_MAGIC} {LAYOUT_VERSION}"]
-    lines.append(f"extent {layout.extent}")
-    lines.append(f"gtheta {layout.gtheta}")
-    for w in layout.walls:
-        lines.append(f"wall {w.x1} {w.y1} {w.x2} {w.y2}")
-    for cx, cy, th in layout.spaces:
-        lines.append(f"space {cx} {cy} {th}")
-    for x, y in layout.road_points:
-        lines.append(f"road {x} {y}")
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_layout(path: str) -> Layout:
-    with open(path, encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty layout file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != LAYOUT_MAGIC or head[1] != str(LAYOUT_VERSION):
-        raise ValueError(f"{path}: unrecognized layout header {lines[0]!r}")
-    extent = 0
-    gtheta = 0
-    walls: list[Wall] = []
-    spaces: list[tuple[float, float, int]] = []
-    road: list[tuple[float, float]] = []
-    for ln in lines[1:]:
-        tag, *args = ln.split()
-        if tag not in _RECORD_SIZES:
-            raise ValueError(f"{path}: unknown layout record {tag!r}")
-        try:
-            if len(args) != _RECORD_SIZES[tag]:
-                raise ValueError(f"expected {_RECORD_SIZES[tag]} values")
-            if tag == "extent":
-                extent = int(args[0])
-            elif tag == "gtheta":
-                gtheta = int(args[0])
-            elif tag == "wall":
-                walls.append(Wall(*(float(a) for a in args)))
-            elif tag == "space":
-                spaces.append((float(args[0]), float(args[1]), int(args[2])))
-            else:
-                road.append((float(args[0]), float(args[1])))
-        except ValueError as e:
-            raise ValueError(
-                f"{path}: malformed layout record {ln!r}: {e}") from None
-    if extent <= 0 or gtheta <= 0:
-        raise ValueError(f"{path}: missing extent or gtheta record")
-    return Layout(extent, gtheta, tuple(walls), tuple(spaces), tuple(road))
 
 
 # ------------------------------------------------------------------ hitboxes
@@ -239,24 +174,6 @@ def obb_intersects(a: CarBody, b: CarBody, grid: GridSpec) -> bool:
     for body in (a, b):
         fx, fy = heading_vector(body.theta, grid)
         if _project_gap(fx, fy, ca, cb) or _project_gap(fy, -fx, ca, cb):
-            return False
-    return True
-
-
-def obb_hits_segment(body: CarBody, wall: Wall, grid: GridSpec) -> bool:
-    """Separating-axis test between a rectangle and a line segment."""
-    ca = obb_corners(body, grid)
-    cb = [(wall.x1, wall.y1), (wall.x2, wall.y2)]
-    fx, fy = heading_vector(body.theta, grid)
-    if _project_gap(fx, fy, ca, cb) or _project_gap(fy, -fx, ca, cb):
-        return False
-    ex, ey = wall.x2 - wall.x1, wall.y2 - wall.y1
-    n = math.hypot(ex, ey)
-    if n > 0.0:
-        nx, ny = -ey / n, ex / n
-        if _project_gap(nx, ny, ca, cb):
-            return False
-        if _project_gap(ex / n, ey / n, ca, cb):
             return False
     return True
 
@@ -392,44 +309,32 @@ class WorldArrays:
 
 @dataclass
 class WorldState:
-    """Mutable world snapshot owned by one environment instance."""
+    """Mutable world snapshot owned by one environment instance: the
+    arena's spaces at the grid's theta granularity, the parked cars and
+    the agents."""
 
     grid: GridSpec
-    extent: int
-    walls: tuple[Wall, ...]
-    spaces: tuple[ParkingSpace, ...]
-    road_points: tuple[tuple[float, float], ...]
     parked: list[CarBody] = field(default_factory=list)
     parked_space: list[int] = field(default_factory=list)  # space id per parked car
     agents: list[CarBody] = field(default_factory=list)
-    # walls are exactly the arena's four edges, so a corner outside the
-    # extent is a wall hit and no segment test is needed
-    boundary_walls_only: bool = field(init=False)
+    spaces: tuple[ParkingSpace, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        e = float(self.extent)
-        box = ((0.0, 0.0), (e, 0.0), (e, e), (0.0, e))
-        edges = {frozenset((box[k], box[k - 1])) for k in range(4)}
-        walls = {frozenset(((w.x1, w.y1), (w.x2, w.y2))) for w in self.walls}
-        self.boundary_walls_only = len(self.walls) == 4 and walls == edges
-        self._edge = e  # the far edge of the arena box
+        gtheta = self.grid.theta_granularity
+        if gtheta % SPACE_TURNS != 0:
+            raise ValueError(
+                f"theta granularity {gtheta} is not a multiple of the "
+                f"arena's {SPACE_TURNS} space orientations"
+            )
+        mult = gtheta // SPACE_TURNS
+        self.spaces = tuple(
+            ParkingSpace(i, cx, cy, th * mult)
+            for i, (cx, cy, th) in enumerate(SPACE_POSES)
+        )
+        self._edge = float(EXTENT)  # the far edge of the arena box
         # the space centers, a fixed part of every WorldArrays view
         self._space_x = [sp.x for sp in self.spaces]
         self._space_y = [sp.y for sp in self.spaces]
-
-    @classmethod
-    def from_layout(cls, layout: Layout, grid: GridSpec) -> "WorldState":
-        if grid.theta_granularity % layout.gtheta != 0:
-            raise ValueError(
-                f"theta granularity {grid.theta_granularity} is not a multiple "
-                f"of the layout's {layout.gtheta}"
-            )
-        mult = grid.theta_granularity // layout.gtheta
-        spaces = tuple(
-            ParkingSpace(i, cx, cy, th * mult)
-            for i, (cx, cy, th) in enumerate(layout.spaces)
-        )
-        return cls(grid, layout.extent, layout.walls, spaces, layout.road_points)
 
     # -------------------------------------------------------------- occupancy
 
@@ -496,20 +401,17 @@ class WorldState:
                 for b, close in zip(bodies, arrays.near())]
 
     def _static_kind(self, body: CarBody, parked) -> str | None:
-        if self.boundary_walls_only:
-            # a corner can only reach an edge within the circumradius (plus
-            # REACH_SLACK for rounding in the corners) of it
-            e = self._edge
-            # body.circumradius(), inlined: this runs once per agent-step
-            r = (math.hypot(body.half_width, body.half_length) * body.scale
-                 + REACH_SLACK)
-            if not (r < body.x < e - r and r < body.y < e - r):
-                for x, y in obb_corners(body, self.grid):
-                    if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
-                        return "wall"
-        else:
-            for w in self.walls:
-                if obb_hits_segment(body, w, self.grid):
+        # the walls are the arena box's edges, so a body hits one exactly
+        # when a corner lies on or outside the box; a corner can only reach
+        # an edge within the circumradius (plus REACH_SLACK for rounding in
+        # the corners) of it
+        e = self._edge
+        # body.circumradius(), inlined: this runs once per agent-step
+        r = (math.hypot(body.half_width, body.half_length) * body.scale
+             + REACH_SLACK)
+        if not (r < body.x < e - r and r < body.y < e - r):
+            for x, y in obb_corners(body, self.grid):
+                if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
                     return "wall"
         for car in parked:
             if obb_intersects(body, car, self.grid):
@@ -542,12 +444,11 @@ class WorldState:
         REACH_SLACK), and stops as soon as every ring is at the cap."""
         radii = [d / 2.0 for d in spec.diameters]
         cap = spec.max_count
-        walls = self.walls
         cars = arrays.cars
         counts = []
         for k in arrays.rows:
             x, y = cars[k].x, cars[k].y
-            dists = [point_to_segment_distance(x, y, w) for w in walls]
+            dists = [point_to_segment_distance(x, y, w) for w in WALLS]
             row = []
             for r in radii:
                 n = 0
@@ -605,7 +506,7 @@ class WorldState:
         """Per observer of `arrays`, which has the space columns, up to
         n_space free spaces within the field of view, ascending center
         distance, ties by space id. Slot stability lives in SpaceTracker."""
-        if n_space <= 0 or not self.spaces:
+        if n_space <= 0:
             return [[] for _ in arrays.rows]
         free = self.free_space_ids()
         nc = arrays.nc

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -76,6 +77,36 @@ def test_theta_must_divide_360():
     with pytest.raises(ValueError, match="_thetaGranularity"):
         load_config("_thetaGranularity: 7")
     assert load_config("_thetaGranularity: 24")._thetaGranularity == 24
+
+
+@pytest.mark.parametrize("theta", [1, 2, 3, 5, 6, 10, 90])
+def test_theta_must_be_a_multiple_of_the_space_orientations(theta):
+    # each divides 360, but the arena's spaces face in quarter turns
+    with pytest.raises(ValueError,
+                       match=f"_thetaGranularity: {theta} .* 4 space orientations"):
+        config_from_mapping({"_thetaGranularity": theta})
+
+
+def test_parked_cars_must_fit_the_arena():
+    with pytest.raises(ValueError, match="_numParkedCars: 37 .* 36 spaces"):
+        config_from_mapping({"_numParkedCars": 37, "_dynamicGoals": True})
+
+
+def test_fixed_goals_need_a_free_space_per_agent():
+    with pytest.raises(ValueError, match="_numAgents \\+ _numParkedCars: .* 36 spaces"):
+        config_from_mapping({"_numAgents": 4, "_numParkedCars": 33})
+    # dynamic goals hold no space, so only the parked cars must fit
+    config_from_mapping({"_numAgents": 4, "_numParkedCars": 33,
+                         "_dynamicGoals": True})
+
+
+def test_fixed_goals_filling_every_space_run():
+    """Agents plus parked cars equal to the spaces: each agent holds the
+    one free space left for it at every respawn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = config_from_mapping({"_numAgents": 4, "_numParkedCars": 32})
+    run_random_ticks(cfg, seed=5)
 
 
 def test_unknown_field_rejected_with_path():
@@ -168,7 +199,7 @@ def test_grid_and_ring_spec_derivation():
 def test_too_many_parked_cars_is_a_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        config_from_mapping({"_numParkedCars": 36})
+        config_from_mapping({"_numParkedCars": 36, "_dynamicGoals": True})
     assert any("space" in str(w.message) for w in caught)
 
 
@@ -280,16 +311,24 @@ def run_random_ticks(cfg, seed, ticks=30):
             for _ in env.agents])
 
 
+# what config_from_mapping must refuse itself: the arena's space
+# orientations, its spaces, and a free space for each fixed goal
+ARENA_REFUSALS = re.compile("theta granularity|cannot park|no free parking space")
+
+
 @settings(max_examples=150, deadline=None)
 @example({"_normalizeObs": True, "_obsNearbyCars": True,
           "_obsNearbyCarsCount": 2}, 0)
+@example({"_thetaGranularity": 6}, 0)
+@example({"_numParkedCars": 40}, 0)
+@example({"_numAgents": 4, "_numParkedCars": 33}, 0)
 @given(config_mappings(), st.integers(0, 1 << 16))
 def test_accepted_config_runs_or_fails_with_a_named_error(doc, seed):
     """In both observation modes, a config is rejected with ValueError, or
     it builds, resets, observes and steps every agent for 30 random ticks,
     or it fails with a ValueError or RuntimeError whose message names the
     cause (a feature the observation mode cannot encode, no legal spawn
-    position, no free space for a goal)."""
+    position). A config the arena cannot hold is never accepted."""
     for normalize in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -301,3 +340,4 @@ def test_accepted_config_runs_or_fails_with_a_named_error(doc, seed):
             run_random_ticks(cfg, seed)
         except (ValueError, RuntimeError) as err:
             assert str(err), f"{type(err).__name__} without a message"
+            assert not ARENA_REFUSALS.search(str(err)), f"accepted, then {err}"

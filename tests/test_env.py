@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from carpark.config import EnvironmentConfig, config_from_mapping, max_world_distance
+from carpark.config import EnvironmentConfig, config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv, StepOutcome
 from carpark.geometry import GridSpec, bearing_index_units, round_half_up
-from carpark.world import WorldArrays, obb_intersects
+from carpark.world import MAX_WORLD_DISTANCE, ROAD_POINTS, WorldArrays, obb_intersects
 
-D_MAX = max_world_distance(74)
+D_MAX = MAX_WORLD_DISTANCE
 
 PPO_FIXED = {
     "_positionGranularity": 4,
@@ -114,7 +114,7 @@ def still(env, delta_g=None):
 def test_reset_spawns_on_road_with_goal():
     env = make_env(seed=3)
     agent = env.agents[0]
-    assert (agent.body.x, agent.body.y) in set(env.world.road_points)
+    assert (agent.body.x, agent.body.y) in set(ROAD_POINTS)
     assert agent.v == 0
     assert agent.goal_space in env.world.free_space_ids()
     assert agent.episode_step == 0

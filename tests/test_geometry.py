@@ -19,6 +19,7 @@ from carpark.geometry import (
     wrap_signed_index,
 )
 from carpark.observation import build_observation, build_schema
+from carpark.world import EXTENT
 
 G8 = GridSpec(theta_granularity=8, position_granularity=0)
 
@@ -73,7 +74,7 @@ def reconstruct(observer: Pose, lp: LocalPose, grid: GridSpec) -> tuple[float, f
 
 def random_grid_pose(rng: random.Random, grid: GridSpec) -> Pose:
     s = grid.cell_scale
-    n = grid.base_extent * s
+    n = EXTENT * s
     return Pose(
         rng.randrange(0, n + 1) / s,
         rng.randrange(0, n + 1) / s,

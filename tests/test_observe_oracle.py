@@ -15,9 +15,10 @@ from typing import NamedTuple
 
 import pytest
 
-from carpark.config import config_from_mapping, max_world_distance
+from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.geometry import localize, round_half_up, wrap_signed_index
+from carpark.world import MAX_WORLD_DISTANCE
 
 # ------------------------------------------------------------------ oracle
 
@@ -114,12 +115,12 @@ def oracle_inputs(env, agent_i):
     return inputs
 
 
-def oracle_build_observation(schema, cfg, extent, inputs, mode):
+def oracle_build_observation(schema, cfg, inputs, mode):
     discrete = mode == "discrete"
     if discrete:
         schema.discrete_dims()
     gtheta = cfg._thetaGranularity
-    d_max = max_world_distance(extent)
+    d_max = MAX_WORLD_DISTANCE
     n_space = cfg._obsNearbyParkingSpotsCount if cfg._dynamicGoals else 0
 
     values = []
@@ -241,7 +242,7 @@ def oracle_build_observation(schema, cfg, extent, inputs, mode):
 
 
 def oracle_observe(env, agent_i):
-    return oracle_build_observation(env.schema, env.cfg, env.layout.extent,
+    return oracle_build_observation(env.schema, env.cfg,
                                     oracle_inputs(env, agent_i), env.obs_mode)
 
 

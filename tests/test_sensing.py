@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.world import (
+    EXTENT,
+    WALLS,
     RingSpec,
     WorldArrays,
     obb_corners,
-    obb_hits_segment,
     obb_intersects,
     point_to_obb_distance,
     point_to_segment_distance,
@@ -27,7 +28,7 @@ from carpark.world import (
 
 
 def oracle_ring_counts(world, cx, cy, exclude_uid, spec):
-    distances = [point_to_segment_distance(cx, cy, w) for w in world.walls]
+    distances = [point_to_segment_distance(cx, cy, w) for w in WALLS]
     if not spec.walls_only:
         for car in world.all_cars():
             if car.uid != exclude_uid:
@@ -77,16 +78,10 @@ def oracle_nearest_free_spaces(world, cx, cy, n_space, fov_diameter):
 
 
 def oracle_collides_static(world, body):
-    e = float(world.extent)
+    e = float(EXTENT)
     for x, y in obb_corners(body, world.grid):
         if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
-            if world.boundary_walls_only:
-                return "wall"
-            break
-    if not world.boundary_walls_only:
-        for w in world.walls:
-            if obb_hits_segment(body, w, world.grid):
-                return "wall"
+            return "wall"
     for car in world.parked:
         if obb_intersects(body, car, world.grid):
             return "parked-car"
@@ -251,7 +246,7 @@ def test_batched_queries_equal_scalar_loops(env, data):
         if r > 0.0:
             diams.append(2.0 * r)
     # caps of 0 and 1, and one above every wall and car together
-    cap = draw(st.sampled_from([0, 1, 2, 3, 4, len(world.walls) + len(cars) + 1]))
+    cap = draw(st.sampled_from([0, 1, 2, 3, 4, len(WALLS) + len(cars) + 1]))
     spec = RingSpec(tuple(diams), cap, walls_only=draw(st.booleans()))
     # seen from every agent, as a tick senses, and from one, as a respawn
     for rows in (range(len(agents)), [one]):

@@ -1,62 +1,61 @@
-"""Layout, hitbox, ring, and relocation tests.
+"""Arena, hitbox, ring, and relocation tests.
 
 Collision expectations were cross-checked against a dense point-sampling
 oracle (membership of sampled interior points of one rectangle in the
 other); distance expectations against boundary sampling.
 """
 
+import hashlib
 import math
 import random
-import re
 
 import pytest
 
 from carpark.geometry import GridSpec
 from carpark.world import (
+    EXTENT,
+    ROAD_POINTS,
+    SPACE_POSES,
+    WALLS,
     CarBody,
-    Layout,
     RingSpec,
     SpaceTracker,
     Wall,
     WorldArrays,
     WorldState,
-    default_layout,
-    load_layout,
     obb_corners,
     obb_intersects,
-    obb_hits_segment,
     point_to_obb_distance,
     point_to_segment_distance,
-    save_layout,
 )
 
 G8 = GridSpec(theta_granularity=8)
 G24 = GridSpec(theta_granularity=24)
+# the road points as test_arena_is_pinned hashes them
+ROAD_SHA256 = "3e69f7a2e4f91b9dadf0c47fe19af710cd6eecce04b10528466de95322dacb6f"
 
 
-def make_world(grid=G8, layout=None):
-    return WorldState.from_layout(layout or default_layout(), grid)
+def make_world(grid=G8):
+    return WorldState(grid)
 
 
-# ------------------------------------------------------------------ layout
+# ------------------------------------------------------------------- arena
 
 
 def test_default_layout_counts():
-    lay = default_layout()
-    assert lay.extent == 74
-    assert len(lay.walls) == 4
-    assert len(lay.spaces) == 36
+    assert EXTENT == 74
+    assert len(WALLS) == 4
+    assert len(SPACE_POSES) == 36
     # 9 spaces per side
-    bottom = [s for s in lay.spaces if s[1] == 3.5]
-    top = [s for s in lay.spaces if s[1] == 70.5]
-    left = [s for s in lay.spaces if s[0] == 3.5]
-    right = [s for s in lay.spaces if s[0] == 70.5]
+    bottom = [s for s in SPACE_POSES if s[1] == 3.5]
+    top = [s for s in SPACE_POSES if s[1] == 70.5]
+    left = [s for s in SPACE_POSES if s[0] == 3.5]
+    right = [s for s in SPACE_POSES if s[0] == 70.5]
     assert len(bottom) == len(top) == len(left) == len(right) == 9
 
 
 def test_default_layout_spacing_and_margins():
-    lay = default_layout()
-    xs = sorted(s[0] for s in lay.spaces if s[1] == 3.5)
+    xs = sorted(s[0] for s in SPACE_POSES if s[1] == 3.5)
     assert xs[0] == 17.0 and xs[-1] == 57.0
     assert all(b - a == 5.0 for a, b in zip(xs, xs[1:]))
     # space strip is centered on the wall
@@ -64,37 +63,27 @@ def test_default_layout_spacing_and_margins():
 
 
 def test_road_band():
-    lay = default_layout()
-    assert lay.road_points
-    for x, y in lay.road_points:
+    assert ROAD_POINTS
+    for x, y in ROAD_POINTS:
         m = min(x, y, 74 - x, 74 - y)
         assert 10 <= m <= 12
         assert x == int(x) and y == int(y)
 
 
-def test_layout_roundtrip(tmp_path):
-    lay = default_layout()
-    p = tmp_path / "arena.layout"
-    save_layout(lay, str(p))
-    back = load_layout(str(p))
-    assert back == lay
-
-
-@pytest.mark.parametrize("body", [
-    "some-other-format 3\n",
-    "carpark-layout one\n",
-    "carpark-layout 1\nextent\n",
-    "carpark-layout 1\nextent 74\ngtheta 4\nspace 1 2\n",
-    "carpark-layout 1\nextent 74\ngtheta 4\nwall 0 0 1\n",
-], ids=["header", "header-version", "extent-no-value", "space-two-values",
-        "wall-three-values"])
-def test_layout_rejects_bad_header(tmp_path, body):
-    p = tmp_path / "bad.layout"
-    p.write_text(body)
-    last = body.splitlines()[-1]
-    match = "header" if body.count("\n") == 1 else re.escape(repr(last))
-    with pytest.raises(ValueError, match=f"bad.layout: .*{match}"):
-        load_layout(str(p))
+def test_arena_is_pinned():
+    """The walls in order, every space's center and quarter turns in
+    space-id order, and the road points in the order a plain spawn draws
+    them by index."""
+    assert [(w.x1, w.y1, w.x2, w.y2) for w in WALLS] == [
+        (0.0, 0.0, 74.0, 0.0), (74.0, 0.0, 74.0, 74.0),
+        (74.0, 74.0, 0.0, 74.0), (0.0, 74.0, 0.0, 0.0)]
+    row = [17.0, 22.0, 27.0, 32.0, 37.0, 42.0, 47.0, 52.0, 57.0]
+    assert [tuple(p) for p in SPACE_POSES] == (
+        [(c, 3.5, 0) for c in row] + [(70.5, c, 3) for c in row]
+        + [(c, 70.5, 2) for c in row] + [(3.5, c, 1) for c in row])
+    assert len(ROAD_POINTS) == 624
+    text = "\n".join(f"{x!r} {y!r}" for x, y in ROAD_POINTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROAD_SHA256
 
 
 def test_layout_theta_conversion():
@@ -108,9 +97,8 @@ def test_layout_theta_conversion():
 
 
 def test_layout_theta_granularity_must_divide():
-    lay = default_layout()
-    with pytest.raises(ValueError):
-        WorldState.from_layout(lay, GridSpec(theta_granularity=6))
+    with pytest.raises(ValueError, match="theta granularity 6 .* 4 space"):
+        WorldState(GridSpec(theta_granularity=6))
 
 
 # ------------------------------------------------------------------ hitboxes
@@ -195,13 +183,6 @@ def test_intersects_matches_sampling_oracle():
         assert obb_intersects(a, b, grid) == oracle(a, b, grid)
 
 
-def test_segment_hit():
-    wall = Wall(0.0, 0.0, 74.0, 0.0)
-    assert obb_hits_segment(CarBody(10.0, 2.0, 0), wall, G8)
-    assert not obb_hits_segment(CarBody(10.0, 3.0, 0), wall, G8)  # corner at y=0.5
-    assert obb_hits_segment(CarBody(10.0, 2.5, 0), wall, G8)  # touching
-
-
 def test_point_segment_distance():
     wall = Wall(0.0, 0.0, 74.0, 0.0)
     assert point_to_segment_distance(10.0, 3.0, wall) == 3.0
@@ -223,10 +204,10 @@ def test_point_obb_distance():
 
 def test_ring_counts_strictness():
     # lone point obstacle 3 units away: inside every ring with radius > 3,
-    # outside the radius-3 ring
-    w = WorldState(G8, 1000, (), (), ())
-    w.agents.append(CarBody(0.0, 0.0, 0, uid=0))
-    w.parked.append(CarBody(3.0, 0.0, 0, half_width=0.0, half_length=0.0,
+    # outside the radius-3 ring; the walls are 30 units away
+    w = make_world()
+    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
+    w.parked.append(CarBody(33.0, 30.0, 0, half_width=0.0, half_length=0.0,
                             kind="parked", uid=1))
     w.parked_space.append(0)
     spec = RingSpec(diameters=(14.0, 11.0, 10.0, 7.0, 6.0), max_count=3)
@@ -234,10 +215,10 @@ def test_ring_counts_strictness():
 
 
 def test_ring_counts_cap_and_exclusion():
-    w = WorldState(G8, 1000, (), (), ())
-    w.agents.append(CarBody(0.0, 0.0, 0, uid=0))
+    w = make_world()
+    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
     for i in range(5):
-        w.parked.append(CarBody(2.0 + i * 0.1, 0.0, 0, half_width=0.0,
+        w.parked.append(CarBody(32.0 + i * 0.1, 30.0, 0, half_width=0.0,
                                 half_length=0.0, kind="parked", uid=1 + i))
         w.parked_space.append(i)
     spec = RingSpec(diameters=(10.0,), max_count=3)
@@ -262,9 +243,9 @@ def test_ring_counts_walls_only():
 def test_ring_counts_hitbox_not_center():
     # car center 6 from the agent but its nose reaches to 3.5: the hitbox
     # distance decides membership
-    w = WorldState(G8, 1000, (), (), ())
-    w.agents.append(CarBody(0.0, 0.0, 0, uid=0))
-    w.parked.append(CarBody(0.0, 6.0, 0, kind="parked", uid=1))
+    w = make_world()
+    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
+    w.parked.append(CarBody(30.0, 36.0, 0, kind="parked", uid=1))
     w.parked_space.append(0)
     spec = RingSpec(diameters=(8.0,), max_count=1)
     assert w.ring_counts(spec, WorldArrays(w)) == [(1,)]
@@ -274,11 +255,11 @@ def test_ring_counts_hitbox_not_center():
 
 
 def test_nearest_cars_order_and_fov():
-    w = WorldState(G8, 1000, (), (), ())
-    w.agents.append(CarBody(0.0, 0.0, 0, uid=0))
-    w.agents.append(CarBody(4.0, 0.0, 0, uid=1))
-    w.parked.append(CarBody(0.0, 3.0, 0, kind="parked", uid=2))
-    w.parked.append(CarBody(40.0, 0.0, 0, kind="parked", uid=3))
+    w = make_world()
+    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
+    w.agents.append(CarBody(34.0, 30.0, 0, uid=1))
+    w.parked.append(CarBody(30.0, 33.0, 0, kind="parked", uid=2))
+    w.parked.append(CarBody(70.0, 30.0, 0, kind="parked", uid=3))
     w.parked_space.extend([0, 1])
     [got] = w.nearest_cars(5, 20.0, WorldArrays(w, [0]))
     assert [c.uid for c in got] == [2, 1]  # 3.0 before 4.0; uid 3 out of range
@@ -287,10 +268,10 @@ def test_nearest_cars_order_and_fov():
 
 
 def test_nearest_cars_tie_breaks_by_uid():
-    w = WorldState(G8, 1000, (), (), ())
-    w.agents.append(CarBody(0.0, 0.0, 0, uid=0))
-    w.parked.append(CarBody(0.0, 5.0, 0, kind="parked", uid=7))
-    w.parked.append(CarBody(5.0, 0.0, 0, kind="parked", uid=3))
+    w = make_world()
+    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
+    w.parked.append(CarBody(30.0, 35.0, 0, kind="parked", uid=7))
+    w.parked.append(CarBody(35.0, 30.0, 0, kind="parked", uid=3))
     w.parked_space.extend([0, 1])
     [got] = w.nearest_cars(2, 50.0, WorldArrays(w))
     assert [c.uid for c in got] == [3, 7]
@@ -380,19 +361,6 @@ def test_relocate_rejects_occupied_target():
 
 
 # ------------------------------------------------------------ static queries
-
-
-def test_four_interior_walls_are_not_the_arena_box():
-    interior = (Wall(30.0, 30.0, 44.0, 30.0), Wall(30.0, 44.0, 44.0, 44.0),
-                Wall(30.0, 30.0, 30.0, 44.0), Wall(44.0, 30.0, 44.0, 44.0))
-    w = make_world(layout=Layout(74, 4, interior, (), ()))
-    assert w.collides_static([CarBody(37.0, 30.0, 0)]) == ["wall"]
-    assert w.collides_static([CarBody(37.0, 37.0, 0)]) == [None]
-    assert not w.boundary_walls_only
-    # the arena's own edges keep the corner test, whichever way they run
-    assert make_world().boundary_walls_only
-    box = tuple(Wall(e.x2, e.y2, e.x1, e.y1) for e in default_layout().walls)
-    assert make_world(layout=Layout(74, 4, box, (), ())).boundary_walls_only
 
 
 def test_collides_static_wall_and_parked():
