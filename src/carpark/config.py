@@ -149,6 +149,15 @@ class EnvironmentConfig:
             "_minVelocityMagnitude",
             "_maxDeltaVMagnitude",
             "_maxDeltaThetaMagnitude",
+            "_numParkedCars",
+            "_ringMaxNumObjTrack",
+            "_ringNumPrevObs",
+            "_obsNearbyCarsCount",
+            "_obsNearbyCarsDiameter",
+            "_obsNearbyParkingSpotsCount",
+            "_spawnCloseDist",
+            "carSpawnMinDistance",
+            "spawnCrashTargetAgentMinDist",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
@@ -156,8 +165,6 @@ class EnvironmentConfig:
             raise ValueError("_minDeltaVMagnitude: must be >= 0")
         if self._numAgents < 1:
             raise ValueError("_numAgents: must be >= 1")
-        if self._numParkedCars < 0:
-            raise ValueError("_numParkedCars: must be >= 0")
         spaces = len(SPACE_POSES)
         if self._numParkedCars > spaces:
             raise ValueError(
@@ -178,6 +185,9 @@ class EnvironmentConfig:
             raise ValueError(
                 "ringDiams: must be non-empty exactly when _obsRings is set"
             )
+        for i, d in enumerate(self.ringDiams):
+            if d <= 0:
+                raise ValueError(f"ringDiams[{i}] (_rd{i}): must be > 0")
         for name in ("spawnCloseRatio", "spawnCrashRatio"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

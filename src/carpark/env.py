@@ -108,15 +108,16 @@ class ActionTuple:
 
 class StepOutcome:
     """What happened to one agent in one tick: its reward, how its
-    episode ended, if it did, and the events behind them. Every field has
-    its default on the class, so a fresh instance runs no __init__;
-    setting a field sets it on that instance alone."""
+    episode ended, if it did, and the events behind them. `terminal` is
+    the one outcome field: whether the agent parked, crashed or timed out
+    is read from it and from nothing else, and its speed when it parked is
+    `velocity`. Every field has its default on the class, so a fresh
+    instance runs no __init__; setting a field sets it on that instance
+    alone."""
 
     reward: float = 0.0
     terminal: str | None = None  # parked | crashed | timeout | None
     crash_kind: str | None = None  # agent-car | parked-car | wall
-    parked: bool = False
-    halted: bool = False
     lost_goal: bool = False
     transition: str | None = None
     transition_reward: float = 0.0
@@ -126,7 +127,6 @@ class StepOutcome:
     velocity: int = 0
     omega: int = 0
     moved_toward_goal: int = 0  # sign of goal-distance decrease
-    park_velocity: int | None = None
     # set on terminal steps only
     episode_steps: int = 0
     episode_reward: float = 0.0
@@ -177,7 +177,6 @@ class ParkingEnv:
         self.action_schema: ActionSchema = build_action_schema(cfg)
         self.obs_mode = "normalized" if cfg._normalizeObs else "discrete"
         self._accel_range = (-cfg.max_reverse_accel, cfg._maxDeltaVMagnitude)
-        self.d_max = MAX_WORLD_DISTANCE
         # the raw values of one absent nearby-car slot, in schema order
         self._absent_car = self._absent_car_values()
         self.car_scale = 1.0
@@ -251,13 +250,14 @@ class ParkingEnv:
         angle, delta and velocity, and no goal (the bound pose triple with
         fixed goals, the absent-slot index n_space + 1 with dynamic ones)."""
         cfg = self.cfg
-        car_bound = min(cfg._obsNearbyCarsDiameter / 2.0, self.d_max)
+        car_bound = min(cfg._obsNearbyCarsDiameter / 2.0, MAX_WORLD_DISTANCE)
         values = list(_pose_values(None, car_bound))
         if cfg._obsNearbyCarsVelocity:
             values.append(0)
         if cfg._obsNearbyCarsGoal:
             values += ((cfg._obsNearbyParkingSpotsCount + 1,)
-                       if cfg._dynamicGoals else _pose_values(None, self.d_max))
+                       if cfg._dynamicGoals
+                       else _pose_values(None, MAX_WORLD_DISTANCE))
         return values
 
     # -------------------------------------------------------------- spawning
@@ -403,7 +403,7 @@ class ParkingEnv:
         if agent.tracker:
             agent.tracker.reset()
             agent.tracker.update(self.world.nearest_free_spaces(
-                agent.tracker.n_space, math.inf, view)[0])
+                agent.tracker.n_space, view)[0])
         if self.ring_spec:
             agent.cur_rings = self.world.ring_counts(self.ring_spec, view)[0]
         agent.prev_goal_distance = self._goal_distance(agent)
@@ -423,7 +423,7 @@ class ParkingEnv:
             view = self._sensed
             nearest = (view.nearest_other_car() if view is not None
                        else [math.inf] * len(self.agents))
-            self._nearest_car_d = [min(d, self.d_max) for d in nearest]
+            self._nearest_car_d = [min(d, MAX_WORLD_DISTANCE) for d in nearest]
         return self._nearest_car_d[agent_i]
 
     def _view(self) -> WorldArrays | None:
@@ -527,7 +527,7 @@ class ParkingEnv:
         grid = self.grid
         body = agent.body  # localize reads only x, y and theta
         spaces = self.world.spaces
-        d_max = self.d_max
+        d_max = MAX_WORLD_DISTANCE
         tracker = agent.tracker
         n_space = cfg._obsNearbyParkingSpotsCount
         goal_sid = agent.goal_space
@@ -711,14 +711,14 @@ class ParkingEnv:
         # phase 4: tracking refresh, lost goals, park checks, rewards
         if dynamic:
             tracked = world.nearest_free_spaces(
-                cfg._obsNearbyParkingSpotsCount, math.inf, arrays)
+                cfg._obsNearbyParkingSpotsCount, arrays)
             occupied_ids = world.occupied_space_ids()
         if ring_spec:
             # a lone car with fixed goals has no tick view; it counts walls
             rings = world.ring_counts(ring_spec, arrays or WorldArrays(world))
             history_len = ring_spec.history_len
         tau = cfg._maxSteps
-        terminals: list[tuple[int, str]] = []
+        terminals: list[int] = []
         for i, (agent, ev) in enumerate(zip(agents, events)):
             body = agent.body
             agent.episode_step += 1
@@ -753,41 +753,36 @@ class ParkingEnv:
                 sp = spaces[sid]
                 if math.hypot(sp.x - body.x, sp.y - body.y) < old_d:
                     agent.steps_toward_space_exploring += 1
-            terminal: str | None = None
             if i in crashed:
                 ev.crash_kind = crashed[i]
                 ev.reward -= cfg.rewCrash
-                terminal = "crashed"
+                ev.terminal = "crashed"
             elif self._parked_in_goal(agent):
-                ev.parked = True
-                ev.park_velocity = agent.v
                 ev.reward += self._park_reward(agent)
-                terminal = "parked"
+                ev.terminal = "parked"
             else:
                 ev.reward += self._dense_reward(agent, actions[i], ev)
                 if agent.episode_step >= tau:
-                    ev.halted = True
-                    terminal = "timeout"
+                    ev.terminal = "timeout"
             if dynamic and agent.goal_space is None:
                 agent.steps_exploring += 1
             agent.episode_reward += ev.reward
-            if terminal:
-                ev.terminal = terminal
-                terminals.append((i, terminal))
-                self._finish_episode(i, terminal, ev)
+            if ev.terminal:
+                terminals.append(i)
+                self._finish_episode(i, ev)
 
         # phase 5: respawns (park relocation first)
         filled: list[int] = []
-        for i, terminal in terminals:
+        for i in terminals:
             agent = self.agents[i]
-            if terminal == "parked":
+            if events[i].terminal == "parked":
                 world.relocate_furthest_parked_car(agent.goal_space)
                 filled.append(agent.goal_space)
             self._respawn(i)
         # a relocation may occupy a space another agent targets; that goal
         # is lost in the same tick
         if filled:
-            done = {i for i, _ in terminals}
+            done = set(terminals)
             for i, agent in enumerate(self.agents):
                 if i not in done and agent.goal_space in filled:
                     agent.goal_space = None
@@ -859,12 +854,12 @@ class ParkingEnv:
             reward -= cfg.rewDeltaThetaSum / tau * smooth
         return reward
 
-    def _finish_episode(self, agent_i: int, terminal: str, ev: StepOutcome) -> None:
+    def _finish_episode(self, agent_i: int, ev: StepOutcome) -> None:
         agent = self.agents[agent_i]
         self.stats["episodes"] += 1
-        if terminal == "parked":
+        if ev.terminal == "parked":
             self.stats["parked"] += 1
-        elif terminal == "timeout":
+        elif ev.terminal == "timeout":
             self.stats["halted"] += 1
         else:
             self.stats["crashed"] += 1

@@ -349,20 +349,16 @@ class TrainingRecorder:
         record("Environment/Episode Length", ev.episode_steps, step)
         for path, key in _RECORDED_TOTALS:
             record(path, stats[key], step, "last")
-        if ev.ratio_toward_goal is not None:
-            record("Metrics/RatioMoveTowardsPerEps", ev.ratio_toward_goal,
-                   step)
-        if ev.parked and ev.park_velocity is not None:
+        record("Metrics/RatioMoveTowardsPerEps", ev.ratio_toward_goal, step)
+        if ev.terminal == "parked":
             record("Metrics/Park Velocity",
-                   abs(ev.park_velocity) * self.v_scale, step)
+                   abs(ev.velocity) * self.v_scale, step)
         if not self.dynamic:
             return
-        if ev.ratio_explore is not None:
-            record("Metrics/RatioExplorePerEps", ev.ratio_explore, step)
-            record("Metrics/RatioGoalPerEps", 1.0 - ev.ratio_explore, step)
-        if ev.ratio_toward_space_exploring is not None:
-            record("Metrics/RatioMoveTowardsExploringPerEps",
-                   ev.ratio_toward_space_exploring, step)
+        record("Metrics/RatioExplorePerEps", ev.ratio_explore, step)
+        record("Metrics/RatioGoalPerEps", 1.0 - ev.ratio_explore, step)
+        record("Metrics/RatioMoveTowardsExploringPerEps",
+               ev.ratio_toward_space_exploring, step)
         for name, total, pos in GAVE_WAY_KEYS.values():
             pos_path, total_path = gave_way_paths(name)
             record(pos_path, stats[pos], step, "last")
@@ -390,6 +386,10 @@ class TrainingRun:
                  max_episodes: int | None = None,
                  max_steps: int | None = None, dump_interval: int = 0,
                  log=None, rates=None):
+        if env.cfg != cfg:  # run.json records cfg
+            a, b = cfg.to_mapping(), env.cfg.to_mapping()
+            raise ValueError(f"env.cfg differs from the recorded config in "
+                             f"{sorted(k for k in a if a[k] != b[k])}")
         self.env = env
         self.n = len(env.agents)
         self.max_episodes = max_episodes
@@ -690,8 +690,12 @@ def export_rows(model_dirs, out_path: str, period_start: int | None = None,
     """Write one CSV row per readable model directory; returns the rows.
 
     Unreadable or incomplete directories are skipped with a warning so
-    one bad job doesn't block comparing the rest.
+    one bad job doesn't block comparing the rest. A parameter path that
+    names a summary column raises ``ValueError``: it would overwrite it.
     """
+    taken = [p for p in param_paths if p == "Model" or p in ROW_COLUMNS]
+    if taken:
+        raise ValueError(f"parameter paths {taken} name summary columns")
     rows = []
     for d in sorted(str(d) for d in model_dirs):
         try:

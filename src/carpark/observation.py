@@ -86,9 +86,6 @@ _KIND_CODES = {"distance": _DISTANCE, "angle": _ANGLE, "delta": _DELTA,
 class ObsSchema:
     features: tuple[Feature, ...]
 
-    def __len__(self) -> int:
-        return len(self.features)
-
     @cached_property
     def plan(self) -> tuple:
         """The encode plan, built once per schema: per feature its kind
@@ -99,14 +96,6 @@ class ObsSchema:
 
     def discrete_dims(self) -> list[int]:
         return [_discrete_size(f) for f in self.features]
-
-    def describe(self) -> str:
-        lines = []
-        for i, f in enumerate(self.features):
-            dom = f"{f.size} values" if f.size is not None else "continuous"
-            rng = "[-1,1]" if f.signed else "[0,1]"
-            lines.append(f"{i:3d}  {f.name:38s} {dom:12s} bound={f.bound:g} {rng}")
-        return "\n".join(lines)
 
 
 def _discrete_size(f: Feature) -> int:

@@ -109,10 +109,8 @@ class PolicyParams:
     layer table that ``_set_dims`` returns."""
 
     def __init__(self, obs_dim: int, branches, hidden: int = 256,
-                 layers: int = 3, rng: np.random.Generator | None = None):
+                 layers: int = 3, *, rng: np.random.Generator):
         table = self._set_dims(obs_dim, branches, hidden, layers)
-        if rng is None:
-            rng = np.random.default_rng()
         data: dict[str, np.ndarray] = {}
         for w, b, n_in, n_out, gain in table:
             data[w] = _orthogonal(rng, n_in, n_out, gain)
@@ -547,6 +545,10 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
                               hyper.hidden, hyper.layers, rng=np_rng)
     else:
         _check_params_dims(params, env, obs_dim)
+        if (params.hidden, params.layers) != (hyper.hidden, hyper.layers):
+            raise ValueError(f"policy has {params.layers} hidden layers of "
+                             f"{params.hidden}, the hyperparameters "
+                             f"{hyper.layers} of {hyper.hidden}")
 
     def lr_at(step: int) -> float:
         return lr_schedule(step, hyper.total_steps, hyper.lr,
@@ -599,7 +601,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
                                    bootstrap=float(values[0]))
         if buffer.full:
             diag = ppo_update(params, buffer, hyper, lr_at(gstep), np_rng)
-            if run.store is not None and diag["updates"]:
+            if run.store is not None:
                 record = run.store.record
                 record("Losses/Policy Loss", diag["policy_loss"], gstep)
                 record("Losses/Value Loss", diag["value_loss"], gstep)

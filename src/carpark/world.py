@@ -21,9 +21,10 @@ The arena is the paper's parking lot, and the only one: a 74x74 square
 bounded by four walls, with 36 parking spaces hugging the walls (9 per
 side) and a square ring road between the space rows and the center used
 for spawning. It is declared once, below (``EXTENT``, ``WALLS``,
-``SPACE_POSES``, ``ROAD_POINTS``), and built at import. A car footprint is
-3x5 world units and a space is 5x7, so a space exceeds the car by 2 units
-per axis.
+``SPACE_POSES``, ``ROAD_POINTS``), and built at import. Every car has the
+one footprint declared below, 3x5 world units (``CAR_HALF_WIDTH``,
+``CAR_HALF_LENGTH``), which only ``CarBody.scale`` varies. A space is 5x7,
+so a space exceeds the car by 2 units per axis.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ if TYPE_CHECKING:
 
 CAR_HALF_WIDTH = 1.5
 CAR_HALF_LENGTH = 2.5
+CAR_CIRCUMRADIUS = math.hypot(CAR_HALF_WIDTH, CAR_HALF_LENGTH)
 SPACE_HALF_WIDTH = 2.5
 SPACE_HALF_DEPTH = 3.5
 
@@ -60,6 +62,7 @@ class Wall:
 
 EXTENT = 74  # side of the square arena, world units
 MAX_WORLD_DISTANCE = math.hypot(EXTENT, EXTENT)  # the arena's diagonal
+_EDGE = float(EXTENT)  # the far edge of the arena box
 
 WALLS = (
     Wall(0.0, 0.0, float(EXTENT), 0.0),
@@ -78,6 +81,9 @@ SPACE_POSES = tuple(
     + [(EXTENT - 3.5, c, 3) for c in _ROW]  # right column, opening west
     + [(c, EXTENT - 3.5, 2) for c in _ROW]  # top row, opening south
     + [(3.5, c, 1) for c in _ROW])  # left column, opening east
+# the space centers in space-id order, as every WorldArrays view reads them
+SPACE_X = [cx for cx, _, _ in SPACE_POSES]
+SPACE_Y = [cy for _, cy, _ in SPACE_POSES]
 
 # The ring-road spawn band: the grid points 10..12 units from the
 # boundary, in x-major order (a plain spawn draws from it by index).
@@ -96,19 +102,18 @@ class ParkingSpace:
 
 @dataclass(slots=True)
 class CarBody:
-    """Oriented rectangular hitbox. kind is 'agent' or 'parked'."""
+    """Oriented rectangular hitbox: the car footprint times scale. kind is
+    'agent' or 'parked'."""
 
     x: float
     y: float
     theta: int
-    half_width: float = CAR_HALF_WIDTH
-    half_length: float = CAR_HALF_LENGTH
     scale: float = 1.0
     kind: str = "agent"
     uid: int = 0
 
     def circumradius(self) -> float:
-        return math.hypot(self.half_width, self.half_length) * self.scale
+        return CAR_CIRCUMRADIUS * self.scale
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,8 +134,8 @@ class RingSpec:
 def obb_corners(body: CarBody, grid: GridSpec) -> list[tuple[float, float]]:
     sx, sy = heading_vector(body.theta, grid)  # forward
     rx, ry = sy, -sx  # right-hand direction
-    hw = body.half_width * body.scale
-    hl = body.half_length * body.scale
+    hw = CAR_HALF_WIDTH * body.scale
+    hl = CAR_HALF_LENGTH * body.scale
     fx, fy = sx * hl, sy * hl
     wx, wy = rx * hw, ry * hw
     cx, cy = body.x, body.y
@@ -195,8 +200,8 @@ def point_to_obb_distance(px: float, py: float, body: CarBody, grid: GridSpec) -
     # coordinates in the box frame: forward component and right component
     lf = dx * fx + dy * fy
     lr = dx * fy - dy * fx
-    hl = body.half_length * body.scale
-    hw = body.half_width * body.scale
+    hl = CAR_HALF_LENGTH * body.scale
+    hw = CAR_HALF_WIDTH * body.scale
     ef = abs(lf) - hl
     er = abs(lr) - hw
     if ef <= 0.0 and er <= 0.0:
@@ -238,11 +243,10 @@ class WorldArrays:
         x offsets, then y offsets."""
         if self._offsets is None:
             import numpy as np
-            w = self.world
             cars = self.cars
             if self.with_spaces:
-                xy = ([c.x for c in cars] + w._space_x
-                      + [c.y for c in cars] + w._space_y)
+                xy = ([c.x for c in cars] + SPACE_X
+                      + [c.y for c in cars] + SPACE_Y)
             else:
                 xy = [c.x for c in cars] + [c.y for c in cars]
             p = np.fromiter(xy, float, len(xy)).reshape(2, -1)
@@ -331,10 +335,6 @@ class WorldState:
             ParkingSpace(i, cx, cy, th * mult)
             for i, (cx, cy, th) in enumerate(SPACE_POSES)
         )
-        self._edge = float(EXTENT)  # the far edge of the arena box
-        # the space centers, a fixed part of every WorldArrays view
-        self._space_x = [sp.x for sp in self.spaces]
-        self._space_y = [sp.y for sp in self.spaces]
 
     # -------------------------------------------------------------- occupancy
 
@@ -405,10 +405,9 @@ class WorldState:
         # when a corner lies on or outside the box; a corner can only reach
         # an edge within the circumradius (plus REACH_SLACK for rounding in
         # the corners) of it
-        e = self._edge
+        e = _EDGE
         # body.circumradius(), inlined: this runs once per agent-step
-        r = (math.hypot(body.half_width, body.half_length) * body.scale
-             + REACH_SLACK)
+        r = CAR_CIRCUMRADIUS * body.scale + REACH_SLACK
         if not (r < body.x < e - r and r < body.y < e - r):
             for x, y in obb_corners(body, self.grid):
                 if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
@@ -501,20 +500,17 @@ class WorldState:
             out.append(found)
         return out
 
-    def nearest_free_spaces(self, n_space: int, fov_diameter: float,
-                            arrays: WorldArrays):
+    def nearest_free_spaces(self, n_space: int, arrays: WorldArrays):
         """Per observer of `arrays`, which has the space columns, up to
-        n_space free spaces within the field of view, ascending center
-        distance, ties by space id. Slot stability lives in SpaceTracker."""
+        n_space free spaces, ascending center distance, ties by space id.
+        Slot stability lives in SpaceTracker."""
         if n_space <= 0:
             return [[] for _ in arrays.rows]
         free = self.free_space_ids()
         nc = arrays.nc
         dist = arrays.distances()[:, [nc + sid for sid in free]]
-        reach = fov_diameter / 2.0
         order = dist.argsort(axis=1, kind="stable")[:, :n_space].tolist()
-        return [[free[c] for c in cols if row[c] <= reach]
-                for row, cols in zip(dist.tolist(), order)]
+        return [[free[c] for c in cols] for cols in order]
 
 
 class SpaceTracker:

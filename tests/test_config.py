@@ -109,6 +109,36 @@ def test_fixed_goals_filling_every_space_run():
     run_random_ticks(cfg, seed=5)
 
 
+# (mapping, the field its refusal names): each was accepted and then ran
+# as if the value were 0, disabled a check, or failed later unnamed
+NEGATIVE_REFUSALS = [
+    ({"_obsNearbyCars": True, "_obsNearbyCarsCount": -1},
+     "_obsNearbyCarsCount"),
+    ({"_obsNearbyCars": True, "_obsNearbyCarsCount": 1,
+      "_obsNearbyCarsDiameter": -300}, "_obsNearbyCarsDiameter"),
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "_rd0": -10}, "_rd0"),
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "_rd0": 11, "_rd1": 0},
+     "_rd1"),
+    ({"_obsRings": True, "_ringMaxNumObjTrack": -1, "_rd0": 11},
+     "_ringMaxNumObjTrack"),
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "_rd0": 11,
+      "_ringNumPrevObs": -1}, "_ringNumPrevObs"),
+    ({"spawnCloseRatio": 1.0, "_spawnCloseDist": -5}, "_spawnCloseDist"),
+    ({"carSpawnMinDistance": -1}, "carSpawnMinDistance"),
+    ({"spawnCrashRatio": 0.5, "spawnCrashTargetAgentMinDist": -1.0},
+     "spawnCrashTargetAgentMinDist"),
+    ({"_dynamicGoals": True, "_obsNearbyParkingSpotsCount": -2},
+     "_obsNearbyParkingSpotsCount"),
+]
+
+
+@pytest.mark.parametrize("doc, name", NEGATIVE_REFUSALS,
+                         ids=[name for _, name in NEGATIVE_REFUSALS])
+def test_negative_counts_and_distances_are_refused_by_name(doc, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        config_from_mapping(doc)
+
+
 def test_unknown_field_rejected_with_path():
     with pytest.raises(ValueError, match="_obsAngel"):
         load_config("_obsAngel: true")

@@ -95,7 +95,7 @@ def place(env, i, x, y, theta, v=0, goal="keep", refresh=True):
     view = WorldArrays(env.world, [i], with_spaces=True)
     if agent.tracker and refresh:
         agent.tracker.update(env.world.nearest_free_spaces(
-            agent.tracker.n_space, math.inf, view)[0])
+            agent.tracker.n_space, view)[0])
     if env.ring_spec:
         agent.cur_rings = env.world.ring_counts(env.ring_spec, view)[0]
         agent.ring_history = []
@@ -317,7 +317,6 @@ def test_timeout_is_halt():
         if k < env.cfg._maxSteps - 1:
             assert outs.terminal is None
     assert outs.terminal == "timeout"
-    assert outs.halted
     assert outs.episode_steps == env.cfg._maxSteps
     assert env.stats["halted"] == 1
 
@@ -352,7 +351,7 @@ def test_park_at_center_pays_full_reward():
     out = env.step(ActionTuple(0, 0))
     assert out.terminal == "parked"
     assert out.reward == 10.0  # no velocity or heading penalty configured
-    assert out.park_velocity == 0
+    assert out.velocity == 0
     assert env.stats["parked"] == 1
     # the freed-up space got refilled by the relocated parked car
     assert len(env.world.parked) == parked_before
@@ -372,7 +371,7 @@ def test_park_reward_velocity_and_heading_penalties():
     delta = min(delta, 8 - delta)
     want = 10.0 - 0.25 * 1.0 / 1.0 - 0.05 * delta / 4.0
     assert out.reward == pytest.approx(want, rel=1e-12)
-    assert out.park_velocity == 1
+    assert out.velocity == 1
 
 
 def test_park_threshold_is_closed():
@@ -868,10 +867,10 @@ def test_observe_space_distances_carry_global_info():
 
 
 STEP_EVENT_DEFAULTS = {
-    "reward": 0.0, "terminal": None, "crash_kind": None, "parked": False, "halted": False, "lost_goal": False,
+    "reward": 0.0, "terminal": None, "crash_kind": None, "lost_goal": False,
     "transition": None, "transition_reward": 0.0, "gave_way": None,
     "velocity": 0, "omega": 0, "moved_toward_goal": 0,
-    "park_velocity": None, "episode_steps": 0, "episode_reward": 0.0,
+    "episode_steps": 0, "episode_reward": 0.0,
     "ratio_explore": None, "ratio_toward_goal": None,
     "ratio_toward_space_exploring": None,
 }
@@ -893,7 +892,7 @@ def test_step_events_defaults_are_per_instance():
         setattr(a, k, "set")
     a.gave_way = {"LocalAnyGoal": True}
     assert values(b) == values(StepOutcome) == values(StepOutcome()) == want
-    assert a.gave_way == {"LocalAnyGoal": True} and a.parked == "set"
+    assert a.gave_way == {"LocalAnyGoal": True} and a.terminal == "set"
 
 
 def test_observe_localizes_each_pair_once(monkeypatch):

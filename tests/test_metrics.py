@@ -2,10 +2,12 @@
 export, and the trainer-side recorder."""
 
 import csv
+import hashlib
 import json
 import math
 import os
 import random
+import re
 import tempfile
 import warnings
 
@@ -17,6 +19,7 @@ from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.metrics import (
     CONTEXT_COLUMNS,
+    EXPORT_COLUMNS,
     MODES,
     ROW_COLUMNS,
     MetricSeries,
@@ -25,6 +28,7 @@ from carpark.metrics import (
     context_conformance,
     discover_model_dirs,
     export_rows,
+    gave_way_paths,
     last_minus_start_metricperiod,
     mean_metric_period,
     model_row,
@@ -33,6 +37,7 @@ from carpark.metrics import (
     read_store,
     write_run_meta,
 )
+from carpark.qlearning import QSchedule, train_q
 
 
 def series(points, mode="mean", freq=10):
@@ -739,6 +744,20 @@ def test_discover_root_holding_a_store(tmp_path):
         assert len(got) == 2
 
 
+@pytest.mark.parametrize("taken", ["Model", "p", "Park Velocity"])
+def test_export_rows_refuses_param_paths_naming_summary_columns(tmp_path,
+                                                                 taken):
+    """A parameter path named like a summary column would overwrite that
+    column and repeat it in the header; it is refused before any row is
+    read or the CSV is written."""
+    d = synthetic_model_dir(tmp_path, "m1")
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match=re.escape(repr(taken))):
+        export_rows([str(d)], str(out),
+                    param_paths=("environment_parameters.try", taken))
+    assert not out.exists()
+
+
 def test_discover_does_not_descend_symlinked_dirs(tmp_path):
     make_tree(str(tmp_path), ["real/run", "outside/run"])
     os.symlink(tmp_path / "outside", tmp_path / "real" / "link")
@@ -856,3 +875,53 @@ def test_recorder_dynamic_mode_emits_context_counts(tmp_path):
     goal = back["Metrics/RatioGoalPerEps"].points
     for (_, e), (_, g) in zip(explore, goal):
         assert e + g == pytest.approx(1.0)
+
+
+# Two recorded runs whose files are pinned byte for byte: a short parking
+# train_q run that parks now and then (so it records Park Velocity), and a
+# dynamic-goal random-action run (exploration ratios and give-way counts).
+# PPO stays out, so that no BLAS build can move a pin.
+PINNED_Q = {"spawnCloseRatio": 1.0, "_numParkedCars": 6}
+PINNED_Q_SCHEDULE = QSchedule(alpha=0.1, gamma=0.9, epsilon=0.3,
+                              train_episodes=40, eval_episodes=10)
+PINNED_DYNAMIC = {"_numAgents": 2, "_normalizeObs": True,
+                  "_dynamicGoals": True, "_obsNearbyParkingSpotsCount": 2,
+                  "_maxSteps": 60}
+RECORDER_PINS = {
+    "q/metrics.jsonl":
+        "70d6c51a24b025f88ae22ca897c23fb91350ea3bbb42bf5d1d13b1fd31b46029",
+    "q/rewards.csv":
+        "ed34acda6b197684bfa1c06e4f5705e59adfca7eac146bc329d39f7f52d64288",
+    "dynamic/metrics.jsonl":
+        "5c9f8cae3a75595cf46e931467f3163bee0f9925abf0b1f9b88c74bae713f1aa",
+}
+
+
+def export_sources() -> set[str]:
+    """Every metric path the export catalogue reads: the mean paths, the
+    running totals and both give-way paths of each context."""
+    paths = set()
+    for _, how, source in EXPORT_COLUMNS:
+        if how == "mean":
+            paths.add(source)
+        elif how in ("delta", "per_eps"):
+            paths.add(source[0])
+        elif how == "context":
+            paths.update(gave_way_paths(source))
+    return paths
+
+
+def test_recorder_files_are_pinned(tmp_path):
+    """The recorder writes the pinned bytes for both runs, and the two
+    runs record every path the export catalogue reads."""
+    train_q(config_from_mapping(PINNED_Q), PINNED_Q_SCHEDULE,
+            str(tmp_path / "q"), seed=0, summary_freq=50)
+    (tmp_path / "dynamic").mkdir()
+    run_recorded(tmp_path / "dynamic", PINNED_DYNAMIC, 250)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in RECORDER_PINS}
+    assert got == RECORDER_PINS
+    q = read_store(str(tmp_path / "q" / "metrics.jsonl"))
+    dynamic = read_store(str(tmp_path / "dynamic" / "metrics.jsonl"))
+    assert "Metrics/Park Velocity" in q
+    assert export_sources() <= set(q) | set(dynamic)

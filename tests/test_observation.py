@@ -70,8 +70,6 @@ def test_ppo_fixed_schema_layout():
         "car0-velocity", "car0-goal-distance", "car0-goal-angle",
         "car0-goal-delta-rotation",
     ]
-    dump = schema.describe()
-    assert "velocity" in dump and "car0-goal-angle" in dump
 
 
 def test_basic_discrete_observation():

@@ -15,6 +15,7 @@ from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.world import (
     EXTENT,
+    MAX_WORLD_DISTANCE,
     WALLS,
     RingSpec,
     WorldArrays,
@@ -61,18 +62,15 @@ def oracle_nearest_cars(world, cx, cy, exclude_uid, n_track, fov_diameter):
     return [car for _, _, car in found[:n_track]]
 
 
-def oracle_nearest_free_spaces(world, cx, cy, n_space, fov_diameter):
+def oracle_nearest_free_spaces(world, cx, cy, n_space):
     if n_space <= 0:
         return []
-    reach = fov_diameter / 2.0
     occ = world.occupied_space_ids()
     found = []
     for sp in world.spaces:
         if sp.sid in occ:
             continue
-        d = math.hypot(sp.x - cx, sp.y - cy)
-        if d <= reach:
-            found.append((d, sp.sid))
+        found.append((math.hypot(sp.x - cx, sp.y - cy), sp.sid))
     found.sort()
     return [sid for _, sid in found[:n_space]]
 
@@ -104,7 +102,7 @@ def oracle_global_info(env, space_id):
 
 def oracle_nearest_car_distance(env, agent_i):
     body = env.agents[agent_i].body
-    nearest = env.d_max
+    nearest = MAX_WORLD_DISTANCE
     for car in env.world.all_cars():
         if car.uid == agent_i:
             continue
@@ -256,8 +254,8 @@ def test_batched_queries_equal_scalar_loops(env, data):
         assert [uids(g) for g in got] == [
             uids(oracle_nearest_cars(world, a.x, a.y, a.uid, n, fov))
             for a in seen]
-        assert world.nearest_free_spaces(n, fov, view) == [
-            oracle_nearest_free_spaces(world, a.x, a.y, n, fov) for a in seen]
+        assert world.nearest_free_spaces(n, view) == [
+            oracle_nearest_free_spaces(world, a.x, a.y, n) for a in seen]
         assert world.ring_counts(spec, view) == [
             oracle_ring_counts(world, a.x, a.y, a.uid, spec) for a in seen]
     # plain loops, one body at a time, and the broad phase through the view

@@ -89,6 +89,37 @@ def test_run_meta_is_derived_from_the_run(trainer, slash, tmp_path):
     assert model_row(out)["Model"] == "job-7"
 
 
+# (trainer, call with an env whose config is not the recorded one)
+MISMATCHED_ENV = {
+    "q": lambda cfg, env: train_q(cfg, SCHEDULE, env=env, seed=0),
+    "ppo": lambda cfg, env: train_ppo(cfg, HYPER, env=env, seed=0),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(MISMATCHED_ENV))
+def test_run_refuses_an_env_of_another_config(trainer):
+    """run.json records the config argument, so an env running another
+    one is refused, naming the field that differs."""
+    base = DISCRETE if trainer == "q" else NORMALIZED
+    recorded = config_from_mapping({**base, "_numParkedCars": 2})
+    env = ParkingEnv(config_from_mapping({**base, "_numParkedCars": 9}),
+                     seed=0)
+    with pytest.raises(ValueError, match="_numParkedCars"):
+        MISMATCHED_ENV[trainer](recorded, env)
+
+
+def test_ppo_refuses_params_of_another_network():
+    """run.json records the hyperparameters' network, so a policy of
+    another width or depth is refused."""
+    cfg = config_from_mapping(NORMALIZED)
+    env = ParkingEnv(cfg, seed=0)
+    for hidden, layers in ((16, 1), (8, 2)):
+        params = PolicyParams(len(env.observe(0)), env.action_schema.branches,
+                              hidden, layers, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="hidden layers"):
+            train_ppo(cfg, HYPER, env=env, params=params, seed=0)
+
+
 # ------------------------------------------------------------ model files
 
 LOADERS = {"q": QTable.load, "ppo": PolicyParams.load}

@@ -13,6 +13,8 @@ import pytest
 
 from carpark.geometry import GridSpec
 from carpark.world import (
+    CAR_HALF_LENGTH,
+    CAR_HALF_WIDTH,
     EXTENT,
     ROAD_POINTS,
     SPACE_POSES,
@@ -152,16 +154,16 @@ def test_intersects_matches_sampling_oracle():
         dx, dy = px - body.x, py - body.y
         lf = dx * fx + dy * fy
         lr = dx * fy - dy * fx
-        return (abs(lf) <= body.half_length * body.scale + 1e-12
-                and abs(lr) <= body.half_width * body.scale + 1e-12)
+        return (abs(lf) <= CAR_HALF_LENGTH * body.scale + 1e-12
+                and abs(lr) <= CAR_HALF_WIDTH * body.scale + 1e-12)
 
     def oracle(a, b, grid, n=40):
         from carpark.geometry import heading_vector
         for body, other in ((a, b), (b, a)):
             fx, fy = heading_vector(body.theta, grid)
             rx, ry = fy, -fx
-            hl = body.half_length * body.scale
-            hw = body.half_width * body.scale
+            hl = CAR_HALF_LENGTH * body.scale
+            hw = CAR_HALF_WIDTH * body.scale
             for i in range(n + 1):
                 for j in range(n + 1):
                     u = (2 * i / n - 1) * hl
@@ -203,12 +205,12 @@ def test_point_obb_distance():
 
 
 def test_ring_counts_strictness():
-    # lone point obstacle 3 units away: inside every ring with radius > 3,
+    # lone parked car whose hitbox is 3 units away (its long side, 1.5 from
+    # its center, faces the observer): inside every ring with radius > 3,
     # outside the radius-3 ring; the walls are 30 units away
     w = make_world()
     w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
-    w.parked.append(CarBody(33.0, 30.0, 0, half_width=0.0, half_length=0.0,
-                            kind="parked", uid=1))
+    w.parked.append(CarBody(34.5, 30.0, 0, kind="parked", uid=1))
     w.parked_space.append(0)
     spec = RingSpec(diameters=(14.0, 11.0, 10.0, 7.0, 6.0), max_count=3)
     assert w.ring_counts(spec, WorldArrays(w)) == [(1, 1, 1, 1, 0)]
@@ -217,9 +219,10 @@ def test_ring_counts_strictness():
 def test_ring_counts_cap_and_exclusion():
     w = make_world()
     w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
+    # five parked cars whose hitboxes are 2.0-2.4 units away
     for i in range(5):
-        w.parked.append(CarBody(32.0 + i * 0.1, 30.0, 0, half_width=0.0,
-                                half_length=0.0, kind="parked", uid=1 + i))
+        w.parked.append(CarBody(33.5 + i * 0.1, 30.0, 0, kind="parked",
+                                uid=1 + i))
         w.parked_space.append(i)
     spec = RingSpec(diameters=(10.0,), max_count=3)
     assert w.ring_counts(spec, WorldArrays(w)) == [(3,)]
@@ -285,7 +288,7 @@ def test_nearest_free_spaces_skips_occupied():
     # occupy the nearest space (id 0 at (17, 3.5))
     w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=1))
     w.parked_space.append(0)
-    [got] = w.nearest_free_spaces(3, 30.0, WorldArrays(w, with_spaces=True))
+    [got] = w.nearest_free_spaces(3, WorldArrays(w, with_spaces=True))
     assert 0 not in got
     assert got == sorted(got, key=lambda sid: (
         math.hypot(w.spaces[sid].x - 17.0, w.spaces[sid].y - 12.0), sid))
