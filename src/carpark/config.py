@@ -9,6 +9,7 @@ scales: world units, velocity-grid quanta, and MDP units (world units times
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field, fields
@@ -131,6 +132,10 @@ class EnvironmentConfig:
     # ----------------------------------------------------------- validation
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name}: must be finite, got {value}")
         if self._thetaGranularity < 1 or 360 % self._thetaGranularity != 0:
             raise ValueError(
                 f"_thetaGranularity: {self._thetaGranularity} does not divide 360"

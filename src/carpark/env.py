@@ -145,7 +145,7 @@ class AgentState:
     tracker: SpaceTracker | None = None
     cur_rings: tuple[int, ...] = ()
     ring_history: list = field(default_factory=list)
-    nearby: list[CarBody] = field(default_factory=list)  # tracked cars
+    nearby: list[int] = field(default_factory=list)  # tracked car columns
     episode_reward: float = 0.0
     steps_exploring: int = 0
     steps_toward_goal: int = 0
@@ -179,8 +179,7 @@ class ParkingEnv:
         self._accel_range = (-cfg.max_reverse_accel, cfg._maxDeltaVMagnitude)
         # the raw values of one absent nearby-car slot, in schema order
         self._absent_car = self._absent_car_values()
-        self.car_scale = 1.0
-        self.world: WorldState = None  # type: ignore[assignment]
+        self.world = WorldState(self.grid)  # reset rebuilds it, keeping its scale
         self.agents: list[AgentState] = []
         # space table of the sensing pass (dynamic goals only): per space,
         # every agent's distance to it, the closest agent's distance, and
@@ -213,10 +212,10 @@ class ParkingEnv:
     # ------------------------------------------------------------- lifecycle
 
     def reset(self) -> None:
-        self.world = WorldState(self.grid)
+        self.world = WorldState(self.grid, scale=self.world.scale)
         self.agents = []
-        for i in range(self.cfg._numAgents):
-            body = CarBody(0.0, 0.0, 0, scale=self.car_scale, uid=i)
+        for _ in range(self.cfg._numAgents):
+            body = CarBody(0.0, 0.0, 0)
             self.world.agents.append(body)
             n_space = (self.cfg._obsNearbyParkingSpotsCount
                        if self.cfg._dynamicGoals else 0)
@@ -225,17 +224,14 @@ class ParkingEnv:
                            tracker=SpaceTracker(n_space) if n_space else None)
             )
         self.world.place_parked_cars(self.cfg._numParkedCars, self.rng)
-        for car in self.world.parked:
-            car.scale = self.car_scale
         for i in range(len(self.agents)):
             self._respawn(i)
         self._sense()
 
     def set_car_scale(self, scale: float) -> None:
-        """Switch every hitbox to a new scale (training/evaluation phases)."""
-        self.car_scale = scale
-        for car in self.world.all_cars():
-            car.scale = scale
+        """Switch every hitbox to a new scale (training/evaluation phases);
+        reset keeps it."""
+        self.world.scale = scale
 
     def require_obs_mode(self, mode: str, user: str) -> None:
         """Reject an environment whose observation mode is not the one the
@@ -269,15 +265,16 @@ class ParkingEnv:
 
     def _spawn_legal(self, body: CarBody, agent_i: int) -> bool:
         min_d = self.cfg.mdp_to_world(self.cfg.carSpawnMinDistance)
-        for car in self.world.all_cars():
-            if car.uid == agent_i:
+        for j, car in enumerate(self.world.all_cars()):
+            if j == agent_i:
                 continue
             if math.hypot(car.x - body.x, car.y - body.y) < min_d:
                 return False
         if self.world.collides_static([body])[0] is not None:
             return False
         for j, other in enumerate(self.agents):
-            if j != agent_i and obb_intersects(body, other.body, self.grid):
+            if j != agent_i and obb_intersects(body, other.body,
+                                               self.world.scale, self.grid):
                 return False
         return True
 
@@ -459,8 +456,8 @@ class ParkingEnv:
             lists = world.nearest_cars(cfg._obsNearbyCarsCount,
                                        float(cfg._obsNearbyCarsDiameter),
                                        arrays)
-            for agent, cars in zip(agents, lists):
-                agent.nearby = cars
+            for agent, columns in zip(agents, lists):
+                agent.nearby = columns
         if cfg._dynamicGoals:
             dist = arrays.distances()[:, arrays.nc:]
             by_space = self._space_agent_d = dist.T.tolist()
@@ -485,7 +482,7 @@ class ParkingEnv:
             return {}
         dists = self._space_agent_d[agent.goal_space]
         my_d = dists[agent_i]
-        tracked = {c.uid for c in agent.nearby if c.kind == "agent"}
+        tracked = {j for j in agent.nearby if j < len(self.agents)}
         local_any = local_same = global_any = global_same = False
         for j, other in enumerate(self.agents):
             if j == agent_i:
@@ -548,9 +545,10 @@ class ParkingEnv:
             raw.extend([0] * (missing * len(cfg.ringDiams)))
         if cfg._obsNearbyCars:
             nearby = agent.nearby[:cfg._obsNearbyCarsCount]
-            for car in nearby:
-                other = self.agents[car.uid] if car.kind == "agent" else None
-                raw += localize(body, car, grid)
+            cars = self.world.all_cars()
+            for j in nearby:  # car column j is agent j when j < n_agents
+                other = self.agents[j] if j < len(self.agents) else None
+                raw += localize(body, cars[j], grid)
                 if cfg._obsNearbyCarsVelocity:
                     raw.append(other.v if other else 0)
                 if not cfg._obsNearbyCarsGoal:
@@ -828,7 +826,7 @@ class ParkingEnv:
     def _pose_fits_space(self, agent: AgentState) -> bool:
         sp = self.world.spaces[agent.goal_space]
         fx, fy = heading_vector(sp.theta, self.grid)
-        for px, py in obb_corners(agent.body, self.grid):
+        for px, py in obb_corners(agent.body, self.world.scale, self.grid):
             lx, ly = px - sp.x, py - sp.y
             lf = lx * fx + ly * fy
             lr = lx * fy - ly * fx

@@ -691,11 +691,15 @@ def export_rows(model_dirs, out_path: str, period_start: int | None = None,
 
     Unreadable or incomplete directories are skipped with a warning so
     one bad job doesn't block comparing the rest. A parameter path that
-    names a summary column raises ``ValueError``: it would overwrite it.
+    names a summary column, or one given twice, raises ``ValueError``: it
+    would overwrite that column or repeat it in the header.
     """
     taken = [p for p in param_paths if p == "Model" or p in ROW_COLUMNS]
     if taken:
         raise ValueError(f"parameter paths {taken} name summary columns")
+    repeated = sorted({p for p in param_paths if param_paths.count(p) > 1})
+    if repeated:
+        raise ValueError(f"parameter paths {repeated} are given more than once")
     rows = []
     for d in sorted(str(d) for d in model_dirs):
         try:

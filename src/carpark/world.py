@@ -4,10 +4,12 @@ Ring counts, nearest cars and nearest free spaces are seen from agents: a
 ``WorldArrays`` view names the observing agents (all, by default) and holds
 what the queries share, the offsets and center distances from each
 observer to every car and space and its cars sorted by distance. Each query
-answers one row per observer, never counting the observer's own car. Three
+answers one row per observer, never counting the observer's own car. A car
+is named by its column in ``WorldState.all_cars()`` (agents first, so agent
+i is column i) and a space by its index in ``WorldState.spaces``. Three
 rules keep these batched answers equal to scalar loops: center distances
 are ``np.sqrt(dx*dx + dy*dy)``, which equals ``math.hypot`` on grid-snapped
-centers (``np.hypot`` does not); ties sort by uid (or space id) with a
+centers (``np.hypot`` does not); ties sort by column (or space id) with a
 stable sort; and numpy only picks candidates, while an exact scalar test
 decides every hitbox question. Ring counts and collisions walk each
 observer's sorted center distances up to a reach that no hitbox within the
@@ -23,8 +25,8 @@ side) and a square ring road between the space rows and the center used
 for spawning. It is declared once, below (``EXTENT``, ``WALLS``,
 ``SPACE_POSES``, ``ROAD_POINTS``), and built at import. Every car has the
 one footprint declared below, 3x5 world units (``CAR_HALF_WIDTH``,
-``CAR_HALF_LENGTH``), which only ``CarBody.scale`` varies. A space is 5x7,
-so a space exceeds the car by 2 units per axis.
+``CAR_HALF_LENGTH``), which only ``WorldState.scale`` varies, for every car
+at once. A space is 5x7, so a space exceeds the car by 2 units per axis.
 """
 
 from __future__ import annotations
@@ -94,7 +96,6 @@ ROAD_POINTS = tuple(
 
 @dataclass(frozen=True, slots=True)
 class ParkingSpace:
-    sid: int
     x: float
     y: float
     theta: int  # rotation index in the environment's granularity
@@ -102,18 +103,13 @@ class ParkingSpace:
 
 @dataclass(slots=True)
 class CarBody:
-    """Oriented rectangular hitbox: the car footprint times scale. kind is
-    'agent' or 'parked'."""
+    """A car's pose. Its hitbox is the car footprint times the world's
+    scale, centered here and turned to theta; the car is named by its
+    column in ``WorldState.all_cars()``."""
 
     x: float
     y: float
     theta: int
-    scale: float = 1.0
-    kind: str = "agent"
-    uid: int = 0
-
-    def circumradius(self) -> float:
-        return CAR_CIRCUMRADIUS * self.scale
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,11 +127,11 @@ class RingSpec:
 # ------------------------------------------------------------------ hitboxes
 
 
-def obb_corners(body: CarBody, grid: GridSpec) -> list[tuple[float, float]]:
+def obb_corners(body: CarBody, scale: float, grid: GridSpec) -> list[tuple[float, float]]:
     sx, sy = heading_vector(body.theta, grid)  # forward
     rx, ry = sy, -sx  # right-hand direction
-    hw = CAR_HALF_WIDTH * body.scale
-    hl = CAR_HALF_LENGTH * body.scale
+    hw = CAR_HALF_WIDTH * scale
+    hl = CAR_HALF_LENGTH * scale
     fx, fy = sx * hl, sy * hl
     wx, wy = rx * hw, ry * hw
     cx, cy = body.x, body.y
@@ -167,15 +163,16 @@ def _project_gap(axis_x: float, axis_y: float, ca, cb) -> bool:
     return amax < bmin or bmax < amin
 
 
-def obb_intersects(a: CarBody, b: CarBody, grid: GridSpec) -> bool:
+def obb_intersects(a: CarBody, b: CarBody, scale: float, grid: GridSpec) -> bool:
     """Separating-axis test over both rectangles' edge normals. Touching
     rectangles count as intersecting."""
     dx, dy = b.x - a.x, b.y - a.y
-    reach = a.circumradius() + b.circumradius()
+    r = CAR_CIRCUMRADIUS * scale
+    reach = r + r
     if dx * dx + dy * dy > reach * reach:
         return False
-    ca = obb_corners(a, grid)
-    cb = obb_corners(b, grid)
+    ca = obb_corners(a, scale, grid)
+    cb = obb_corners(b, scale, grid)
     for body in (a, b):
         fx, fy = heading_vector(body.theta, grid)
         if _project_gap(fx, fy, ca, cb) or _project_gap(fy, -fx, ca, cb):
@@ -194,14 +191,15 @@ def point_to_segment_distance(px: float, py: float, wall: Wall) -> float:
     return math.hypot(wx - t * ex, wy - t * ey)
 
 
-def point_to_obb_distance(px: float, py: float, body: CarBody, grid: GridSpec) -> float:
+def point_to_obb_distance(px: float, py: float, body: CarBody, scale: float,
+                          grid: GridSpec) -> float:
     fx, fy = heading_vector(body.theta, grid)
     dx, dy = px - body.x, py - body.y
     # coordinates in the box frame: forward component and right component
     lf = dx * fx + dy * fy
     lr = dx * fy - dy * fx
-    hl = CAR_HALF_LENGTH * body.scale
-    hw = CAR_HALF_WIDTH * body.scale
+    hl = CAR_HALF_LENGTH * scale
+    hw = CAR_HALF_WIDTH * scale
     ef = abs(lf) - hl
     er = abs(lr) - hw
     if ef <= 0.0 and er <= 0.0:
@@ -225,7 +223,7 @@ class WorldArrays:
     """
 
     __slots__ = ("world", "cars", "na", "nc", "rows", "with_spaces",
-                 "_offsets", "_dist", "_by_distance", "_near", "_circ")
+                 "_offsets", "_dist", "_by_distance", "_near")
 
     def __init__(self, world: "WorldState", rows=None,
                  with_spaces: bool = False):
@@ -236,7 +234,7 @@ class WorldArrays:
         self.rows = list(range(self.na) if rows is None else rows)
         self.with_spaces = with_spaces
         self._offsets = self._dist = self._by_distance = None
-        self._near = self._circ = None
+        self._near = None
 
     def offsets(self) -> np.ndarray:
         """Column center minus observer, shape (2, observers, columns):
@@ -267,29 +265,22 @@ class WorldArrays:
         return self._dist
 
     def cars_by_distance(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Per observer, the car columns in ascending (center distance,
-        uid) order, and the center distances to the cars by column."""
+        """Per observer, the car columns in ascending center distance, ties
+        by column (a stable sort), and the center distances to the cars by
+        column."""
         if self._by_distance is None:
-            import numpy as np
             dist = self.distances()[:, :self.nc]
-            uids = np.array([[c.uid for c in self.cars]]).repeat(len(dist), 0)
-            order = np.lexsort((uids, dist))
+            order = dist.argsort(axis=1, kind="stable")
             self._by_distance = order.tolist(), dist.tolist()
         return self._by_distance
 
-    def max_circumradius(self) -> float:
-        """The largest circumradius of the cars."""
-        if self._circ is None:
-            self._circ = max(map(CarBody.circumradius, self.cars), default=0.0)
-        return self._circ
-
     def near(self) -> list[list[int]]:
         """Broad phase: per observer, in column order, the cars whose
-        centers are at most twice the largest car circumradius (plus
-        REACH_SLACK) away; no pair outside it gets past obb_intersects'
-        own circumradius check."""
+        centers are at most twice the car circumradius at the world's
+        scale (plus REACH_SLACK) away; no pair outside it gets past
+        obb_intersects' own circumradius check."""
         if self._near is None:
-            reach = 2.0 * self.max_circumradius() + REACH_SLACK
+            reach = 2.0 * (CAR_CIRCUMRADIUS * self.world.scale) + REACH_SLACK
             self._near = []
             for order, row in zip(*self.cars_by_distance()):
                 close = []
@@ -314,13 +305,14 @@ class WorldArrays:
 @dataclass
 class WorldState:
     """Mutable world snapshot owned by one environment instance: the
-    arena's spaces at the grid's theta granularity, the parked cars and
-    the agents."""
+    arena's spaces at the grid's theta granularity, the parked cars, the
+    agents, and the one hitbox scale of every car."""
 
     grid: GridSpec
     parked: list[CarBody] = field(default_factory=list)
     parked_space: list[int] = field(default_factory=list)  # space id per parked car
     agents: list[CarBody] = field(default_factory=list)
+    scale: float = 1.0
     spaces: tuple[ParkingSpace, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -332,8 +324,7 @@ class WorldState:
             )
         mult = gtheta // SPACE_TURNS
         self.spaces = tuple(
-            ParkingSpace(i, cx, cy, th * mult)
-            for i, (cx, cy, th) in enumerate(SPACE_POSES)
+            ParkingSpace(cx, cy, th * mult) for cx, cy, th in SPACE_POSES
         )
 
     # -------------------------------------------------------------- occupancy
@@ -343,30 +334,27 @@ class WorldState:
 
     def free_space_ids(self) -> list[int]:
         occ = self.occupied_space_ids()
-        return [s.sid for s in self.spaces if s.sid not in occ]
+        return [sid for sid in range(len(self.spaces)) if sid not in occ]
 
     def place_parked_cars(self, count: int, rng: random.Random) -> None:
         if count > len(self.spaces):
             raise ValueError(f"cannot park {count} cars in {len(self.spaces)} spaces")
-        ids = rng.sample([s.sid for s in self.spaces], count)
-        base_uid = len(self.agents)
-        for i, sid in enumerate(sorted(ids)):
+        ids = rng.sample(range(len(self.spaces)), count)
+        for sid in sorted(ids):
             sp = self.spaces[sid]
-            self.parked.append(
-                CarBody(sp.x, sp.y, sp.theta, kind="parked", uid=base_uid + i)
-            )
+            self.parked.append(CarBody(sp.x, sp.y, sp.theta))
             self.parked_space.append(sid)
 
     def relocate_furthest_parked_car(self, vacated_space: int) -> int | None:
         """Teleport the parked car with the greatest minimum distance to any
         agent into the vacated space. Returns the moved car's index, or None
-        when there are no parked cars. Ties go to the lowest car uid."""
+        when there are no parked cars. Ties go to the lowest index."""
         if not self.parked:
             return None
         if vacated_space in self.parked_space:
             raise ValueError(f"space {vacated_space} is already occupied")
         best_i = -1
-        best_key = None
+        best_d = -math.inf
         for i, car in enumerate(self.parked):
             if self.agents:
                 dmin = min(
@@ -374,9 +362,8 @@ class WorldState:
                 )
             else:
                 dmin = 0.0
-            key = (-dmin, car.uid)
-            if best_key is None or key < best_key:
-                best_key = key
+            if dmin > best_d:  # strict: a tie keeps the lower index
+                best_d = dmin
                 best_i = i
         sp = self.spaces[vacated_space]
         car = self.parked[best_i]
@@ -406,14 +393,14 @@ class WorldState:
         # an edge within the circumradius (plus REACH_SLACK for rounding in
         # the corners) of it
         e = _EDGE
-        # body.circumradius(), inlined: this runs once per agent-step
-        r = CAR_CIRCUMRADIUS * body.scale + REACH_SLACK
+        scale = self.scale
+        r = CAR_CIRCUMRADIUS * scale + REACH_SLACK
         if not (r < body.x < e - r and r < body.y < e - r):
-            for x, y in obb_corners(body, self.grid):
+            for x, y in obb_corners(body, scale, self.grid):
                 if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
                     return "wall"
         for car in parked:
-            if obb_intersects(body, car, self.grid):
+            if obb_intersects(body, car, scale, self.grid):
                 return "parked-car"
         return None
 
@@ -428,7 +415,8 @@ class WorldState:
             return []
         near = arrays.near()
         return [(i, j) for i in range(na) for j in near[i]
-                if i < j < na and obb_intersects(agents[i], agents[j], self.grid)]
+                if i < j < na
+                and obb_intersects(agents[i], agents[j], self.scale, self.grid)]
 
     def ring_counts(self, spec: RingSpec, arrays: WorldArrays):
         """Per observer of `arrays`, the obstacles strictly inside each
@@ -461,7 +449,8 @@ class WorldState:
         # nothing to walk when the only car is the observer's own
         if not spec.walls_only and radii and arrays.nc > 1:
             grid = self.grid
-            reach = max(radii) + arrays.max_circumradius() + REACH_SLACK
+            scale = self.scale
+            reach = max(radii) + CAR_CIRCUMRADIUS * scale + REACH_SLACK
             for k, row, order, center in zip(arrays.rows, counts,
                                              *arrays.cars_by_distance()):
                 if min(row) >= cap:
@@ -472,7 +461,7 @@ class WorldState:
                         break
                     if j == k:
                         continue
-                    d = point_to_obb_distance(x, y, cars[j], grid)
+                    d = point_to_obb_distance(x, y, cars[j], scale, grid)
                     for ring, r in enumerate(radii):
                         if d < r and row[ring] < cap:
                             row[ring] += 1
@@ -482,9 +471,9 @@ class WorldState:
 
     def nearest_cars(self, n_track: int, fov_diameter: float,
                      arrays: WorldArrays):
-        """Per observer of `arrays`, up to n_track other cars within the
-        field of view, ascending center distance, ties by uid."""
-        cars = arrays.cars
+        """Per observer of `arrays`, the columns of up to n_track other cars
+        within the field of view, ascending center distance, ties by
+        column."""
         if n_track <= 0:
             return [[] for _ in arrays.rows]
         reach = fov_diameter / 2.0
@@ -496,7 +485,7 @@ class WorldState:
                     continue
                 if len(found) == n_track or not row[j] <= reach:
                     break
-                found.append(cars[j])
+                found.append(j)
             out.append(found)
         return out
 

@@ -1,5 +1,6 @@
 """Parameter schema parsing and validation."""
 
+import math
 import os
 import random
 import re
@@ -242,6 +243,21 @@ def test_movement_reward_dominating_time_is_a_warning():
         warnings.simplefilter("always")
         config_from_mapping({"rewDistSum": 0.15, "rewTimeSum": 0.2})
     assert not any("rewDistSum" in str(w.message) for w in caught)
+
+
+FLOAT_FIELDS = [f.name for f in fields(EnvironmentConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_floats_are_refused_by_name(name, value):
+    """A NaN or infinite float field was accepted, and the run then went
+    on with a meaningless value (an infinite distance granularity encodes
+    every goal distance as 0, a NaN crash-target distance turns crash
+    spawns off) or failed later without the field's name (a NaN reward at
+    the first crash)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: must be finite"):
+        config_from_mapping({name: value})
 
 
 def test_invalid_ratio_rejected():

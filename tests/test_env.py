@@ -9,7 +9,7 @@ import pytest
 from carpark.config import EnvironmentConfig, config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv, StepOutcome
 from carpark.geometry import GridSpec, bearing_index_units, round_half_up
-from carpark.world import MAX_WORLD_DISTANCE, ROAD_POINTS, WorldArrays, obb_intersects
+from carpark.world import MAX_WORLD_DISTANCE, ROAD_POINTS, WorldArrays
 
 D_MAX = MAX_WORLD_DISTANCE
 
@@ -79,9 +79,9 @@ def make_env(overrides=None, base=None, seed=0):
 
 
 def space_at(env, x, y):
-    for sp in env.world.spaces:
+    for sid, sp in enumerate(env.world.spaces):
         if sp.x == x and sp.y == y:
-            return sp.sid
+            return sid
     raise AssertionError(f"no space centered at ({x}, {y})")
 
 
@@ -140,9 +140,7 @@ def test_spawn_respects_min_distance():
     for trial in range(30):
         env._respawn(0)
         body = env.agents[0].body
-        for car in env.world.all_cars():
-            if car.uid == 0 and car.kind == "agent":
-                continue
+        for car in env.world.all_cars()[1:]:  # column 0 is agent 0
             assert math.hypot(car.x - body.x, car.y - body.y) >= 4.5
 
 
@@ -593,7 +591,7 @@ def test_context_empty_while_exploring():
 def test_context_hierarchy_fuzz():
     env = make_env({"_numAgents": 4}, base=DYNAMIC, seed=23)
     rng = random.Random(23)
-    sids = [sp.sid for sp in env.world.spaces]
+    sids = list(range(len(env.world.spaces)))
     for trial in range(200):
         for i in range(4):
             place(env, i, rng.uniform(10, 64), rng.uniform(10, 64),
@@ -941,19 +939,46 @@ def test_nearest_car_distance():
     place(env2, 0, 30.0, 30.0, 0)
     want = min(
         math.hypot(c.x - 30.0, c.y - 30.0)
-        for c in env2.world.all_cars() if c.uid != 0 or c.kind == "parked")
+        for c in env2.world.all_cars()[1:])  # column 0 is agent 0
     assert env2.nearest_car_distance(0) == pytest.approx(want)
+
+
+def test_nearest_cars_of_a_reset_world_tie_by_column():
+    # reset puts the agents first: agent 1 is column 1, parked car k is
+    # column 2 + k, and three cars 10 units from agent 0 sort by column
+    env = make_env({"_numAgents": 2, "_numParkedCars": 2, "_obsNearbyCars": True,
+                    "_obsNearbyCarsCount": 3, "_obsNearbyCarsDiameter": 300},
+                   seed=48)
+    parked = env.world.parked
+    for car, x, y in [(env.agents[0].body, 37.0, 37.0),
+                      (env.agents[1].body, 37.0, 47.0),
+                      (parked[0], 47.0, 37.0), (parked[1], 27.0, 37.0)]:
+        car.x, car.y = x, y
+    env._sense()
+    assert env.agents[0].nearby == [1, 2, 3]
+
+
+def side_by_side_contacts(env):
+    """Agent contacts with agents 0 and 1 parked side by side, 3.2 apart."""
+    g0, g1 = (a.goal_space for a in env.agents)
+    place(env, 0, 30.0, 30.0, 0, goal=g0)
+    place(env, 1, 33.2, 30.0, 0, goal=g1)
+    return env.world.agent_contacts(WorldArrays(env.world))
 
 
 def test_set_car_scale_grows_hitboxes():
     env = make_env({"_numAgents": 2}, seed=47)
-    g0, g1 = (a.goal_space for a in env.agents)
-    place(env, 0, 30.0, 30.0, 0, goal=g0)
-    place(env, 1, 33.2, 30.0, 0, goal=g1)  # side by side, 3.2 apart
-    assert not obb_intersects(env.agents[0].body, env.agents[1].body, env.grid)
+    assert side_by_side_contacts(env) == []
     env.set_car_scale(1.3)
-    assert all(c.scale == 1.3 for c in env.world.all_cars())
-    assert obb_intersects(env.agents[0].body, env.agents[1].body, env.grid)
+    assert side_by_side_contacts(env) == [(0, 1)]
+
+
+def test_reset_keeps_car_scale():
+    env = make_env({"_numAgents": 2}, seed=47)
+    env.set_car_scale(1.3)
+    env.reset()
+    assert env.world.scale == 1.3
+    assert side_by_side_contacts(env) == [(0, 1)]
 
 
 def test_same_seed_same_trajectory():

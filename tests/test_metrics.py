@@ -758,6 +758,17 @@ def test_export_rows_refuses_param_paths_naming_summary_columns(tmp_path,
     assert not out.exists()
 
 
+def test_export_rows_refuses_a_repeated_param_path(tmp_path):
+    """A parameter path given twice would repeat its column in the header;
+    it is refused before any row is read or the CSV is written."""
+    d = synthetic_model_dir(tmp_path, "m1")
+    out = tmp_path / "rows.csv"
+    path = "environment_parameters.try"
+    with pytest.raises(ValueError, match=re.escape(f"[{path!r}]")):
+        export_rows([str(d)], str(out), param_paths=(path, path))
+    assert not out.exists()
+
+
 def test_discover_does_not_descend_symlinked_dirs(tmp_path):
     make_tree(str(tmp_path), ["real/run", "outside/run"])
     os.symlink(tmp_path / "outside", tmp_path / "real" / "link")

@@ -161,12 +161,13 @@ def test_dynamic_goal_features():
     d_max = math.hypot(74, 74)
     env = two_agents(mapping)
     me, other = env.agents
-    near, goal = env.world.spaces[0], env.world.spaces[-1]
+    near_sid, goal_sid = 0, len(env.world.spaces) - 1
+    near, goal = env.world.spaces[near_sid], env.world.spaces[goal_sid]
     # I sit on my goal in my second slot; the other agent explores 4 units
     # from the space in my first slot, which is nobody's goal
-    me.goal_space, me.tracker.slots = goal.sid, [near.sid, goal.sid]
+    me.goal_space, me.tracker.slots = goal_sid, [near_sid, goal_sid]
     me.body.x, me.body.y = goal.x, goal.y
-    other.goal_space, other.tracker.slots = None, [near.sid, None]
+    other.goal_space, other.tracker.slots = None, [near_sid, None]
     other.body.x, other.body.y = near.x, near.y + 4.0
     env._sense()
     obs = env.observe(0)
@@ -187,7 +188,7 @@ def test_untracked_goal_sentinel_index():
     })
     names = [f.name for f in env.schema.features]
     me, other = env.agents
-    sid = env.world.spaces[0].sid
+    sid = 0
     me.goal_space, me.tracker.slots = None, [sid]
     other.goal_space = sid  # in my only slot: index 1
     obs = env.observe(0)

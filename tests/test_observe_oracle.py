@@ -81,11 +81,12 @@ def oracle_inputs(env, agent_i):
         inputs.rings = agent.cur_rings
         inputs.ring_history = agent.ring_history
     if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
-        for car in agent.nearby:
-            lp = local_pose(agent.body, car, env.grid)
+        cars = env.world.all_cars()
+        for j in agent.nearby:  # column j; agents come first
+            lp = local_pose(agent.body, cars[j], env.grid)
             entry = NearbyCarObs(lp)
-            if car.kind == "agent":
-                other = env.agents[car.uid]
+            if j < len(env.agents):
+                other = env.agents[j]
                 entry.velocity = other.v
                 if cfg._obsNearbyCarsGoal and other.goal_space is not None:
                     if cfg._dynamicGoals:
@@ -346,7 +347,8 @@ def test_observe_matches_oracle(name):
                 agent.body.theta = sp.theta
                 agent.v = 0
                 env._sense()
-                keep = agent.tracker.slot_of(sp.sid) + 1 if dynamic else None
+                keep = (agent.tracker.slot_of(agent.goal_space) + 1 if dynamic
+                        else None)
                 actions[ready[0]] = ActionTuple(0, 0, keep)
         env.step_all(actions)
     assert env.stats["parked"] >= 3

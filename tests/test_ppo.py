@@ -911,7 +911,7 @@ def test_zero_lr_phase_runs_with_unit_car_scale():
     step_all = env.step_all
 
     def spy(actions):
-        scales.append({car.scale for car in env.world.all_cars()})
+        scales.append(env.world.scale)
         return step_all(actions)
 
     env.step_all = spy
@@ -919,8 +919,8 @@ def test_zero_lr_phase_runs_with_unit_car_scale():
                        seed=4)
     boundary = result.train_boundary_step  # one agent: one step per tick
     assert 0 < boundary < len(scales)
-    assert all(s == {1.3} for s in scales[:boundary])
-    assert all(s == {1.0} for s in scales[boundary:])
+    assert all(s == 1.3 for s in scales[:boundary])
+    assert all(s == 1.0 for s in scales[boundary:])
 
 
 @pytest.mark.parametrize("weight", ["actor.w0", "critic.w0"])

@@ -336,7 +336,7 @@ def test_evaluation_runs_with_unit_car_scale():
     step_all = env.step_all
 
     def spy(actions):
-        scales.append({car.scale for car in env.world.all_cars()})
+        scales.append(env.world.scale)
         return step_all(actions)
 
     env.step_all = spy
@@ -344,8 +344,8 @@ def test_evaluation_runs_with_unit_car_scale():
                      env=env, seed=4)
     boundary = result.train_boundary_step  # one agent: one step per tick
     assert 0 < boundary < len(scales)
-    assert all(s == {1.3} for s in scales[:boundary])
-    assert all(s == {1.0} for s in scales[boundary:])
+    assert all(s == 1.3 for s in scales[:boundary])
+    assert all(s == 1.0 for s in scales[boundary:])
 
 
 def test_entries_stay_inside_reward_bound():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from carpark.config import config_from_mapping
 from carpark.env import ActionTuple, ParkingEnv
 from carpark.world import (
+    CAR_CIRCUMRADIUS,
     EXTENT,
     MAX_WORLD_DISTANCE,
     WALLS,
@@ -28,12 +29,13 @@ from carpark.world import (
 # ------------------------------------------------------------------ oracles
 
 
-def oracle_ring_counts(world, cx, cy, exclude_uid, spec):
+def oracle_ring_counts(world, cx, cy, exclude_column, spec):
     distances = [point_to_segment_distance(cx, cy, w) for w in WALLS]
     if not spec.walls_only:
-        for car in world.all_cars():
-            if car.uid != exclude_uid:
-                distances.append(point_to_obb_distance(cx, cy, car, world.grid))
+        for j, car in enumerate(world.all_cars()):
+            if j != exclude_column:
+                distances.append(point_to_obb_distance(
+                    cx, cy, car, world.scale, world.grid))
     counts = []
     for diam in spec.diameters:
         r = diam / 2.0
@@ -47,19 +49,19 @@ def oracle_ring_counts(world, cx, cy, exclude_uid, spec):
     return tuple(counts)
 
 
-def oracle_nearest_cars(world, cx, cy, exclude_uid, n_track, fov_diameter):
+def oracle_nearest_cars(world, cx, cy, exclude_column, n_track, fov_diameter):
     if n_track <= 0:
         return []
     reach = fov_diameter / 2.0
     found = []
-    for car in world.all_cars():
-        if car.uid == exclude_uid:
+    for j, car in enumerate(world.all_cars()):
+        if j == exclude_column:
             continue
         d = math.hypot(car.x - cx, car.y - cy)
         if d <= reach:
-            found.append((d, car.uid, car))
-    found.sort(key=lambda t: (t[0], t[1]))
-    return [car for _, _, car in found[:n_track]]
+            found.append((d, j))
+    found.sort()
+    return [j for _, j in found[:n_track]]
 
 
 def oracle_nearest_free_spaces(world, cx, cy, n_space):
@@ -67,21 +69,21 @@ def oracle_nearest_free_spaces(world, cx, cy, n_space):
         return []
     occ = world.occupied_space_ids()
     found = []
-    for sp in world.spaces:
-        if sp.sid in occ:
+    for sid, sp in enumerate(world.spaces):
+        if sid in occ:
             continue
-        found.append((math.hypot(sp.x - cx, sp.y - cy), sp.sid))
+        found.append((math.hypot(sp.x - cx, sp.y - cy), sid))
     found.sort()
     return [sid for _, sid in found[:n_space]]
 
 
 def oracle_collides_static(world, body):
     e = float(EXTENT)
-    for x, y in obb_corners(body, world.grid):
+    for x, y in obb_corners(body, world.scale, world.grid):
         if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
             return "wall"
     for car in world.parked:
-        if obb_intersects(body, car, world.grid):
+        if obb_intersects(body, car, world.scale, world.grid):
             return "parked-car"
     return None
 
@@ -90,7 +92,7 @@ def oracle_agent_contacts(world):
     agents = world.agents
     return [(i, j) for i in range(len(agents))
             for j in range(i + 1, len(agents))
-            if obb_intersects(agents[i], agents[j], world.grid)]
+            if obb_intersects(agents[i], agents[j], world.scale, world.grid)]
 
 
 def oracle_global_info(env, space_id):
@@ -103,8 +105,8 @@ def oracle_global_info(env, space_id):
 def oracle_nearest_car_distance(env, agent_i):
     body = env.agents[agent_i].body
     nearest = MAX_WORLD_DISTANCE
-    for car in env.world.all_cars():
-        if car.uid == agent_i:
+    for j, car in enumerate(env.world.all_cars()):
+        if j == agent_i:
             continue
         d = math.hypot(car.x - body.x, car.y - body.y)
         if d < nearest:
@@ -121,10 +123,10 @@ def oracle_context_membership(env, agent_i):
     my_d = math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
     tracked = set()
     if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
-        tracked = {c.uid for c in oracle_nearest_cars(
+        tracked = {j for j in oracle_nearest_cars(
             env.world, agent.body.x, agent.body.y, agent_i,
             cfg._obsNearbyCarsCount, float(cfg._obsNearbyCarsDiameter))
-            if c.kind == "agent"}
+            if j < len(env.agents)}
     local_any = local_same = global_any = global_same = False
     for j, other in enumerate(env.agents):
         if j == agent_i:
@@ -145,10 +147,6 @@ def oracle_context_membership(env, agent_i):
     }
 
 
-def uids(cars):
-    return [c.uid for c in cars]
-
-
 def check_tables(env):
     """The env's sensing tables equal the oracles on the current state."""
     cfg = env.cfg
@@ -159,12 +157,12 @@ def check_tables(env):
             want = oracle_nearest_cars(
                 world, agent.body.x, agent.body.y, i,
                 cfg._obsNearbyCarsCount, float(cfg._obsNearbyCarsDiameter))
-            assert uids(agent.nearby) == uids(want)
+            assert agent.nearby == want
         if cfg._dynamicGoals:
             assert env.context_membership(i) == oracle_context_membership(env, i)
     if cfg._dynamicGoals:
-        for sp in world.spaces:
-            assert env.global_info(sp.sid) == oracle_global_info(env, sp.sid)
+        for sid in range(len(world.spaces)):
+            assert env.global_info(sid) == oracle_global_info(env, sid)
 
 
 # ------------------------------------------------------------ random worlds
@@ -238,9 +236,9 @@ def test_batched_queries_equal_scalar_loops(env, data):
     if len(cars) > 1 and draw(st.booleans()):
         # a ring whose radius plus a car's circumradius is exactly that
         # car's center distance from the observer: the edge of the reach
-        car = draw(st.sampled_from([c for c in cars if c.uid != one]))
+        car = draw(st.sampled_from([c for j, c in enumerate(cars) if j != one]))
         r = math.hypot(car.x - agents[one].x,
-                       car.y - agents[one].y) - car.circumradius()
+                       car.y - agents[one].y) - CAR_CIRCUMRADIUS * world.scale
         if r > 0.0:
             diams.append(2.0 * r)
     # caps of 0 and 1, and one above every wall and car together
@@ -248,16 +246,14 @@ def test_batched_queries_equal_scalar_loops(env, data):
     spec = RingSpec(tuple(diams), cap, walls_only=draw(st.booleans()))
     # seen from every agent, as a tick senses, and from one, as a respawn
     for rows in (range(len(agents)), [one]):
-        seen = [agents[k] for k in rows]
+        seen = [(k, agents[k]) for k in rows]  # agent k is column k
         view = WorldArrays(world, rows, with_spaces=True)
-        got = world.nearest_cars(n, fov, view)
-        assert [uids(g) for g in got] == [
-            uids(oracle_nearest_cars(world, a.x, a.y, a.uid, n, fov))
-            for a in seen]
+        assert world.nearest_cars(n, fov, view) == [
+            oracle_nearest_cars(world, a.x, a.y, k, n, fov) for k, a in seen]
         assert world.nearest_free_spaces(n, view) == [
-            oracle_nearest_free_spaces(world, a.x, a.y, n) for a in seen]
+            oracle_nearest_free_spaces(world, a.x, a.y, n) for _, a in seen]
         assert world.ring_counts(spec, view) == [
-            oracle_ring_counts(world, a.x, a.y, a.uid, spec) for a in seen]
+            oracle_ring_counts(world, a.x, a.y, k, spec) for k, a in seen]
     # plain loops, one body at a time, and the broad phase through the view
     # from the agents
     view = WorldArrays(world)
@@ -310,7 +306,7 @@ def test_tables_follow_every_tick():
                     agent.body.theta = sp.theta
                     agent.v = 0
                     env._sense()
-                    keep = (agent.tracker.slot_of(sp.sid) + 1 if dynamic
+                    keep = (agent.tracker.slot_of(agent.goal_space) + 1 if dynamic
                             else None)
                     actions[ready[0]] = ActionTuple(0, 0, keep)
             env.step_all(actions)

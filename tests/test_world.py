@@ -108,31 +108,31 @@ def test_layout_theta_granularity_must_divide():
 
 def test_corners_axis_aligned():
     body = CarBody(10.0, 10.0, 0)
-    xs = sorted(p[0] for p in obb_corners(body, G8))
-    ys = sorted(p[1] for p in obb_corners(body, G8))
+    xs = sorted(p[0] for p in obb_corners(body, 1.0, G8))
+    ys = sorted(p[1] for p in obb_corners(body, 1.0, G8))
     assert xs == [8.5, 8.5, 11.5, 11.5]
     assert ys == [7.5, 7.5, 12.5, 12.5]
 
 
 def test_corners_scale():
-    body = CarBody(0.0, 0.0, 2, scale=2.0)  # facing east
-    xs = [p[0] for p in obb_corners(body, G8)]
-    ys = [p[1] for p in obb_corners(body, G8)]
+    body = CarBody(0.0, 0.0, 2)  # facing east
+    xs = [p[0] for p in obb_corners(body, 2.0, G8)]
+    ys = [p[1] for p in obb_corners(body, 2.0, G8)]
     assert max(xs) == 5.0 and min(xs) == -5.0
     assert max(ys) == 3.0 and min(ys) == -3.0
 
 
 def test_touching_counts_as_hit():
     a = CarBody(10.0, 10.0, 0)
-    assert obb_intersects(a, CarBody(13.0, 10.0, 0), G8)
-    assert not obb_intersects(a, CarBody(13.5, 10.0, 0), G8)
+    assert obb_intersects(a, CarBody(13.0, 10.0, 0), 1.0, G8)
+    assert not obb_intersects(a, CarBody(13.5, 10.0, 0), 1.0, G8)
 
 
 def test_cross_and_diagonal():
     a = CarBody(10.0, 10.0, 0)
-    assert obb_intersects(a, CarBody(10.0, 10.0, 2), G8)
-    assert obb_intersects(a, CarBody(12.0, 13.0, 1), G8)
-    assert not obb_intersects(a, CarBody(14.0, 14.0, 1), G8)
+    assert obb_intersects(a, CarBody(10.0, 10.0, 2), 1.0, G8)
+    assert obb_intersects(a, CarBody(12.0, 13.0, 1), 1.0, G8)
+    assert not obb_intersects(a, CarBody(14.0, 14.0, 1), 1.0, G8)
 
 
 def test_intersects_symmetric_random():
@@ -143,46 +143,48 @@ def test_intersects_symmetric_random():
                     rng.randrange(grid.theta_granularity))
         b = CarBody(rng.uniform(0, 20), rng.uniform(0, 20),
                     rng.randrange(grid.theta_granularity))
-        assert obb_intersects(a, b, grid) == obb_intersects(b, a, grid)
+        assert obb_intersects(a, b, 1.0, grid) == obb_intersects(b, a, 1.0, grid)
 
 
 def test_intersects_matches_sampling_oracle():
     # membership of dense interior samples of either box in the other
-    def inside(px, py, body, grid):
+    def inside(px, py, body, scale, grid):
         from carpark.geometry import heading_vector
         fx, fy = heading_vector(body.theta, grid)
         dx, dy = px - body.x, py - body.y
         lf = dx * fx + dy * fy
         lr = dx * fy - dy * fx
-        return (abs(lf) <= CAR_HALF_LENGTH * body.scale + 1e-12
-                and abs(lr) <= CAR_HALF_WIDTH * body.scale + 1e-12)
+        return (abs(lf) <= CAR_HALF_LENGTH * scale + 1e-12
+                and abs(lr) <= CAR_HALF_WIDTH * scale + 1e-12)
 
-    def oracle(a, b, grid, n=40):
+    def oracle(a, b, scale, grid, n=40):
         from carpark.geometry import heading_vector
         for body, other in ((a, b), (b, a)):
             fx, fy = heading_vector(body.theta, grid)
             rx, ry = fy, -fx
-            hl = CAR_HALF_LENGTH * body.scale
-            hw = CAR_HALF_WIDTH * body.scale
+            hl = CAR_HALF_LENGTH * scale
+            hw = CAR_HALF_WIDTH * scale
             for i in range(n + 1):
                 for j in range(n + 1):
                     u = (2 * i / n - 1) * hl
                     v = (2 * j / n - 1) * hw
                     if inside(body.x + u * fx + v * rx,
-                              body.y + u * fy + v * ry, other, grid):
+                              body.y + u * fy + v * ry, other, scale, grid):
                         return True
         return False
 
     rng = random.Random(23)
+    scales = set()
     for _ in range(120):
         grid = rng.choice([G8, G24])
+        scale = rng.choice([1.0, 1.3])  # one world scale for both cars
+        scales.add(scale)
         a = CarBody(rng.uniform(0, 20), rng.uniform(0, 20),
-                    rng.randrange(grid.theta_granularity),
-                    scale=rng.choice([1.0, 1.3]))
+                    rng.randrange(grid.theta_granularity))
         b = CarBody(rng.uniform(0, 20), rng.uniform(0, 20),
-                    rng.randrange(grid.theta_granularity),
-                    scale=rng.choice([1.0, 1.3]))
-        assert obb_intersects(a, b, grid) == oracle(a, b, grid)
+                    rng.randrange(grid.theta_granularity))
+        assert obb_intersects(a, b, scale, grid) == oracle(a, b, scale, grid)
+    assert scales == {1.0, 1.3}
 
 
 def test_point_segment_distance():
@@ -194,10 +196,10 @@ def test_point_segment_distance():
 
 def test_point_obb_distance():
     body = CarBody(10.0, 10.0, 0)
-    assert point_to_obb_distance(10.0, 10.0, body, G8) == 0.0
-    assert point_to_obb_distance(11.5, 10.0, body, G8) == 0.0  # on the edge
-    assert point_to_obb_distance(14.5, 10.0, body, G8) == 3.0
-    assert point_to_obb_distance(13.5, 14.5, body, G8) == pytest.approx(
+    assert point_to_obb_distance(10.0, 10.0, body, 1.0, G8) == 0.0
+    assert point_to_obb_distance(11.5, 10.0, body, 1.0, G8) == 0.0  # on the edge
+    assert point_to_obb_distance(14.5, 10.0, body, 1.0, G8) == 3.0
+    assert point_to_obb_distance(13.5, 14.5, body, 1.0, G8) == pytest.approx(
         math.hypot(2.0, 2.0))
 
 
@@ -209,8 +211,8 @@ def test_ring_counts_strictness():
     # its center, faces the observer): inside every ring with radius > 3,
     # outside the radius-3 ring; the walls are 30 units away
     w = make_world()
-    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
-    w.parked.append(CarBody(34.5, 30.0, 0, kind="parked", uid=1))
+    w.agents.append(CarBody(30.0, 30.0, 0))
+    w.parked.append(CarBody(34.5, 30.0, 0))
     w.parked_space.append(0)
     spec = RingSpec(diameters=(14.0, 11.0, 10.0, 7.0, 6.0), max_count=3)
     assert w.ring_counts(spec, WorldArrays(w)) == [(1, 1, 1, 1, 0)]
@@ -218,11 +220,10 @@ def test_ring_counts_strictness():
 
 def test_ring_counts_cap_and_exclusion():
     w = make_world()
-    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
+    w.agents.append(CarBody(30.0, 30.0, 0))
     # five parked cars whose hitboxes are 2.0-2.4 units away
     for i in range(5):
-        w.parked.append(CarBody(33.5 + i * 0.1, 30.0, 0, kind="parked",
-                                uid=1 + i))
+        w.parked.append(CarBody(33.5 + i * 0.1, 30.0, 0))
         w.parked_space.append(i)
     spec = RingSpec(diameters=(10.0,), max_count=3)
     assert w.ring_counts(spec, WorldArrays(w)) == [(3,)]
@@ -233,8 +234,8 @@ def test_ring_counts_cap_and_exclusion():
 
 def test_ring_counts_walls_only():
     w = make_world()
-    w.agents.append(CarBody(11.0, 11.0, 0, uid=0))
-    w.parked.append(CarBody(11.0, 16.0, 0, kind="parked", uid=1))
+    w.agents.append(CarBody(11.0, 11.0, 0))
+    w.parked.append(CarBody(11.0, 16.0, 0))
     w.parked_space.append(0)
     both = RingSpec(diameters=(24.0,), max_count=9)
     walls = RingSpec(diameters=(24.0,), max_count=9, walls_only=True)
@@ -247,8 +248,8 @@ def test_ring_counts_hitbox_not_center():
     # car center 6 from the agent but its nose reaches to 3.5: the hitbox
     # distance decides membership
     w = make_world()
-    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
-    w.parked.append(CarBody(30.0, 36.0, 0, kind="parked", uid=1))
+    w.agents.append(CarBody(30.0, 30.0, 0))
+    w.parked.append(CarBody(30.0, 36.0, 0))
     w.parked_space.append(0)
     spec = RingSpec(diameters=(8.0,), max_count=1)
     assert w.ring_counts(spec, WorldArrays(w)) == [(1,)]
@@ -259,34 +260,39 @@ def test_ring_counts_hitbox_not_center():
 
 def test_nearest_cars_order_and_fov():
     w = make_world()
-    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
-    w.agents.append(CarBody(34.0, 30.0, 0, uid=1))
-    w.parked.append(CarBody(30.0, 33.0, 0, kind="parked", uid=2))
-    w.parked.append(CarBody(70.0, 30.0, 0, kind="parked", uid=3))
+    w.agents.append(CarBody(30.0, 30.0, 0))
+    w.agents.append(CarBody(34.0, 30.0, 0))
+    w.parked.append(CarBody(30.0, 33.0, 0))
+    w.parked.append(CarBody(70.0, 30.0, 0))
     w.parked_space.extend([0, 1])
     [got] = w.nearest_cars(5, 20.0, WorldArrays(w, [0]))
-    assert [c.uid for c in got] == [2, 1]  # 3.0 before 4.0; uid 3 out of range
+    assert got == [2, 1]  # 3.0 before 4.0; column 3 out of range
     [got] = w.nearest_cars(1, 20.0, WorldArrays(w, [0]))
-    assert [c.uid for c in got] == [2]
+    assert got == [2]
 
 
-def test_nearest_cars_tie_breaks_by_uid():
+def test_nearest_cars_tie_breaks_by_column():
+    # three cars 5 units from agent 0: ties go to the lower column, which
+    # neither x nor y order gives
     w = make_world()
-    w.agents.append(CarBody(30.0, 30.0, 0, uid=0))
-    w.parked.append(CarBody(30.0, 35.0, 0, kind="parked", uid=7))
-    w.parked.append(CarBody(35.0, 30.0, 0, kind="parked", uid=3))
+    w.agents.append(CarBody(30.0, 30.0, 0))
+    w.agents.append(CarBody(30.0, 35.0, 0))  # column 1
+    w.parked.append(CarBody(35.0, 30.0, 0))  # column 2
+    w.parked.append(CarBody(25.0, 30.0, 0))  # column 3
     w.parked_space.extend([0, 1])
-    [got] = w.nearest_cars(2, 50.0, WorldArrays(w))
-    assert [c.uid for c in got] == [3, 7]
+    [got] = w.nearest_cars(3, 50.0, WorldArrays(w, [0]))
+    assert got == [1, 2, 3]
+    [got] = w.nearest_cars(1, 50.0, WorldArrays(w, [0]))
+    assert got == [1]
 
 
 def test_nearest_free_spaces_skips_occupied():
     w = make_world()
-    w.agents.append(CarBody(17.0, 12.0, 4, uid=0))
+    w.agents.append(CarBody(17.0, 12.0, 4))
     rng = random.Random(3)
     w.place_parked_cars(0, rng)
     # occupy the nearest space (id 0 at (17, 3.5))
-    w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=1))
+    w.parked.append(CarBody(17.0, 3.5, 0))
     w.parked_space.append(0)
     [got] = w.nearest_free_spaces(3, WorldArrays(w, with_spaces=True))
     assert 0 not in got
@@ -325,39 +331,40 @@ def test_place_parked_cars_occupies_distinct_spaces():
 
 def test_relocate_moves_furthest_from_agents():
     w = make_world()
-    w.agents.append(CarBody(17.0, 12.0, 0, uid=0))
+    w.agents.append(CarBody(17.0, 12.0, 0))
     # two parked cars: one near the agent, one across the arena
-    w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=1))
-    w.parked.append(CarBody(57.0, 70.5, 4, kind="parked", uid=2))
+    w.parked.append(CarBody(17.0, 3.5, 0))
+    w.parked.append(CarBody(57.0, 70.5, 4))
     w.parked_space.extend([0, 26])
     moved = w.relocate_furthest_parked_car(4)
-    assert moved == 1  # index of uid 2
+    assert moved == 1  # the car across the arena
     sp = w.spaces[4]
     assert (w.parked[1].x, w.parked[1].y, w.parked[1].theta) == (sp.x, sp.y, sp.theta)
     assert w.parked_space == [0, 4]
 
 
-def test_relocate_tie_breaks_lowest_uid():
+def test_relocate_tie_breaks_lowest_index():
     w = make_world()
-    w.agents.append(CarBody(37.0, 37.0, 0, uid=0))
-    # equidistant parked cars
-    w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=5))
-    w.parked.append(CarBody(17.0, 70.5, 4, kind="parked", uid=3))
-    w.parked_space.extend([0, 18])
-    moved = w.relocate_furthest_parked_car(9)
-    assert w.parked[moved].uid == 3
+    w.agents.append(CarBody(37.0, 37.0, 0))
+    # parked car 0 is the nearest; cars 1 and 2 are equidistant and furthest
+    w.parked.append(CarBody(70.5, 37.0, 6))
+    w.parked.append(CarBody(17.0, 3.5, 0))
+    w.parked.append(CarBody(17.0, 70.5, 4))
+    w.parked_space.extend([13, 0, 18])
+    assert w.relocate_furthest_parked_car(9) == 1
+    assert w.parked_space == [13, 9, 18]
 
 
 def test_relocate_without_parked_cars_is_noop():
     w = make_world()
-    w.agents.append(CarBody(17.0, 12.0, 0, uid=0))
+    w.agents.append(CarBody(17.0, 12.0, 0))
     assert w.relocate_furthest_parked_car(0) is None
 
 
 def test_relocate_rejects_occupied_target():
     w = make_world()
-    w.agents.append(CarBody(17.0, 12.0, 0, uid=0))
-    w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=1))
+    w.agents.append(CarBody(17.0, 12.0, 0))
+    w.parked.append(CarBody(17.0, 3.5, 0))
     w.parked_space.append(0)
     with pytest.raises(ValueError):
         w.relocate_furthest_parked_car(0)
@@ -368,7 +375,7 @@ def test_relocate_rejects_occupied_target():
 
 def test_collides_static_wall_and_parked():
     w = make_world()
-    w.parked.append(CarBody(17.0, 3.5, 0, kind="parked", uid=9))
+    w.parked.append(CarBody(17.0, 3.5, 0))
     w.parked_space.append(0)
     assert w.collides_static([CarBody(10.0, 2.0, 0), CarBody(17.0, 7.0, 0),
                               CarBody(37.0, 37.0, 3)]) == [
@@ -380,7 +387,5 @@ def test_parked_cars_inside_their_spaces():
     w = make_world()
     w.place_parked_cars(36, random.Random(1))
     for car in w.parked:
-        probe = CarBody(car.x, car.y, car.theta)
-        corners = obb_corners(probe, G8)
-        for x, y in corners:
+        for x, y in obb_corners(car, 1.0, G8):
             assert 0.0 < x < 74.0 and 0.0 < y < 74.0
