@@ -30,7 +30,7 @@ class EnvironmentConfig:
     _maxVelocityMagnitude: int = 1
     _minVelocityMagnitude: int = 1  # reverse speed bound
     _maxDeltaVMagnitude: int = 1
-    _minDeltaVMagnitude: int | None = None  # deceleration bound; None tracks max
+    _minDeltaVMagnitude: int | None = None  # deceleration bound; None takes max
     _maxDeltaThetaMagnitude: int = 1
     _numAgents: int = 1
     _normalizeObs: bool = False
@@ -85,6 +85,10 @@ class EnvironmentConfig:
     # grid-search redundancy marker; carried but never read by the env
     try_: int = 0
 
+    def __post_init__(self):
+        if self._minDeltaVMagnitude is None:
+            self._minDeltaVMagnitude = self._maxDeltaVMagnitude
+
     # ------------------------------------------------------------- derived
 
     def grid(self) -> GridSpec:
@@ -106,11 +110,7 @@ class EnvironmentConfig:
 
     @property
     def max_reverse_accel(self) -> int:
-        return (
-            self._maxDeltaVMagnitude
-            if self._minDeltaVMagnitude is None
-            else self._minDeltaVMagnitude
-        )
+        return self._minDeltaVMagnitude
 
     @property
     def stop_goal_reward(self) -> float:
@@ -153,6 +153,7 @@ class EnvironmentConfig:
             "_maxVelocityMagnitude",
             "_minVelocityMagnitude",
             "_maxDeltaVMagnitude",
+            "_minDeltaVMagnitude",
             "_maxDeltaThetaMagnitude",
             "_numParkedCars",
             "_ringMaxNumObjTrack",
@@ -166,8 +167,6 @@ class EnvironmentConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
-        if self._minDeltaVMagnitude is not None and self._minDeltaVMagnitude < 0:
-            raise ValueError("_minDeltaVMagnitude: must be >= 0")
         if self._numAgents < 1:
             raise ValueError("_numAgents: must be >= 1")
         spaces = len(SPACE_POSES)
@@ -279,7 +278,7 @@ def config_from_mapping(doc: dict) -> EnvironmentConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise TypeError(f"environment parameters: expected a mapping, got {type(doc).__name__}")
-    cfg = EnvironmentConfig()
+    kwargs = {}
     ring_overrides: dict[int, int] = {}
     for key, value in doc.items():
         m = _RD_PATTERN.match(str(key))
@@ -292,8 +291,8 @@ def config_from_mapping(doc: dict) -> EnvironmentConfig:
         if key not in _KINDS:
             raise ValueError(f"unknown environment parameter: {key}")
         attr = "try_" if key == "try" else key
-        setattr(cfg, attr, _coerce(key, _KINDS[key], value))
-    diams = list(cfg.ringDiams)
+        kwargs[attr] = _coerce(key, _KINDS[key], value)
+    diams = list(kwargs.get("ringDiams", []))
     for idx in sorted(ring_overrides):
         if idx < len(diams):
             diams[idx] = ring_overrides[idx]
@@ -303,9 +302,8 @@ def config_from_mapping(doc: dict) -> EnvironmentConfig:
             raise ValueError(
                 f"_rd{idx}: leaves a gap (only {len(diams)} ring diameters so far)"
             )
-    cfg.ringDiams = diams
-    if cfg._minDeltaVMagnitude is None:
-        cfg._minDeltaVMagnitude = cfg._maxDeltaVMagnitude
+    kwargs["ringDiams"] = diams
+    cfg = EnvironmentConfig(**kwargs)
     cfg.validate()
     _warn_soft_constraints(cfg)
     return cfg

@@ -488,7 +488,7 @@ def evaluate_policy(env, episodes: int, act) -> dict:
     if episodes <= 0:
         return {"episodes": 0, "park_rate": None, "crash_rate": None,
                 "halt_rate": None, "mean_reward": None,
-                "mean_length": None, "rewards": []}
+                "mean_length": None, "rewards": [], "total_steps": 0}
     before = dict(env.stats)
     n = len(env.agents)
     rewards: list[float] = []

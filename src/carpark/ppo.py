@@ -8,8 +8,8 @@ All agents share one parameter set and feed one rollout buffer. The
 buffer owns every agent's open segment and closes it at the time horizon
 or at episode end; a segment still open at an update carries over to the
 next one, and the open tails are dropped when the run ends.
-The last 0.2 of the step budget is an evaluation phase: the update loop
-keeps running with the learning rate exactly 0, so parameters stay
+Steps past TRAIN_FRACTION of the budget are an evaluation phase: the
+update loop keeps running with the learning rate exactly 0, so parameters stay
 bit-identical while the metrics keep flowing. At lr=0 the optimizer
 advances its moments and step counter and skips the parameter write.
 
@@ -40,6 +40,7 @@ from .metrics import (
     save_model,
 )
 
+TRAIN_FRACTION = 0.8  # of the step budget; the rest is the lr=0 phase
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -64,11 +65,14 @@ class PpoHyper:
     beta: float = 0.002
     hidden: int = 256
     layers: int = 3
-    train_fraction: float = 0.8  # the rest is the lr=0 evaluation phase
 
     def __post_init__(self):
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be positive: {self.total_steps}")
+        for name in ("lr", "beta", "epsilon_clip"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value}")
         for name in ("lr", "beta"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} cannot be negative")
@@ -86,9 +90,6 @@ class PpoHyper:
         if self.epsilon_clip <= 0.0:
             raise ValueError(
                 f"epsilon_clip must be positive: {self.epsilon_clip}")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1]: {self.train_fraction}")
 
 
 def _orthogonal(rng: np.random.Generator, n_in: int, n_out: int,
@@ -108,8 +109,8 @@ class PolicyParams:
     the optimizer's moment accumulators and step counter, laid out by the
     layer table that ``_set_dims`` returns."""
 
-    def __init__(self, obs_dim: int, branches, hidden: int = 256,
-                 layers: int = 3, *, rng: np.random.Generator):
+    def __init__(self, obs_dim: int, branches, hidden: int, layers: int, *,
+                 rng: np.random.Generator):
         table = self._set_dims(obs_dim, branches, hidden, layers)
         data: dict[str, np.ndarray] = {}
         for w, b, n_in, n_out, gain in table:
@@ -265,7 +266,7 @@ class RolloutBuffer:
     log-prob, advantage and return. ``drain`` empties the closed steps
     only; open segments carry over into the next update cycle."""
 
-    def __init__(self, capacity: int = 4096, horizon: int = 128):
+    def __init__(self, capacity: int, horizon: int):
         if capacity < 1 or horizon < 1:
             raise ValueError("capacity and horizon must be positive")
         self.capacity = int(capacity)
@@ -476,11 +477,10 @@ def ppo_update(params: PolicyParams, buffer: RolloutBuffer,
             **{key: val / updates for key, val in totals.items()}}
 
 
-def lr_schedule(step: int, total_steps: int, lr0: float,
-                train_fraction: float = 0.8) -> float:
+def lr_schedule(step: int, total_steps: int, lr0: float) -> float:
     """Linear decay from lr0 to 0 over the training phase, then exactly
     0 for the evaluation phase."""
-    cut = train_fraction * total_steps
+    cut = TRAIN_FRACTION * total_steps
     if step >= cut or cut <= 0.0:
         return 0.0
     return lr0 * (1.0 - step / cut)
@@ -551,8 +551,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
                              f"{hyper.layers} of {hyper.hidden}")
 
     def lr_at(step: int) -> float:
-        return lr_schedule(step, hyper.total_steps, hyper.lr,
-                           hyper.train_fraction)
+        return lr_schedule(step, hyper.total_steps, hyper.lr)
 
     run = TrainingRun(
         "ppo", cfg, hyper, env, out_dir, seed=seed,
@@ -562,7 +561,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
     n = run.n
     offsets = env.action_schema.offsets
     buffer = RolloutBuffer(hyper.buffer, hyper.horizon)
-    cut = hyper.train_fraction * hyper.total_steps
+    cut = TRAIN_FRACTION * hyper.total_steps
 
     while not run.done:
         # one actor and one critic pass per tick; [:, None, :] multiplies

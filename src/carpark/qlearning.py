@@ -1,7 +1,7 @@
 """Tabular Q-learning: a dense table over the flattened discrete state
-and action spaces, epsilon-greedy selection, linearly decaying learning
-and exploration rates, and a terminal evaluation zone in which both are
-frozen so the measured performance is pure policy.
+and action spaces, epsilon-greedy selection, a constant learning rate,
+an exploration rate that decays linearly to 0, and a terminal evaluation
+zone in which both are 0 so the measured performance is pure policy.
 
 Training is single-threaded; parallel experiments run as separately
 seeded processes.
@@ -94,29 +94,26 @@ def select_action(table: QTable, s: int, epsilon: float, rng) -> int:
     return int(table.values[s].argmax())
 
 
-def linear_decay(value0: float, value_min: float, episode: int,
-                 decay_episodes: int) -> float:
-    """Interpolate from value0 at episode 0 to value_min at
-    decay_episodes, clamped there afterwards."""
+def linear_decay(value0: float, episode: int, decay_episodes: int) -> float:
+    """Interpolate from value0 at episode 0 to 0 at decay_episodes,
+    clamped there afterwards."""
     if decay_episodes <= 0:
         raise ValueError(f"decay_episodes must be positive: {decay_episodes}")
     if episode >= decay_episodes:
-        return value_min
-    return value0 + (value_min - value0) * (episode / decay_episodes)
+        return 0.0
+    return value0 + (0.0 - value0) * (episode / decay_episodes)
 
 
 @dataclass(frozen=True)
 class QSchedule:
-    """Trainer configuration: rates, their decay targets, and the
-    episode budget split into a training phase and an evaluation zone."""
+    """Trainer configuration: constant alpha, epsilon decaying to 0, and
+    the episode budget split into a training phase and an evaluation zone."""
 
     alpha: float
     gamma: float
     epsilon: float
     train_episodes: int
     eval_episodes: int = 0
-    alpha_min: float | None = None  # None keeps alpha constant
-    eps_min: float = 0.0
     decay_episodes: int | None = None  # None decays over the whole phase
 
     def __post_init__(self):
@@ -128,13 +125,6 @@ class QSchedule:
             raise ValueError(f"gamma must be in [0, 1]: {self.gamma}")
         if self.train_episodes < 0 or self.eval_episodes < 0:
             raise ValueError("episode counts cannot be negative")
-        if self.alpha_min is not None and not (
-                0.0 <= self.alpha_min <= self.alpha):
-            raise ValueError(
-                f"alpha_min {self.alpha_min} outside [0, {self.alpha}]")
-        if not 0.0 <= self.eps_min <= max(self.epsilon, 0.0):
-            raise ValueError(
-                f"eps_min {self.eps_min} outside [0, {self.epsilon}]")
         if self.decay_episodes is not None:
             if self.decay_episodes < 1:
                 raise ValueError("decay_episodes must be positive")
@@ -147,23 +137,12 @@ class QSchedule:
     def total_episodes(self) -> int:
         return self.train_episodes + self.eval_episodes
 
-    def _decay_span(self) -> int:
-        return (self.decay_episodes if self.decay_episodes is not None
-                else self.train_episodes)
-
     def epsilon_at(self, episode: int) -> float:
-        span = self._decay_span()
+        span = (self.decay_episodes if self.decay_episodes is not None
+                else self.train_episodes)
         if span <= 0:
-            return self.eps_min
-        return linear_decay(self.epsilon, self.eps_min, episode, span)
-
-    def alpha_at(self, episode: int) -> float:
-        if self.alpha_min is None:
-            return self.alpha
-        span = self._decay_span()
-        if span <= 0:
-            return self.alpha_min
-        return linear_decay(self.alpha, self.alpha_min, episode, span)
+            return 0.0
+        return linear_decay(self.epsilon, episode, span)
 
 
 @dataclass
@@ -230,13 +209,13 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
     while not run.done:
         if rates_at != run.episodes:
             rates_at = run.episodes
-            if rates_at < schedule.train_episodes:
+            update = rates_at < schedule.train_episodes
+            if update:
                 eps_t = schedule.epsilon_at(rates_at)
-                alpha_t = schedule.alpha_at(rates_at)
+                alpha_t = schedule.alpha
             else:
                 eps_t = 0.0
                 alpha_t = 0.0
-            update = alpha_t > 0.0
         flats = []
         for i in range(n):
             if cur[i] is None:

@@ -196,6 +196,17 @@ def test_min_delta_v_explicit():
     assert cfg.max_reverse_accel == 1
 
 
+def test_default_config_is_the_empty_mapping_and_parses_back():
+    default = EnvironmentConfig()
+    assert default == config_from_mapping({})
+    assert config_from_mapping(default.to_mapping()) == default
+    # an unset deceleration bound takes the acceleration bound it is built with
+    cfg = config_from_mapping({"_maxDeltaVMagnitude": 3})
+    assert cfg == EnvironmentConfig(_maxDeltaVMagnitude=3)
+    assert cfg.max_reverse_accel == 3
+    assert config_from_mapping(cfg.to_mapping()) == cfg
+
+
 def test_try_parameter_is_carried():
     cfg = config_from_mapping({"try": 3})
     assert cfg.try_ == 3

@@ -25,6 +25,7 @@ from carpark.ppo import (
     ADAM_BETA2,
     ADAM_EPS,
     ADV_NORM_EPS,
+    TRAIN_FRACTION,
     VALUE_LOSS_WEIGHT,
     PolicyParams,
     PpoHyper,
@@ -684,12 +685,6 @@ def test_lr_schedule_endpoints_and_midpoint():
     assert lr_schedule(1000, 1000, 3e-4) == 0.0
 
 
-def test_lr_schedule_custom_split():
-    assert lr_schedule(250, 1000, 1e-4, train_fraction=0.5) == \
-        pytest.approx(5e-5, abs=0)
-    assert lr_schedule(500, 1000, 1e-4, train_fraction=0.5) == 0.0
-
-
 @pytest.mark.parametrize("kwargs", [
     {"total_steps": 0},
     {"total_steps": 100, "lr": -1e-4},
@@ -699,11 +694,15 @@ def test_lr_schedule_custom_split():
     {"total_steps": 100, "lam": -0.1},
     {"total_steps": 100, "epsilon_clip": 0.0},
     {"total_steps": 100, "epochs": 0},
-    {"total_steps": 100, "train_fraction": 0.0},
-    {"total_steps": 100, "train_fraction": 1.5},
+    {"total_steps": 100, "lr": math.nan},
+    {"total_steps": 100, "lr": math.inf},
+    {"total_steps": 100, "beta": math.nan},
+    {"total_steps": 100, "beta": math.inf},
+    {"total_steps": 100, "epsilon_clip": math.nan},
+    {"total_steps": 100, "epsilon_clip": math.inf},
 ])
 def test_hyper_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=list(kwargs)[-1]):
         PpoHyper(**kwargs)
 
 
@@ -1077,7 +1076,7 @@ def test_train_writes_run_directory(tmp_path):
     cfg = norm_cfg()
     out = str(tmp_path / "run")
     lines = []
-    hyper = short_hyper(total_steps=1500, train_fraction=0.8)
+    hyper = short_hyper(total_steps=1500)
     result = train_ppo(cfg, hyper, out, seed=3, dump_interval=20,
                        log=lines.append)
     assert os.path.exists(os.path.join(out, MODEL_BASENAME))
@@ -1103,6 +1102,22 @@ def test_train_writes_run_directory(tmp_path):
     assert meta["experiment"]["hyperparameters"]["buffer"] == 256
     assert meta["experiment"]["environment_parameters"]["_normalizeObs"]
     assert lines and all("mean reward" in line for line in lines)
+
+
+def test_progress_lines_carry_the_lr_schedule():
+    hyper = short_hyper(total_steps=1500)
+    lines = []
+    train_ppo(norm_cfg(), hyper, seed=3, dump_interval=2, log=lines.append)
+    past_cut = []
+    for line in lines:
+        step, total = map(int, re.search(r"step (\d+)/(\d+)", line).groups())
+        assert total == hyper.total_steps
+        assert line.endswith(f"  lr {lr_schedule(step, total, hyper.lr):.2e}")
+        if step >= TRAIN_FRACTION * total:
+            past_cut.append(line)
+    assert len(past_cut) < len(lines)
+    assert past_cut and all(line.endswith("  lr 0.00e+00")
+                            for line in past_cut)
 
 
 def test_evaluation_rates_sum_to_one():
@@ -1157,4 +1172,5 @@ def test_evaluate_zero_episodes():
     report = evaluate_ppo(params, env, episodes=0)
     assert report == {"episodes": 0, "park_rate": None, "crash_rate": None,
                       "halt_rate": None, "mean_reward": None,
-                      "mean_length": None, "rewards": []}
+                      "mean_length": None, "rewards": [], "total_steps": 0}
+    assert report.keys() == evaluate_ppo(params, env, episodes=1).keys()

@@ -133,21 +133,17 @@ def test_exploration_rate_zero_draws_nothing():
 
 
 def test_decay_midpoint():
-    assert linear_decay(0.3, 0.0, 1000, 2000) == pytest.approx(0.15)
+    assert linear_decay(0.3, 1000, 2000) == pytest.approx(0.15)
 
 
 def test_decay_clamps_after_span():
-    assert linear_decay(0.3, 0.0, 2000, 2000) == 0.0
-    assert linear_decay(0.3, 0.0, 5000, 2000) == 0.0
-
-
-def test_decay_with_floor():
-    assert linear_decay(0.3, 0.1, 500, 2000) == pytest.approx(0.25)
+    assert linear_decay(0.3, 2000, 2000) == 0.0
+    assert linear_decay(0.3, 5000, 2000) == 0.0
 
 
 def test_decay_rejects_empty_span():
     with pytest.raises(ValueError):
-        linear_decay(0.3, 0.0, 10, 0)
+        linear_decay(0.3, 10, 0)
 
 
 def test_schedule_rates():
@@ -156,16 +152,7 @@ def test_schedule_rates():
     assert sched.epsilon_at(0) == pytest.approx(0.3)
     assert sched.epsilon_at(1000) == pytest.approx(0.15)
     assert sched.epsilon_at(2500) == 0.0
-    # alpha stays constant without a floor
-    assert sched.alpha_at(0) == sched.alpha_at(2999) == 0.1
     assert sched.total_episodes == 3500
-
-
-def test_schedule_alpha_decay():
-    sched = QSchedule(alpha=0.2, gamma=0.9, epsilon=0.3, train_episodes=100,
-                      alpha_min=0.0)
-    assert sched.alpha_at(50) == pytest.approx(0.1)
-    assert sched.alpha_at(100) == 0.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -176,8 +163,6 @@ def test_schedule_alpha_decay():
     {"gamma": 1.1},
     {"train_episodes": -1},
     {"eval_episodes": -5},
-    {"alpha_min": 0.5},
-    {"eps_min": 0.4},
     {"decay_episodes": 0},
     {"decay_episodes": 200},
 ])
@@ -395,6 +380,29 @@ def test_train_writes_run_directory(tmp_path):
     assert "episode 10/40" in logged[0]
 
 
+# A seeded run's progress lines. Each line shows the rates the episode
+# just finished ran at: epsilon decays over decay_episodes and then holds
+# at 0, alpha stays constant, and the evaluation zone freezes both at 0.
+Q_PROGRESS_LINES = [
+    "episode 5/40  mean reward -1.989  eps 0.2400  alpha 0.1000",
+    "episode 10/40  mean reward -5.780  eps 0.1650  alpha 0.1000",
+    "episode 15/40  mean reward -1.785  eps 0.0900  alpha 0.1000",
+    "episode 20/40  mean reward 8.191  eps 0.0150  alpha 0.1000",
+    "episode 25/40  mean reward 10.325  eps 0.0000  alpha 0.1000",
+    "episode 30/40  mean reward 6.286  eps 0.0000  alpha 0.1000",
+    "episode 35/40  mean reward 0.380  eps 0.0000  alpha 0.0000",
+    "episode 40/40  mean reward 6.174  eps 0.0000  alpha 0.0000",
+]
+
+
+def test_progress_lines_are_pinned():
+    lines = []
+    train_q(basic_cfg(),
+            short_schedule(train=30, eval_episodes=10, decay_episodes=20),
+            seed=6, dump_interval=5, log=lines.append)
+    assert lines == Q_PROGRESS_LINES
+
+
 def test_train_marks_unfinished_until_done(tmp_path):
     cfg = basic_cfg()
     out = str(tmp_path / "run1")
@@ -453,6 +461,8 @@ def test_evaluate_zero_episodes():
     report = evaluate_q(table, env, 0)
     assert report["episodes"] == 0
     assert report["park_rate"] is None
+    assert report["total_steps"] == 0
+    assert report.keys() == evaluate_q(table, env, 2).keys()
 
 
 def test_small_run_learns_to_park():
