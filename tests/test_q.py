@@ -163,6 +163,8 @@ def test_schedule_rates():
     {"gamma": 1.1},
     {"train_episodes": -1},
     {"eval_episodes": -5},
+    {"gamma": -0.1},
+    {"alpha": float("nan")},
     {"decay_episodes": 0},
     {"decay_episodes": 200},
 ])
