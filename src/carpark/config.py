@@ -5,6 +5,10 @@ Parameter names follow the environment's native config vocabulary verbatim
 toolchain stay readable in the other. Distances are expressed in three
 scales: world units, velocity-grid quanta, and MDP units (world units times
 2^_positionGranularity); each field notes its scale where it matters.
+
+A config is checked once, at construction: `EnvironmentConfig` is frozen
+and validates itself, and only `config_from_mapping` also warns about the
+soft constraints a valid config can break.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ from .world import SPACE_POSES, SPACE_TURNS, RingSpec
 _RD_PATTERN = re.compile(r"^_rd(\d+)$")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvironmentConfig:
+    """Frozen, and checked by `validate` at construction however it is
+    built; a bad value raises ValueError naming the field."""
+
     # grid granularities
     _positionGranularity: int = 1
     _velocityGranularity: int = 1
@@ -87,7 +94,9 @@ class EnvironmentConfig:
 
     def __post_init__(self):
         if self._minDeltaVMagnitude is None:
-            self._minDeltaVMagnitude = self._maxDeltaVMagnitude
+            object.__setattr__(self, "_minDeltaVMagnitude",
+                               self._maxDeltaVMagnitude)
+        self.validate()
 
     # ------------------------------------------------------------- derived
 
@@ -132,6 +141,8 @@ class EnvironmentConfig:
     # ----------------------------------------------------------- validation
 
     def validate(self) -> None:
+        """Refuse, naming the field or feature, a value the environment
+        cannot run; construction calls it, so every config has passed."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -200,6 +211,17 @@ class EnvironmentConfig:
             raise ValueError("_distGranularity: must be > 0")
         if self.carScaleTrain <= 0.0:
             raise ValueError("carScaleTrain: must be > 0")
+        # the schema declares which features are bounded and which sized
+        from .observation import build_schema  # observation imports config
+        for f in build_schema(self).features:
+            if not f.bound > 0.0:  # would divide by zero in every observe
+                raise ValueError(
+                    f"feature {f.name}: normalization bound {f.bound:g} must "
+                    "be positive (a car's is half _obsNearbyCarsDiameter)")
+            if f.size is None and not self._normalizeObs:
+                raise ValueError(
+                    f"feature {f.name} is continuous-only and cannot be used "
+                    "in a discrete state space; set _normalizeObs")
 
 
 _BOOL_WORDS = {"true": True, "false": False}
@@ -274,6 +296,8 @@ _IGNORED_KEYS = {
 
 
 def config_from_mapping(doc: dict) -> EnvironmentConfig:
+    """Coerce a parsed document's values to their fields' types, construct
+    the config (which validates it), and warn about soft constraints."""
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -304,7 +328,6 @@ def config_from_mapping(doc: dict) -> EnvironmentConfig:
             )
     kwargs["ringDiams"] = diams
     cfg = EnvironmentConfig(**kwargs)
-    cfg.validate()
     _warn_soft_constraints(cfg)
     return cfg
 

@@ -23,14 +23,6 @@ class GridSpec:
     velocity_granularity: int = 1
     theta_granularity: int = 8
 
-    def __post_init__(self) -> None:
-        if self.position_granularity < 0:
-            raise ValueError("position_granularity must be >= 0")
-        if self.velocity_granularity < 1:
-            raise ValueError("velocity_granularity must be >= 1")
-        if self.theta_granularity < 1 or 360 % self.theta_granularity != 0:
-            raise ValueError("theta_granularity must divide 360")
-
     @property
     def cell_scale(self) -> int:
         """Divided-grid points per world unit (2^Gp)."""

@@ -378,7 +378,8 @@ class TrainingRun:
     With an output directory, whose basename is the run id, the run
     writes ``run.json`` unfinished when it opens; ``finish`` saves the
     model to ``model.npz``, writes the reward series, closes the metric
-    store and marks ``run.json`` finished with the run totals.
+    store and marks ``run.json`` finished with the run totals. In a
+    ``with`` block, a run that raises closes its store unfinished.
     """
 
     def __init__(self, kind: str, cfg, hyper, env, out_dir: str | None, *,
@@ -420,6 +421,13 @@ class TrainingRun:
         write_run_meta(out_dir, {**self._meta, "finished": False})
         self.store = MetricStore(self.path(STORE_BASENAME), summary_freq)
         self.recorder = TrainingRecorder(self.store, env)
+
+    def __enter__(self) -> TrainingRun:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.store is not None:
+            self.store.close()
 
     def path(self, basename: str) -> str:
         return os.path.join(self.out_dir, basename)

@@ -31,10 +31,11 @@ round is half-up, gran is _distGranularity, wrap maps into
 (-Gtheta/2, Gtheta/2], and offset is _minVelocityMagnitude for velocities.
 Discrete values must lie in the feature's domain of `size` values;
 normalized ones in [0, 1], or [-1, 1] for the signed and delta kinds. A
-feature without a size exists only in normalized form. `build_observation`
-runs once per agent per tick, so it reads all this from the schema's
-encode plan, a tuple per feature built once per schema, rather than
-asking every feature for its kind and limits on every call.
+feature without a size exists only in normalized form; `validate` refuses
+it in discrete mode, and refuses a bound that is not positive.
+`build_observation` runs once per agent per tick, so it reads all this
+from the schema's encode plan, a tuple per feature built once per schema,
+rather than asking every feature for its kind and limits on every call.
 
 `env.observe` also emits the sentinels for what an agent cannot see. A
 missing target (no goal, an absent car slot, a tracked car without a goal
@@ -95,16 +96,7 @@ class ObsSchema:
                       f.size, f.offset, f) for f in self.features)
 
     def discrete_dims(self) -> list[int]:
-        return [_discrete_size(f) for f in self.features]
-
-
-def _discrete_size(f: Feature) -> int:
-    if f.size is None:
-        raise ValueError(
-            f"feature {f.name} is continuous-only and cannot be "
-            "used in a discrete state space"
-        )
-    return f.size
+        return [f.size for f in self.features]
 
 
 @dataclass(frozen=True)
@@ -183,12 +175,6 @@ def build_schema(cfg: EnvironmentConfig) -> ObsSchema:
             for k in range(n_space):
                 feats.append(Feature(f"space{k}-nearest-goal-agent",
                                      "distance", d_max))
-    for f in feats:  # a zero bound would divide by zero in every observe
-        if not f.bound > 0.0:
-            raise ValueError(
-                f"feature {f.name}: normalization bound {f.bound:g} must be "
-                "positive (a tracked car's distance bound is half of "
-                "_obsNearbyCarsDiameter)")
     return ObsSchema(tuple(feats))
 
 
@@ -236,8 +222,6 @@ def build_observation(
     floor = math.floor  # round_half_up(x) is floor(x + 0.5), inlined
     for x, (code, _, _, size, offset, f) in zip(raw, schema.plan,
                                                 strict=True):
-        if size is None:
-            _discrete_size(f)  # raises: the feature is continuous-only
         if code == _DISTANCE:
             iv = floor(x / dist_gran + 0.5)
         elif code == _LINEAR:

@@ -553,62 +553,64 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
     def lr_at(step: int) -> float:
         return lr_schedule(step, hyper.total_steps, hyper.lr)
 
-    run = TrainingRun(
-        "ppo", cfg, hyper, env, out_dir, seed=seed,
-        summary_freq=summary_freq, max_steps=hyper.total_steps,
-        dump_interval=dump_interval, log=log,
-        rates=lambda step: f"lr {lr_at(step):.2e}")
-    n = run.n
-    offsets = env.action_schema.offsets
-    buffer = RolloutBuffer(hyper.buffer, hyper.horizon)
-    cut = TRAIN_FRACTION * hyper.total_steps
+    with TrainingRun(
+            "ppo", cfg, hyper, env, out_dir, seed=seed,
+            summary_freq=summary_freq, max_steps=hyper.total_steps,
+            dump_interval=dump_interval, log=log,
+            rates=lambda step: f"lr {lr_at(step):.2e}") as run:
+        n = run.n
+        offsets = env.action_schema.offsets
+        buffer = RolloutBuffer(hyper.buffer, hyper.horizon)
+        cut = TRAIN_FRACTION * hyper.total_steps
 
-    while not run.done:
-        # one actor and one critic pass per tick; [:, None, :] multiplies
-        # each agent's row as its own batch of one, which gives bit for bit
-        # what a batch-1 call gives (one (n, d) product would not)
-        step_obs = np.array([env.observe(i) for i in range(n)],
-                            dtype=np.float64)
-        logps, _ = _actor_logps(params, step_obs[:, None, :])
-        step_values, _ = _critic_values(params, step_obs[:, None, :])
-        _check_finite(f"for agent {{agent}} at step {run.steps}", *logps,
-                      step_values)
-        step_idx = []
-        step_logp = []
-        acts = []
-        for i in range(n):  # sampling draws stay in agent order
-            idx, action, logp = _sample_branches([lp[i] for lp in logps],
-                                                 offsets, np_rng)
-            step_idx.append(idx)
-            step_logp.append(logp)
-            acts.append(action)
-        outs = run.step(acts)
-        gstep = run.steps
-        if gstep >= cut:
-            run.end_training()
-        for i, out in enumerate(outs):
-            steps = buffer.append(i, step_obs[i], step_idx[i], step_logp[i],
-                                  out.reward, float(step_values[i]))
-            if out.terminal is not None:
-                buffer.add_segment(i, hyper.gamma, hyper.lam, terminal=True)
-            elif steps >= hyper.horizon:
-                x_next = np.asarray(env.observe(i), dtype=np.float64)
-                values, _ = _critic_values(params, x_next.reshape(1, -1))
-                _check_finite(f"for agent {i}'s bootstrap value at step "
-                              f"{gstep}", values)
-                buffer.add_segment(i, hyper.gamma, hyper.lam,
-                                   bootstrap=float(values[0]))
-        if buffer.full:
-            diag = ppo_update(params, buffer, hyper, lr_at(gstep), np_rng)
-            if run.store is not None:
-                record = run.store.record
-                record("Losses/Policy Loss", diag["policy_loss"], gstep)
-                record("Losses/Value Loss", diag["value_loss"], gstep)
-                record("Policy/Entropy", diag["entropy"], gstep)
+        while not run.done:
+            # one actor and one critic pass per tick; [:, None, :] makes
+            # each agent's row its own batch of one, bit for bit a batch-1
+            # call (one (n, d) product would not be)
+            step_obs = np.array([env.observe(i) for i in range(n)],
+                                dtype=np.float64)
+            logps, _ = _actor_logps(params, step_obs[:, None, :])
+            step_values, _ = _critic_values(params, step_obs[:, None, :])
+            _check_finite(f"for agent {{agent}} at step {run.steps}", *logps,
+                          step_values)
+            step_idx = []
+            step_logp = []
+            acts = []
+            for i in range(n):  # sampling draws stay in agent order
+                idx, action, logp = _sample_branches([lp[i] for lp in logps],
+                                                     offsets, np_rng)
+                step_idx.append(idx)
+                step_logp.append(logp)
+                acts.append(action)
+            outs = run.step(acts)
+            gstep = run.steps
+            if gstep >= cut:
+                run.end_training()
+            for i, out in enumerate(outs):
+                steps = buffer.append(i, step_obs[i], step_idx[i],
+                                      step_logp[i], out.reward,
+                                      float(step_values[i]))
+                if out.terminal is not None:
+                    buffer.add_segment(i, hyper.gamma, hyper.lam,
+                                       terminal=True)
+                elif steps >= hyper.horizon:
+                    x_next = np.asarray(env.observe(i), dtype=np.float64)
+                    values, _ = _critic_values(params, x_next.reshape(1, -1))
+                    _check_finite(f"for agent {i}'s bootstrap value at step "
+                                  f"{gstep}", values)
+                    buffer.add_segment(i, hyper.gamma, hyper.lam,
+                                       bootstrap=float(values[0]))
+            if buffer.full:
+                diag = ppo_update(params, buffer, hyper, lr_at(gstep), np_rng)
+                if run.store is not None:
+                    record = run.store.record
+                    record("Losses/Policy Loss", diag["policy_loss"], gstep)
+                    record("Losses/Value Loss", diag["value_loss"], gstep)
+                    record("Policy/Entropy", diag["entropy"], gstep)
 
-    if buffer.size > 0:  # final flush of the leftover tail
-        ppo_update(params, buffer, hyper, lr_at(run.steps), np_rng)
-    run.finish(params, total_episodes=run.episodes)
+        if buffer.size > 0:  # final flush of the leftover tail
+            ppo_update(params, buffer, hyper, lr_at(run.steps), np_rng)
+        run.finish(params, total_episodes=run.episodes)
     return PpoTrainResult(params, run.rewards, run.steps, run.boundary)
 
 

@@ -192,54 +192,54 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
     else:
         _check_table_dims(table, env)
 
-    run = TrainingRun(
-        "q", cfg, schedule, env, out_dir, seed=seed,
-        summary_freq=summary_freq, max_episodes=schedule.total_episodes,
-        dump_interval=dump_interval, log=log,
-        rates=lambda _step: f"eps {eps_t:.4f}  alpha {alpha_t:.4f}")
-    n = run.n
-    dims = env.schema.discrete_dims()
-    actions = _flat_actions(env)
-    observe = env.observe
-    cur: list[int | None] = [None] * n
-    if schedule.train_episodes == 0:
-        run.end_training()
-
-    rates_at = None  # the episode count the rates below were taken at
-    while not run.done:
-        if rates_at != run.episodes:
-            rates_at = run.episodes
-            update = rates_at < schedule.train_episodes
-            if update:
-                eps_t = schedule.epsilon_at(rates_at)
-                alpha_t = schedule.alpha
-            else:
-                eps_t = 0.0
-                alpha_t = 0.0
-        flats = []
-        for i in range(n):
-            if cur[i] is None:
-                cur[i] = encode_state(dims, observe(i))
-            flats.append(select_action(table, cur[i], eps_t, rng))
-        outs = run.step([actions[f] for f in flats])
-        for i, out in enumerate(outs):
-            if out.terminal is None:
-                s_next = encode_state(dims, observe(i))
-                if update:
-                    q_update(table, cur[i], flats[i], out.reward, s_next,
-                             alpha_t, schedule.gamma)
-                cur[i] = s_next
-                continue
-            if update:
-                q_update(table, cur[i], flats[i], out.reward, None,
-                         alpha_t, schedule.gamma)
-            cur[i] = None
-        if run.episodes >= schedule.train_episodes:
+    with TrainingRun(
+            "q", cfg, schedule, env, out_dir, seed=seed,
+            summary_freq=summary_freq, max_episodes=schedule.total_episodes,
+            dump_interval=dump_interval, log=log,
+            rates=lambda _: f"eps {eps_t:.4f}  alpha {alpha_t:.4f}") as run:
+        n = run.n
+        dims = env.schema.discrete_dims()
+        actions = _flat_actions(env)
+        observe = env.observe
+        cur: list[int | None] = [None] * n
+        if schedule.train_episodes == 0:
             run.end_training()
 
-    run.finish(table, total_episodes=schedule.total_episodes,
-               train_episodes=schedule.train_episodes,
-               eval_episodes=schedule.eval_episodes)
+        rates_at = None  # the episode count the rates below were taken at
+        while not run.done:
+            if rates_at != run.episodes:
+                rates_at = run.episodes
+                update = rates_at < schedule.train_episodes
+                if update:
+                    eps_t = schedule.epsilon_at(rates_at)
+                    alpha_t = schedule.alpha
+                else:
+                    eps_t = 0.0
+                    alpha_t = 0.0
+            flats = []
+            for i in range(n):
+                if cur[i] is None:
+                    cur[i] = encode_state(dims, observe(i))
+                flats.append(select_action(table, cur[i], eps_t, rng))
+            outs = run.step([actions[f] for f in flats])
+            for i, out in enumerate(outs):
+                if out.terminal is None:
+                    s_next = encode_state(dims, observe(i))
+                    if update:
+                        q_update(table, cur[i], flats[i], out.reward, s_next,
+                                 alpha_t, schedule.gamma)
+                    cur[i] = s_next
+                    continue
+                if update:
+                    q_update(table, cur[i], flats[i], out.reward, None,
+                             alpha_t, schedule.gamma)
+                cur[i] = None
+            if run.episodes >= schedule.train_episodes:
+                run.end_training()
+
+        run.finish(table, total_episodes=schedule.total_episodes,
+                   train_episodes=schedule.train_episodes,
+                   eval_episodes=schedule.eval_episodes)
     return QTrainResult(table, run.rewards, run.steps, run.boundary)
 
 

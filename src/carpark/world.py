@@ -119,10 +119,6 @@ class RingSpec:
     history_len: int = 0
     walls_only: bool = False
 
-    def __post_init__(self) -> None:
-        if self.max_count < 0 or self.history_len < 0:
-            raise ValueError("ring counts and history must be non-negative")
-
 
 # ------------------------------------------------------------------ hitboxes
 
@@ -316,13 +312,7 @@ class WorldState:
     spaces: tuple[ParkingSpace, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        gtheta = self.grid.theta_granularity
-        if gtheta % SPACE_TURNS != 0:
-            raise ValueError(
-                f"theta granularity {gtheta} is not a multiple of the "
-                f"arena's {SPACE_TURNS} space orientations"
-            )
-        mult = gtheta // SPACE_TURNS
+        mult = self.grid.theta_granularity // SPACE_TURNS
         self.spaces = tuple(
             ParkingSpace(cx, cy, th * mult) for cx, cy, th in SPACE_POSES
         )
@@ -337,8 +327,6 @@ class WorldState:
         return [sid for sid in range(len(self.spaces)) if sid not in occ]
 
     def place_parked_cars(self, count: int, rng: random.Random) -> None:
-        if count > len(self.spaces):
-            raise ValueError(f"cannot park {count} cars in {len(self.spaces)} spaces")
         ids = rng.sample(range(len(self.spaces)), count)
         for sid in sorted(ids):
             sp = self.spaces[sid]

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -69,33 +69,91 @@ def test_rd_overrides_explicit_list():
     assert cfg.ringDiams == [14, 9]
 
 
+def refused(kw, pattern):
+    """Construction and config_from_mapping refuse kw alike, with one
+    ValueError message that pattern matches."""
+    with pytest.raises(ValueError, match=pattern) as direct:
+        EnvironmentConfig(**kw)
+    with pytest.raises(ValueError) as parsed:
+        config_from_mapping(kw)
+    assert str(parsed.value) == str(direct.value)
+
+
+# each built a ParkingEnv when constructed directly, since only
+# config_from_mapping validated
+DIRECT_REFUSALS = [
+    ({"rewCrash": math.nan}, "^rewCrash: must be finite, got nan$"),
+    ({"_numAgents": 0}, "^_numAgents: must be >= 1$"),  # an env with no agents
+    ({"_maxSteps": 0}, "^_maxSteps: must be >= 1$"),  # divides by zero
+    ({"_obsRings": True}, "^ringDiams: must be non-empty"),
+    ({"spawnCloseRatio": 2.0}, r"^spawnCloseRatio: must lie in \[0, 1\]$"),
+]
+
+
+@pytest.mark.parametrize("kw, pattern", DIRECT_REFUSALS,
+                         ids=[next(iter(kw)) for kw, _ in DIRECT_REFUSALS])
+def test_direct_construction_validates(kw, pattern):
+    refused(kw, pattern)
+    with pytest.raises(ValueError, match=pattern):
+        replace(EnvironmentConfig(), **kw)
+
+
+def test_config_is_frozen():
+    cfg = EnvironmentConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg._numAgents = 0
+    assert cfg == EnvironmentConfig()
+
+
+# the schema's refusals, each naming the feature: a zero bound would divide
+# by zero in every observe, and discrete mode cannot encode an unsized one
+SCHEMA_REFUSALS = [
+    ({"_obsNearbyCars": True, "_obsNearbyCarsCount": 1},
+     "^feature car0-distance: normalization bound 0 must be positive"),
+    ({"_normalizeObs": True, "_obsNearbyCars": True, "_obsNearbyCarsCount": 2},
+     "^feature car0-distance: normalization bound 0 must be positive"),
+    ({"_obsNearbyCars": True, "_obsNearbyCarsCount": 1,
+      "_obsNearbyCarsDiameter": 300},
+     "^feature car0-distance is continuous-only .* set _normalizeObs$"),
+    ({"_dynamicGoals": True, "_obsNearbyParkingSpotsCount": 1},
+     "^feature space0-distance is continuous-only"),
+]
+
+
+@pytest.mark.parametrize("kw, pattern", SCHEMA_REFUSALS,
+                         ids=["zero-bound", "zero-bound-normalized",
+                              "car-in-discrete", "space-in-discrete"])
+def test_schema_refusals_name_the_feature(kw, pattern):
+    refused(kw, pattern)
+
+
 def test_rd_gap_rejected():
     with pytest.raises(ValueError, match="_rd2"):
         config_from_mapping({"_obsRings": True, "_ringMaxNumObjTrack": 1, "_rd2": 10})
 
 
 def test_theta_must_divide_360():
-    with pytest.raises(ValueError, match="_thetaGranularity"):
-        load_config("_thetaGranularity: 7")
+    for theta in (7, 0, -8):
+        refused({"_thetaGranularity": theta},
+                f"^_thetaGranularity: {theta} does not divide 360$")
     assert load_config("_thetaGranularity: 24")._thetaGranularity == 24
 
 
 @pytest.mark.parametrize("theta", [1, 2, 3, 5, 6, 10, 90])
 def test_theta_must_be_a_multiple_of_the_space_orientations(theta):
     # each divides 360, but the arena's spaces face in quarter turns
-    with pytest.raises(ValueError,
-                       match=f"_thetaGranularity: {theta} .* 4 space orientations"):
-        config_from_mapping({"_thetaGranularity": theta})
+    refused({"_thetaGranularity": theta},
+            f"_thetaGranularity: {theta} .* 4 space orientations")
 
 
 def test_parked_cars_must_fit_the_arena():
-    with pytest.raises(ValueError, match="_numParkedCars: 37 .* 36 spaces"):
-        config_from_mapping({"_numParkedCars": 37, "_dynamicGoals": True})
+    refused({"_numParkedCars": 37, "_dynamicGoals": True},
+            "_numParkedCars: 37 .* 36 spaces")
 
 
 def test_fixed_goals_need_a_free_space_per_agent():
-    with pytest.raises(ValueError, match="_numAgents \\+ _numParkedCars: .* 36 spaces"):
-        config_from_mapping({"_numAgents": 4, "_numParkedCars": 33})
+    refused({"_numAgents": 4, "_numParkedCars": 33},
+            "_numAgents \\+ _numParkedCars: .* 36 spaces")
     # dynamic goals hold no space, so only the parked cars must fit
     config_from_mapping({"_numAgents": 4, "_numParkedCars": 33,
                          "_dynamicGoals": True})
@@ -117,12 +175,13 @@ NEGATIVE_REFUSALS = [
      "_obsNearbyCarsCount"),
     ({"_obsNearbyCars": True, "_obsNearbyCarsCount": 1,
       "_obsNearbyCarsDiameter": -300}, "_obsNearbyCarsDiameter"),
-    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "_rd0": -10}, "_rd0"),
-    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "_rd0": 11, "_rd1": 0},
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": [-10]},
+     "_rd0"),
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": [11, 0]},
      "_rd1"),
-    ({"_obsRings": True, "_ringMaxNumObjTrack": -1, "_rd0": 11},
+    ({"_obsRings": True, "_ringMaxNumObjTrack": -1, "ringDiams": [11]},
      "_ringMaxNumObjTrack"),
-    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "_rd0": 11,
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": [11],
       "_ringNumPrevObs": -1}, "_ringNumPrevObs"),
     ({"spawnCloseRatio": 1.0, "_spawnCloseDist": -5}, "_spawnCloseDist"),
     ({"carSpawnMinDistance": -1}, "carSpawnMinDistance"),
@@ -136,8 +195,7 @@ NEGATIVE_REFUSALS = [
 @pytest.mark.parametrize("doc, name", NEGATIVE_REFUSALS,
                          ids=[name for _, name in NEGATIVE_REFUSALS])
 def test_negative_counts_and_distances_are_refused_by_name(doc, name):
-    with pytest.raises(ValueError, match=re.escape(name)):
-        config_from_mapping(doc)
+    refused(doc, re.escape(name))
 
 
 def test_unknown_field_rejected_with_path():
@@ -177,8 +235,7 @@ def test_string_coercion():
 def test_rings_flag_must_match_diameters():
     with pytest.raises(ValueError, match="ringDiams"):
         load_config("_obsRings: true")
-    with pytest.raises(ValueError, match="ringDiams"):
-        config_from_mapping({"ringDiams": [11]})
+    refused({"ringDiams": [11]}, "ringDiams")
 
 
 def test_stop_goal_reward_sentinel():
@@ -267,13 +324,11 @@ def test_non_finite_floats_are_refused_by_name(name, value):
     every goal distance as 0, a NaN crash-target distance turns crash
     spawns off) or failed later without the field's name (a NaN reward at
     the first crash)."""
-    with pytest.raises(ValueError, match=f"^{re.escape(name)}: must be finite"):
-        config_from_mapping({name: value})
+    refused({name: value}, f"^{re.escape(name)}: must be finite")
 
 
 def test_invalid_ratio_rejected():
-    with pytest.raises(ValueError, match="spawnCloseRatio"):
-        config_from_mapping({"spawnCloseRatio": 1.5})
+    refused({"spawnCloseRatio": 1.5}, "spawnCloseRatio")
 
 
 def test_signature_covers_observation_shape_fields():
@@ -289,7 +344,7 @@ def test_signature_covers_slot_meaning_fields():
     # (and its distance normalizer), and whether rings count cars
     base = {"_obsRings": True, "_ringMaxNumObjTrack": 2, "_rd0": 11,
             "_obsNearbyCars": True, "_obsNearbyCarsCount": 1,
-            "_obsNearbyCarsDiameter": 300}
+            "_obsNearbyCarsDiameter": 300, "_normalizeObs": True}
     a = config_from_mapping(base)
     for key, value in (("_obsNearbyCarsDiameter", 100),
                        ("_ringOnlyWall", True)):
@@ -368,9 +423,11 @@ def run_random_ticks(cfg, seed, ticks=30):
             for _ in env.agents])
 
 
-# what config_from_mapping must refuse itself: the arena's space
-# orientations, its spaces, and a free space for each fixed goal
-ARENA_REFUSALS = re.compile("theta granularity|cannot park|no free parking space")
+# what config_from_mapping must refuse itself: more parked cars than
+# spaces, no free space for a fixed goal, a zero normalization bound and a
+# continuous-only feature in discrete mode
+ARENA_REFUSALS = re.compile("larger than population|no free parking space|"
+                            "normalization bound|continuous-only")
 
 
 @settings(max_examples=150, deadline=None)
@@ -384,8 +441,8 @@ def test_accepted_config_runs_or_fails_with_a_named_error(doc, seed):
     """In both observation modes, a config is rejected with ValueError, or
     it builds, resets, observes and steps every agent for 30 random ticks,
     or it fails with a ValueError or RuntimeError whose message names the
-    cause (a feature the observation mode cannot encode, no legal spawn
-    position). A config the arena cannot hold is never accepted."""
+    cause (no legal spawn position). A config the arena cannot hold, or
+    whose schema the observation mode cannot encode, is never accepted."""
     for normalize in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -372,6 +372,21 @@ def test_park_reward_velocity_and_heading_penalties():
     assert out.velocity == 1
 
 
+def test_reverse_park_pays_the_velocity_penalty():
+    # parking needs no velocity condition, so a car can park reversing;
+    # it pays for its speed, |v|, like a car that parks driving forward
+    env = make_env({"_numParkedCars": 0, "rewFinalVelocitySum": 0.25,
+                    "_maxVelocityMagnitude": 2}, seed=12)
+    sid = space_at(env, 22.0, 3.5)
+    sp = env.world.spaces[sid]
+    # back into the space from one unit south, facing south
+    place(env, 0, sp.x, sp.y - 1.0, 4, v=-1, goal=sid)
+    out = env.step(ActionTuple(0, 0))
+    assert out.terminal == "parked"
+    assert out.velocity == -1
+    assert out.reward == 10.0 - 0.25 * 1 / 2  # vmax = max(2, 1)
+
+
 def test_park_threshold_is_closed():
     env = make_env(seed=12)
     sid = space_at(env, 22.0, 3.5)
@@ -657,6 +672,78 @@ def test_bad_goal_needs_matching_goal_under_same_scheme():
     keep1 = env.agents[1].tracker.slot_of(other_sid) + 1
     outs = env.step_all([ActionTuple(0, 0, keep0), ActionTuple(0, 0, keep1)])
     assert outs[0].transition_reward == 0.0
+
+
+# a distinct value in every goal-transition reward field, so a swapped or
+# dropped field shows; per category, the field it pays
+GOAL_REWARDS = {
+    "rewDeltaGoalContinueExp": -0.011,
+    "rewDeltaGoalStopExp": 0.013,
+    "rewDeltaGoalContinueGoal": 0.017,
+    "rewDeltaGoalDiffGoal": -0.019,
+    "_rewDeltaGoalStopGoal": -0.023,
+    "rewDeltaGoalContinueGoalBetterOtherAgent": -0.029,
+}
+CATEGORY_REWARD = {
+    "ContinueExplore": "rewDeltaGoalContinueExp",
+    "StopExplore": "rewDeltaGoalStopExp",
+    "StopGoal": "_rewDeltaGoalStopGoal",
+    "ChangeGoal": "rewDeltaGoalDiffGoal",
+    "ContinueGoal": "rewDeltaGoalContinueGoal",
+}
+# agent 1's pose and goal, against agent 0 at (17, 13.5) with its goal the
+# space at (17, 3.5), 10 away: closer to that space, untracked (the car
+# field of view reaches 5) with the same goal; closer, tracked, with
+# another goal; far away and exploring
+OTHER_AGENT = {
+    "untracked-same-goal": ((17.0, 6.0), (17.0, 3.5)),
+    "tracked-other-goal": ((21.0, 12.0), (22.0, 3.5)),
+    "far": ((50.0, 50.0), None),
+}
+# per give-way scheme (_punishBetterOtherAgentLocal,
+# _punishBetterOtherGoalAgent): where agent 1 makes agent 0's goal bad
+BAD_GOAL = {
+    (True, True): set(),
+    (True, False): {"tracked-other-goal"},
+    (False, True): {"untracked-same-goal"},
+    (False, False): {"untracked-same-goal", "tracked-other-goal"},
+}
+
+
+@pytest.mark.parametrize("scheme", list(BAD_GOAL),
+                         ids=["local-same", "local-any", "global-same",
+                              "global-any"])
+def test_goal_transition_reward_table(scheme):
+    """Every transition category pays its own field, and a kept goal pays
+    the better-other-agent punishment exactly where the scheme says."""
+    local, same_goal = scheme
+    for category, field in CATEGORY_REWARD.items():
+        for other, ((x, y), other_goal) in OTHER_AGENT.items():
+            env = make_env({**GOAL_REWARDS, "_obsNearbyCarsDiameter": 10,
+                            "_punishBetterOtherAgentLocal": local,
+                            "_punishBetterOtherGoalAgent": same_goal},
+                           base=DYNAMIC, seed=20)
+            sid = space_at(env, 17.0, 3.5)
+            place(env, 1, x, y, 4,
+                  goal=other_goal and space_at(env, *other_goal))
+            place(env, 0, 17.0, 13.5, 4,
+                  goal=None if category.endswith("Explore") else sid)
+            tracked = 1 in env.agents[0].nearby
+            assert tracked == (other == "tracked-other-goal")
+            slots = env.agents[0].tracker.slots
+            delta_g = {
+                "ContinueExplore": 0, "StopExplore": 1, "StopGoal": 0,
+                "ContinueGoal": slots.index(sid) + 1,
+                "ChangeGoal": next(k for k, s in enumerate(slots)
+                                   if s not in (None, sid)) + 1,
+            }[category]
+            outs = env.step_all([ActionTuple(0, 0, delta_g),
+                                 ActionTuple(0, 0, 0)])
+            paid = field
+            if category == "ContinueGoal" and other in BAD_GOAL[scheme]:
+                paid = "rewDeltaGoalContinueGoalBetterOtherAgent"
+            assert outs[0].transition == category, (category, other)
+            assert outs[0].transition_reward == GOAL_REWARDS[paid], other
 
 
 # ------------------------------------------------------------------ lost goals
@@ -947,8 +1034,8 @@ def test_nearest_cars_of_a_reset_world_tie_by_column():
     # reset puts the agents first: agent 1 is column 1, parked car k is
     # column 2 + k, and three cars 10 units from agent 0 sort by column
     env = make_env({"_numAgents": 2, "_numParkedCars": 2, "_obsNearbyCars": True,
-                    "_obsNearbyCarsCount": 3, "_obsNearbyCarsDiameter": 300},
-                   seed=48)
+                    "_obsNearbyCarsCount": 3, "_obsNearbyCarsDiameter": 300,
+                    "_normalizeObs": True}, seed=48)
     parked = env.world.parked
     for car, x, y in [(env.agents[0].body, 37.0, 37.0),
                       (env.agents[1].body, 37.0, 47.0),

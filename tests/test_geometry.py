@@ -85,12 +85,6 @@ def random_grid_pose(rng: random.Random, grid: GridSpec) -> Pose:
 # ---------------------------------------------------------------- grid spec
 
 
-def test_grid_spec_validates_theta_divides_360():
-    with pytest.raises(ValueError):
-        GridSpec(theta_granularity=7)
-    GridSpec(theta_granularity=24)  # 360/24 = 15, fine
-
-
 def test_grid_snap_rounds_half_up_per_axis():
     g = GridSpec(position_granularity=0)
     assert g.snap(0.5, -0.5) == (1.0, 0.0)

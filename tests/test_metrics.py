@@ -102,11 +102,13 @@ def test_skipped_windows_leave_no_buckets(tmp_path):
 
 
 def test_step_regression_rejected(tmp_path):
-    store, _ = file_store(tmp_path)
+    store, path = file_store(tmp_path)
     store.record("m", 1.0, 5)
     with pytest.raises(ValueError, match="regression"):
-        store.record("m", 1.0, 4)
+        store.record("m", 3.0, 4)
     store.record("m", 1.0, 5)  # equal steps are fine
+    store.close()
+    assert points(path) == [(5, 1.0)]  # the refused point left no trace
 
 
 def test_mode_conflict_and_bad_values_rejected(tmp_path):

@@ -51,8 +51,10 @@ def test_ring_dims():
 
 
 def test_continuous_features_rejected_in_discrete_mode():
-    with pytest.raises(ValueError, match="car0-distance"):
-        build_schema(PPO_FIXED).discrete_dims()
+    # the config refuses it, so no discrete schema holds an unsized feature
+    with pytest.raises(ValueError, match="^feature car0-distance is "
+                       "continuous-only .* set _normalizeObs$"):
+        config_from_mapping({**PPO_FIXED.to_mapping(), "_normalizeObs": False})
 
 
 def test_schema_deterministic():
@@ -209,8 +211,8 @@ def test_out_of_domain_rejected():
 def test_action_schema_branches():
     assert build_action_schema(BASIC).branches == (3, 3)
     assert build_action_schema(PPO_FIXED).branches == (5, 7)
-    dyn = config_from_mapping(
-        {"_dynamicGoals": True, "_obsNearbyParkingSpotsCount": 1})
+    dyn = config_from_mapping({"_dynamicGoals": True, "_normalizeObs": True,
+                               "_obsNearbyParkingSpotsCount": 1})
     assert build_action_schema(dyn).branches == (3, 3, 2)
 
 
@@ -241,6 +243,7 @@ def test_encode_action_examples():
 def test_action_roundtrip_exhaustive():
     for cfg in (BASIC, PPO_FIXED,
                 config_from_mapping({"_dynamicGoals": True,
+                                     "_normalizeObs": True,
                                      "_obsNearbyParkingSpotsCount": 2})):
         schema = build_action_schema(cfg)
         seen = set()

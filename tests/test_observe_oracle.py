@@ -118,8 +118,6 @@ def oracle_inputs(env, agent_i):
 
 def oracle_build_observation(schema, cfg, inputs, mode):
     discrete = mode == "discrete"
-    if discrete:
-        schema.discrete_dims()
     gtheta = cfg._thetaGranularity
     d_max = MAX_WORLD_DISTANCE
     n_space = cfg._obsNearbyParkingSpotsCount if cfg._dynamicGoals else 0

@@ -942,6 +942,39 @@ def test_train_fails_fast_on_non_finite_policy(weight, tmp_path):
     assert os.path.exists(os.path.join(out, "metrics.jsonl"))
 
 
+def test_a_failed_run_closes_its_store(tmp_path):
+    """Weights that turn NaN mid-run fail the run; its store is closed by
+    then, so the file holds the buckets closed before the failure."""
+    cfg = norm_cfg()
+    hyper = short_hyper(total_steps=600)
+    env = ParkingEnv(cfg, seed=5)
+    params = PolicyParams(len(env.observe(0)), env.action_schema.branches,
+                          hyper.hidden, hyper.layers,
+                          rng=np.random.default_rng(3))
+    step_all = env.step_all
+    ticks = []
+
+    def poisoning_step_all(actions):
+        ticks.append(actions)
+        if len(ticks) == 45:
+            params.data["actor.w0"][0, 0] = np.nan
+        return step_all(actions)
+
+    env.step_all = poisoning_step_all
+    out = str(tmp_path / "run")
+    with pytest.raises(FloatingPointError,
+                       match="agent 0 at step 45$") as failure:
+        train_ppo(cfg, hyper, out, env=env, params=params, seed=5,
+                  summary_freq=10)
+    # the traceback in failure keeps the run alive: only a closed store has
+    # reached the file
+    series = read_store(os.path.join(out, "metrics.jsonl"))
+    steps = [step for step, _ in series["Metrics/VelocityAvg"].points]
+    assert steps == [10, 20, 30, 40, 45]  # 45: the partial window at close
+    assert failure.traceback  # held until here
+    assert read_run_meta(out)["finished"] is False
+
+
 def test_train_is_deterministic(tmp_path):
     cfg = norm_cfg()
     runs = []

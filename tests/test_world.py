@@ -98,11 +98,6 @@ def test_layout_theta_conversion():
     assert w24.spaces[9].theta == 18
 
 
-def test_layout_theta_granularity_must_divide():
-    with pytest.raises(ValueError, match="theta granularity 6 .* 4 space"):
-        WorldState(GridSpec(theta_granularity=6))
-
-
 # ------------------------------------------------------------------ hitboxes
 
 
