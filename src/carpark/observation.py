@@ -95,7 +95,8 @@ class ObsSchema:
         return tuple((_KIND_CODES[f.kind], f.bound, -1.0 if f.signed else 0.0,
                       f.size, f.offset, f) for f in self.features)
 
-    def discrete_dims(self) -> list[int]:
+    def discrete_dims(self) -> list[int | None]:
+        """Cells per feature; None for a continuous-only (normalized) one."""
         return [f.size for f in self.features]
 
 

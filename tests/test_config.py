@@ -433,23 +433,29 @@ ARENA_REFUSALS = re.compile("larger than population|no free parking space|"
 @settings(max_examples=150, deadline=None)
 @example({"_normalizeObs": True, "_obsNearbyCars": True,
           "_obsNearbyCarsCount": 2}, 0)
+@example({"_obsNearbyCars": True, "_obsNearbyCarsCount": 2,
+          "_obsNearbyCarsDiameter": 300, "_obsNearbyCarsVelocity": True,
+          "_obsNearbyCarsGoal": True, "_dynamicGoals": True,
+          "_obsNearbyParkingSpotsCount": 2,
+          "_obsParkingSpotClosestAgent": True}, 0)
 @example({"_thetaGranularity": 6}, 0)
 @example({"_numParkedCars": 40}, 0)
 @example({"_numAgents": 4, "_numParkedCars": 33}, 0)
 @given(config_mappings(), st.integers(0, 1 << 16))
 def test_accepted_config_runs_or_fails_with_a_named_error(doc, seed):
-    """In both observation modes, a config is rejected with ValueError, or
-    it builds, resets, observes and steps every agent for 30 random ticks,
-    or it fails with a ValueError or RuntimeError whose message names the
-    cause (no legal spawn position). A config the arena cannot hold, or
-    whose schema the observation mode cannot encode, is never accepted."""
+    """In each observation mode, a config is rejected with ValueError (and
+    the other mode still runs), or it builds, resets, observes and steps
+    every agent for 30 random ticks, or it fails with a ValueError or
+    RuntimeError whose message names the cause (no legal spawn position).
+    A config the arena cannot hold, or whose schema the observation mode
+    cannot encode, is never accepted."""
     for normalize in (False, True):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
                 cfg = config_from_mapping({**doc, "_normalizeObs": normalize})
             except ValueError:
-                return
+                continue
         try:
             run_random_ticks(cfg, seed)
         except (ValueError, RuntimeError) as err:
