@@ -6,9 +6,10 @@ toolchain stay readable in the other. Distances are expressed in three
 scales: world units, velocity-grid quanta, and MDP units (world units times
 2^_positionGranularity); each field notes its scale where it matters.
 
-A config is checked once, at construction: `EnvironmentConfig` is frozen
-and validates itself, and only `config_from_mapping` also warns about the
-soft constraints a valid config can break.
+A config is a value: `EnvironmentConfig` is frozen, stores its inputs as
+given and checks them once, at construction; only its properties derive
+values from them. `config_from_mapping` also warns about the soft
+constraints a valid config can break.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .geometry import GridSpec
 from .world import SPACE_POSES, SPACE_TURNS, RingSpec
@@ -27,7 +28,10 @@ _RD_PATTERN = re.compile(r"^_rd(\d+)$")
 @dataclass(frozen=True)
 class EnvironmentConfig:
     """Frozen, and checked by `validate` at construction however it is
-    built; a bad value raises ValueError naming the field."""
+    built; a bad value raises ValueError naming the field. The fields hold
+    the inputs as given (an unset deceleration bound stays None), so
+    `dataclasses.replace` and a `to_mapping` round trip keep them; the
+    properties resolve what derives from them."""
 
     # grid granularities
     _positionGranularity: int = 1
@@ -47,7 +51,7 @@ class EnvironmentConfig:
     _obsAngle: bool = True
     _obsRings: bool = False
     _ringMaxNumObjTrack: int = 0
-    ringDiams: list[int] = field(default_factory=list)
+    ringDiams: tuple[int, ...] = ()
     _obsGoalDeltaPose: bool = False
     _ringNumPrevObs: int = 0
     _ringOnlyWall: bool = False
@@ -93,9 +97,6 @@ class EnvironmentConfig:
     try_: int = 0
 
     def __post_init__(self):
-        if self._minDeltaVMagnitude is None:
-            object.__setattr__(self, "_minDeltaVMagnitude",
-                               self._maxDeltaVMagnitude)
         self.validate()
 
     # ------------------------------------------------------------- derived
@@ -119,6 +120,8 @@ class EnvironmentConfig:
 
     @property
     def max_reverse_accel(self) -> int:
+        if self._minDeltaVMagnitude is None:
+            return self._maxDeltaVMagnitude
         return self._minDeltaVMagnitude
 
     @property
@@ -176,7 +179,8 @@ class EnvironmentConfig:
             "carSpawnMinDistance",
             "spawnCrashTargetAgentMinDist",
         ):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"{name}: must be >= 0")
         if self._numAgents < 1:
             raise ValueError("_numAgents: must be >= 1")
@@ -196,6 +200,9 @@ class EnvironmentConfig:
             )
         if self._maxSteps < 1:
             raise ValueError("_maxSteps: must be >= 1")
+        if not isinstance(self.ringDiams, tuple):
+            raise ValueError(f"ringDiams: must be a tuple, got "
+                             f"{type(self.ringDiams).__name__}")
         if self._obsRings != bool(self.ringDiams):
             raise ValueError(
                 "ringDiams: must be non-empty exactly when _obsRings is set"
@@ -257,33 +264,20 @@ def _coerce(name: str, kind: str, value):
                 return float(value)
             except ValueError:
                 pass
-    elif kind == "int_list":
+    elif kind == "int?":  # the one nullable field: None leaves it unset
+        return None if value is None else _coerce(name, "int", value)
+    elif kind == "int_tuple":
         if isinstance(value, (list, tuple)):
-            out = []
-            for i, item in enumerate(value):
-                out.append(_coerce(f"{name}[{i}]", "int", item))
-            return out
+            return tuple(_coerce(f"{name}[{i}]", "int", item)
+                         for i, item in enumerate(value))
     raise TypeError(f"{name}: expected {kind}, got {value!r}")
 
 
-def _field_kinds() -> dict[str, str]:
-    kinds = {}
-    for f in fields(EnvironmentConfig):
-        name = "try" if f.name == "try_" else f.name
-        if f.type == "bool":
-            kinds[name] = "bool"
-        elif f.type in ("int", "int | None"):
-            kinds[name] = "int"
-        elif f.type == "float":
-            kinds[name] = "float"
-        elif f.type == "list[int]":
-            kinds[name] = "int_list"
-        else:  # pragma: no cover - schema definition error
-            raise AssertionError(f"unmapped field type {f.type} on {f.name}")
-    return kinds
-
-
-_KINDS = _field_kinds()
+_TYPE_KINDS = {"bool": "bool", "int": "int", "int | None": "int?",
+               "float": "float", "tuple[int, ...]": "int_tuple"}
+# each mapping key's kind; a field of another type fails the import
+_KINDS = {("try" if f.name == "try_" else f.name): _TYPE_KINDS[f.type]
+          for f in fields(EnvironmentConfig)}
 
 # Accepted for config compatibility and type-checked, then dropped: the
 # environment reads none of them (debug and visualisation switches, and a
@@ -326,7 +320,7 @@ def config_from_mapping(doc: dict) -> EnvironmentConfig:
             raise ValueError(
                 f"_rd{idx}: leaves a gap (only {len(diams)} ring diameters so far)"
             )
-    kwargs["ringDiams"] = diams
+    kwargs["ringDiams"] = tuple(diams)
     cfg = EnvironmentConfig(**kwargs)
     _warn_soft_constraints(cfg)
     return cfg
@@ -366,7 +360,8 @@ def _warn_soft_constraints(cfg: EnvironmentConfig) -> None:
 
 def config_signature(cfg: EnvironmentConfig) -> dict:
     """Mapping used to check model/environment compatibility on reload: the
-    fields that set an observation's width or what one of its slots means."""
+    fields that set an observation's width or what one of its slots means,
+    with the deceleration bound as resolved."""
     keys = (
         "_positionGranularity",
         "_velocityGranularity",
@@ -396,4 +391,6 @@ def config_signature(cfg: EnvironmentConfig) -> dict:
         "_dynamicGoals",
         "_distGranularity",
     )
-    return {k: getattr(cfg, k) for k in keys}
+    sig = {k: getattr(cfg, k) for k in keys}
+    sig["_minDeltaVMagnitude"] = cfg.max_reverse_accel
+    return sig

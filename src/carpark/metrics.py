@@ -647,13 +647,12 @@ def discover_model_dirs(root: str) -> list[str]:
     return sorted(found)
 
 
-def model_row(model_dir: str, period_start: int | None = None,
-              param_paths: tuple[str, ...] = ()) -> dict:
+def model_row(model_dir: str, param_paths: tuple[str, ...] = ()) -> dict:
     """Aggregate one model directory into a summary-row mapping.
 
-    The evaluation period starts at the run's recorded training
-    boundary when the metadata has one, else at period_start. A recorded
-    step count that is not an integer raises ``ValueError``. Absent
+    The evaluation period starts at the training boundary that the run
+    recorded in its metadata; metadata without one, or a recorded step
+    count that is not an integer, raises ``ValueError``. Absent
     aggregates stay None and export as empty cells.
     """
     meta = read_run_meta(model_dir)
@@ -666,10 +665,7 @@ def model_row(model_dir: str, period_start: int | None = None,
                              f"{META_BASENAME} is not an integer")
     boundary = meta.get("train_boundary_step")
     if boundary is None:
-        boundary = period_start
-    if boundary is None:
-        raise ValueError(
-            f"{model_dir}: no training boundary recorded or supplied")
+        raise ValueError(f"{model_dir}: no training boundary recorded")
     get = series.get
     eps = get(_EPISODES)
     total_steps = meta.get("total_steps")
@@ -693,12 +689,13 @@ def model_row(model_dir: str, period_start: int | None = None,
     return row
 
 
-def export_rows(model_dirs, out_path: str, period_start: int | None = None,
+def export_rows(model_dirs, out_path: str,
                 param_paths: tuple[str, ...] = ()) -> list[dict]:
     """Write one CSV row per readable model directory; returns the rows.
 
-    Unreadable or incomplete directories are skipped with a warning so
-    one bad job doesn't block comparing the rest. A parameter path that
+    Unreadable or incomplete directories, among them one whose metadata
+    records no training boundary, are skipped with a warning so one bad
+    job doesn't block comparing the rest. A parameter path that
     names a summary column, or one given twice, raises ``ValueError``: it
     would overwrite that column or repeat it in the header.
     """
@@ -711,7 +708,7 @@ def export_rows(model_dirs, out_path: str, period_start: int | None = None,
     rows = []
     for d in sorted(str(d) for d in model_dirs):
         try:
-            rows.append(model_row(d, period_start, param_paths))
+            rows.append(model_row(d, param_paths))
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
             warnings.warn(f"skipping model dir {d}: {e}", stacklevel=2)
     header = ["Model", *ROW_COLUMNS, *param_paths]

@@ -1,5 +1,6 @@
 """Parameter schema parsing and validation."""
 
+import json
 import math
 import os
 import random
@@ -36,7 +37,7 @@ def test_empty_document_gives_defaults():
     assert cfg._obsAngle is True
     assert cfg._obsDist is False
     assert cfg._obsRings is False
-    assert cfg.ringDiams == []
+    assert cfg.ringDiams == ()
     assert cfg._maxSteps == 85
     assert cfg._spawnCloseDist == 10
     assert cfg.carSpawnMinDistance == 9
@@ -47,18 +48,19 @@ def test_empty_document_gives_defaults():
     assert cfg.rewDistSum == 1.0
     assert cfg.rewReverseSum == 0.0
     assert cfg.carScaleTrain == 1.0
-    # deceleration bound tracks the acceleration bound when unset
-    assert cfg._minDeltaVMagnitude == 1
+    # an unset deceleration bound stays unset and resolves to the
+    # acceleration bound
+    assert cfg._minDeltaVMagnitude is None
     assert cfg.max_reverse_accel == 1
 
 
 def test_rd_fields_build_ring_diameters():
     cfg = load_config("_obsRings: true\n_ringMaxNumObjTrack: 1\n_rd0: 11\n")
-    assert cfg.ringDiams == [11]
+    assert cfg.ringDiams == (11,)
     cfg = load_config(
         "_obsRings: true\n_ringMaxNumObjTrack: 3\n_rd0: 14\n_rd1: 11\n_rd2: 10\n"
     )
-    assert cfg.ringDiams == [14, 11, 10]
+    assert cfg.ringDiams == (14, 11, 10)
 
 
 def test_rd_overrides_explicit_list():
@@ -66,7 +68,7 @@ def test_rd_overrides_explicit_list():
         {"_obsRings": True, "_ringMaxNumObjTrack": 1,
          "ringDiams": [14, 11], "_rd1": 9}
     )
-    assert cfg.ringDiams == [14, 9]
+    assert cfg.ringDiams == (14, 9)
 
 
 def refused(kw, pattern):
@@ -103,6 +105,35 @@ def test_config_is_frozen():
     with pytest.raises(FrozenInstanceError):
         cfg._numAgents = 0
     assert cfg == EnvironmentConfig()
+
+
+def test_direct_construction_refuses_a_ring_list():
+    with pytest.raises(ValueError, match="^ringDiams: must be a tuple, got list$"):
+        EnvironmentConfig(_obsRings=True, _ringMaxNumObjTrack=1, ringDiams=[11])
+
+
+def test_config_is_a_hashable_value_its_mapping_cannot_change():
+    doc = {"_obsRings": True, "_ringMaxNumObjTrack": 2, "ringDiams": [14, 11]}
+    cfg = config_from_mapping(doc)
+    assert hash(cfg) == hash(config_from_mapping(doc))
+    mapping = cfg.to_mapping()
+    with pytest.raises(AttributeError):
+        mapping["ringDiams"].append(-5)
+    mapping.clear()
+    assert cfg.ringDiams == (14, 11)
+    assert cfg == config_from_mapping(doc)
+
+
+def test_replace_keeps_an_unset_deceleration_bound_unset():
+    """An unset bound is stored as None, so a changed acceleration bound
+    moves it along, whether the config is replaced or re-parsed."""
+    cfg = replace(EnvironmentConfig(), _maxDeltaVMagnitude=3)
+    assert cfg == EnvironmentConfig(_maxDeltaVMagnitude=3)
+    assert cfg.max_reverse_accel == 3
+    parsed = config_from_mapping(
+        {**EnvironmentConfig().to_mapping(), "_maxDeltaVMagnitude": 3})
+    assert parsed == cfg
+    assert EnvironmentConfig().to_mapping()["_minDeltaVMagnitude"] is None
 
 
 # the schema's refusals, each naming the feature: a zero bound would divide
@@ -175,13 +206,13 @@ NEGATIVE_REFUSALS = [
      "_obsNearbyCarsCount"),
     ({"_obsNearbyCars": True, "_obsNearbyCarsCount": 1,
       "_obsNearbyCarsDiameter": -300}, "_obsNearbyCarsDiameter"),
-    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": [-10]},
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": (-10,)},
      "_rd0"),
-    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": [11, 0]},
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": (11, 0)},
      "_rd1"),
-    ({"_obsRings": True, "_ringMaxNumObjTrack": -1, "ringDiams": [11]},
+    ({"_obsRings": True, "_ringMaxNumObjTrack": -1, "ringDiams": (11,)},
      "_ringMaxNumObjTrack"),
-    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": [11],
+    ({"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": (11,),
       "_ringNumPrevObs": -1}, "_ringNumPrevObs"),
     ({"spawnCloseRatio": 1.0, "_spawnCloseDist": -5}, "_spawnCloseDist"),
     ({"carSpawnMinDistance": -1}, "carSpawnMinDistance"),
@@ -235,7 +266,7 @@ def test_string_coercion():
 def test_rings_flag_must_match_diameters():
     with pytest.raises(ValueError, match="ringDiams"):
         load_config("_obsRings: true")
-    refused({"ringDiams": [11]}, "ringDiams")
+    refused({"ringDiams": (11,)}, "ringDiams")
 
 
 def test_stop_goal_reward_sentinel():
@@ -251,6 +282,10 @@ def test_stop_goal_reward_sentinel():
 def test_min_delta_v_explicit():
     cfg = config_from_mapping({"_maxDeltaVMagnitude": 2, "_minDeltaVMagnitude": 1})
     assert cfg.max_reverse_accel == 1
+    # null reads as unset, as to_mapping writes an unset bound
+    cfg = config_from_mapping({"_maxDeltaVMagnitude": 2, "_minDeltaVMagnitude": None})
+    assert cfg._minDeltaVMagnitude is None
+    assert cfg.max_reverse_accel == 2
 
 
 def test_default_config_is_the_empty_mapping_and_parses_back():
@@ -295,6 +330,20 @@ def test_grid_and_ring_spec_derivation():
     assert config_from_mapping({}).ring_spec() is None
 
 
+def test_positive_goal_transition_rewards_warn_under_dynamic_goals():
+    for key in ("rewDeltaGoalContinueExp", "rewDeltaGoalDiffGoal"):
+        with pytest.warns(UserWarning, match="expected to be punishments"):
+            config_from_mapping({"_dynamicGoals": True, key: 0.1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # punishments, or fixed goals, where no goal transition pays
+        config_from_mapping({"_dynamicGoals": True, "rewDistSum": 0.0,
+                             "rewDeltaGoalContinueExp": -0.1,
+                             "rewDeltaGoalDiffGoal": 0.0})
+        config_from_mapping({"rewDistSum": 0.0, "rewDeltaGoalContinueExp": 0.1,
+                             "rewDeltaGoalDiffGoal": 0.1})
+
+
 def test_too_many_parked_cars_is_a_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -337,6 +386,14 @@ def test_signature_covers_observation_shape_fields():
     assert config_signature(a) != config_signature(b)
     c = config_from_mapping({"rewCrash": 2.0})
     assert config_signature(a) == config_signature(c)
+    # an unset deceleration bound signs as the bound it resolves to
+    for max_dv in (1, 2):
+        unset = config_from_mapping({"_maxDeltaVMagnitude": max_dv})
+        for min_dv in (1, 2):
+            explicit = config_from_mapping({"_maxDeltaVMagnitude": max_dv,
+                                            "_minDeltaVMagnitude": min_dv})
+            assert ((config_signature(unset) == config_signature(explicit))
+                    == (min_dv == max_dv)), (max_dv, min_dv)
 
 
 def test_signature_covers_slot_meaning_fields():
@@ -385,17 +442,18 @@ def test_importing_the_package_leaves_yaml_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-# every config field by kind, as config_from_mapping coerces it
-FIELD_KINDS = {
-    ("try" if f.name == "try_" else f.name):
-        {"int | None": "int", "list[int]": "int_list"}.get(f.type, f.type)
-    for f in fields(EnvironmentConfig)}
+# every config field by its declared type, as config_from_mapping coerces it
+FIELD_KINDS = {("try" if f.name == "try_" else f.name): f.type
+               for f in fields(EnvironmentConfig)}
+INTS = st.one_of(st.integers(-1, 12), st.sampled_from([24, 36, 90, 300]))
+RING_LISTS = st.lists(st.integers(-1, 120), max_size=3)
 KIND_VALUES = {
     "bool": st.booleans(),
-    "int": st.one_of(st.integers(-1, 12), st.sampled_from([24, 36, 90, 300])),
+    "int": INTS,
+    "int | None": st.one_of(st.none(), INTS),
     "float": st.one_of(st.floats(-1.0, 20.0, allow_nan=False),
                        st.sampled_from([0.0, 0.5, 1.0])),
-    "int_list": st.lists(st.integers(-1, 120), max_size=3),
+    "tuple[int, ...]": st.one_of(RING_LISTS, RING_LISTS.map(tuple)),
 }
 
 
@@ -405,6 +463,22 @@ def config_mappings(draw):
     keys = draw(st.lists(st.sampled_from(sorted(FIELD_KINDS)), unique=True,
                          max_size=16))
     return {key: draw(KIND_VALUES[FIELD_KINDS[key]]) for key in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_mappings())
+def test_accepted_config_round_trips_through_json(doc):
+    """What run.json records of a config rebuilds it: equal, and hashing
+    alike."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            cfg = config_from_mapping(doc)
+        except ValueError:
+            return
+        again = config_from_mapping(json.loads(json.dumps(cfg.to_mapping())))
+    assert again == cfg
+    assert hash(again) == hash(cfg)
 
 
 def run_random_ticks(cfg, seed, ticks=30):

@@ -169,6 +169,21 @@ def test_spawn_close_lands_near_goal():
         assert d <= env.cfg._spawnCloseDist
 
 
+def test_spawn_close_with_no_road_in_reach_spawns_plainly():
+    """Every road point lies at least 6.5 units from every space centre,
+    so a 6-unit close radius finds no point near the goal: the close
+    scheme gives up before drawing, and the plain spawn places the agent
+    anywhere on the road."""
+    env = make_env({"spawnCloseRatio": 1.0, "_spawnCloseDist": 6}, seed=5)
+    sp = env.world.spaces[env.agents[0].goal_space]
+    assert not env._spawn_plain(0, near=(sp.x, sp.y), radius=6.0)
+    env._respawn(0)
+    agent = env.agents[0]
+    assert (agent.body.x, agent.body.y, agent.body.theta,
+            agent.goal_space) == (28.0, 10.0, 0, 29)
+    assert (agent.body.x, agent.body.y) in set(ROAD_POINTS)
+
+
 def test_crash_spawn_position_frozen_example():
     env = make_env(seed=0)
 
@@ -239,6 +254,19 @@ def test_crash_spawn_needs_distant_target():
     # target agent right next to its goal: not a valid crash target
     place(env, 1, 17.0, 7.5, 0, goal=sid)  # 4.0 away, below the 5.0 minimum
     assert not env._spawn_crash(0, space_at(env, 22.0, 3.5))
+
+
+def test_crash_spawn_under_dynamic_goals_draws_its_own_aim():
+    """A respawn under dynamic goals holds no goal, so the crash scheme
+    draws the space it aims from among the free ones not held by another
+    agent; the agent still spawns exploring."""
+    env = make_env({"spawnCrashRatio": 1.0}, base=DYNAMIC, seed=7)
+    # the target agent holds a goal 20.5 units away, beyond the 5.0 minimum
+    place(env, 1, 17.0, 24.0, 0, goal=space_at(env, 17.0, 3.5))
+    assert env._spawn_crash(0, None)
+    body = env.agents[0].body
+    assert (body.x, body.y, body.theta) == (14.5, 15.5, 1)
+    assert env.agents[0].goal_space is None
 
 
 # ----------------------------------------------------------- motion and crash

@@ -637,12 +637,13 @@ def test_model_row_aggregates(tmp_path):
     assert row["environment_parameters.gamma"] == 0.9
 
 
-def test_model_row_uses_cli_boundary_when_meta_lacks_one(tmp_path):
+def test_model_row_refuses_meta_without_a_boundary(tmp_path):
     d = synthetic_model_dir(tmp_path, "m2", with_boundary=False)
-    row = model_row(str(d), period_start=800)
-    assert row["Num Episodes"] == 20.0
-    with pytest.raises(ValueError, match="boundary"):
+    with pytest.raises(ValueError, match="no training boundary recorded$"):
         model_row(str(d))
+    with pytest.warns(UserWarning, match="skipping model dir .*boundary"):
+        rows = export_rows([str(d)], str(tmp_path / "rows.csv"))
+    assert rows == []
 
 
 def test_export_rows_csv(tmp_path):

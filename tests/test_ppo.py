@@ -574,6 +574,23 @@ def test_zero_lr_update_keeps_params_bit_identical():
     assert buf.size == 0
 
 
+def test_update_refuses_a_non_finite_loss_before_any_step():
+    params = tiny_params(seed=15)
+    before = {k: v.copy() for k, v in params.data.items()}
+    buf = RolloutBuffer(capacity=8, horizon=8)
+    for r in range(8):
+        buf.append(0, np.zeros(params.obs_dim), (0, 0), -1.0,
+                   math.nan if r == 3 else 1.0, 0.0)
+    buf.add_segment(0, 0.99, 0.9, terminal=True)
+    hyper = PpoHyper(total_steps=100, buffer=8, batch=8)
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite loss nan during update$"):
+        ppo_update(params, buf, hyper, lr=1e-3, rng=np.random.default_rng(0))
+    assert params.t == 0
+    for name, arr in params.data.items():
+        assert np.array_equal(arr, before[name]), name
+
+
 def test_update_moves_params_and_drains_buffer():
     params = tiny_params(seed=19)
     checksum = params.checksum()
@@ -1133,7 +1150,9 @@ def test_train_writes_run_directory(tmp_path):
     assert meta["train_boundary_step"] == result.train_boundary_step
     assert result.train_boundary_step == 1200  # 0.8 of the step budget
     assert meta["experiment"]["hyperparameters"]["buffer"] == 256
-    assert meta["experiment"]["environment_parameters"]["_normalizeObs"]
+    recorded = meta["experiment"]["environment_parameters"]
+    assert recorded["_normalizeObs"]
+    assert config_from_mapping(recorded) == cfg
     assert lines and all("mean reward" in line for line in lines)
 
 

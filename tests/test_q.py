@@ -376,7 +376,10 @@ def test_train_writes_run_directory(tmp_path):
     assert 0 < result.train_boundary_step < result.total_steps
     assert meta["experiment"]["trainer"] == "q"
     assert meta["experiment"]["hyperparameters"]["gamma"] == 0.9
-    assert meta["experiment"]["environment_parameters"]["_maxSteps"] == 85
+    recorded = meta["experiment"]["environment_parameters"]
+    assert recorded["_maxSteps"] == 85
+    assert recorded["_minDeltaVMagnitude"] is None  # unset, as given
+    assert config_from_mapping(recorded) == cfg
 
     assert len(logged) == 4  # every 10 of 40 episodes
     assert "episode 10/40" in logged[0]
