@@ -167,7 +167,6 @@ class EnvironmentConfig:
             "_maxVelocityMagnitude",
             "_minVelocityMagnitude",
             "_maxDeltaVMagnitude",
-            "_minDeltaVMagnitude",
             "_maxDeltaThetaMagnitude",
             "_numParkedCars",
             "_ringMaxNumObjTrack",
@@ -179,9 +178,10 @@ class EnvironmentConfig:
             "carSpawnMinDistance",
             "spawnCrashTargetAgentMinDist",
         ):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0")
+        if self.max_reverse_accel < 0:
+            raise ValueError("_minDeltaVMagnitude: must be >= 0")
         if self._numAgents < 1:
             raise ValueError("_numAgents: must be >= 1")
         spaces = len(SPACE_POSES)
@@ -369,7 +369,6 @@ def config_signature(cfg: EnvironmentConfig) -> dict:
         "_maxVelocityMagnitude",
         "_minVelocityMagnitude",
         "_maxDeltaVMagnitude",
-        "_minDeltaVMagnitude",
         "_maxDeltaThetaMagnitude",
         "_normalizeObs",
         "_obsDist",

@@ -216,6 +216,7 @@ NEGATIVE_REFUSALS = [
       "_ringNumPrevObs": -1}, "_ringNumPrevObs"),
     ({"spawnCloseRatio": 1.0, "_spawnCloseDist": -5}, "_spawnCloseDist"),
     ({"carSpawnMinDistance": -1}, "carSpawnMinDistance"),
+    ({"_minDeltaVMagnitude": -1}, "_minDeltaVMagnitude"),
     ({"spawnCrashRatio": 0.5, "spawnCrashTargetAgentMinDist": -1.0},
      "spawnCrashTargetAgentMinDist"),
     ({"_dynamicGoals": True, "_obsNearbyParkingSpotsCount": -2},
@@ -227,6 +228,14 @@ NEGATIVE_REFUSALS = [
                          ids=[name for _, name in NEGATIVE_REFUSALS])
 def test_negative_counts_and_distances_are_refused_by_name(doc, name):
     refused(doc, re.escape(name))
+
+
+@pytest.mark.parametrize("name", ["_maxDeltaVMagnitude", "_ringNumPrevObs",
+                                  "_obsNearbyCarsCount", "_spawnCloseDist",
+                                  "carSpawnMinDistance"])
+def test_only_the_deceleration_bound_may_be_none(name):
+    with pytest.raises(TypeError):
+        EnvironmentConfig(**{name: None})
 
 
 def test_unknown_field_rejected_with_path():
