@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 from .geometry import GridSpec
-from .world import SPACE_POSES, SPACE_TURNS, RingSpec
+from .world import MAX_WORLD_DISTANCE, SPACE_POSES, SPACE_TURNS, RingSpec
 
 _RD_PATTERN = re.compile(r"^_rd(\d+)$")
 
@@ -114,7 +114,6 @@ class EnvironmentConfig:
         return RingSpec(
             diameters=tuple(float(d) for d in self.ringDiams),
             max_count=self._ringMaxNumObjTrack,
-            history_len=self._ringNumPrevObs,
             walls_only=self._ringOnlyWall,
         )
 
@@ -123,6 +122,23 @@ class EnvironmentConfig:
         if self._minDeltaVMagnitude is None:
             return self._maxDeltaVMagnitude
         return self._minDeltaVMagnitude
+
+    @property
+    def speed_bound(self) -> int:
+        """The largest speed either way, at least 1: the divisor that
+        normalizes a velocity."""
+        return max(self._maxVelocityMagnitude, self._minVelocityMagnitude, 1)
+
+    @property
+    def tracked_spaces(self) -> int:
+        """Parking spaces each agent tracks: only dynamic goals track any."""
+        return self._obsNearbyParkingSpotsCount if self._dynamicGoals else 0
+
+    @property
+    def car_view_radius(self) -> float:
+        """The normalization bound of a nearby car's distance: half the
+        field of view, at most the arena diagonal."""
+        return min(self._obsNearbyCarsDiameter / 2.0, MAX_WORLD_DISTANCE)
 
     @property
     def stop_goal_reward(self) -> float:
@@ -216,6 +232,10 @@ class EnvironmentConfig:
                 raise ValueError(f"{name}: must lie in [0, 1]")
         if self._distGranularity <= 0.0:
             raise ValueError("_distGranularity: must be > 0")
+        if math.isinf(MAX_WORLD_DISTANCE / self._distGranularity):
+            raise ValueError(
+                f"_distGranularity: {self._distGranularity:g} gives the "
+                "goal distance an infinite number of cells")
         if self.carScaleTrain <= 0.0:
             raise ValueError("carScaleTrain: must be > 0")
         # the schema declares which features are bounded and which sized

@@ -12,13 +12,13 @@ center-distance matrix from every agent to every car and space gives each
 agent's nearest-car list and nearest-car distance and each space's
 closest-agent distances.
 
-Every world query is seen from agents through one `WorldArrays` view:
-the tick's view from all agents serves collisions, tracking, ring counts
-and the sensing pass, and a respawn senses through a view from the
-respawned agent alone. Everything `observe` reads is derived state that
-`reset` and `step_all` leave behind: the ring counts (`cur_rings`, from the
-tracking phase or a respawn), and the nearest-car lists (`nearby`) and the
-space table behind `global_info` from the sensing pass. The next tick's
+Every world query is seen from all agents through a `WorldArrays` view:
+the tick's view serves collisions, tracking, ring counts and the sensing
+pass, and a respawn builds a fresh view and reads the respawned agent's
+row of it. Everything `observe` reads is derived state that `reset` and
+`step_all` leave behind: the ring counts (`cur_rings`, from the tracking
+phase or a respawn), and the nearest-car lists (`nearby`) and the space
+table behind `global_info` from the sensing pass. The next tick's
 goal transitions read the same tables, since nothing moves between the
 end of one tick and the goal transitions of the next.
 
@@ -217,8 +217,7 @@ class ParkingEnv:
         for _ in range(self.cfg._numAgents):
             body = CarBody(0.0, 0.0, 0)
             self.world.agents.append(body)
-            n_space = (self.cfg._obsNearbyParkingSpotsCount
-                       if self.cfg._dynamicGoals else 0)
+            n_space = self.cfg.tracked_spaces
             self.agents.append(
                 AgentState(body=body,
                            tracker=SpaceTracker(n_space) if n_space else None)
@@ -246,12 +245,11 @@ class ParkingEnv:
         angle, delta and velocity, and no goal (the bound pose triple with
         fixed goals, the absent-slot index n_space + 1 with dynamic ones)."""
         cfg = self.cfg
-        car_bound = min(cfg._obsNearbyCarsDiameter / 2.0, MAX_WORLD_DISTANCE)
-        values = list(_pose_values(None, car_bound))
+        values = list(_pose_values(None, cfg.car_view_radius))
         if cfg._obsNearbyCarsVelocity:
             values.append(0)
         if cfg._obsNearbyCarsGoal:
-            values += ((cfg._obsNearbyParkingSpotsCount + 1,)
+            values += ((cfg.tracked_spaces + 1,)
                        if cfg._dynamicGoals
                        else _pose_values(None, MAX_WORLD_DISTANCE))
         return values
@@ -394,15 +392,16 @@ class ParkingEnv:
         agent.steps_toward_goal = 0
         agent.steps_toward_space_exploring = 0
         agent.ring_history = []
-        # one view from the respawned agent serves tracking and rings
-        view = WorldArrays(self.world, [agent_i],
-                           with_spaces=agent.tracker is not None)
+        # one view from all agents serves tracking and rings; the respawned
+        # agent reads its own row
+        view = WorldArrays(self.world, with_spaces=agent.tracker is not None)
         if agent.tracker:
             agent.tracker.reset()
             agent.tracker.update(self.world.nearest_free_spaces(
-                agent.tracker.n_space, view)[0])
+                agent.tracker.n_space, view)[agent_i])
         if self.ring_spec:
-            agent.cur_rings = self.world.ring_counts(self.ring_spec, view)[0]
+            agent.cur_rings = self.world.ring_counts(
+                self.ring_spec, view)[agent_i]
         agent.prev_goal_distance = self._goal_distance(agent)
 
     # ------------------------------------------------------------- queries
@@ -526,7 +525,7 @@ class ParkingEnv:
         spaces = self.world.spaces
         d_max = MAX_WORLD_DISTANCE
         tracker = agent.tracker
-        n_space = cfg._obsNearbyParkingSpotsCount
+        n_space = cfg.tracked_spaces
         goal_sid = agent.goal_space
         goal = (localize(body, spaces[goal_sid], grid)
                 if goal_sid is not None else _pose_values(None, d_max))
@@ -603,7 +602,7 @@ class ParkingEnv:
         if cfg._dynamicGoals:
             if action.delta_g is None:
                 raise ValueError("dynamic goals require a delta_g action")
-            if not 0 <= action.delta_g <= cfg._obsNearbyParkingSpotsCount:
+            if not 0 <= action.delta_g <= cfg.tracked_spaces:
                 raise ValueError(f"goal choice {action.delta_g} outside domain")
         elif action.delta_g not in (None, 0):
             raise ValueError("delta_g is only available with dynamic goals")
@@ -708,13 +707,12 @@ class ParkingEnv:
 
         # phase 4: tracking refresh, lost goals, park checks, rewards
         if dynamic:
-            tracked = world.nearest_free_spaces(
-                cfg._obsNearbyParkingSpotsCount, arrays)
+            tracked = world.nearest_free_spaces(cfg.tracked_spaces, arrays)
             occupied_ids = world.occupied_space_ids()
         if ring_spec:
             # a lone car with fixed goals has no tick view; it counts walls
             rings = world.ring_counts(ring_spec, arrays or WorldArrays(world))
-            history_len = ring_spec.history_len
+            history_len = cfg._ringNumPrevObs
         tau = cfg._maxSteps
         terminals: list[int] = []
         for i, (agent, ev) in enumerate(zip(agents, events)):
@@ -812,9 +810,8 @@ class ParkingEnv:
     def _park_reward(self, agent: AgentState) -> float:
         cfg = self.cfg
         reward = cfg.rewReachGoal
-        vmax = max(cfg._maxVelocityMagnitude, cfg._minVelocityMagnitude)
-        if cfg.rewFinalVelocitySum > 0 and vmax > 0:
-            reward -= cfg.rewFinalVelocitySum * abs(agent.v) / vmax
+        if cfg.rewFinalVelocitySum > 0:
+            reward -= cfg.rewFinalVelocitySum * abs(agent.v) / cfg.speed_bound
         if cfg.rewDeltaThetaSum > 0:
             sp = self.world.spaces[agent.goal_space]
             delta = wrap_signed_index(
@@ -846,9 +843,7 @@ class ParkingEnv:
         if cfg.rewDeltaThetaSum > 0 and cfg._maxDeltaThetaMagnitude > 0:
             smooth = abs(action.omega) / cfg._maxDeltaThetaMagnitude
             if cfg._rewDeltaThetaVelMult:
-                vmax = max(cfg._maxVelocityMagnitude,
-                           cfg._minVelocityMagnitude, 1)
-                smooth *= abs(agent.v) / vmax
+                smooth *= abs(agent.v) / cfg.speed_bound
             reward -= cfg.rewDeltaThetaSum / tau * smooth
         return reward
 

@@ -329,7 +329,7 @@ class TrainingRecorder:
         self.store = store
         self.env = env
         self.dynamic = env.cfg._dynamicGoals
-        self.v_scale = 1.0 / max(env.cfg._velocityGranularity, 1)
+        self.v_scale = 1.0 / env.cfg._velocityGranularity
 
     def after_step(self, step: int, outcomes) -> None:
         record = self.store.record

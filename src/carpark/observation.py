@@ -116,9 +116,9 @@ class ActionSchema:
 def build_schema(cfg: EnvironmentConfig) -> ObsSchema:
     gtheta = cfg._thetaGranularity
     d_max = MAX_WORLD_DISTANCE
-    vmax = float(max(cfg._maxVelocityMagnitude, cfg._minVelocityMagnitude, 1))
+    vmax = float(cfg.speed_bound)
     v_offset = cfg._minVelocityMagnitude
-    n_space = cfg._obsNearbyParkingSpotsCount if cfg._dynamicGoals else 0
+    n_space = cfg.tracked_spaces
     dist_size = round_half_up(d_max / cfg._distGranularity) + 1
 
     def pose_triple(prefix: str, d_bound: float, sized: bool) -> list[Feature]:
@@ -152,7 +152,7 @@ def build_schema(cfg: EnvironmentConfig) -> ObsSchema:
                 feats.append(Feature(f"ring{i}{tag}", "index",
                                      float(max(n_o, 1)), size=n_o + 1))
     if cfg._obsNearbyCars:
-        car_bound = min(cfg._obsNearbyCarsDiameter / 2.0, d_max)
+        car_bound = cfg.car_view_radius
         for k in range(cfg._obsNearbyCarsCount):
             feats += pose_triple(f"car{k}-", car_bound, sized=False)
             if cfg._obsNearbyCarsVelocity:
@@ -186,7 +186,7 @@ def build_action_schema(cfg: EnvironmentConfig) -> ActionSchema:
     ]
     offsets = [cfg.max_reverse_accel, cfg._maxDeltaThetaMagnitude]
     if cfg._dynamicGoals:
-        branches.append(cfg._obsNearbyParkingSpotsCount + 1)
+        branches.append(cfg.tracked_spaces + 1)
         offsets.append(0)
     return ActionSchema(tuple(branches), tuple(offsets))
 

@@ -1,20 +1,21 @@
 """The arena, car hitboxes, collision, ring sensing, and relocation.
 
-Ring counts, nearest cars and nearest free spaces are seen from agents: a
-``WorldArrays`` view names the observing agents (all, by default) and holds
-what the queries share, the offsets and center distances from each
-observer to every car and space and its cars sorted by distance. Each query
-answers one row per observer, never counting the observer's own car. A car
-is named by its column in ``WorldState.all_cars()`` (agents first, so agent
-i is column i) and a space by its index in ``WorldState.spaces``. Three
-rules keep these batched answers equal to scalar loops: center distances
-are ``np.sqrt(dx*dx + dy*dy)``, which equals ``math.hypot`` on grid-snapped
-centers (``np.hypot`` does not); ties sort by column (or space id) with a
-stable sort; and numpy only picks candidates, while an exact scalar test
-decides every hitbox question. Ring counts and collisions walk each
-observer's sorted center distances up to a reach that no hitbox within the
-threshold can exceed, and send only those cars to the exact
-``point_to_obb_distance`` or ``obb_intersects``.
+Ring counts, nearest cars and nearest free spaces are seen from every
+agent: a ``WorldArrays`` view holds what the queries share, the offsets
+and center distances from each agent to every car and space and its cars
+sorted by distance. Each query answers one row per agent, in agent order,
+never counting the agent's own car; a caller that needs one agent's answer
+reads its row. A car is named by its column in ``WorldState.all_cars()``
+(agents first, so agent i is column i) and a space by its index in
+``WorldState.spaces``. Three rules keep these batched answers equal to
+scalar loops: center distances are ``np.sqrt(dx*dx + dy*dy)``, which
+equals ``math.hypot`` on grid-snapped centers (``np.hypot`` does not);
+ties sort by column (or space id) with a stable sort; and numpy only
+picks candidates, while an exact scalar test decides every hitbox
+question. Ring counts and collisions walk each agent's sorted center
+distances up to a reach that no hitbox within the threshold can exceed,
+and send only those cars to the exact ``point_to_obb_distance`` or
+``obb_intersects``.
 Bearings stay scalar (``geometry.localize``): ``np.arctan2`` differs from
 ``math.atan2`` on some inputs. numpy is imported where an array is first
 built, not with this module: config parsing needs no BLAS.
@@ -116,7 +117,6 @@ class CarBody:
 class RingSpec:
     diameters: tuple[float, ...]
     max_count: int
-    history_len: int = 0
     walls_only: bool = False
 
 
@@ -206,35 +206,32 @@ def point_to_obb_distance(px: float, py: float, body: CarBody, scale: float,
 
 
 class WorldArrays:
-    """One world state as arrays, seen from the agents in `rows`.
+    """One world state as arrays, seen from every agent.
 
-    Rows are the observers: the agent indices in `rows`, all agents in
-    agent order by default. Columns are the cars in ``all_cars()`` order
-    (agents, then parked cars, so agent i is column i), then, if
-    `with_spaces`, the parking spaces in space-id order. Every batched
-    query of a tick reads the same offsets and distances from here. Each
-    field is computed on first use and then kept, so a view is valid only
-    until something in the world moves; a view nothing reads costs no
-    array work.
+    Rows are the agents, in agent order. Columns are the cars in
+    ``all_cars()`` order (agents, then parked cars, so agent i is column
+    i), then, if `with_spaces`, the parking spaces in space-id order.
+    Every batched query of a tick reads the same offsets and distances
+    from here. Each field is computed on first use and then kept, so a
+    view is valid only until something in the world moves; a view nothing
+    reads costs no array work.
     """
 
-    __slots__ = ("world", "cars", "na", "nc", "rows", "with_spaces",
+    __slots__ = ("world", "cars", "na", "nc", "with_spaces",
                  "_offsets", "_dist", "_by_distance", "_near")
 
-    def __init__(self, world: "WorldState", rows=None,
-                 with_spaces: bool = False):
+    def __init__(self, world: "WorldState", with_spaces: bool = False):
         self.world = world
         self.cars = world.agents + world.parked
         self.na = len(world.agents)
         self.nc = len(self.cars)
-        self.rows = list(range(self.na) if rows is None else rows)
         self.with_spaces = with_spaces
         self._offsets = self._dist = self._by_distance = None
         self._near = None
 
     def offsets(self) -> np.ndarray:
-        """Column center minus observer, shape (2, observers, columns):
-        x offsets, then y offsets."""
+        """Column center minus agent, shape (2, agents, columns): x
+        offsets, then y offsets."""
         if self._offsets is None:
             import numpy as np
             cars = self.cars
@@ -244,12 +241,12 @@ class WorldArrays:
             else:
                 xy = [c.x for c in cars] + [c.y for c in cars]
             p = np.fromiter(xy, float, len(xy)).reshape(2, -1)
-            q = p[:, self.rows]
+            q = p[:, :self.na]
             self._offsets = p[:, None, :] - q[:, :, None]
         return self._offsets
 
     def distances(self) -> np.ndarray:
-        """Center distance per observer and column: ``np.sqrt(dx*dx +
+        """Center distance per agent and column: ``np.sqrt(dx*dx +
         dy*dy)``, not ``np.hypot``. On grid-snapped centers the sum of
         squares is exact, so this equals ``math.hypot`` bit for bit, while
         ``np.hypot`` differs from it on some inputs."""
@@ -261,7 +258,7 @@ class WorldArrays:
         return self._dist
 
     def cars_by_distance(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Per observer, the car columns in ascending center distance, ties
+        """Per agent, the car columns in ascending center distance, ties
         by column (a stable sort), and the center distances to the cars by
         column."""
         if self._by_distance is None:
@@ -271,7 +268,7 @@ class WorldArrays:
         return self._by_distance
 
     def near(self) -> list[list[int]]:
-        """Broad phase: per observer, in column order, the cars whose
+        """Broad phase: per agent, in column order, the cars whose
         centers are at most twice the car circumradius at the world's
         scale (plus REACH_SLACK) away; no pair outside it gets past
         obb_intersects' own circumradius check."""
@@ -289,10 +286,11 @@ class WorldArrays:
         return self._near
 
     def nearest_other_car(self) -> list[float]:
-        """Per observer, the center distance to the closest other car (inf
+        """Per agent, the center distance to the closest other car (inf
         when there is none)."""
         return [next((row[j] for j in order if j != own), math.inf)
-                for own, order, row in zip(self.rows, *self.cars_by_distance())]
+                for own, (order, row) in enumerate(
+                    zip(*self.cars_by_distance()))]
 
 
 # ---------------------------------------------------------------- world state
@@ -407,22 +405,22 @@ class WorldState:
                 and obb_intersects(agents[i], agents[j], self.scale, self.grid)]
 
     def ring_counts(self, spec: RingSpec, arrays: WorldArrays):
-        """Per observer of `arrays`, the obstacles strictly inside each
-        ring's disk around it, capped at max_count: one tuple per observer.
-        An obstacle is inside when its hitbox is closer to the observer than
-        the ring radius; the observer's own car never counts.
+        """Per agent, the obstacles strictly inside each ring's disk around
+        it, capped at max_count: one tuple per agent. An obstacle is inside
+        when its hitbox is closer to the agent than the ring radius; the
+        agent's own car never counts.
 
         The exact scalar distance decides every obstacle. Walls, a handful,
         are all measured. A car can only be inside when its center is
-        within the largest radius plus its circumradius, so each observer
+        within the largest radius plus its circumradius, so each agent
         walks its distance-sorted cars from `arrays` up to that reach (plus
         REACH_SLACK), and stops as soon as every ring is at the cap."""
         radii = [d / 2.0 for d in spec.diameters]
         cap = spec.max_count
         cars = arrays.cars
         counts = []
-        for k in arrays.rows:
-            x, y = cars[k].x, cars[k].y
+        for car in self.agents:
+            x, y = car.x, car.y
             dists = [point_to_segment_distance(x, y, w) for w in WALLS]
             row = []
             for r in radii:
@@ -434,13 +432,13 @@ class WorldState:
                             break
                 row.append(n if n < cap else cap)
             counts.append(row)
-        # nothing to walk when the only car is the observer's own
+        # nothing to walk when the only car is the agent's own
         if not spec.walls_only and radii and arrays.nc > 1:
             grid = self.grid
             scale = self.scale
             reach = max(radii) + CAR_CIRCUMRADIUS * scale + REACH_SLACK
-            for k, row, order, center in zip(arrays.rows, counts,
-                                             *arrays.cars_by_distance()):
+            for k, (row, order, center) in enumerate(
+                    zip(counts, *arrays.cars_by_distance())):
                 if min(row) >= cap:
                     continue
                 x, y = cars[k].x, cars[k].y
@@ -459,14 +457,13 @@ class WorldState:
 
     def nearest_cars(self, n_track: int, fov_diameter: float,
                      arrays: WorldArrays):
-        """Per observer of `arrays`, the columns of up to n_track other cars
-        within the field of view, ascending center distance, ties by
-        column."""
+        """Per agent, the columns of up to n_track other cars within the
+        field of view, ascending center distance, ties by column."""
         if n_track <= 0:
-            return [[] for _ in arrays.rows]
+            return [[] for _ in self.agents]
         reach = fov_diameter / 2.0
         out = []
-        for own, order, row in zip(arrays.rows, *arrays.cars_by_distance()):
+        for own, (order, row) in enumerate(zip(*arrays.cars_by_distance())):
             found = []
             for j in order:
                 if j == own:
@@ -478,11 +475,11 @@ class WorldState:
         return out
 
     def nearest_free_spaces(self, n_space: int, arrays: WorldArrays):
-        """Per observer of `arrays`, which has the space columns, up to
+        """Per agent, from `arrays`, which has the space columns, up to
         n_space free spaces, ascending center distance, ties by space id.
         Slot stability lives in SpaceTracker."""
         if n_space <= 0:
-            return [[] for _ in arrays.rows]
+            return [[] for _ in self.agents]
         free = self.free_space_ids()
         nc = arrays.nc
         dist = arrays.distances()[:, [nc + sid for sid in free]]

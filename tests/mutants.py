@@ -2,21 +2,30 @@
 
     python3 tests/mutants.py
 
-Each entry of MUTANTS is (file, old text, new text): the old text must
-occur exactly once in the file, and the edited file must still compile,
-so that no mutant is killed by a syntax error. For each entry the
-repository is copied to a temporary directory, the one edit is applied
-there, and the Tier-1 suite runs in the copy with ``-x``. A mutant is killed when the suite
-fails, and survives when it passes. The unmutated copy runs first and
-must pass, so that a broken suite cannot kill every mutant. The exit
-status is 0 only when no mutant survives.
+Two lists of mutants run. Each entry of the hand list MUTANTS is (file,
+old text, new text), and the old text must occur exactly once in the
+file. The generated list has one "field ignored" mutant per config read
+site: every load of an `EnvironmentConfig` field through ``cfg.`` (also
+``self.cfg.`` and ``env.cfg.``) or, in ``config.py``, ``self.`` in
+``src/carpark/*.py`` is replaced by that field's default. Every mutant is
+an edit at a position of its file, and the edited file must still
+compile, so that no mutant is killed by a syntax error. For each mutant
+the repository is copied to a temporary directory, the one edit is
+applied there, and the Tier-1 suite runs in the copy with ``-x``. A
+mutant is killed when the suite fails, and survives when it passes. The
+unmutated copy runs first and must pass, so that a broken suite cannot
+kill every mutant. The exit status is 0 only when no mutant survives.
 
 pytest does not collect this file (it is not named ``test_*.py``).
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import glob
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,6 +33,10 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from carpark.config import EnvironmentConfig  # noqa: E402
+
 ENV = "src/carpark/env.py"
 CONFIG = "src/carpark/config.py"
 METRICS = "src/carpark/metrics.py"
@@ -41,8 +54,8 @@ MUTANTS = [
      "if bad_goal else 0.0)"),
     (ENV, "reward = (cfg.rewDeltaGoalContinueGoalBetterOtherAgent",
      "reward = (cfg.rewDeltaGoalContinueGoal"),
-    (ENV, "cfg.rewFinalVelocitySum * abs(agent.v) / vmax",
-     "cfg.rewFinalVelocitySum * agent.v / vmax"),
+    (ENV, "cfg.rewFinalVelocitySum * abs(agent.v) / cfg.speed_bound",
+     "cfg.rewFinalVelocitySum * agent.v / cfg.speed_bound"),
     (ENV, "if cfg._rewDeltaThetaVelMult:", "if False:"),
     # spawn fallbacks
     (ENV, "g1 = self.rng.choice(free)", "g1 = free[0]"),
@@ -69,29 +82,80 @@ MUTANTS = [
      "boundary = 0"),
 ]
 
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(EnvironmentConfig)}
+# a field name after "cfg.", "<name>.cfg." or "self."; read_sites keeps
+# the code loads
+_READ = re.compile(r"\b(?:(?:\w+\.)?cfg|self)\.(" + "|".join(DEFAULTS)
+                   + r")\b")
+
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                               ".hypothesis", ".bench_work", "build")
 
 
+def source(path: str) -> str:
+    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def read_count(text: str, path: str) -> int:
+    """The config field loads in a module: ``cfg.<field>`` and
+    ``<x>.cfg.<field>`` anywhere, ``self.<field>`` in config.py."""
+    owner = ("cfg", "self") if path == CONFIG else ("cfg",)
+    n = 0
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.Attribute) and node.attr in DEFAULTS
+                and isinstance(node.ctx, ast.Load)):
+            v = node.value
+            if (isinstance(v, ast.Name) and v.id in owner
+                    or isinstance(v, ast.Attribute) and v.attr == "cfg"):
+                n += 1
+    return n
+
+
+def read_sites() -> list[tuple[str, int, str, str]]:
+    """One mutant per config read site, as (file, offset, old, new): the
+    read replaced by the field's default. A regex match is a read site
+    when replacing it removes one field load from the module's syntax
+    tree, so mentions in comments and docstrings are skipped."""
+    out = []
+    for full in sorted(glob.glob(os.path.join(ROOT, "src", "carpark", "*.py"))):
+        path = os.path.relpath(full, ROOT)
+        text = source(path)
+        loads = read_count(text, path)
+        for m in _READ.finditer(text):
+            new = repr(DEFAULTS[m.group(1)])
+            mutated = text[:m.start()] + new + text[m.end():]
+            if read_count(mutated, path) == loads - 1:
+                out.append((path, m.start(), m.group(0), new))
+    return out
+
+
+def positioned(mutant) -> tuple[str, int, str, str]:
+    """A hand-list entry as (file, offset, old, new)."""
+    path, old, new = mutant
+    text = source(path)
+    if text.count(old) != 1:
+        raise SystemExit(f"{path}: the old text occurs {text.count(old)} "
+                         f"times, not once: {old!r}")
+    return path, text.find(old), old, new
+
+
 def label(mutant) -> str:
     """file:line of the old text, and the edit."""
-    path, old, new = mutant
-    with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
-        text = fh.read()
-    line = text[:text.find(old)].count("\n") + 1
+    path, offset, old, new = mutant
+    line = source(path)[:offset].count("\n") + 1
     return f"{path}:{line}: {old.strip()!r} -> {new.strip()!r}"
 
 
 def apply(work: str, mutant) -> None:
-    path, old, new = mutant
+    path, offset, old, new = mutant
     full = os.path.join(work, path)
     with open(full, encoding="utf-8") as fh:
         text = fh.read()
-    if text.count(old) != 1:
-        raise SystemExit(f"{path}: the old text occurs {text.count(old)} "
-                         f"times, not once: {old!r}")
-    text = text.replace(old, new)
+    if text[offset:offset + len(old)] != old:
+        raise SystemExit(f"{path}: {old!r} is not at offset {offset}")
+    text = text[:offset] + new + text[offset + len(old):]
     try:
         compile(text, path, "exec")
     except SyntaxError as e:
@@ -124,12 +188,13 @@ def tier1_failure(mutant=None) -> tuple[str | None, float]:
 
 def main() -> int:
     start = time.perf_counter()
+    mutants = [positioned(m) for m in MUTANTS] + read_sites()
     failure, took = tier1_failure()
     print(f"unmutated: {failure or 'passes'} ({took:.0f} s)", flush=True)
     if failure:
         return 2
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in mutants:
         name = label(mutant)
         failure, took = tier1_failure(mutant)
         print(f"{'killed' if failure else 'SURVIVED'} ({took:.0f} s) {name}",
@@ -138,7 +203,7 @@ def main() -> int:
             print(f"    by {failure}", flush=True)
         else:
             survivors.append(name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed, "
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed, "
           f"{len(survivors)} survived, in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 

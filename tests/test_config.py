@@ -89,6 +89,14 @@ DIRECT_REFUSALS = [
     ({"_maxSteps": 0}, "^_maxSteps: must be >= 1$"),  # divides by zero
     ({"_obsRings": True}, "^ringDiams: must be non-empty"),
     ({"spawnCloseRatio": 2.0}, r"^spawnCloseRatio: must lie in \[0, 1\]$"),
+    # the grid and the hitbox scale
+    ({"_positionGranularity": -1}, "^_positionGranularity: must be >= 0$"),
+    ({"_velocityGranularity": 0}, "^_velocityGranularity: must be >= 1$"),
+    ({"carScaleTrain": 0.0}, "^carScaleTrain: must be > 0$"),
+    # the arena diagonal over it overflowed in build_schema
+    ({"_distGranularity": 2.2250738585072014e-308},
+     "^_distGranularity: 2.22507e-308 gives the goal distance an infinite "
+     "number of cells$"),
 ]
 
 
@@ -184,7 +192,8 @@ def test_parked_cars_must_fit_the_arena():
 
 def test_fixed_goals_need_a_free_space_per_agent():
     refused({"_numAgents": 4, "_numParkedCars": 33},
-            "_numAgents \\+ _numParkedCars: .* 36 spaces")
+            "^_numAgents \\+ _numParkedCars: 4 agents with fixed goals and "
+            "33 parked cars exceed the arena's 36 spaces$")
     # dynamic goals hold no space, so only the parked cars must fit
     config_from_mapping({"_numAgents": 4, "_numParkedCars": 33,
                          "_dynamicGoals": True})
@@ -354,21 +363,21 @@ def test_positive_goal_transition_rewards_warn_under_dynamic_goals():
 
 
 def test_too_many_parked_cars_is_a_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.warns(UserWarning, match="^_numParkedCars=36 leaves no free "
+                      "space in the 36-space arena; goals cannot be assigned$"):
         config_from_mapping({"_numParkedCars": 36, "_dynamicGoals": True})
-    assert any("space" in str(w.message) for w in caught)
 
 
 def test_movement_reward_dominating_time_is_a_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config_from_mapping({"rewDistSum": 1.0, "rewTimeSum": 0.5})
-    assert any("rewDistSum" in str(w.message) for w in caught)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config_from_mapping({"rewDistSum": 0.15, "rewTimeSum": 0.2})
-    assert not any("rewDistSum" in str(w.message) for w in caught)
+    with pytest.warns(UserWarning,
+                      match="^rewDistSum=0.75 >= rewTimeSum=0.25: per-step "):
+        config_from_mapping({"rewDistSum": 0.75, "rewTimeSum": 0.25})
+    # below the time punishment, or no movement reward at all
+    for dist, time in ((0.15, 0.2), (0.6, 0.7), (-0.1, -0.2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config_from_mapping({"rewDistSum": dist, "rewTimeSum": time})
+        assert not any("rewDistSum" in str(w.message) for w in caught)
 
 
 FLOAT_FIELDS = [f.name for f in fields(EnvironmentConfig) if f.type == "float"]

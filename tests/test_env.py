@@ -92,12 +92,12 @@ def place(env, i, x, y, theta, v=0, goal="keep", refresh=True):
     agent.v = v
     if goal != "keep":
         agent.goal_space = goal
-    view = WorldArrays(env.world, [i], with_spaces=True)
+    view = WorldArrays(env.world, with_spaces=True)
     if agent.tracker and refresh:
         agent.tracker.update(env.world.nearest_free_spaces(
-            agent.tracker.n_space, view)[0])
+            agent.tracker.n_space, view)[i])
     if env.ring_spec:
-        agent.cur_rings = env.world.ring_counts(env.ring_spec, view)[0]
+        agent.cur_rings = env.world.ring_counts(env.ring_spec, view)[i]
         agent.ring_history = []
     agent.prev_goal_distance = env._goal_distance(agent)
     env._sense()  # the nearest-car lists and the space table
@@ -249,11 +249,19 @@ def test_crash_spawn_integration_deterministic():
 
 
 def test_crash_spawn_needs_distant_target():
-    env = make_env({"_numAgents": 2, "spawnCrashRatio": 1.0}, seed=2)
+    # 30 MDP units are 15 world units at the default position granularity
+    env = make_env({"_numAgents": 2, "spawnCrashRatio": 1.0,
+                    "spawnCrashTargetAgentMinDist": 30.0}, seed=2)
     sid = space_at(env, 17.0, 3.5)
-    # target agent right next to its goal: not a valid crash target
-    place(env, 1, 17.0, 7.5, 0, goal=sid)  # 4.0 away, below the 5.0 minimum
-    assert not env._spawn_crash(0, space_at(env, 22.0, 3.5))
+    aim = space_at(env, 22.0, 3.5)
+    # target agent too close to its goal: not a valid crash target
+    place(env, 1, 17.0, 15.5, 0, goal=sid)  # 12.0 away, below 15.0
+    assert not env._spawn_crash(0, aim)
+    env._respawn(0)  # no crash target: the spawn falls back to plain
+    body = env.agents[0].body
+    assert (body.x, body.y) in ROAD_POINTS
+    place(env, 1, 17.0, 24.0, 0, goal=sid)  # 20.5 away
+    assert env._spawn_crash(0, aim)
 
 
 def test_crash_spawn_under_dynamic_goals_draws_its_own_aim():
@@ -368,7 +376,7 @@ def test_action_domain_is_enforced():
 
 
 def test_park_at_center_pays_full_reward():
-    env = make_env({"_numParkedCars": 4}, seed=12)
+    env = make_env({"_numParkedCars": 4, "rewReachGoal": 3.0}, seed=12)
     sid = space_at(env, 22.0, 3.5)
     assert sid in env.world.free_space_ids()
     sp = env.world.spaces[sid]
@@ -376,7 +384,7 @@ def test_park_at_center_pays_full_reward():
     parked_before = len(env.world.parked)
     out = env.step(ActionTuple(0, 0))
     assert out.terminal == "parked"
-    assert out.reward == 10.0  # no velocity or heading penalty configured
+    assert out.reward == 3.0  # no velocity or heading penalty configured
     assert out.velocity == 0
     assert env.stats["parked"] == 1
     # the freed-up space got refilled by the relocated parked car
@@ -412,7 +420,15 @@ def test_reverse_park_pays_the_velocity_penalty():
     out = env.step(ActionTuple(0, 0))
     assert out.terminal == "parked"
     assert out.velocity == -1
-    assert out.reward == 10.0 - 0.25 * 1 / 2  # vmax = max(2, 1)
+    assert out.reward == 10.0 - 0.25 * 1 / 2  # speed bound max(2, 1)
+    # a reverse bound of 3 above the forward bound of 1 sets the bound
+    env = make_env({"_numParkedCars": 0, "rewFinalVelocitySum": 0.5,
+                    "_minVelocityMagnitude": 3}, seed=12)
+    place(env, 0, sp.x, sp.y - 3.0, 4, v=-3, goal=sid)  # three units south
+    out = env.step(ActionTuple(0, 0))
+    assert out.terminal == "parked"
+    assert out.velocity == -3
+    assert out.reward == 10.0 - 0.5  # 0.5 * |-3| / max(1, 3)
 
 
 def test_park_threshold_is_closed():
@@ -501,6 +517,23 @@ def test_dense_reward_smoothness_penalty():
     place(scaled, 0, 17.0, 20.0, 12, goal=space_at(scaled, 17.0, 3.5))
     out = scaled.step(ActionTuple(0, 3))  # v stays 0: no scaled penalty
     assert out.reward == pytest.approx(-0.2 / 200, rel=1e-12)
+
+    # scaled by |v| over the speed bound, here the reverse bound 3
+    scaled = make_env({"_minVelocityMagnitude": 3, "rewDeltaThetaSum": 0.1,
+                       "_rewDeltaThetaVelMult": True, "rewDistSum": 0.0},
+                      seed=15)
+    place(scaled, 0, 37.0, 37.0, 0, v=-2)
+    out = scaled.step(ActionTuple(0, 1))  # a full-rate turn reversing at 2
+    assert out.terminal is None
+    assert out.reward == pytest.approx(-0.5 / 85 - 0.1 / 85 * 2 / 3,
+                                       rel=1e-12)
+
+    # no angular velocity to normalize by: the penalty is skipped
+    no_turn = make_env({"_maxDeltaThetaMagnitude": 0,
+                        "rewDeltaThetaSum": 0.1}, seed=15)
+    place(no_turn, 0, 37.0, 37.0, 0, v=0)
+    out = no_turn.step(ActionTuple(0, 0))
+    assert out.reward == pytest.approx(-0.5 / 85, rel=1e-12)
 
 
 # ------------------------------------------------------------ goal transitions
@@ -902,6 +935,28 @@ def test_lone_car_counts_wall_rings_every_tick():
     out = env.step(ActionTuple(0, 0))
     assert out.terminal is None
     assert env.agents[0].cur_rings == (2, 0)
+
+
+def test_ring_history_holds_the_counts_of_earlier_ticks():
+    """Stepping fills the history: each ring{i}-prev{h} feature reads that
+    ring's count h ticks earlier, and 0 before the episode began."""
+    env = make_env({"_obsRings": True, "_ringMaxNumObjTrack": 4,
+                    "ringDiams": [55, 57, 59, 61], "_ringOnlyWall": True,
+                    "_ringNumPrevObs": 2, "_maxSteps": 200}, seed=5)
+    # drive south toward the bottom wall, one ring more inside per tick
+    place(env, 0, 37.0, 31.0, 4, v=1)
+    seen = [env.agents[0].cur_rings]
+    names = [f.name for f in env.schema.features]
+    for t in range(1, 5):
+        assert env.step(ActionTuple(0, 0)).terminal is None
+        seen.append(env.agents[0].cur_rings)
+        obs = dict(zip(names, env.observe(0)))
+        for h in range(3):
+            tag = "" if h == 0 else f"-prev{h}"
+            want = seen[t - h] if t >= h else (0,) * 4
+            assert tuple(obs[f"ring{i}{tag}"] for i in range(4)) == want
+    assert seen == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1),
+                    (1, 1, 1, 1)]
 
 
 @pytest.mark.xfail(strict=True, reason=(

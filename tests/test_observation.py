@@ -6,6 +6,7 @@ import pytest
 
 from carpark.config import config_from_mapping
 from carpark.env import ParkingEnv
+from carpark.geometry import round_half_up
 from carpark.observation import (
     build_action_schema,
     build_observation,
@@ -13,6 +14,8 @@ from carpark.observation import (
     decode_action,
     encode_state,
 )
+from carpark.qlearning import QSchedule, train_q
+from carpark.world import MAX_WORLD_DISTANCE
 
 BASIC = config_from_mapping({})
 
@@ -91,6 +94,32 @@ def test_normalized_velocity_half():
     assert obs[0] == 0.5
     obs = build_observation(schema, cfg, [-2, 0.0], "normalized")
     assert obs[0] == -0.5
+
+
+def test_velocity_bound_is_the_larger_of_the_two_speeds():
+    # a reverse bound of 3 above the forward bound of 1: -3 is the far end
+    # of the normalized range, and the discrete index is v + 3
+    mapping = {"_maxVelocityMagnitude": 1, "_minVelocityMagnitude": 3}
+    cfg = config_from_mapping({**mapping, "_normalizeObs": True})
+    schema = build_schema(cfg)
+    assert build_observation(schema, cfg, [-3, 0.0], "normalized")[0] == -1.0
+    assert build_observation(schema, cfg, [1, 0.0], "normalized")[0] == 1 / 3
+    cfg = config_from_mapping(mapping)
+    schema = build_schema(cfg)
+    assert schema.discrete_dims()[0] == 5
+    assert [build_observation(schema, cfg, [v, 0.0], "discrete")[0]
+            for v in range(-3, 2)] == [0, 1, 2, 3, 4]
+
+
+def test_distance_granularity_sets_the_goal_distance_domain():
+    cfg = config_from_mapping({"_obsDist": True, "_distGranularity": 2.0})
+    want = round_half_up(MAX_WORLD_DISTANCE / 2.0) + 1
+    assert build_schema(cfg).discrete_dims() == [3, want, 8]
+    assert build_observation(build_schema(cfg), cfg, [0, 7.0, 0.0],
+                             "discrete") == [1, 4, 0]  # 7 / 2 rounds up
+    table = train_q(cfg, QSchedule(alpha=0.1, gamma=0.9, epsilon=0.0,
+                                   train_episodes=1), seed=0).table
+    assert table.values.shape == (3 * want * 8, 9)
 
 
 def test_normalized_values_bounded():

@@ -244,16 +244,16 @@ def test_batched_queries_equal_scalar_loops(env, data):
     # caps of 0 and 1, and one above every wall and car together
     cap = draw(st.sampled_from([0, 1, 2, 3, 4, len(WALLS) + len(cars) + 1]))
     spec = RingSpec(tuple(diams), cap, walls_only=draw(st.booleans()))
-    # seen from every agent, as a tick senses, and from one, as a respawn
-    for rows in (range(len(agents)), [one]):
-        seen = [(k, agents[k]) for k in rows]  # agent k is column k
-        view = WorldArrays(world, rows, with_spaces=True)
-        assert world.nearest_cars(n, fov, view) == [
-            oracle_nearest_cars(world, a.x, a.y, k, n, fov) for k, a in seen]
-        assert world.nearest_free_spaces(n, view) == [
-            oracle_nearest_free_spaces(world, a.x, a.y, n) for _, a in seen]
-        assert world.ring_counts(spec, view) == [
-            oracle_ring_counts(world, a.x, a.y, k, spec) for k, a in seen]
+    # seen from every agent; agent k is column k
+    view = WorldArrays(world, with_spaces=True)
+    assert world.nearest_cars(n, fov, view) == [
+        oracle_nearest_cars(world, a.x, a.y, k, n, fov)
+        for k, a in enumerate(agents)]
+    assert world.nearest_free_spaces(n, view) == [
+        oracle_nearest_free_spaces(world, a.x, a.y, n) for a in agents]
+    assert world.ring_counts(spec, view) == [
+        oracle_ring_counts(world, a.x, a.y, k, spec)
+        for k, a in enumerate(agents)]
     # plain loops, one body at a time, and the broad phase through the view
     # from the agents
     view = WorldArrays(world)

@@ -260,9 +260,9 @@ def test_nearest_cars_order_and_fov():
     w.parked.append(CarBody(30.0, 33.0, 0))
     w.parked.append(CarBody(70.0, 30.0, 0))
     w.parked_space.extend([0, 1])
-    [got] = w.nearest_cars(5, 20.0, WorldArrays(w, [0]))
+    got = w.nearest_cars(5, 20.0, WorldArrays(w))[0]
     assert got == [2, 1]  # 3.0 before 4.0; column 3 out of range
-    [got] = w.nearest_cars(1, 20.0, WorldArrays(w, [0]))
+    got = w.nearest_cars(1, 20.0, WorldArrays(w))[0]
     assert got == [2]
 
 
@@ -275,9 +275,9 @@ def test_nearest_cars_tie_breaks_by_column():
     w.parked.append(CarBody(35.0, 30.0, 0))  # column 2
     w.parked.append(CarBody(25.0, 30.0, 0))  # column 3
     w.parked_space.extend([0, 1])
-    [got] = w.nearest_cars(3, 50.0, WorldArrays(w, [0]))
+    got = w.nearest_cars(3, 50.0, WorldArrays(w))[0]
     assert got == [1, 2, 3]
-    [got] = w.nearest_cars(1, 50.0, WorldArrays(w, [0]))
+    got = w.nearest_cars(1, 50.0, WorldArrays(w))[0]
     assert got == [1]
 
 
