@@ -24,6 +24,40 @@ from .world import MAX_WORLD_DISTANCE, SPACE_POSES, SPACE_TURNS, RingSpec
 
 _RD_PATTERN = re.compile(r"^_rd(\d+)$")
 
+# a settings field's declared type -> its kind, which says what values
+# the field takes (check_types) and how a parsed one coerces (_coerce)
+_TYPE_KINDS = {"bool": "bool", "int": "int", "int | None": "int?",
+               "float": "float", "tuple[int, ...]": "int_tuple"}
+# kind -> the types its values may have, and how to say so; a bool is an
+# int in Python, and only a bool field takes one
+_KIND_TYPES = {"bool": ((bool,), "a bool"), "int": ((int,), "an int"),
+               "int?": ((int, type(None)), "an int or None"),
+               "float": ((int, float), "an int or a float")}
+
+
+def _check_kind(name: str, kind: str, value) -> None:
+    if kind == "int_tuple":
+        if not isinstance(value, tuple):
+            raise ValueError(f"{name}: must be a tuple, got "
+                             f"{type(value).__name__}")
+        for i, item in enumerate(value):
+            _check_kind(f"{name}[{i}]", "int", item)
+        return
+    types, words = _KIND_TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and kind != "bool"):
+        raise ValueError(f"{name}: must be {words}, got {value!r}")
+
+
+def check_types(settings) -> None:
+    """Refuse, with a ValueError naming the field, a value of the wrong
+    type in any field of a settings dataclass, by the kind of its declared
+    type: ints (not bools) for int, ints or floats (not bools) for float,
+    bools for bool, an int or None for int | None, a tuple of ints for
+    tuple[int, ...]."""
+    for f in fields(settings):
+        _check_kind(f.name, _TYPE_KINDS[f.type], getattr(settings, f.name))
+
 
 @dataclass(frozen=True)
 class EnvironmentConfig:
@@ -162,6 +196,7 @@ class EnvironmentConfig:
     def validate(self) -> None:
         """Refuse, naming the field or feature, a value the environment
         cannot run; construction calls it, so every config has passed."""
+        check_types(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not math.isfinite(value):
@@ -216,9 +251,6 @@ class EnvironmentConfig:
             )
         if self._maxSteps < 1:
             raise ValueError("_maxSteps: must be >= 1")
-        if not isinstance(self.ringDiams, tuple):
-            raise ValueError(f"ringDiams: must be a tuple, got "
-                             f"{type(self.ringDiams).__name__}")
         if self._obsRings != bool(self.ringDiams):
             raise ValueError(
                 "ringDiams: must be non-empty exactly when _obsRings is set"
@@ -293,8 +325,6 @@ def _coerce(name: str, kind: str, value):
     raise TypeError(f"{name}: expected {kind}, got {value!r}")
 
 
-_TYPE_KINDS = {"bool": "bool", "int": "int", "int | None": "int?",
-               "float": "float", "tuple[int, ...]": "int_tuple"}
 # each mapping key's kind; a field of another type fails the import
 _KINDS = {("try" if f.name == "try_" else f.name): _TYPE_KINDS[f.type]
           for f in fields(EnvironmentConfig)}

@@ -12,10 +12,12 @@ center-distance matrix from every agent to every car and space gives each
 agent's nearest-car list and nearest-car distance and each space's
 closest-agent distances.
 
-Every world query is seen from all agents through a `WorldArrays` view:
-the tick's view serves collisions, tracking, ring counts and the sensing
-pass, and a respawn builds a fresh view and reads the respawned agent's
-row of it. Everything `observe` reads is derived state that `reset` and
+Every world query is seen from all agents through one view per world
+state, `_seen`, a `WorldArrays` that `_look` builds when something moves
+(after the tick's moves and after each respawn) and nowhere else; a lone
+car with fixed goals has nothing to sense and no view. The sensing pass
+reads the current view, so after respawns it reuses the last one.
+Everything `observe` reads is derived state that `reset` and
 `step_all` leave behind: the ring counts (`cur_rings`, from the tracking
 phase or a respawn), and the nearest-car lists (`nearby`) and the space
 table behind `global_info` from the sensing pass. The next tick's
@@ -169,6 +171,8 @@ class ParkingEnv:
 
         if rng is None:
             rng = _random.Random(seed)
+        elif seed is not None:
+            raise ValueError("ParkingEnv takes an rng or a seed, not both")
         self.rng = rng
         self.cfg = cfg
         self.grid: GridSpec = cfg.grid()
@@ -187,10 +191,8 @@ class ParkingEnv:
         self._space_agent_d: list[list[float]] = []
         self._space_near: list[float] = []
         self._space_goal_near: list[float | None] = []
-        # the sensing pass's array view, and the nearest-car distances
-        # taken from it on the first nearest_car_distance call
-        self._sensed: WorldArrays | None = None
-        self._nearest_car_d: list[float] | None = None
+        # the one view of the current world state (see _look)
+        self._seen: WorldArrays | None = None
         # running totals, read by trainers for metric recording
         self.stats = {
             "episodes": 0,
@@ -392,16 +394,16 @@ class ParkingEnv:
         agent.steps_toward_goal = 0
         agent.steps_toward_space_exploring = 0
         agent.ring_history = []
-        # one view from all agents serves tracking and rings; the respawned
-        # agent reads its own row
-        view = WorldArrays(self.world, with_spaces=agent.tracker is not None)
+        # the placement moved a car; the respawned agent reads its own row
+        # of the new view
+        self._look()
         if agent.tracker:
             agent.tracker.reset()
             agent.tracker.update(self.world.nearest_free_spaces(
-                agent.tracker.n_space, view)[agent_i])
+                agent.tracker.n_space, self._seen)[agent_i])
         if self.ring_spec:
             agent.cur_rings = self.world.ring_counts(
-                self.ring_spec, view)[agent_i]
+                self.ring_spec, self._seen)[agent_i]
         agent.prev_goal_distance = self._goal_distance(agent)
 
     # ------------------------------------------------------------- queries
@@ -413,42 +415,34 @@ class ParkingEnv:
         return math.hypot(sp.x - agent.body.x, sp.y - agent.body.y)
 
     def nearest_car_distance(self, agent_i: int) -> float:
-        """Center distance to the closest other car; arena diagonal when
-        there are no other cars. Taken from the sensing pass."""
-        if self._nearest_car_d is None:
-            view = self._sensed
-            nearest = (view.nearest_other_car() if view is not None
-                       else [math.inf] * len(self.agents))
-            self._nearest_car_d = [min(d, MAX_WORLD_DISTANCE) for d in nearest]
-        return self._nearest_car_d[agent_i]
+        """Center distance to the closest other car, as the current view
+        keeps it; the arena diagonal for a lone car with fixed goals, which
+        has no view and no other car."""
+        seen = self._seen
+        return (MAX_WORLD_DISTANCE if seen is None
+                else seen.nearest_other_car()[agent_i])
 
-    def _view(self) -> WorldArrays | None:
-        """A view of the world from the agents, with the space columns for
-        dynamic goals; None for a lone car with fixed goals, which has
-        nothing to sense."""
+    def _look(self) -> None:
+        """Make `_seen` the view of the world as it is now, from all agents.
+        Called exactly when something has moved: after the tick's moves and
+        after each respawn; the env builds a view nowhere else. A lone car
+        with fixed goals has nothing to sense, so its view is None."""
         world = self.world
-        if self.cfg._dynamicGoals:
-            return WorldArrays(world, with_spaces=True)
-        if len(world.agents) + len(world.parked) > 1:
-            return WorldArrays(world)
-        return None
+        self._seen = (WorldArrays(world) if self.cfg._dynamicGoals
+                      or len(world.agents) + len(world.parked) > 1 else None)
 
-    def _sense(self, arrays: WorldArrays | None = None) -> None:
-        """The sensing pass, run at the end of reset and step_all: one
-        center-distance matrix from every agent to every car and space
-        fills each agent's nearest-car list and (with dynamic goals) the
-        space table, and is kept for nearest_car_distance. The space table
-        holds every agent's distance to each space, the closest of them (a
-        column min, exact like min) and the closest among the agents whose
-        goal the space is, with goals as they are now. `arrays`, if the
-        caller has it, is the world's current view from the agents."""
+    def _sense(self) -> None:
+        """The sensing pass, run at the end of reset and step_all on the
+        current view: one center-distance matrix from every agent to every
+        car and space fills each agent's nearest-car list and (with dynamic
+        goals) the space table. The space table holds every agent's
+        distance to each space, the closest of them (a column min, exact
+        like min) and the closest among the agents whose goal the space is,
+        with goals as they are now."""
         cfg = self.cfg
         world = self.world
         agents = self.agents
-        if arrays is None:
-            arrays = self._view()
-        self._sensed = arrays
-        self._nearest_car_d = None
+        arrays = self._seen
         if arrays is None:
             return
         if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
@@ -693,25 +687,24 @@ class ParkingEnv:
             ev.omega = action.omega
             ev.velocity = v
 
-        # phase 3: collisions on post-move poses; one array view serves
-        # phases 3, 4 and 6 (unless someone respawns), as nothing moves in
-        # between
-        arrays = self._view()
+        # phase 3: collisions on post-move poses; the cars moved, so a new
+        # view, which serves phases 3, 4 and 6 unless someone respawns
+        self._look()
+        seen = self._seen
         crashed: dict[int, str] = {}
-        for i, kind in enumerate(world.collides_static(world.agents, arrays)):
+        for i, kind in enumerate(world.collides_static(world.agents, seen)):
             if kind is not None:
                 crashed[i] = kind
-        for i, j in world.agent_contacts(arrays):
+        for i, j in world.agent_contacts(seen):
             crashed.setdefault(i, "agent-car")
             crashed.setdefault(j, "agent-car")
 
         # phase 4: tracking refresh, lost goals, park checks, rewards
         if dynamic:
-            tracked = world.nearest_free_spaces(cfg.tracked_spaces, arrays)
+            tracked = world.nearest_free_spaces(cfg.tracked_spaces, seen)
             occupied_ids = world.occupied_space_ids()
         if ring_spec:
-            # a lone car with fixed goals has no tick view; it counts walls
-            rings = world.ring_counts(ring_spec, arrays or WorldArrays(world))
+            rings = world.ring_counts(ring_spec, seen)
             history_len = cfg._ringNumPrevObs
         tau = cfg._maxSteps
         terminals: list[int] = []
@@ -785,11 +778,9 @@ class ParkingEnv:
                     events[i].lost_goal = True
                     self.stats["lost_goal"] += 1
 
-        # phase 6: the sensing pass on the final state of the tick
-        if terminals:
-            arrays = self._view()
-        if arrays is not None:
-            self._sense(arrays)
+        # phase 6: the sensing pass on the final state of the tick, whose
+        # view is the last respawn's, if anyone respawned
+        self._sense()
         return events
 
     def step(self, action: ActionTuple) -> StepOutcome:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EnvironmentConfig
+from .config import EnvironmentConfig, check_types
 from .env import ActionTuple, ParkingEnv
 from .metrics import (
     DEFAULT_SUMMARY_FREQ,
@@ -67,6 +67,7 @@ class PpoHyper:
     layers: int = 3
 
     def __post_init__(self):
+        check_types(self)
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be positive: {self.total_steps}")
         for name in ("lr", "beta", "epsilon_clip"):

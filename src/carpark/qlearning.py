@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EnvironmentConfig
+from .config import EnvironmentConfig, check_types
 from .env import ActionTuple, ParkingEnv
 from .metrics import (
     DEFAULT_SUMMARY_FREQ,
@@ -117,14 +117,16 @@ class QSchedule:
     decay_episodes: int | None = None  # None decays over the whole phase
 
     def __post_init__(self):
+        check_types(self)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1]: {self.alpha}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1): {self.epsilon}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1]: {self.gamma}")
-        if self.train_episodes < 0 or self.eval_episodes < 0:
-            raise ValueError("episode counts cannot be negative")
+        for name in ("train_episodes", "eval_episodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative")
         if self.decay_episodes is not None:
             if self.decay_episodes < 1:
                 raise ValueError("decay_episodes must be positive")

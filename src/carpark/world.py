@@ -210,24 +210,24 @@ class WorldArrays:
 
     Rows are the agents, in agent order. Columns are the cars in
     ``all_cars()`` order (agents, then parked cars, so agent i is column
-    i), then, if `with_spaces`, the parking spaces in space-id order.
-    Every batched query of a tick reads the same offsets and distances
-    from here. Each field is computed on first use and then kept, so a
-    view is valid only until something in the world moves; a view nothing
-    reads costs no array work.
+    i), then the parking spaces in space-id order. Every batched query of
+    a world state reads the same offsets and distances from here. Each
+    field is computed on first use and then kept, so a view is valid only
+    until something in the world moves, and its owner builds one view per
+    world state, when something moves; a view nothing reads costs no
+    array work.
     """
 
-    __slots__ = ("world", "cars", "na", "nc", "with_spaces",
-                 "_offsets", "_dist", "_by_distance", "_near")
+    __slots__ = ("world", "cars", "na", "nc",
+                 "_offsets", "_dist", "_by_distance", "_near", "_nearest")
 
-    def __init__(self, world: "WorldState", with_spaces: bool = False):
+    def __init__(self, world: "WorldState"):
         self.world = world
         self.cars = world.agents + world.parked
         self.na = len(world.agents)
         self.nc = len(self.cars)
-        self.with_spaces = with_spaces
         self._offsets = self._dist = self._by_distance = None
-        self._near = None
+        self._near = self._nearest = None
 
     def offsets(self) -> np.ndarray:
         """Column center minus agent, shape (2, agents, columns): x
@@ -235,11 +235,8 @@ class WorldArrays:
         if self._offsets is None:
             import numpy as np
             cars = self.cars
-            if self.with_spaces:
-                xy = ([c.x for c in cars] + SPACE_X
-                      + [c.y for c in cars] + SPACE_Y)
-            else:
-                xy = [c.x for c in cars] + [c.y for c in cars]
+            xy = ([c.x for c in cars] + SPACE_X
+                  + [c.y for c in cars] + SPACE_Y)
             p = np.fromiter(xy, float, len(xy)).reshape(2, -1)
             q = p[:, :self.na]
             self._offsets = p[:, None, :] - q[:, :, None]
@@ -286,11 +283,14 @@ class WorldArrays:
         return self._near
 
     def nearest_other_car(self) -> list[float]:
-        """Per agent, the center distance to the closest other car (inf
-        when there is none)."""
-        return [next((row[j] for j in order if j != own), math.inf)
+        """Per agent, the center distance to the closest other car, or
+        MAX_WORLD_DISTANCE when there is none."""
+        if self._nearest is None:
+            self._nearest = [
+                next((row[j] for j in order if j != own), MAX_WORLD_DISTANCE)
                 for own, (order, row) in enumerate(
                     zip(*self.cars_by_distance()))]
+        return self._nearest
 
 
 # ---------------------------------------------------------------- world state
@@ -404,20 +404,20 @@ class WorldState:
                 if i < j < na
                 and obb_intersects(agents[i], agents[j], self.scale, self.grid)]
 
-    def ring_counts(self, spec: RingSpec, arrays: WorldArrays):
+    def ring_counts(self, spec: RingSpec, arrays: WorldArrays | None):
         """Per agent, the obstacles strictly inside each ring's disk around
         it, capped at max_count: one tuple per agent. An obstacle is inside
         when its hitbox is closer to the agent than the ring radius; the
         agent's own car never counts.
 
         The exact scalar distance decides every obstacle. Walls, a handful,
-        are all measured. A car can only be inside when its center is
+        are all measured; with no view (a lone car with fixed goals has
+        none) only they count. A car can only be inside when its center is
         within the largest radius plus its circumradius, so each agent
         walks its distance-sorted cars from `arrays` up to that reach (plus
         REACH_SLACK), and stops as soon as every ring is at the cap."""
         radii = [d / 2.0 for d in spec.diameters]
         cap = spec.max_count
-        cars = arrays.cars
         counts = []
         for car in self.agents:
             x, y = car.x, car.y
@@ -433,7 +433,9 @@ class WorldState:
                 row.append(n if n < cap else cap)
             counts.append(row)
         # nothing to walk when the only car is the agent's own
-        if not spec.walls_only and radii and arrays.nc > 1:
+        if (arrays is not None and not spec.walls_only and radii
+                and arrays.nc > 1):
+            cars = arrays.cars
             grid = self.grid
             scale = self.scale
             reach = max(radii) + CAR_CIRCUMRADIUS * scale + REACH_SLACK
@@ -475,7 +477,7 @@ class WorldState:
         return out
 
     def nearest_free_spaces(self, n_space: int, arrays: WorldArrays):
-        """Per agent, from `arrays`, which has the space columns, up to
+        """Per agent, from the space columns of `arrays`, up to
         n_space free spaces, ascending center distance, ties by space id.
         Slot stability lives in SpaceTracker."""
         if n_space <= 0:

@@ -41,6 +41,7 @@ ENV = "src/carpark/env.py"
 CONFIG = "src/carpark/config.py"
 METRICS = "src/carpark/metrics.py"
 PPO = "src/carpark/ppo.py"
+QLEARNING = "src/carpark/qlearning.py"
 
 MUTANTS = [
     # reward and goal-transition read sites
@@ -74,12 +75,27 @@ MUTANTS = [
      "        return self._maxDeltaVMagnitude\n"),
     (CONFIG, "if self.max_reverse_accel < 0:", "if False:"),
     (CONFIG, 'kwargs["ringDiams"] = tuple(diams)', 'kwargs["ringDiams"] = diams'),
-    (CONFIG, "if not isinstance(self.ringDiams, tuple):", "if False:"),
+    (CONFIG, "if not isinstance(value, tuple):", "if False:"),
     (CONFIG, 'return None if value is None else _coerce(name, "int", value)',
      'return _coerce(name, "int", value)'),
     (CONFIG, '    sig["_minDeltaVMagnitude"] = cfg.max_reverse_accel\n', ""),
     (METRICS, 'raise ValueError(f"{model_dir}: no training boundary recorded")',
      "boundary = 0"),
+    # one view per world state: each move builds one, and the sensing pass
+    # reads the current one
+    (ENV, "        # of the new view\n        self._look()\n",
+     "        # of the new view\n"),
+    (ENV, "        # view, which serves phases 3, 4 and 6 unless someone respawns\n"
+          "        self._look()\n",
+     "        # view, which serves phases 3, 4 and 6 unless someone respawns\n"),
+    (ENV, "        self._sense()\n        return events\n",
+     "        return events\n"),
+    (ENV, "elif seed is not None:", "elif False:"),
+    # typed settings
+    (CONFIG, "        check_types(self)\n", ""),
+    (CONFIG, 'and kind != "bool"):', "and False):"),
+    (PPO, "        check_types(self)\n", ""),
+    (QLEARNING, "        check_types(self)\n", ""),
 ]
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(EnvironmentConfig)}

@@ -71,14 +71,24 @@ def test_rd_overrides_explicit_list():
     assert cfg.ringDiams == (14, 9)
 
 
+# the message of a value of the wrong type for its field
+WRONG_TYPE = re.compile(r"^([\w\[\]]+): must be an? [^,]*, got ")
+
+
 def refused(kw, pattern):
     """Construction and config_from_mapping refuse kw alike, with one
-    ValueError message that pattern matches."""
+    ValueError message that pattern matches; a value of the wrong type is
+    refused by config_from_mapping's coercion first, with a TypeError
+    naming the same field."""
     with pytest.raises(ValueError, match=pattern) as direct:
         EnvironmentConfig(**kw)
-    with pytest.raises(ValueError) as parsed:
+    wrong_type = WRONG_TYPE.match(str(direct.value))
+    with pytest.raises(TypeError if wrong_type else ValueError) as parsed:
         config_from_mapping(kw)
-    assert str(parsed.value) == str(direct.value)
+    if wrong_type:
+        assert str(parsed.value).startswith(wrong_type.group(1) + ": expected ")
+    else:
+        assert str(parsed.value) == str(direct.value)
 
 
 # each built a ParkingEnv when constructed directly, since only
@@ -97,11 +107,34 @@ DIRECT_REFUSALS = [
     ({"_distGranularity": 2.2250738585072014e-308},
      "^_distGranularity: 2.22507e-308 gives the goal distance an infinite "
      "number of cells$"),
+    # a value of the wrong type; each ran, or failed naming no field
+    ({"_obsDist": "yes"}, "^_obsDist: must be a bool, got 'yes'$"),
+    ({"_obsRings": 1, "ringDiams": (11,), "_ringMaxNumObjTrack": 1},
+     "^_obsRings: must be a bool, got 1$"),
+    ({"_maxSteps": 10.5}, "^_maxSteps: must be an int, got 10.5$"),
+    ({"_numAgents": 2.5}, "^_numAgents: must be an int, got 2.5$"),
+    ({"_numAgents": True}, "^_numAgents: must be an int, got True$"),
+    ({"rewCrash": True}, "^rewCrash: must be an int or a float, got True$"),
+    ({"_minDeltaVMagnitude": 1.5},
+     "^_minDeltaVMagnitude: must be an int or None, got 1.5$"),
+    ({"ringDiams": (11.5,), "_obsRings": True, "_ringMaxNumObjTrack": 1},
+     r"^ringDiams\[0\]: must be an int, got 11.5$"),
 ]
 
 
+def case_ids(cases):
+    """Each case's first key, with its value's type name when the key
+    has come before."""
+    ids = []
+    for kw, _ in cases:
+        key = next(iter(kw))
+        ids.append(f"{key}-{type(kw[key]).__name__}"
+                   if any(i.split("-")[0] == key for i in ids) else key)
+    return ids
+
+
 @pytest.mark.parametrize("kw, pattern", DIRECT_REFUSALS,
-                         ids=[next(iter(kw)) for kw, _ in DIRECT_REFUSALS])
+                         ids=case_ids(DIRECT_REFUSALS))
 def test_direct_construction_validates(kw, pattern):
     refused(kw, pattern)
     with pytest.raises(ValueError, match=pattern):
@@ -243,7 +276,7 @@ def test_negative_counts_and_distances_are_refused_by_name(doc, name):
                                   "_obsNearbyCarsCount", "_spawnCloseDist",
                                   "carSpawnMinDistance"])
 def test_only_the_deceleration_bound_may_be_none(name):
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=f"^{name}: must be an int, got None$"):
         EnvironmentConfig(**{name: None})
 
 

@@ -92,12 +92,12 @@ def place(env, i, x, y, theta, v=0, goal="keep", refresh=True):
     agent.v = v
     if goal != "keep":
         agent.goal_space = goal
-    view = WorldArrays(env.world, with_spaces=True)
+    env._look()  # the agent moved: a new view of the world
     if agent.tracker and refresh:
         agent.tracker.update(env.world.nearest_free_spaces(
-            agent.tracker.n_space, view)[i])
+            agent.tracker.n_space, env._seen)[i])
     if env.ring_spec:
-        agent.cur_rings = env.world.ring_counts(env.ring_spec, view)[i]
+        agent.cur_rings = env.world.ring_counts(env.ring_spec, env._seen)[i]
         agent.ring_history = []
     agent.prev_goal_distance = env._goal_distance(agent)
     env._sense()  # the nearest-car lists and the space table
@@ -971,6 +971,72 @@ def test_reset_rings_count_every_placed_agent():
         env.ring_spec, WorldArrays(env.world))  # [(4,), (4,), (2,), (2,)]
 
 
+# ---------------------------------------------------------------------- views
+
+
+def count_views(monkeypatch):
+    """The worlds of the views the env builds from now on, one per view."""
+    import carpark.env
+
+    built = []
+    view = carpark.env.WorldArrays
+    monkeypatch.setattr(carpark.env, "WorldArrays",
+                        lambda world: built.append(world) or view(world))
+    return built
+
+
+def test_a_tick_builds_one_view_and_one_per_respawn(monkeypatch):
+    """The world moves once in a tick and once in each respawn, and the
+    env builds one view per world state: the sensing pass at the end of
+    the tick reuses the last."""
+    env = make_env({"_numAgents": 3, "_numParkedCars": 4}, seed=9)
+    built = count_views(monkeypatch)
+    outs = env.step_all(still(env))
+    assert [o.terminal for o in outs] == [None, None, None]
+    assert built == [env.world]
+    g0, g1 = env.agents[0].goal_space, env.agents[1].goal_space
+    place(env, 0, 30.0, 30.0, 2, goal=g0)
+    place(env, 1, 35.0, 30.0, 6, goal=g1)  # facing each other, 5 apart
+    built.clear()
+    outs = env.step_all([ActionTuple(1, 0), ActionTuple(1, 0),
+                         ActionTuple(0, 0)])
+    assert [o.terminal for o in outs] == ["crashed", "crashed", None]
+    assert len(built) == 1 + 2
+
+
+def test_reset_builds_one_view_per_agent(monkeypatch):
+    """Each placement moves a car; the sensing pass at the end of reset
+    reads the last placement's view."""
+    env = make_env({"_numAgents": 4, "_numParkedCars": 6,
+                    "_obsNearbyCars": True, "_obsNearbyCarsCount": 2,
+                    "_obsNearbyCarsDiameter": 300, "_normalizeObs": True},
+                   seed=3)
+    built = count_views(monkeypatch)
+    env.reset()
+    assert len(built) == 4
+    assert all(agent.nearby for agent in env.agents)
+
+
+def test_a_lone_car_with_fixed_goals_builds_no_view(monkeypatch):
+    """A lone car with fixed goals has nothing else to sense: its rings
+    count the walls alone, and the nearest car is the arena diagonal."""
+    built = count_views(monkeypatch)
+    env = make_env({"_obsRings": True, "_ringMaxNumObjTrack": 3,
+                    "_rd0": 40}, seed=5)
+    for _ in range(100):
+        env.step(ActionTuple(1, 1))
+    assert env.stats["episodes"] > 0  # respawns build none either
+    assert built == []
+    assert env._seen is None and env.nearest_car_distance(0) == D_MAX
+
+
+def test_rng_and_seed_together_are_refused():
+    # the seed was ignored: rng=Random(1), seed=2 gave the rng's world
+    with pytest.raises(ValueError, match="^ParkingEnv takes an rng or a "
+                                         "seed, not both$"):
+        ParkingEnv(EnvironmentConfig(), rng=random.Random(1), seed=2)
+
+
 # -------------------------------------------------------------- observations
 
 
@@ -1124,6 +1190,7 @@ def test_nearest_cars_of_a_reset_world_tie_by_column():
                       (env.agents[1].body, 37.0, 47.0),
                       (parked[0], 47.0, 37.0), (parked[1], 27.0, 37.0)]:
         car.x, car.y = x, y
+    env._look()
     env._sense()
     assert env.agents[0].nearby == [1, 2, 3]
 

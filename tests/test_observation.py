@@ -200,6 +200,7 @@ def test_dynamic_goal_features():
     me.body.x, me.body.y = goal.x, goal.y
     other.goal_space, other.tracker.slots = None, [near_sid, None]
     other.body.x, other.body.y = near.x, near.y + 4.0
+    env._look()
     env._sense()
     obs = env.observe(0)
     assert obs[names.index("own-goal-slot")] == 1.0  # slot 2 of 2

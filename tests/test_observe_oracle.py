@@ -344,6 +344,7 @@ def test_observe_matches_oracle(name):
                 agent.body.x, agent.body.y = sp.x, sp.y
                 agent.body.theta = sp.theta
                 agent.v = 0
+                env._look()
                 env._sense()
                 keep = (agent.tracker.slot_of(agent.goal_space) + 1 if dynamic
                         else None)

@@ -717,6 +717,12 @@ def test_lr_schedule_endpoints_and_midpoint():
     {"total_steps": 100, "beta": math.inf},
     {"total_steps": 100, "epsilon_clip": math.nan},
     {"total_steps": 100, "epsilon_clip": math.inf},
+    # a value of the wrong type: 64.5 ran 65 agent-steps
+    {"total_steps": 64.5},
+    {"total_steps": True},
+    {"total_steps": 100, "hidden": 2.0},
+    {"total_steps": 100, "lr": True},
+    {"total_steps": 100, "gamma": "0.9"},
 ])
 def test_hyper_rejects_bad_values(kwargs):
     with pytest.raises(ValueError, match=list(kwargs)[-1]):

@@ -167,12 +167,18 @@ def test_schedule_rates():
     {"alpha": float("nan")},
     {"decay_episodes": 0},
     {"decay_episodes": 200},
+    # a value of the wrong type: 2.5 trained 3 episodes
+    {"train_episodes": 2.5},
+    {"eval_episodes": True},
+    {"decay_episodes": 2.5},
+    {"alpha": True},
+    {"epsilon": "0.3"},
 ])
 def test_schedule_rejects_bad_values(kwargs):
     base = {"alpha": 0.1, "gamma": 0.9, "epsilon": 0.3,
             "train_episodes": 100}
     base.update(kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]}"):
         QSchedule(**base)
 
 

@@ -213,6 +213,7 @@ def worlds(draw):
         anchors.append((x, y))
         if dynamic:
             agent.goal_space = draw(st.none() | st.integers(0, 35))
+    env._look()
     env._sense()
     return env
 
@@ -245,7 +246,7 @@ def test_batched_queries_equal_scalar_loops(env, data):
     cap = draw(st.sampled_from([0, 1, 2, 3, 4, len(WALLS) + len(cars) + 1]))
     spec = RingSpec(tuple(diams), cap, walls_only=draw(st.booleans()))
     # seen from every agent; agent k is column k
-    view = WorldArrays(world, with_spaces=True)
+    view = WorldArrays(world)
     assert world.nearest_cars(n, fov, view) == [
         oracle_nearest_cars(world, a.x, a.y, k, n, fov)
         for k, a in enumerate(agents)]
@@ -254,9 +255,8 @@ def test_batched_queries_equal_scalar_loops(env, data):
     assert world.ring_counts(spec, view) == [
         oracle_ring_counts(world, a.x, a.y, k, spec)
         for k, a in enumerate(agents)]
-    # plain loops, one body at a time, and the broad phase through the view
-    # from the agents
-    view = WorldArrays(world)
+    # plain loops, one body at a time, and the broad phase through the
+    # same view
     want = [oracle_collides_static(world, b) for b in agents]
     assert world.collides_static(agents) == want
     assert world.collides_static(agents, view) == want
@@ -305,11 +305,15 @@ def test_tables_follow_every_tick():
                     agent.body.x, agent.body.y = sp.x, sp.y
                     agent.body.theta = sp.theta
                     agent.v = 0
+                    env._look()
                     env._sense()
                     keep = (agent.tracker.slot_of(agent.goal_space) + 1 if dynamic
                             else None)
                     actions[ready[0]] = ActionTuple(0, 0, keep)
             env.step_all(actions)
+            # the view the tables came from is the world as it is now
+            assert (env._seen.distances()
+                    == WorldArrays(env.world).distances()).all()
             check_tables(env)
         assert env.stats["parked"] >= 5
         assert env.stats["crashed"] >= 5

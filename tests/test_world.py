@@ -289,7 +289,7 @@ def test_nearest_free_spaces_skips_occupied():
     # occupy the nearest space (id 0 at (17, 3.5))
     w.parked.append(CarBody(17.0, 3.5, 0))
     w.parked_space.append(0)
-    [got] = w.nearest_free_spaces(3, WorldArrays(w, with_spaces=True))
+    [got] = w.nearest_free_spaces(3, WorldArrays(w))
     assert 0 not in got
     assert got == sorted(got, key=lambda sid: (
         math.hypot(w.spaces[sid].x - 17.0, w.spaces[sid].y - 12.0), sid))
