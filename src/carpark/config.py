@@ -6,10 +6,14 @@ toolchain stay readable in the other. Distances are expressed in three
 scales: world units, velocity-grid quanta, and MDP units (world units times
 2^_positionGranularity); each field notes its scale where it matters.
 
-A config is a value: `EnvironmentConfig` is frozen, stores its inputs as
-given and checks them once, at construction; only its properties derive
-values from them. `config_from_mapping` also warns about the soft
-constraints a valid config can break.
+A config is a value: `EnvironmentConfig` is frozen and checks its inputs
+once, at construction; only its properties derive values from them. Only
+`config_from_mapping` reads text: it turns a string into its field's type,
+an integral float into an int for an int field and a list into a tuple,
+and leaves every other value as given. Construction alone refuses, with a
+ValueError naming the field, so a bad value gets one message however the
+config is built. A float field holds a float. `config_from_mapping` also
+warns about the soft constraints a valid config can break.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .world import MAX_WORLD_DISTANCE, SPACE_POSES, SPACE_TURNS, RingSpec
 _RD_PATTERN = re.compile(r"^_rd(\d+)$")
 
 # a settings field's declared type -> its kind, which says what values
-# the field takes (check_types) and how a parsed one coerces (_coerce)
+# the field takes (check_settings) and how text reads into it (_read)
 _TYPE_KINDS = {"bool": "bool", "int": "int", "int | None": "int?",
                "float": "float", "tuple[int, ...]": "int_tuple"}
 # kind -> the types its values may have, and how to say so; a bool is an
@@ -49,23 +53,51 @@ def _check_kind(name: str, kind: str, value) -> None:
         raise ValueError(f"{name}: must be {words}, got {value!r}")
 
 
-def check_types(settings) -> None:
-    """Refuse, with a ValueError naming the field, a value of the wrong
-    type in any field of a settings dataclass, by the kind of its declared
-    type: ints (not bools) for int, ints or floats (not bools) for float,
-    bools for bool, an int or None for int | None, a tuple of ints for
-    tuple[int, ...]."""
+def check_settings(settings, at_least: dict) -> None:
+    """The one check of a settings dataclass, run at its construction.
+    Refuse, with a ValueError naming the field, a value of the wrong type
+    by the kind of its declared type (ints, not bools, for int; ints or
+    floats, not bools, for float; bools for bool; an int or None for
+    int | None; a tuple of ints for tuple[int, ...]), a float that is not
+    finite, and a field below its least value in at_least (None is not
+    compared). An int given for a float field is stored as a float."""
     for f in fields(settings):
-        _check_kind(f.name, _TYPE_KINDS[f.type], getattr(settings, f.name))
+        value = getattr(settings, f.name)
+        kind = _TYPE_KINDS[f.type]
+        _check_kind(f.name, kind, value)
+        if kind == "float":
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name}: must be finite, got {value}")
+            object.__setattr__(settings, f.name, float(value))
+    for name, least in at_least.items():
+        value = getattr(settings, name)
+        if value is not None and value < least:
+            raise ValueError(f"{name}: must be >= {least}")
+
+
+# each bounded field's least value; an unset deceleration bound resolves
+# to _maxDeltaVMagnitude, which is bounded too
+_AT_LEAST = {
+    "_positionGranularity": 0, "_velocityGranularity": 1,
+    "_maxVelocityMagnitude": 0, "_minVelocityMagnitude": 0,
+    "_maxDeltaVMagnitude": 0, "_minDeltaVMagnitude": 0,
+    "_maxDeltaThetaMagnitude": 0, "_numAgents": 1, "_numParkedCars": 0,
+    "_ringMaxNumObjTrack": 0, "_ringNumPrevObs": 0, "_obsNearbyCarsCount": 0,
+    "_obsNearbyCarsDiameter": 0, "_spawnCloseDist": 0,
+    "carSpawnMinDistance": 0, "spawnCrashTargetAgentMinDist": 0,
+    "_maxSteps": 1, "_obsNearbyParkingSpotsCount": 0,
+}
 
 
 @dataclass(frozen=True)
 class EnvironmentConfig:
     """Frozen, and checked by `validate` at construction however it is
-    built; a bad value raises ValueError naming the field. The fields hold
-    the inputs as given (an unset deceleration bound stays None), so
-    `dataclasses.replace` and a `to_mapping` round trip keep them; the
-    properties resolve what derives from them."""
+    built: construction alone refuses a bad value, with a ValueError
+    naming the field. The fields hold the inputs as given, but that a
+    float field holds a float (an int given for it is stored as one); an
+    unset deceleration bound stays None, so `dataclasses.replace` and a
+    `to_mapping` round trip keep it. The properties resolve what derives
+    from the fields."""
 
     # grid granularities
     _positionGranularity: int = 1
@@ -185,22 +217,14 @@ class EnvironmentConfig:
         return value / (1 << self._positionGranularity)
 
     def to_mapping(self) -> dict:
-        out = {}
-        for f in fields(self):
-            name = "try" if f.name == "try_" else f.name
-            out[name] = getattr(self, f.name)
-        return out
+        return {key: getattr(self, f.name) for key, f in _FIELDS.items()}
 
     # ----------------------------------------------------------- validation
 
     def validate(self) -> None:
         """Refuse, naming the field or feature, a value the environment
         cannot run; construction calls it, so every config has passed."""
-        check_types(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name}: must be finite, got {value}")
+        check_settings(self, _AT_LEAST)
         if self._thetaGranularity < 1 or 360 % self._thetaGranularity != 0:
             raise ValueError(
                 f"_thetaGranularity: {self._thetaGranularity} does not divide 360"
@@ -210,31 +234,6 @@ class EnvironmentConfig:
                 f"_thetaGranularity: {self._thetaGranularity} is not a multiple "
                 f"of the arena's {SPACE_TURNS} space orientations"
             )
-        if self._positionGranularity < 0:
-            raise ValueError("_positionGranularity: must be >= 0")
-        if self._velocityGranularity < 1:
-            raise ValueError("_velocityGranularity: must be >= 1")
-        for name in (
-            "_maxVelocityMagnitude",
-            "_minVelocityMagnitude",
-            "_maxDeltaVMagnitude",
-            "_maxDeltaThetaMagnitude",
-            "_numParkedCars",
-            "_ringMaxNumObjTrack",
-            "_ringNumPrevObs",
-            "_obsNearbyCarsCount",
-            "_obsNearbyCarsDiameter",
-            "_obsNearbyParkingSpotsCount",
-            "_spawnCloseDist",
-            "carSpawnMinDistance",
-            "spawnCrashTargetAgentMinDist",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be >= 0")
-        if self.max_reverse_accel < 0:
-            raise ValueError("_minDeltaVMagnitude: must be >= 0")
-        if self._numAgents < 1:
-            raise ValueError("_numAgents: must be >= 1")
         spaces = len(SPACE_POSES)
         if self._numParkedCars > spaces:
             raise ValueError(
@@ -249,8 +248,6 @@ class EnvironmentConfig:
                 f"fixed goals and {self._numParkedCars} parked cars exceed "
                 f"the arena's {spaces} spaces"
             )
-        if self._maxSteps < 1:
-            raise ValueError("_maxSteps: must be >= 1")
         if self._obsRings != bool(self.ringDiams):
             raise ValueError(
                 "ringDiams: must be non-empty exactly when _obsRings is set"
@@ -286,48 +283,31 @@ class EnvironmentConfig:
 _BOOL_WORDS = {"true": True, "false": False}
 
 
-def _coerce(name: str, kind: str, value):
-    """Coerce a parsed value to the field's table type; strings are accepted
-    since parameters historically travel as serialized text."""
-    if kind == "bool":
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in _BOOL_WORDS:
-            return _BOOL_WORDS[value.lower()]
-    elif kind == "int":
-        if isinstance(value, bool):
-            pass  # bools are ints in Python; reject explicitly
-        elif isinstance(value, int):
-            return value
-        elif isinstance(value, float) and value.is_integer():
-            return int(value)
-        elif isinstance(value, str):
-            try:
-                return int(value)
-            except ValueError:
-                pass
-    elif kind == "float":
-        if isinstance(value, bool):
-            pass
-        elif isinstance(value, (int, float)):
-            return float(value)
-        elif isinstance(value, str):
-            try:
-                return float(value)
-            except ValueError:
-                pass
-    elif kind == "int?":  # the one nullable field: None leaves it unset
-        return None if value is None else _coerce(name, "int", value)
-    elif kind == "int_tuple":
+def _read(kind: str, value):
+    """A parsed value as its field's kind takes it, since parameters
+    travel as serialized text: a string read by the kind, an integral
+    float as an int for an int field, a list as a tuple of read items;
+    anything else as given, for construction to check."""
+    if kind == "int_tuple":
         if isinstance(value, (list, tuple)):
-            return tuple(_coerce(f"{name}[{i}]", "int", item)
-                         for i, item in enumerate(value))
-    raise TypeError(f"{name}: expected {kind}, got {value!r}")
+            return tuple(_read("int", item) for item in value)
+    elif isinstance(value, str):
+        if kind == "bool":
+            return _BOOL_WORDS.get(value.lower(), value)
+        try:
+            return float(value) if kind == "float" else int(value)
+        except ValueError:
+            pass
+    elif (kind in ("int", "int?") and isinstance(value, float)
+          and value.is_integer()):
+        return int(value)
+    return value
 
 
-# each mapping key's kind; a field of another type fails the import
-_KINDS = {("try" if f.name == "try_" else f.name): _TYPE_KINDS[f.type]
-          for f in fields(EnvironmentConfig)}
+# mapping key -> field: each field is its own key, but for try_, whose
+# key is a Python keyword
+_FIELDS = {("try" if f.name == "try_" else f.name): f
+           for f in fields(EnvironmentConfig)}
 
 # Accepted for config compatibility and type-checked, then dropped: the
 # environment reads none of them (debug and visualisation switches, and a
@@ -340,37 +320,42 @@ _IGNORED_KEYS = {
 
 
 def config_from_mapping(doc: dict) -> EnvironmentConfig:
-    """Coerce a parsed document's values to their fields' types, construct
-    the config (which validates it), and warn about soft constraints."""
+    """Read a parsed document's values into their fields' types, construct
+    the config (which refuses a bad one), and warn about soft constraints."""
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
-        raise TypeError(f"environment parameters: expected a mapping, got {type(doc).__name__}")
+        raise ValueError("environment parameters: expected a mapping, got "
+                         f"{type(doc).__name__}")
     kwargs = {}
     ring_overrides: dict[int, int] = {}
     for key, value in doc.items():
         m = _RD_PATTERN.match(str(key))
         if m:
-            ring_overrides[int(m.group(1))] = _coerce(key, "int", value)
+            value = _read("int", value)
+            _check_kind(key, "int", value)
+            ring_overrides[int(m.group(1))] = value
             continue
         if key in _IGNORED_KEYS:
-            _coerce(key, _IGNORED_KEYS[key], value)
+            _check_kind(key, _IGNORED_KEYS[key],
+                        _read(_IGNORED_KEYS[key], value))
             continue
-        if key not in _KINDS:
+        if key not in _FIELDS:
             raise ValueError(f"unknown environment parameter: {key}")
-        attr = "try_" if key == "try" else key
-        kwargs[attr] = _coerce(key, _KINDS[key], value)
-    diams = list(kwargs.get("ringDiams", []))
-    for idx in sorted(ring_overrides):
-        if idx < len(diams):
-            diams[idx] = ring_overrides[idx]
-        elif idx == len(diams):
-            diams.append(ring_overrides[idx])
-        else:
-            raise ValueError(
-                f"_rd{idx}: leaves a gap (only {len(diams)} ring diameters so far)"
-            )
-    kwargs["ringDiams"] = tuple(diams)
+        f = _FIELDS[key]
+        kwargs[f.name] = _read(_TYPE_KINDS[f.type], value)
+    diams = kwargs.get("ringDiams", ())
+    if isinstance(diams, tuple):  # else construction refuses it by name
+        diams = list(diams)
+        for idx in sorted(ring_overrides):
+            if idx < len(diams):
+                diams[idx] = ring_overrides[idx]
+            elif idx == len(diams):
+                diams.append(ring_overrides[idx])
+            else:
+                raise ValueError(f"_rd{idx}: leaves a gap (only {len(diams)} "
+                                 "ring diameters so far)")
+        kwargs["ringDiams"] = tuple(diams)
     cfg = EnvironmentConfig(**kwargs)
     _warn_soft_constraints(cfg)
     return cfg
@@ -380,7 +365,11 @@ def load_config(text: str) -> EnvironmentConfig:
     """Parse a YAML/JSON document of environment parameters."""
     import yaml  # here, so that importing the package does not load PyYAML
 
-    return config_from_mapping(yaml.safe_load(text))
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as e:
+        raise ValueError(f"environment parameters: malformed YAML: {e}") from e
+    return config_from_mapping(doc)
 
 
 def _warn_soft_constraints(cfg: EnvironmentConfig) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EnvironmentConfig, check_types
+from .config import EnvironmentConfig, check_settings
 from .env import ActionTuple, ParkingEnv
 from .metrics import (
     DEFAULT_SUMMARY_FREQ,
@@ -67,30 +67,19 @@ class PpoHyper:
     layers: int = 3
 
     def __post_init__(self):
-        check_types(self)
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be positive: {self.total_steps}")
-        for name in ("lr", "beta", "epsilon_clip"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite: {value}")
-        for name in ("lr", "beta"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} cannot be negative")
-        for name in ("batch", "buffer", "horizon", "epochs", "hidden",
-                     "layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_settings(self, {"total_steps": 1, "lr": 0, "batch": 1,
+                              "buffer": 1, "horizon": 1, "epochs": 1,
+                              "beta": 0, "hidden": 1, "layers": 1})
         if self.batch > self.buffer:
             raise ValueError(
-                f"batch {self.batch} exceeds buffer size {self.buffer}")
+                f"buffer: {self.buffer} is smaller than batch {self.batch}")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1]: {self.gamma}")
+            raise ValueError(f"gamma: must be in [0, 1], got {self.gamma}")
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1]: {self.lam}")
+            raise ValueError(f"lam: must be in [0, 1], got {self.lam}")
         if self.epsilon_clip <= 0.0:
             raise ValueError(
-                f"epsilon_clip must be positive: {self.epsilon_clip}")
+                f"epsilon_clip: must be > 0, got {self.epsilon_clip}")
 
 
 def _orthogonal(rng: np.random.Generator, n_in: int, n_out: int,

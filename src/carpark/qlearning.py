@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EnvironmentConfig, check_types
+from .config import EnvironmentConfig, check_settings
 from .env import ActionTuple, ParkingEnv
 from .metrics import (
     DEFAULT_SUMMARY_FREQ,
@@ -117,23 +117,19 @@ class QSchedule:
     decay_episodes: int | None = None  # None decays over the whole phase
 
     def __post_init__(self):
-        check_types(self)
+        check_settings(self, {"train_episodes": 0, "eval_episodes": 0,
+                              "decay_episodes": 1})
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1]: {self.alpha}")
+            raise ValueError(f"alpha: must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in [0, 1): {self.epsilon}")
+            raise ValueError(f"epsilon: must be in [0, 1), got {self.epsilon}")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1]: {self.gamma}")
-        for name in ("train_episodes", "eval_episodes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cannot be negative")
-        if self.decay_episodes is not None:
-            if self.decay_episodes < 1:
-                raise ValueError("decay_episodes must be positive")
-            if self.decay_episodes > self.train_episodes:
-                raise ValueError(
-                    f"decay_episodes {self.decay_episodes} exceeds the "
-                    f"training phase of {self.train_episodes} episodes")
+            raise ValueError(f"gamma: must be in [0, 1], got {self.gamma}")
+        if (self.decay_episodes is not None
+                and self.decay_episodes > self.train_episodes):
+            raise ValueError(
+                f"decay_episodes: {self.decay_episodes} exceeds the "
+                f"training phase of {self.train_episodes} episodes")
 
     @property
     def total_episodes(self) -> int:

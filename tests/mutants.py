@@ -73,11 +73,8 @@ MUTANTS = [
              "            return self._maxDeltaVMagnitude\n"
              "        return self._minDeltaVMagnitude\n",
      "        return self._maxDeltaVMagnitude\n"),
-    (CONFIG, "if self.max_reverse_accel < 0:", "if False:"),
     (CONFIG, 'kwargs["ringDiams"] = tuple(diams)', 'kwargs["ringDiams"] = diams'),
     (CONFIG, "if not isinstance(value, tuple):", "if False:"),
-    (CONFIG, 'return None if value is None else _coerce(name, "int", value)',
-     'return _coerce(name, "int", value)'),
     (CONFIG, '    sig["_minDeltaVMagnitude"] = cfg.max_reverse_accel\n', ""),
     (METRICS, 'raise ValueError(f"{model_dir}: no training boundary recorded")',
      "boundary = 0"),
@@ -91,11 +88,28 @@ MUTANTS = [
     (ENV, "        self._sense()\n        return events\n",
      "        return events\n"),
     (ENV, "elif seed is not None:", "elif False:"),
-    # typed settings
-    (CONFIG, "        check_types(self)\n", ""),
+    # one check per settings value: typed, finite, lower-bounded, and a
+    # float field holds a float
+    (CONFIG, "        check_settings(self, _AT_LEAST)\n", ""),
+    (CONFIG, "        _check_kind(f.name, kind, value)\n", ""),
     (CONFIG, 'and kind != "bool"):', "and False):"),
-    (PPO, "        check_types(self)\n", ""),
-    (QLEARNING, "        check_types(self)\n", ""),
+    (CONFIG, "    for name, least in at_least.items():",
+     "    for name, least in {}.items():"),
+    (CONFIG, '"_maxSteps": 1, ', ""),
+    (CONFIG, '"_minDeltaVMagnitude": 0,', ""),
+    (CONFIG, "            object.__setattr__(settings, f.name, float(value))\n",
+     ""),
+    (CONFIG, "if not math.isfinite(value):", "if False:"),
+    (PPO, '"horizon": 1, "epochs": 1,', '"horizon": 1,'),
+    (QLEARNING, '"decay_episodes": 1}', "}"),
+    # only config_from_mapping reads text, and names the key it refuses
+    (CONFIG, 'elif (kind in ("int", "int?") and isinstance(value, float)',
+     "elif (False and isinstance(value, float)"),
+    (CONFIG, '            _check_kind(key, "int", value)\n', ""),
+    (CONFIG, "if isinstance(diams, tuple):", "if True:"),
+    (CONFIG, "except yaml.YAMLError as e:", "except ImportError as e:"),
+    (CONFIG, 'raise ValueError("environment parameters: expected a mapping, got "',
+     'raise TypeError("environment parameters: expected a mapping, got "'),
 ]
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(EnvironmentConfig)}

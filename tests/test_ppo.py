@@ -725,8 +725,16 @@ def test_lr_schedule_endpoints_and_midpoint():
     {"total_steps": 100, "gamma": "0.9"},
 ])
 def test_hyper_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError, match=list(kwargs)[-1]):
+    with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]}: "):
         PpoHyper(**kwargs)
+
+
+def test_run_json_records_a_float_setting_as_a_float(tmp_path):
+    hyper = PpoHyper(total_steps=8, lr=0)
+    assert type(hyper.lr) is float
+    train_ppo(norm_cfg(), hyper, str(tmp_path), seed=0)
+    with open(os.path.join(tmp_path, "run.json"), encoding="utf-8") as fh:
+        assert '"lr": 0.0,' in fh.read()
 
 
 # ------------------------------------------------------------- persistence

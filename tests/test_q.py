@@ -178,7 +178,7 @@ def test_schedule_rejects_bad_values(kwargs):
     base = {"alpha": 0.1, "gamma": 0.9, "epsilon": 0.3,
             "train_episodes": 100}
     base.update(kwargs)
-    with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]}"):
+    with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]}: "):
         QSchedule(**base)
 
 
