@@ -58,17 +58,21 @@ def check_settings(settings, at_least: dict) -> None:
     Refuse, with a ValueError naming the field, a value of the wrong type
     by the kind of its declared type (ints, not bools, for int; ints or
     floats, not bools, for float; bools for bool; an int or None for
-    int | None; a tuple of ints for tuple[int, ...]), a float that is not
-    finite, and a field below its least value in at_least (None is not
+    int | None; a tuple of ints for tuple[int, ...]), a float field not
+    finite as a float, and a field below its least value in at_least (None is not
     compared). An int given for a float field is stored as a float."""
     for f in fields(settings):
         value = getattr(settings, f.name)
         kind = _TYPE_KINDS[f.type]
         _check_kind(f.name, kind, value)
         if kind == "float":
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf if value > 0 else -math.inf
             if not math.isfinite(value):
                 raise ValueError(f"{f.name}: must be finite, got {value}")
-            object.__setattr__(settings, f.name, float(value))
+            object.__setattr__(settings, f.name, value)
     for name, least in at_least.items():
         value = getattr(settings, name)
         if value is not None and value < least:

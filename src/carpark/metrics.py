@@ -8,10 +8,12 @@ closed buckets stream to a line-delimited JSON file as they close, which
 means a crashed job still leaves a readable store behind, and the file is
 their only copy. ``read_store`` is the one reader.
 
-Both trainers share the run scaffold here: ``TrainingRun`` steps the
-environment for them, keeps the tick bookkeeping and the training
-boundary, and opens and finishes the run directory; ``evaluate_policy``
-is the greedy evaluation loop behind ``evaluate_q`` and ``evaluate_ppo``.
+Both trainers and evaluation share the run scaffold here:
+``TrainingRun`` plays the one tick loop with a trainer's act and learn
+callbacks, keeps the tick bookkeeping, sets the training boundary, and
+opens and finishes the run directory; ``evaluate_policy`` plays a run
+that opens at its boundary with no learning, and its act, not the loop,
+decides whether agents act greedily (``evaluate_q``, ``evaluate_ppo``).
 A run directory holds ``run.json``, ``metrics.jsonl``, ``rewards.csv``
 and the trained model, ``model.npz``: both trainers' models are npz
 archives written and read through ``save_model`` and ``load_model``.
@@ -366,14 +368,19 @@ class TrainingRecorder:
 
 
 class TrainingRun:
-    """The run scaffold both trainers share.
+    """The run scaffold both trainers and evaluation share.
 
-    ``step`` steps every agent once, counts the agent-steps (the step
-    axis), records the outcomes, collects each finished episode's reward
-    and logs a progress line every ``dump_interval`` episodes. The run
-    starts on the training hitboxes; ``end_training`` marks the training
-    boundary and switches to the true ones. The budget is
-    ``max_episodes`` episodes or ``max_steps`` agent-steps.
+    ``play(act, learn)`` is the one tick loop, run until the phase it
+    started in ends: ``act(step)`` gives every agent's action, in agent
+    order, where step is the agent-step count before the tick; ``step``
+    steps every agent once, counts the agent-steps (the step axis),
+    records the outcomes, collects each finished episode's reward and
+    logs progress every ``dump_interval`` episodes; ``learn``, if given,
+    takes the outcomes. The budget is ``max_episodes`` episodes or
+    ``max_steps`` agent-steps, ``train`` its training part. The run sets
+    the training boundary itself, where the count first reaches ``train``
+    (at the start if ``train <= 0``), and there leaves the training
+    hitboxes for the true ones.
 
     With an output directory, whose basename is the run id, the run
     writes ``run.json`` unfinished when it opens; ``finish`` saves the
@@ -385,16 +392,17 @@ class TrainingRun:
     def __init__(self, kind: str, cfg, hyper, env, out_dir: str | None, *,
                  seed, summary_freq: int = DEFAULT_SUMMARY_FREQ,
                  max_episodes: int | None = None,
-                 max_steps: int | None = None, dump_interval: int = 0,
-                 log=None, rates=None):
+                 max_steps: int | None = None, train: float,
+                 dump_interval: int = 0, log=None, rates=None):
         if env.cfg != cfg:  # run.json records cfg
             a, b = cfg.to_mapping(), env.cfg.to_mapping()
             raise ValueError(f"env.cfg differs from the recorded config in "
                              f"{sorted(k for k in a if a[k] != b[k])}")
         self.env = env
         self.n = len(env.agents)
-        self.max_episodes = max_episodes
-        self.max_steps = max_steps
+        self.max_steps = max_steps  # None counts the budget in episodes
+        self.budget = max_episodes if max_steps is None else max_steps
+        self.train = train
         self.dump_interval = (dump_interval if log is not None
                               and dump_interval > 0 else 0)
         self.log = log
@@ -402,11 +410,9 @@ class TrainingRun:
         self.steps = 0
         self.rewards: list[float] = []  # per finished episode
         self.episodes = 0  # len(self.rewards)
-        # whether the budget is spent; a plain attribute, as trainers read
-        # it every tick
-        self.done = (max_episodes if max_steps is None else max_steps) <= 0
         self.boundary: int | None = None
         env.set_car_scale(cfg.carScaleTrain)
+        self._reach(0)
         self.out_dir = out_dir
         self.store = self.recorder = None
         if out_dir is None:
@@ -432,6 +438,14 @@ class TrainingRun:
     def path(self, basename: str) -> str:
         return os.path.join(self.out_dir, basename)
 
+    def play(self, act, learn=None) -> None:
+        """Tick until the phase the run is in ends."""
+        training = self.boundary is None
+        while not self.done and (self.boundary is None) is training:
+            outs = self.step(act(self.steps))
+            if learn is not None:
+                learn(outs)
+
     def step(self, actions) -> list:
         """One tick of every agent; returns the step outcomes."""
         outs = self.env.step_all(actions)
@@ -446,29 +460,26 @@ class TrainingRun:
                         and len(rewards) % self.dump_interval == 0):
                     self._log_progress()
         self.episodes = episodes = len(rewards)
-        self.done = (episodes >= self.max_episodes if self.max_steps is None
-                     else self.steps >= self.max_steps)
+        self._reach(episodes if self.max_steps is None else self.steps)
         return outs
 
-    def _log_progress(self) -> None:
-        recent = self.rewards[-self.dump_interval:]
-        budget = (f"/{self.max_episodes}" if self.max_steps is None
-                  else f"  step {self.steps}/{self.max_steps}")
-        self.log(f"episode {len(self.rewards)}{budget}  mean reward "
-                 f"{sum(recent) / len(recent):.3f}  {self.rates(self.steps)}")
-
-    def end_training(self) -> None:
-        """Mark the training boundary at the current step, once, and switch
-        to the true hitboxes."""
-        if self.boundary is None:
+    def _reach(self, count) -> None:
+        """The budget is spent up to `count`, in its unit."""
+        self.done = count >= self.budget
+        if self.boundary is None and count >= self.train:
             self.boundary = self.steps
             self.env.set_car_scale(1.0)
 
+    def _log_progress(self) -> None:
+        recent = self.rewards[-self.dump_interval:]
+        budget = (f"/{self.budget}" if self.max_steps is None
+                  else f"  step {self.steps}/{self.budget}")
+        self.log(f"episode {len(self.rewards)}{budget}  mean reward "
+                 f"{sum(recent) / len(recent):.3f}  {self.rates(self.steps)}")
+
     def finish(self, model, **totals) -> None:
-        """Close the run; a run that never ended training has its boundary
-        at the last step."""
-        if self.boundary is None:
-            self.boundary = self.steps
+        """Close the run: save the model, the reward series and the store,
+        and mark ``run.json`` finished."""
         if self.out_dir is None:
             return
         model.save(self.path(MODEL_BASENAME))
@@ -486,40 +497,26 @@ class TrainingRun:
 
 
 def evaluate_policy(env, episodes: int, act) -> dict:
-    """Greedy rollouts with no learning; returns outcome rates and the
-    per-episode rewards.
-
-    Each tick asks ``act(step)`` for every agent's ``ActionTuple``, in
-    agent order, where step is the agent-step count before the tick, then
-    steps all agents.
-    """
-    if episodes <= 0:
-        return {"episodes": 0, "park_rate": None, "crash_rate": None,
-                "halt_rate": None, "mean_reward": None,
-                "mean_length": None, "rewards": [], "total_steps": 0}
+    """`episodes` episodes of `act` with no learning, played by a run that
+    opens at its boundary, so on the true hitboxes; returns outcome rates
+    (None for zero episodes) and the per-episode rewards. The act decides
+    how agents choose: greedy, sampled or at random."""
     before = dict(env.stats)
-    n = len(env.agents)
-    rewards: list[float] = []
     lengths: list[int] = []
-    gstep = 0
-    while len(rewards) < episodes:
-        outs = env.step_all(act(gstep))
-        gstep += n
-        for out in outs:
-            if out.terminal is not None:
-                rewards.append(out.episode_reward)
-                lengths.append(out.episode_steps)
-    done = len(rewards)
-    return {
-        "episodes": done,
-        "park_rate": (env.stats["parked"] - before["parked"]) / done,
-        "crash_rate": (env.stats["crashed"] - before["crashed"]) / done,
-        "halt_rate": (env.stats["halted"] - before["halted"]) / done,
-        "mean_reward": sum(rewards) / done,
-        "mean_length": sum(lengths) / done,
-        "rewards": rewards,
-        "total_steps": gstep,
-    }
+    run = TrainingRun("eval", env.cfg, None, env, None, seed=None,
+                      max_episodes=episodes, train=0)
+    # no learning: the outcomes only give the episode lengths
+    run.play(act, lambda outs: lengths.extend(
+        out.episode_steps for out in outs if out.terminal is not None))
+    done = run.episodes
+    totals = {"park_rate": env.stats["parked"] - before["parked"],
+              "crash_rate": env.stats["crashed"] - before["crashed"],
+              "halt_rate": env.stats["halted"] - before["halted"],
+              "mean_reward": sum(run.rewards), "mean_length": sum(lengths)}
+    return {"episodes": done,
+            **{key: total / done if done else None
+               for key, total in totals.items()},
+            "rewards": run.rewards, "total_steps": run.steps}
 
 
 # ------------------------------------------------------------ model files

@@ -546,50 +546,47 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
     with TrainingRun(
             "ppo", cfg, hyper, env, out_dir, seed=seed,
             summary_freq=summary_freq, max_steps=hyper.total_steps,
+            train=TRAIN_FRACTION * hyper.total_steps,
             dump_interval=dump_interval, log=log,
             rates=lambda step: f"lr {lr_at(step):.2e}") as run:
         n = run.n
         offsets = env.action_schema.offsets
         buffer = RolloutBuffer(hyper.buffer, hyper.horizon)
-        cut = TRAIN_FRACTION * hyper.total_steps
 
-        while not run.done:
+        def act(step: int) -> list[ActionTuple]:
             # one actor and one critic pass per tick; [:, None, :] makes
             # each agent's row its own batch of one, bit for bit a batch-1
             # call (one (n, d) product would not be)
-            step_obs = np.array([env.observe(i) for i in range(n)],
-                                dtype=np.float64)
-            logps, _ = _actor_logps(params, step_obs[:, None, :])
-            step_values, _ = _critic_values(params, step_obs[:, None, :])
-            _check_finite(f"for agent {{agent}} at step {run.steps}", *logps,
-                          step_values)
-            step_idx = []
-            step_logp = []
-            acts = []
-            for i in range(n):  # sampling draws stay in agent order
-                idx, action, logp = _sample_branches([lp[i] for lp in logps],
-                                                     offsets, np_rng)
-                step_idx.append(idx)
-                step_logp.append(logp)
-                acts.append(action)
-            outs = run.step(acts)
+            nonlocal tick
+            obs = np.array([env.observe(i) for i in range(n)],
+                           dtype=np.float64)
+            logps, _ = _actor_logps(params, obs[:, None, :])
+            values, _ = _critic_values(params, obs[:, None, :])
+            _check_finite(f"for agent {{agent}} at step {step}", *logps,
+                          values)
+            # sampling draws stay in agent order
+            tick = (obs, values, [_sample_branches([lp[i] for lp in logps],
+                                                   offsets, np_rng)
+                                  for i in range(n)])
+            return [action for _, action, _ in tick[2]]
+
+        def learn(outs) -> None:
             gstep = run.steps
-            if gstep >= cut:
-                run.end_training()
+            obs, values, samples = tick
             for i, out in enumerate(outs):
-                steps = buffer.append(i, step_obs[i], step_idx[i],
-                                      step_logp[i], out.reward,
-                                      float(step_values[i]))
+                idx, _, logp = samples[i]
+                steps = buffer.append(i, obs[i], idx, logp, out.reward,
+                                      float(values[i]))
                 if out.terminal is not None:
                     buffer.add_segment(i, hyper.gamma, hyper.lam,
                                        terminal=True)
                 elif steps >= hyper.horizon:
                     x_next = np.asarray(env.observe(i), dtype=np.float64)
-                    values, _ = _critic_values(params, x_next.reshape(1, -1))
+                    v_next, _ = _critic_values(params, x_next.reshape(1, -1))
                     _check_finite(f"for agent {i}'s bootstrap value at step "
-                                  f"{gstep}", values)
+                                  f"{gstep}", v_next)
                     buffer.add_segment(i, hyper.gamma, hyper.lam,
-                                       bootstrap=float(values[0]))
+                                       bootstrap=float(v_next[0]))
             if buffer.full:
                 diag = ppo_update(params, buffer, hyper, lr_at(gstep), np_rng)
                 if run.store is not None:
@@ -598,6 +595,11 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
                     record("Losses/Value Loss", diag["value_loss"], gstep)
                     record("Policy/Entropy", diag["entropy"], gstep)
 
+        tick = None  # the acting tick's observations, values and samples
+        run.play(act, learn)
+        # past the lr=0 cut it still samples and updates; the one episode
+        # loop's PPO half (ROADMAP, behaviour lane) drops learn here
+        run.play(act, learn)
         if buffer.size > 0:  # final flush of the leftover tail
             ppo_update(params, buffer, hyper, lr_at(run.steps), np_rng)
         run.finish(params, total_episodes=run.episodes)

@@ -1,7 +1,8 @@
 """Tabular Q-learning: a dense table over the flattened discrete state
 and action spaces, epsilon-greedy selection, a constant learning rate,
 an exploration rate that decays linearly to 0, and a terminal evaluation
-zone in which both are 0 so the measured performance is pure policy.
+zone with no learning, played by the greedy act of ``evaluate_q``, so
+the measured performance is pure policy.
 
 Training is single-threaded; parallel experiments run as separately
 seeded processes.
@@ -191,61 +192,49 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
         _check_table_dims(table, env)
 
     with TrainingRun(
-            "q", cfg, schedule, env, out_dir, seed=seed,
+            "q", cfg, schedule, env, out_dir, seed=seed, log=log,
             summary_freq=summary_freq, max_episodes=schedule.total_episodes,
-            dump_interval=dump_interval, log=log,
+            train=schedule.train_episodes, dump_interval=dump_interval,
             rates=lambda _: f"eps {eps_t:.4f}  alpha {alpha_t:.4f}") as run:
         n = run.n
         dims = env.schema.discrete_dims()
         actions = _flat_actions(env)
         observe = env.observe
         cur: list[int | None] = [None] * n
-        if schedule.train_episodes == 0:
-            run.end_training()
+        flats: list[int] = []
 
-        rates_at = None  # the episode count the rates below were taken at
-        while not run.done:
-            if rates_at != run.episodes:
-                rates_at = run.episodes
-                update = rates_at < schedule.train_episodes
-                if update:
-                    eps_t = schedule.epsilon_at(rates_at)
-                    alpha_t = schedule.alpha
-                else:
-                    eps_t = 0.0
-                    alpha_t = 0.0
-            flats = []
+        def explore(_step: int) -> list[ActionTuple]:
+            flats.clear()
             for i in range(n):
                 if cur[i] is None:
                     cur[i] = encode_state(dims, observe(i))
                 flats.append(select_action(table, cur[i], eps_t, rng))
-            outs = run.step([actions[f] for f in flats])
-            for i, out in enumerate(outs):
-                if out.terminal is None:
-                    s_next = encode_state(dims, observe(i))
-                    if update:
-                        q_update(table, cur[i], flats[i], out.reward, s_next,
-                                 alpha_t, schedule.gamma)
-                    cur[i] = s_next
-                    continue
-                if update:
-                    q_update(table, cur[i], flats[i], out.reward, None,
-                             alpha_t, schedule.gamma)
-                cur[i] = None
-            if run.episodes >= schedule.train_episodes:
-                run.end_training()
+            return [actions[f] for f in flats]
 
+        def learn(outs) -> None:
+            nonlocal eps_t
+            for i, out in enumerate(outs):
+                s_next = (None if out.terminal is not None
+                          else encode_state(dims, observe(i)))
+                q_update(table, cur[i], flats[i], out.reward, s_next,
+                         schedule.alpha, schedule.gamma)
+                cur[i] = s_next
+                if s_next is None:  # exploration decays per finished episode
+                    eps_t = schedule.epsilon_at(run.episodes)
+
+        if run.boundary is None:  # eps_t and alpha_t: the rates in play
+            eps_t, alpha_t = schedule.epsilon_at(0), schedule.alpha
+            run.play(explore, learn)
+        eps_t = alpha_t = 0.0
+        run.play(_greedy(table, env))
         run.finish(table, total_episodes=schedule.total_episodes,
                    train_episodes=schedule.train_episodes,
                    eval_episodes=schedule.eval_episodes)
     return QTrainResult(table, run.rewards, run.steps, run.boundary)
 
 
-def evaluate_q(table: QTable, env: ParkingEnv, episodes: int) -> dict:
-    """Greedy rollouts with no learning; returns outcome rates and the
-    per-episode rewards."""
-    env.require_obs_mode("discrete", "tabular Q-learning")
-    _check_table_dims(table, env)
+def _greedy(table: QTable, env: ParkingEnv):
+    """The evaluation act: every agent's greedy action in its state."""
     dims = env.schema.discrete_dims()
     actions = _flat_actions(env)
     values = table.values
@@ -255,4 +244,12 @@ def evaluate_q(table: QTable, env: ParkingEnv, episodes: int) -> dict:
         states = [encode_state(dims, env.observe(i)) for i in range(n)]
         return [actions[int(values[s].argmax())] for s in states]
 
-    return evaluate_policy(env, episodes, act)
+    return act
+
+
+def evaluate_q(table: QTable, env: ParkingEnv, episodes: int) -> dict:
+    """Greedy rollouts with no learning; returns outcome rates and the
+    per-episode rewards."""
+    env.require_obs_mode("discrete", "tabular Q-learning")
+    _check_table_dims(table, env)
+    return evaluate_policy(env, episodes, _greedy(table, env))

@@ -97,8 +97,7 @@ MUTANTS = [
      "    for name, least in {}.items():"),
     (CONFIG, '"_maxSteps": 1, ', ""),
     (CONFIG, '"_minDeltaVMagnitude": 0,', ""),
-    (CONFIG, "            object.__setattr__(settings, f.name, float(value))\n",
-     ""),
+    (CONFIG, "            object.__setattr__(settings, f.name, value)\n", ""),
     (CONFIG, "if not math.isfinite(value):", "if False:"),
     (PPO, '"horizon": 1, "epochs": 1,', '"horizon": 1,'),
     (QLEARNING, '"decay_episodes": 1}', "}"),
@@ -110,6 +109,18 @@ MUTANTS = [
     (CONFIG, "except yaml.YAMLError as e:", "except ImportError as e:"),
     (CONFIG, 'raise ValueError("environment parameters: expected a mapping, got "',
      'raise TypeError("environment parameters: expected a mapping, got "'),
+    (CONFIG, "except OverflowError:", "except ZeroDivisionError:"),
+    # one episode loop: the run plays every tick, learns only where told
+    # and sets the training boundary itself
+    (METRICS, "            if learn is not None:\n                learn(outs)\n",
+     ""),
+    (METRICS, "if self.boundary is None and count >= self.train:",
+     "if self.boundary is None and count > self.train:"),
+    (METRICS, "max_episodes=episodes, train=0)",
+     "max_episodes=episodes, train=episodes)"),
+    (QLEARNING, "        if run.boundary is None:  # eps_t",
+     "        if True:  # eps_t"),
+    (QLEARNING, "run.play(_greedy(table, env))", "run.play(_greedy(table, env), learn)"),
 ]
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(EnvironmentConfig)}

@@ -466,15 +466,22 @@ def test_movement_reward_dominating_time_is_a_warning():
 FLOAT_FIELDS = [f.name for f in fields(EnvironmentConfig) if f.type == "float"]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf,
+    pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")])
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
 def test_non_finite_floats_are_refused_by_name(name, value):
     """A NaN or infinite float field was accepted, and the run then went
     on with a meaningless value (an infinite distance granularity encodes
     every goal distance as 0, a NaN crash-target distance turns crash
     spawns off) or failed later without the field's name (a NaN reward at
-    the first crash)."""
+    the first crash). An int beyond the float range failed with an
+    OverflowError that named no field, also when read from YAML."""
     refused({name: value}, f"^{re.escape(name)}: must be finite")
+    if isinstance(value, int):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: must be "
+                                             "finite, got -?inf$"):
+            load_config(f"{name}: {value}")
 
 
 def test_invalid_ratio_rejected():

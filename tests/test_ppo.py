@@ -723,6 +723,9 @@ def test_lr_schedule_endpoints_and_midpoint():
     {"total_steps": 100, "hidden": 2.0},
     {"total_steps": 100, "lr": True},
     {"total_steps": 100, "gamma": "0.9"},
+    # an int beyond the float range raised an OverflowError naming no field
+    {"total_steps": 8, "lr": 10**400},
+    {"total_steps": 8, "beta": -10**400},
 ])
 def test_hyper_rejects_bad_values(kwargs):
     with pytest.raises(ValueError, match=f"^{list(kwargs)[-1]}: "):

@@ -19,6 +19,7 @@ from carpark.metrics import (
     read_run_meta,
     read_store,
 )
+from carpark.ppo import PolicyParams, evaluate_ppo
 from carpark.qlearning import (
     MODEL_BASENAME,
     QSchedule,
@@ -339,6 +340,30 @@ def test_evaluation_runs_with_unit_car_scale():
     assert 0 < boundary < len(scales)
     assert all(s == 1.3 for s in scales[:boundary])
     assert all(s == 1.0 for s in scales[boundary:])
+
+
+@pytest.mark.parametrize("policy", ["q", "ppo"])
+def test_evaluation_steps_on_the_true_hitboxes(policy):
+    """Evaluation ran on whatever hitbox scale the env was left at."""
+    env = ParkingEnv(basic_cfg(carScaleTrain=1.3,
+                               _normalizeObs=policy == "ppo"), seed=4)
+    env.set_car_scale(1.3)
+    scales = []
+    step_all = env.step_all
+
+    def spy(actions):
+        scales.append(env.world.scale)
+        return step_all(actions)
+
+    env.step_all = spy
+    if policy == "q":
+        evaluate_q(QTable(env.schema.discrete_dims(),
+                          env.action_schema.branches), env, 3)
+    else:
+        evaluate_ppo(PolicyParams(len(env.observe(0)),
+                                  env.action_schema.branches, 8, 1,
+                                  rng=np.random.default_rng(0)), env, 3)
+    assert scales and all(s == 1.0 for s in scales)
 
 
 def test_entries_stay_inside_reward_bound():

@@ -8,6 +8,7 @@ space centers, where the batched distances equal math.hypot bit for bit.
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -269,51 +270,69 @@ def test_batched_queries_equal_scalar_loops(env, data):
 # ------------------------------------------------------------ whole episodes
 
 
-def test_tables_follow_every_tick():
-    """Recompute every sensing table after every tick, through crashes,
-    respawns, parks and park relocations: a tick that leaves a table stale
-    fails here."""
-    mapping = {
+def sensing_rollout(dynamic):
+    """A seeded 6-agent env after reset and after each of 300 ticks,
+    through crashes, respawns, parks and park relocations."""
+    cfg = config_from_mapping({
         "_positionGranularity": 2, "_thetaGranularity": 24,
         "_maxVelocityMagnitude": 2, "_minVelocityMagnitude": 1,
         "_numAgents": 6, "_numParkedCars": 14, "_normalizeObs": True,
         "_obsRings": True, "_ringMaxNumObjTrack": 3, "_rd0": 11, "_rd1": 21,
         "_obsNearbyCars": True, "_obsNearbyCarsCount": 3,
-        "_obsNearbyCarsDiameter": 40, "_dynamicGoals": True,
+        "_obsNearbyCarsDiameter": 40, "_dynamicGoals": dynamic,
         "_obsNearbyParkingSpotsCount": 4, "_maxSteps": 40,
-    }
+    })
+    env = ParkingEnv(cfg, seed=7)
+    rng = random.Random(7)
+    yield env
+    n_goal = cfg._obsNearbyParkingSpotsCount if dynamic else 0
+    for tick in range(300):
+        actions = [ActionTuple(rng.randint(-1, 1), rng.randint(-1, 1),
+                               rng.randint(0, n_goal) if dynamic else None)
+                   for _ in env.agents]
+        if tick % 10 == 5:
+            # put an agent on its goal: the park relocates the parked
+            # car farthest from the agents into the vacated space
+            ready = [k for k, a in enumerate(env.agents)
+                     if a.goal_space is not None and (
+                         not dynamic or a.tracker.slot_of(a.goal_space)
+                         is not None)]
+            if ready:
+                agent = env.agents[ready[0]]
+                sp = env.world.spaces[agent.goal_space]
+                agent.body.x, agent.body.y = sp.x, sp.y
+                agent.body.theta = sp.theta
+                agent.v = 0
+                env._look()
+                env._sense()
+                keep = (agent.tracker.slot_of(agent.goal_space) + 1 if dynamic
+                        else None)
+                actions[ready[0]] = ActionTuple(0, 0, keep)
+        env.step_all(actions)
+        yield env
+
+
+def test_tables_follow_every_tick():
+    """Recompute every sensing table after every tick: a tick that leaves
+    a table stale fails here."""
     for dynamic in (True, False):
-        cfg = config_from_mapping({**mapping, "_dynamicGoals": dynamic})
-        env = ParkingEnv(cfg, seed=7)
-        rng = random.Random(7)
-        check_tables(env)
-        n_goal = cfg._obsNearbyParkingSpotsCount if dynamic else 0
-        for tick in range(300):
-            actions = [ActionTuple(rng.randint(-1, 1), rng.randint(-1, 1),
-                                   rng.randint(0, n_goal) if dynamic else None)
-                       for _ in env.agents]
-            if tick % 10 == 5:
-                # put an agent on its goal: the park relocates the parked
-                # car farthest from the agents into the vacated space
-                ready = [k for k, a in enumerate(env.agents)
-                         if a.goal_space is not None and (
-                             not dynamic or a.tracker.slot_of(a.goal_space)
-                             is not None)]
-                if ready:
-                    agent = env.agents[ready[0]]
-                    sp = env.world.spaces[agent.goal_space]
-                    agent.body.x, agent.body.y = sp.x, sp.y
-                    agent.body.theta = sp.theta
-                    agent.v = 0
-                    env._look()
-                    env._sense()
-                    keep = (agent.tracker.slot_of(agent.goal_space) + 1 if dynamic
-                            else None)
-                    actions[ready[0]] = ActionTuple(0, 0, keep)
-            env.step_all(actions)
+        for env in sensing_rollout(dynamic):
             # the view the tables came from is the world as it is now
             assert (env._seen.distances()
                     == WorldArrays(env.world).distances()).all()
             check_tables(env)
         assert env.stats["parked"] >= 5
         assert env.stats["crashed"] >= 5
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "rings are counted before the placements that follow: reset counts "
+    "each agent's before the later agents are placed, and a tick counts "
+    "them before its respawns and park relocations move cars"))
+def test_rings_follow_every_tick():
+    """Every agent's ring counts equal a recount on the world as it is
+    after reset and after every tick."""
+    for dynamic in (True, False):
+        for env in sensing_rollout(dynamic):
+            assert [a.cur_rings for a in env.agents] == env.world.ring_counts(
+                env.ring_spec, WorldArrays(env.world))
