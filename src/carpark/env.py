@@ -765,7 +765,9 @@ class ParkingEnv:
         for i in terminals:
             agent = self.agents[i]
             if events[i].terminal == "parked":
-                world.relocate_furthest_parked_car(agent.goal_space)
+                # the view is current: phase 3's, then the last respawn's
+                world.relocate_furthest_parked_car(agent.goal_space,
+                                                   self._seen)
                 filled.append(agent.goal_space)
             self._respawn(i)
         # a relocation may occupy a space another agent targets; that goal
@@ -782,10 +784,6 @@ class ParkingEnv:
         # view is the last respawn's, if anyone respawned
         self._sense()
         return events
-
-    def step(self, action: ActionTuple) -> StepOutcome:
-        """Single-agent convenience wrapper."""
-        return self.step_all([action])[0]
 
     # --------------------------------------------------------------- rewards
 

@@ -216,8 +216,10 @@ def read_store(path: str) -> dict[str, MetricSeries]:
     """Load a persisted store; buckets come back exactly as flushed.
 
     The file is read whole, which is safe because a store holds one
-    point per closed window. Each line must hold one JSON object; any
-    other line, a mode switch or a step that does not increase raises
+    point per closed window. Each line must hold one JSON object; a
+    record's step and the header's summary_freq must be ints and its
+    value a finite number (bools are neither). Any other line, a missing
+    field, a mode switch or a step that does not increase raises
     ``ValueError`` (``json.JSONDecodeError`` when undecodable) naming
     ``path:line``.
     """
@@ -236,7 +238,7 @@ def read_store(path: str) -> dict[str, MetricSeries]:
             raise ValueError(f"{path}:{line_no}: not a JSON object")
         try:
             if "format" in rec:
-                freq = int(rec.get("summary_freq", 0))
+                freq = _stored_int(rec.get("summary_freq", 0), "summary_freq")
                 continue
             key = rec["path"]
             s = series.get(key)
@@ -246,15 +248,29 @@ def read_store(path: str) -> dict[str, MetricSeries]:
                 raise ValueError(
                     f"{path}:{line_no}: {key} switches mode "
                     f"{s.mode!r} -> {rec['mode']!r}")
-            step = int(rec["step"])
+            step = _stored_int(rec["step"], "step")
             if s.points and step <= s.points[-1][0]:
                 raise ValueError(
                     f"{path}:{line_no}: {key} bucket steps not increasing")
-            s.points.append((step, float(rec["value"])))
-        except TypeError as e:  # a null step or value, a list as path ...
+            value = rec["value"]
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise TypeError(f"value must be a finite number: {value!r}")
+            s.points.append((step, float(value)))
+        except KeyError as e:
+            raise ValueError(f"{path}:{line_no}: record lacks {e}") from None
+        except (TypeError, OverflowError) as e:
+            # a string step, a list as path, an int value past the float
+            # range ...
             raise ValueError(
                 f"{path}:{line_no}: malformed record: {e}") from None
     return series
+
+
+def _stored_int(value, name: str) -> int:
+    """A stored int field, which JSON may not give as a float or bool."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 # -------------------------------------------------------------- aggregation

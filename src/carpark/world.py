@@ -1,8 +1,8 @@
 """The arena, car hitboxes, collision, ring sensing, and relocation.
 
-Ring counts, nearest cars and nearest free spaces are seen from every
-agent: a ``WorldArrays`` view holds what the queries share, the offsets
-and center distances from each agent to every car and space and its cars
+Ring counts, nearest cars, nearest free spaces and the park relocation
+are seen from every agent: a ``WorldArrays`` view holds what they share,
+the center distances from each agent to every car and space and its cars
 sorted by distance. Each query answers one row per agent, in agent order,
 never counting the agent's own car; a caller that needs one agent's answer
 reads its row. A car is named by its column in ``WorldState.all_cars()``
@@ -20,20 +20,22 @@ Bearings stay scalar (``geometry.localize``): ``np.arctan2`` differs from
 ``math.atan2`` on some inputs. numpy is imported where an array is first
 built, not with this module: config parsing needs no BLAS.
 
-The arena is the paper's parking lot, and the only one: a 74x74 square
-bounded by four walls, with 36 parking spaces hugging the walls (9 per
-side) and a square ring road between the space rows and the center used
-for spawning. It is declared once, below (``EXTENT``, ``WALLS``,
-``SPACE_POSES``, ``ROAD_POINTS``), and built at import. Every car has the
-one footprint declared below, 3x5 world units (``CAR_HALF_WIDTH``,
-``CAR_HALF_LENGTH``), which only ``WorldState.scale`` varies, for every car
-at once. A space is 5x7, so a space exceeds the car by 2 units per axis.
+The arena is the paper's parking lot, and the only one: the 74x74 box
+[0, EXTENT]^2, whose four edges are the walls, with 36 parking spaces
+hugging the walls (9 per side) and a square ring road between the space
+rows and the center used for spawning. It is declared once, below
+(``EXTENT``, ``SPACE_POSES``, ``ROAD_POINTS``), and built at import.
+Every car has the one footprint declared below, 3x5 world units
+(``CAR_HALF_WIDTH``, ``CAR_HALF_LENGTH``), which only ``WorldState.scale``
+varies, for every car at once. A space is 5x7, so a space exceeds the car
+by 2 units per axis.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -53,26 +55,10 @@ SPACE_HALF_DEPTH = 3.5
 REACH_SLACK = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class Wall:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-
 # ------------------------------------------------------------------ the arena
 
 EXTENT = 74  # side of the square arena, world units
 MAX_WORLD_DISTANCE = math.hypot(EXTENT, EXTENT)  # the arena's diagonal
-_EDGE = float(EXTENT)  # the far edge of the arena box
-
-WALLS = (
-    Wall(0.0, 0.0, float(EXTENT), 0.0),
-    Wall(float(EXTENT), 0.0, float(EXTENT), float(EXTENT)),
-    Wall(float(EXTENT), float(EXTENT), 0.0, float(EXTENT)),
-    Wall(0.0, float(EXTENT), 0.0, 0.0),
-)
 
 # Space orientations are quarter turns: 0=north, 1=east, 2=south, 3=west.
 SPACE_TURNS = 4
@@ -176,15 +162,16 @@ def obb_intersects(a: CarBody, b: CarBody, scale: float, grid: GridSpec) -> bool
     return True
 
 
-def point_to_segment_distance(px: float, py: float, wall: Wall) -> float:
-    ex, ey = wall.x2 - wall.x1, wall.y2 - wall.y1
-    wx, wy = px - wall.x1, py - wall.y1
-    denom = ex * ex + ey * ey
-    if denom == 0.0:
-        return math.hypot(wx, wy)
-    t = (wx * ex + wy * ey) / denom
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return math.hypot(wx - t * ex, wy - t * ey)
+def wall_distances(x: float, y: float) -> list[float]:
+    """Distances from (x, y) to the four walls, the edges of the arena box
+    [0, EXTENT]^2: bottom, right, top, left. ox and oy are how far the
+    point lies past the ends of the walls along x and y, so a point outside
+    the box (a crashed car's center can be) is measured too."""
+    e = EXTENT
+    ox = max(0.0, -x, x - e)
+    oy = max(0.0, -y, y - e)
+    return [math.hypot(ox, y), math.hypot(oy, e - x),
+            math.hypot(ox, e - y), math.hypot(oy, x)]
 
 
 def point_to_obb_distance(px: float, py: float, body: CarBody, scale: float,
@@ -211,36 +198,23 @@ class WorldArrays:
     Rows are the agents, in agent order. Columns are the cars in
     ``all_cars()`` order (agents, then parked cars, so agent i is column
     i), then the parking spaces in space-id order. Every batched query of
-    a world state reads the same offsets and distances from here. Each
-    field is computed on first use and then kept, so a view is valid only
-    until something in the world moves, and its owner builds one view per
-    world state, when something moves; a view nothing reads costs no
-    array work.
+    a world state reads the same center distances from here, and so does
+    the park relocation. Each field is computed on first use and then
+    kept, so a view is valid only until something in the world moves, and
+    its owner builds one view per world state, when something moves; a
+    view nothing reads costs no array work.
     """
 
     __slots__ = ("world", "cars", "na", "nc",
-                 "_offsets", "_dist", "_by_distance", "_near", "_nearest")
+                 "_dist", "_by_distance", "_near", "_nearest")
 
     def __init__(self, world: "WorldState"):
         self.world = world
-        self.cars = world.agents + world.parked
+        self.cars = world.all_cars()
         self.na = len(world.agents)
         self.nc = len(self.cars)
-        self._offsets = self._dist = self._by_distance = None
+        self._dist = self._by_distance = None
         self._near = self._nearest = None
-
-    def offsets(self) -> np.ndarray:
-        """Column center minus agent, shape (2, agents, columns): x
-        offsets, then y offsets."""
-        if self._offsets is None:
-            import numpy as np
-            cars = self.cars
-            xy = ([c.x for c in cars] + SPACE_X
-                  + [c.y for c in cars] + SPACE_Y)
-            p = np.fromiter(xy, float, len(xy)).reshape(2, -1)
-            q = p[:, :self.na]
-            self._offsets = p[:, None, :] - q[:, :, None]
-        return self._offsets
 
     def distances(self) -> np.ndarray:
         """Center distance per agent and column: ``np.sqrt(dx*dx +
@@ -249,7 +223,11 @@ class WorldArrays:
         ``np.hypot`` differs from it on some inputs."""
         if self._dist is None:
             import numpy as np
-            d = self.offsets()
+            cars = self.cars
+            xy = ([c.x for c in cars] + SPACE_X
+                  + [c.y for c in cars] + SPACE_Y)
+            p = np.fromiter(xy, float, len(xy)).reshape(2, -1)
+            d = p[:, None, :] - p[:, :self.na, None]
             sq = d * d
             self._dist = np.sqrt(sq[0] + sq[1])
         return self._dist
@@ -331,26 +309,19 @@ class WorldState:
             self.parked.append(CarBody(sp.x, sp.y, sp.theta))
             self.parked_space.append(sid)
 
-    def relocate_furthest_parked_car(self, vacated_space: int) -> int | None:
+    def relocate_furthest_parked_car(self, vacated_space: int,
+                                     arrays: WorldArrays | None) -> int | None:
         """Teleport the parked car with the greatest minimum distance to any
-        agent into the vacated space. Returns the moved car's index, or None
-        when there are no parked cars. Ties go to the lowest index."""
+        agent, read from `arrays`, into the vacated space. Returns the moved
+        car's index, or None when there are no parked cars. Ties go to the
+        lowest index. `arrays` must be the view of the world as it is now,
+        from all agents; there is one whenever there are parked cars."""
         if not self.parked:
             return None
         if vacated_space in self.parked_space:
             raise ValueError(f"space {vacated_space} is already occupied")
-        best_i = -1
-        best_d = -math.inf
-        for i, car in enumerate(self.parked):
-            if self.agents:
-                dmin = min(
-                    math.hypot(car.x - a.x, car.y - a.y) for a in self.agents
-                )
-            else:
-                dmin = 0.0
-            if dmin > best_d:  # strict: a tie keeps the lower index
-                best_d = dmin
-                best_i = i
+        dist = arrays.distances()[:, arrays.na:arrays.nc]
+        best_i = int(dist.min(axis=0).argmax())
         sp = self.spaces[vacated_space]
         car = self.parked[best_i]
         car.x, car.y, car.theta = sp.x, sp.y, sp.theta
@@ -378,7 +349,7 @@ class WorldState:
         # when a corner lies on or outside the box; a corner can only reach
         # an edge within the circumradius (plus REACH_SLACK for rounding in
         # the corners) of it
-        e = _EDGE
+        e = EXTENT
         scale = self.scale
         r = CAR_CIRCUMRADIUS * scale + REACH_SLACK
         if not (r < body.x < e - r and r < body.y < e - r):
@@ -410,28 +381,19 @@ class WorldState:
         when its hitbox is closer to the agent than the ring radius; the
         agent's own car never counts.
 
-        The exact scalar distance decides every obstacle. Walls, a handful,
-        are all measured; with no view (a lone car with fixed goals has
-        none) only they count. A car can only be inside when its center is
-        within the largest radius plus its circumradius, so each agent
+        The exact scalar distance decides every obstacle. The four walls
+        are all measured (``wall_distances``, sorted once, so a ring's wall
+        count is a bisection); with no view (a lone car with fixed goals
+        has none) only they count. A car can only be inside when its center
+        is within the largest radius plus its circumradius, so each agent
         walks its distance-sorted cars from `arrays` up to that reach (plus
         REACH_SLACK), and stops as soon as every ring is at the cap."""
         radii = [d / 2.0 for d in spec.diameters]
         cap = spec.max_count
         counts = []
         for car in self.agents:
-            x, y = car.x, car.y
-            dists = [point_to_segment_distance(x, y, w) for w in WALLS]
-            row = []
-            for r in radii:
-                n = 0
-                for d in dists:
-                    if d < r:
-                        n += 1
-                        if n >= cap:
-                            break
-                row.append(n if n < cap else cap)
-            counts.append(row)
+            walls = sorted(wall_distances(car.x, car.y))
+            counts.append([min(cap, bisect_left(walls, r)) for r in radii])
         # nothing to walk when the only car is the agent's own
         if (arrays is not None and not spec.walls_only and radii
                 and arrays.nc > 1):

@@ -42,6 +42,7 @@ CONFIG = "src/carpark/config.py"
 METRICS = "src/carpark/metrics.py"
 PPO = "src/carpark/ppo.py"
 QLEARNING = "src/carpark/qlearning.py"
+WORLD = "src/carpark/world.py"
 
 MUTANTS = [
     # reward and goal-transition read sites
@@ -121,6 +122,17 @@ MUTANTS = [
     (QLEARNING, "        if run.boundary is None:  # eps_t",
      "        if True:  # eps_t"),
     (QLEARNING, "run.play(_greedy(table, env))", "run.play(_greedy(table, env), learn)"),
+    # one way to measure: the walls are the arena box, past their ends
+    # too, and the relocation reads the parked-car columns of the view
+    (WORLD, "ox = max(0.0, -x, x - e)", "ox = max(0.0, x, x - e)"),
+    (WORLD, "oy = max(0.0, -y, y - e)", "oy = max(0.0, y - e)"),
+    (WORLD, "best_i = int(dist.min(axis=0).argmax())",
+     "best_i = int(dist.min(axis=0).argmin())"),
+    (WORLD, "dist = arrays.distances()[:, arrays.na:arrays.nc]",
+     "dist = arrays.distances()[:, :arrays.nc]"),
+    (METRICS, "if type(value) is not int:", "if False:"),
+    (METRICS, "if type(value) not in (int, float) or not math.isfinite(value):",
+     "if False:"),
 ]
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(EnvironmentConfig)}

@@ -284,12 +284,12 @@ def test_step_applies_clamped_velocity_and_heading():
     env = make_env(seed=4)
     sid = space_at(env, 17.0, 3.5)
     place(env, 0, 30.0, 30.0, 2, goal=sid)  # heading east at G8
-    out = env.step(ActionTuple(1, 0))
+    out = env.step_all([ActionTuple(1, 0)])[0]
     agent = env.agents[0]
     assert agent.v == 1
     assert (agent.body.x, agent.body.y) == (31.0, 30.0)
     assert out.terminal is None
-    out = env.step(ActionTuple(1, 0))  # clamped at vmax=1
+    out = env.step_all([ActionTuple(1, 0)])[0]  # clamped at vmax=1
     assert agent.v == 1
     assert (agent.body.x, agent.body.y) == (32.0, 30.0)
     assert env.agents[0].episode_step == 2
@@ -299,7 +299,7 @@ def test_rotation_applies_before_translation():
     env = make_env(seed=4)
     sid = space_at(env, 17.0, 3.5)
     place(env, 0, 30.0, 30.0, 0, goal=sid)
-    env.step(ActionTuple(1, 1))
+    env.step_all([ActionTuple(1, 1)])
     agent = env.agents[0]
     assert agent.body.theta == 1
     # moved along the post-rotation 45 degree heading, snapped to half units
@@ -311,7 +311,7 @@ def test_wall_crash_reward_and_respawn():
     env = make_env(seed=6)
     sid = space_at(env, 17.0, 3.5)
     place(env, 0, 30.0, 2.8, 4, goal=sid)  # nose 0.3 from the bottom wall
-    out = env.step(ActionTuple(1, 0))
+    out = env.step_all([ActionTuple(1, 0)])[0]
     assert out.terminal == "crashed"
     assert out.crash_kind == "wall"
     assert out.reward == -10.0
@@ -325,7 +325,7 @@ def test_parked_car_crash_kind():
     env = make_env({"_numParkedCars": 16}, seed=8)
     car = env.world.parked[0]
     place(env, 0, car.x, car.y + 6.0, 4, goal=env.agents[0].goal_space)
-    out = env.step(ActionTuple(1, 0))
+    out = env.step_all([ActionTuple(1, 0)])[0]
     assert out.terminal == "crashed"
     assert out.crash_kind == "parked-car"
     assert env.stats["crash_parked"] == 1
@@ -347,7 +347,7 @@ def test_timeout_is_halt():
     env = make_env(seed=10)
     outs = None
     for k in range(env.cfg._maxSteps):
-        outs = env.step(ActionTuple(0, 0))
+        outs = env.step_all([ActionTuple(0, 0)])[0]
         if k < env.cfg._maxSteps - 1:
             assert outs.terminal is None
     assert outs.terminal == "timeout"
@@ -358,11 +358,11 @@ def test_timeout_is_halt():
 def test_action_domain_is_enforced():
     env = make_env(seed=0)
     with pytest.raises(ValueError):
-        env.step(ActionTuple(2, 0))
+        env.step_all([ActionTuple(2, 0)])
     with pytest.raises(ValueError):
-        env.step(ActionTuple(0, -2))
+        env.step_all([ActionTuple(0, -2)])
     with pytest.raises(ValueError):
-        env.step(ActionTuple(0, 0, 1))  # fixed goals take no goal action
+        env.step_all([ActionTuple(0, 0, 1)])  # fixed goals take no goal action
     dyn = make_env(base=DYNAMIC, seed=0)
     with pytest.raises(ValueError):
         dyn.step_all([ActionTuple(0, 0, None), ActionTuple(0, 0, 0)])
@@ -382,7 +382,7 @@ def test_park_at_center_pays_full_reward():
     sp = env.world.spaces[sid]
     place(env, 0, sp.x, sp.y, sp.theta, v=0, goal=sid)
     parked_before = len(env.world.parked)
-    out = env.step(ActionTuple(0, 0))
+    out = env.step_all([ActionTuple(0, 0)])[0]
     assert out.terminal == "parked"
     assert out.reward == 3.0  # no velocity or heading penalty configured
     assert out.velocity == 0
@@ -399,7 +399,7 @@ def test_park_reward_velocity_and_heading_penalties():
     sp = env.world.spaces[sid]
     # enter the space from one unit north, driving south at full speed
     place(env, 0, sp.x, sp.y + 1.0, 4, v=1, goal=sid)
-    out = env.step(ActionTuple(0, 0))
+    out = env.step_all([ActionTuple(0, 0)])[0]
     assert out.terminal == "parked"
     delta = abs(4 - sp.theta) % 8
     delta = min(delta, 8 - delta)
@@ -417,7 +417,7 @@ def test_reverse_park_pays_the_velocity_penalty():
     sp = env.world.spaces[sid]
     # back into the space from one unit south, facing south
     place(env, 0, sp.x, sp.y - 1.0, 4, v=-1, goal=sid)
-    out = env.step(ActionTuple(0, 0))
+    out = env.step_all([ActionTuple(0, 0)])[0]
     assert out.terminal == "parked"
     assert out.velocity == -1
     assert out.reward == 10.0 - 0.25 * 1 / 2  # speed bound max(2, 1)
@@ -425,7 +425,7 @@ def test_reverse_park_pays_the_velocity_penalty():
     env = make_env({"_numParkedCars": 0, "rewFinalVelocitySum": 0.5,
                     "_minVelocityMagnitude": 3}, seed=12)
     place(env, 0, sp.x, sp.y - 3.0, 4, v=-3, goal=sid)  # three units south
-    out = env.step(ActionTuple(0, 0))
+    out = env.step_all([ActionTuple(0, 0)])[0]
     assert out.terminal == "parked"
     assert out.velocity == -3
     assert out.reward == 10.0 - 0.5  # 0.5 * |-3| / max(1, 3)
@@ -436,7 +436,7 @@ def test_park_threshold_is_closed():
     sid = space_at(env, 22.0, 3.5)
     sp = env.world.spaces[sid]
     place(env, 0, sp.x, sp.y + 1.0, sp.theta, v=0, goal=sid)  # exactly 1.0
-    assert env.step(ActionTuple(0, 0)).terminal == "parked"
+    assert env.step_all([ActionTuple(0, 0)])[0].terminal == "parked"
 
 
 def test_no_park_beyond_threshold_or_with_corner_out():
@@ -444,10 +444,10 @@ def test_no_park_beyond_threshold_or_with_corner_out():
     sid = space_at(env, 22.0, 3.5)
     sp = env.world.spaces[sid]
     place(env, 0, sp.x, sp.y + 1.5, sp.theta, v=0, goal=sid)
-    assert env.step(ActionTuple(0, 0)).terminal is None
+    assert env.step_all([ActionTuple(0, 0)])[0].terminal is None
     # diagonal heading pokes the corners out of the 5x7 space
     place(env, 0, sp.x, sp.y, (sp.theta + 1) % 8, v=0, goal=sid)
-    assert env.step(ActionTuple(0, 0)).terminal is None
+    assert env.step_all([ActionTuple(0, 0)])[0].terminal is None
 
 
 def test_other_spaces_do_not_park():
@@ -455,7 +455,7 @@ def test_other_spaces_do_not_park():
     goal = space_at(env, 22.0, 3.5)
     other = env.world.spaces[space_at(env, 27.0, 3.5)]
     place(env, 0, other.x, other.y, other.theta, v=0, goal=goal)
-    out = env.step(ActionTuple(0, 0))
+    out = env.step_all([ActionTuple(0, 0)])[0]
     assert out.terminal is None
 
 
@@ -488,7 +488,7 @@ def test_dense_reward_movement_bonus():
     env = make_env(base=PPO_FIXED, seed=15)
     sid = space_at(env, 17.0, 3.5)
     place(env, 0, 17.0, 20.0, 12, goal=sid)  # heading south at G24
-    out = env.step(ActionTuple(1, 0))
+    out = env.step_all([ActionTuple(1, 0)])[0]
     assert env.agents[0].v == 1
     assert env.agents[0].body.y == pytest.approx(19.75)
     assert out.reward == pytest.approx(-0.2 / 200 + 0.15 / 200, rel=1e-12)
@@ -499,7 +499,7 @@ def test_dense_reward_away_and_reverse_penalties():
     env = make_env(base=PPO_FIXED, seed=15)
     sid = space_at(env, 17.0, 3.5)
     place(env, 0, 17.0, 20.0, 12, goal=sid)
-    out = env.step(ActionTuple(-1, 0))  # backs away from the goal
+    out = env.step_all([ActionTuple(-1, 0)])[0]  # backs away from the goal
     assert env.agents[0].v == -1
     assert out.reward == pytest.approx(-(0.2 + 0.15 + 0.1) / 200, rel=1e-12)
     assert out.moved_toward_goal == -1
@@ -509,13 +509,14 @@ def test_dense_reward_smoothness_penalty():
     env = make_env(base=PPO_FIXED, seed=15)
     sid = space_at(env, 17.0, 3.5)
     place(env, 0, 17.0, 20.0, 12, goal=sid)
-    out = env.step(ActionTuple(0, 3))  # spin in place at full rate
+    out = env.step_all([ActionTuple(0, 3)])[0]  # spin in place at full rate
     assert out.reward == pytest.approx(-0.2 / 200 - 0.05 / 200, rel=1e-12)
     assert out.moved_toward_goal == 0  # distance unchanged
 
     scaled = make_env({"_rewDeltaThetaVelMult": True}, base=PPO_FIXED, seed=15)
     place(scaled, 0, 17.0, 20.0, 12, goal=space_at(scaled, 17.0, 3.5))
-    out = scaled.step(ActionTuple(0, 3))  # v stays 0: no scaled penalty
+    # v stays 0: no scaled penalty
+    out = scaled.step_all([ActionTuple(0, 3)])[0]
     assert out.reward == pytest.approx(-0.2 / 200, rel=1e-12)
 
     # scaled by |v| over the speed bound, here the reverse bound 3
@@ -523,7 +524,8 @@ def test_dense_reward_smoothness_penalty():
                        "_rewDeltaThetaVelMult": True, "rewDistSum": 0.0},
                       seed=15)
     place(scaled, 0, 37.0, 37.0, 0, v=-2)
-    out = scaled.step(ActionTuple(0, 1))  # a full-rate turn reversing at 2
+    # a full-rate turn reversing at 2
+    out = scaled.step_all([ActionTuple(0, 1)])[0]
     assert out.terminal is None
     assert out.reward == pytest.approx(-0.5 / 85 - 0.1 / 85 * 2 / 3,
                                        rel=1e-12)
@@ -532,7 +534,7 @@ def test_dense_reward_smoothness_penalty():
     no_turn = make_env({"_maxDeltaThetaMagnitude": 0,
                         "rewDeltaThetaSum": 0.1}, seed=15)
     place(no_turn, 0, 37.0, 37.0, 0, v=0)
-    out = no_turn.step(ActionTuple(0, 0))
+    out = no_turn.step_all([ActionTuple(0, 0)])[0]
     assert out.reward == pytest.approx(-0.5 / 85, rel=1e-12)
 
 
@@ -878,7 +880,7 @@ def test_episode_reward_accounting():
     total = 0.0
     steps = 0
     while True:
-        out = env.step(ActionTuple(1, 0))
+        out = env.step_all([ActionTuple(1, 0)])[0]
         total += out.reward
         steps += 1
         if out.terminal:
@@ -894,7 +896,7 @@ def test_ratio_toward_goal_zero_when_fleeing():
     sid = space_at(env, 17.0, 3.5)
     place(env, 0, 17.0, 60.0, 0, goal=sid)  # drives north, goal in the south
     while True:
-        out = env.step(ActionTuple(1, 0))
+        out = env.step_all([ActionTuple(1, 0)])[0]
         if out.terminal:
             break
     assert out.terminal == "crashed"
@@ -916,7 +918,7 @@ def test_caches_invalidate_on_relocation():
     place(env, 0, *probe, 0)
     [before] = env.world.ring_counts(env.ring_spec, WorldArrays(env.world))
     place(env, 0, sp.x, sp.y, sp.theta, v=0, goal=sid)
-    out = env.step(ActionTuple(0, 0))
+    out = env.step_all([ActionTuple(0, 0)])[0]
     assert out.terminal == "parked"  # a parked car moved into the space
     place(env, 0, *probe, 0)
     [after] = env.world.ring_counts(env.ring_spec, WorldArrays(env.world))
@@ -932,7 +934,7 @@ def test_lone_car_counts_wall_rings_every_tick():
                     "_ringOnlyWall": False}, seed=5)
     place(env, 0, 10.0, 10.0, 0)
     assert env.agents[0].cur_rings == (2, 0)  # the bottom and left walls
-    out = env.step(ActionTuple(0, 0))
+    out = env.step_all([ActionTuple(0, 0)])[0]
     assert out.terminal is None
     assert env.agents[0].cur_rings == (2, 0)
 
@@ -948,7 +950,7 @@ def test_ring_history_holds_the_counts_of_earlier_ticks():
     seen = [env.agents[0].cur_rings]
     names = [f.name for f in env.schema.features]
     for t in range(1, 5):
-        assert env.step(ActionTuple(0, 0)).terminal is None
+        assert env.step_all([ActionTuple(0, 0)])[0].terminal is None
         seen.append(env.agents[0].cur_rings)
         obs = dict(zip(names, env.observe(0)))
         for h in range(3):
@@ -1024,7 +1026,7 @@ def test_a_lone_car_with_fixed_goals_builds_no_view(monkeypatch):
     env = make_env({"_obsRings": True, "_ringMaxNumObjTrack": 3,
                     "_rd0": 40}, seed=5)
     for _ in range(100):
-        env.step(ActionTuple(1, 1))
+        env.step_all([ActionTuple(1, 1)])
     assert env.stats["episodes"] > 0  # respawns build none either
     assert built == []
     assert env._seen is None and env.nearest_car_distance(0) == D_MAX
@@ -1161,8 +1163,8 @@ def test_basic_discrete_observation_roundtrip():
     dims = env.schema.discrete_dims()
     assert dims == [3, 8]
     for step in range(40):
-        env.step(ActionTuple(random.Random(step).randint(-1, 1),
-                             random.Random(step + 1).randint(-1, 1)))
+        env.step_all([ActionTuple(random.Random(step).randint(-1, 1),
+                                  random.Random(step + 1).randint(-1, 1))])
         obs = env.observe(0)
         idx = encode_state(dims, obs)
         assert 0 <= idx < 24

@@ -413,6 +413,26 @@ MALFORMED_STORE_LINES = {
     "null value": '{"path": "a", "step": 20, "value": null, "mode": "mean"}',
     "list as path": '{"path": [1], "step": 20, "value": 1.0, "mode": "mean"}',
     "null summary_freq": '{"format": "carpark-metrics", "summary_freq": null}',
+    "string summary_freq":
+        '{"format": "carpark-metrics", "summary_freq": "x"}',
+    "numeric string step":
+        '{"path": "a", "step": "20", "value": 1.0, "mode": "mean"}',
+    "string step": '{"path": "a", "step": "x", "value": 1.0, "mode": "mean"}',
+    "fractional step":
+        '{"path": "a", "step": 20.7, "value": 1.0, "mode": "mean"}',
+    "bool step": '{"path": "b", "step": true, "value": 1.0, "mode": "mean"}',
+    "numeric string value":
+        '{"path": "a", "step": 20, "value": "1.0", "mode": "mean"}',
+    "string value": '{"path": "a", "step": 20, "value": "x", "mode": "mean"}',
+    "bool value": '{"path": "a", "step": 20, "value": true, "mode": "mean"}',
+    "NaN value": '{"path": "a", "step": 20, "value": NaN, "mode": "mean"}',
+    "infinite value":
+        '{"path": "a", "step": 20, "value": -Infinity, "mode": "mean"}',
+    "value past the float range":
+        '{"path": "a", "step": 20, "value": 1' + "0" * 400
+        + ', "mode": "mean"}',
+    "missing mode": '{"path": "b", "step": 20, "value": 1.0}',
+    "missing step": '{"path": "a", "value": 1.0, "mode": "mean"}',
 }
 
 

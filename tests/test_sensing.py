@@ -18,20 +18,33 @@ from carpark.world import (
     CAR_CIRCUMRADIUS,
     EXTENT,
     MAX_WORLD_DISTANCE,
-    WALLS,
     RingSpec,
     WorldArrays,
     obb_corners,
     obb_intersects,
     point_to_obb_distance,
-    point_to_segment_distance,
 )
 
 # ------------------------------------------------------------------ oracles
 
+# the oracle's own wall model: the arena's edges as four segments
+# (x1, y1, x2, y2), bottom, right, top, left
+E = float(EXTENT)
+WALL_SEGMENTS = ((0.0, 0.0, E, 0.0), (E, 0.0, E, E), (E, E, 0.0, E),
+                 (0.0, E, 0.0, 0.0))
+
+
+def point_to_segment_distance(px, py, x1, y1, x2, y2):
+    ex, ey = x2 - x1, y2 - y1
+    wx, wy = px - x1, py - y1
+    t = (wx * ex + wy * ey) / (ex * ex + ey * ey)
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    return math.hypot(wx - t * ex, wy - t * ey)
+
 
 def oracle_ring_counts(world, cx, cy, exclude_column, spec):
-    distances = [point_to_segment_distance(cx, cy, w) for w in WALLS]
+    distances = [point_to_segment_distance(cx, cy, *w)
+                 for w in WALL_SEGMENTS]
     if not spec.walls_only:
         for j, car in enumerate(world.all_cars()):
             if j != exclude_column:
@@ -48,6 +61,17 @@ def oracle_ring_counts(world, cx, cy, exclude_column, spec):
                     break
         counts.append(min(n, spec.max_count))
     return tuple(counts)
+
+
+def oracle_relocated_car(world):
+    """The parked car a park relocates: the greatest minimum center
+    distance to any agent, ties to the lowest index."""
+    best, best_d = None, -math.inf
+    for i, car in enumerate(world.parked):
+        d = min(math.hypot(car.x - a.x, car.y - a.y) for a in world.agents)
+        if d > best_d:
+            best, best_d = i, d
+    return best
 
 
 def oracle_nearest_cars(world, cx, cy, exclude_column, n_track, fov_diameter):
@@ -79,9 +103,8 @@ def oracle_nearest_free_spaces(world, cx, cy, n_space):
 
 
 def oracle_collides_static(world, body):
-    e = float(EXTENT)
     for x, y in obb_corners(body, world.scale, world.grid):
-        if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
+        if x <= 0.0 or x >= E or y <= 0.0 or y >= E:
             return "wall"
     for car in world.parked:
         if obb_intersects(body, car, world.scale, world.grid):
@@ -202,10 +225,18 @@ def worlds(draw):
     anchors = [(a.body.x, a.body.y) for a in env.agents[:1]]
     anchors += [(c.x, c.y) for c in world.parked]
     for agent in env.agents:
-        if draw(st.booleans()) and anchors:
+        where = draw(st.sampled_from(["anchor", "grid", "corner"]))
+        if where == "anchor" and anchors:
             ax, ay = draw(st.sampled_from(anchors))
             dx, dy = draw(st.sampled_from(OFFSETS))
             x, y = ax + dx, ay + dy
+        elif where == "corner":
+            # past a corner, beyond two walls at once, as a crashed car's
+            # center can be
+            cx, cy = draw(st.sampled_from([(0, 0), (E, 0), (0, E), (E, E)]))
+            past = st.integers(1, 9 * int(scale))
+            x = cx + (1 if cx else -1) * draw(past) / scale
+            y = cy + (1 if cy else -1) * draw(past) / scale
         else:
             x = draw(st.integers(0, 74 * int(scale))) / scale
             y = draw(st.integers(0, 74 * int(scale))) / scale
@@ -244,7 +275,8 @@ def test_batched_queries_equal_scalar_loops(env, data):
         if r > 0.0:
             diams.append(2.0 * r)
     # caps of 0 and 1, and one above every wall and car together
-    cap = draw(st.sampled_from([0, 1, 2, 3, 4, len(WALLS) + len(cars) + 1]))
+    cap = draw(st.sampled_from(
+        [0, 1, 2, 3, 4, len(WALL_SEGMENTS) + len(cars) + 1]))
     spec = RingSpec(tuple(diams), cap, walls_only=draw(st.booleans()))
     # seen from every agent; agent k is column k
     view = WorldArrays(world)
@@ -272,7 +304,9 @@ def test_batched_queries_equal_scalar_loops(env, data):
 
 def sensing_rollout(dynamic):
     """A seeded 6-agent env after reset and after each of 300 ticks,
-    through crashes, respawns, parks and park relocations."""
+    through crashes, respawns, parks and park relocations. Every
+    relocation must move the car the oracle picks on the world as it
+    stands at that call."""
     cfg = config_from_mapping({
         "_positionGranularity": 2, "_thetaGranularity": 24,
         "_maxVelocityMagnitude": 2, "_minVelocityMagnitude": 1,
@@ -283,6 +317,15 @@ def sensing_rollout(dynamic):
         "_obsNearbyParkingSpotsCount": 4, "_maxSteps": 40,
     })
     env = ParkingEnv(cfg, seed=7)
+    relocate = env.world.relocate_furthest_parked_car
+
+    def checked_relocate(*args):
+        want = oracle_relocated_car(env.world)
+        moved = relocate(*args)
+        assert moved == want
+        return moved
+
+    env.world.relocate_furthest_parked_car = checked_relocate
     rng = random.Random(7)
     yield env
     n_goal = cfg._obsNearbyParkingSpotsCount if dynamic else 0

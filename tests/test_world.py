@@ -18,17 +18,15 @@ from carpark.world import (
     EXTENT,
     ROAD_POINTS,
     SPACE_POSES,
-    WALLS,
     CarBody,
     RingSpec,
     SpaceTracker,
-    Wall,
     WorldArrays,
     WorldState,
     obb_corners,
     obb_intersects,
     point_to_obb_distance,
-    point_to_segment_distance,
+    wall_distances,
 )
 
 G8 = GridSpec(theta_granularity=8)
@@ -46,7 +44,6 @@ def make_world(grid=G8):
 
 def test_default_layout_counts():
     assert EXTENT == 74
-    assert len(WALLS) == 4
     assert len(SPACE_POSES) == 36
     # 9 spaces per side
     bottom = [s for s in SPACE_POSES if s[1] == 3.5]
@@ -73,12 +70,8 @@ def test_road_band():
 
 
 def test_arena_is_pinned():
-    """The walls in order, every space's center and quarter turns in
-    space-id order, and the road points in the order a plain spawn draws
-    them by index."""
-    assert [(w.x1, w.y1, w.x2, w.y2) for w in WALLS] == [
-        (0.0, 0.0, 74.0, 0.0), (74.0, 0.0, 74.0, 74.0),
-        (74.0, 74.0, 0.0, 74.0), (0.0, 74.0, 0.0, 0.0)]
+    """Every space's center and quarter turns in space-id order, and the
+    road points in the order a plain spawn draws them by index."""
     row = [17.0, 22.0, 27.0, 32.0, 37.0, 42.0, 47.0, 52.0, 57.0]
     assert [tuple(p) for p in SPACE_POSES] == (
         [(c, 3.5, 0) for c in row] + [(70.5, c, 3) for c in row]
@@ -182,11 +175,17 @@ def test_intersects_matches_sampling_oracle():
     assert scales == {1.0, 1.3}
 
 
-def test_point_segment_distance():
-    wall = Wall(0.0, 0.0, 74.0, 0.0)
-    assert point_to_segment_distance(10.0, 3.0, wall) == 3.0
-    assert point_to_segment_distance(80.0, 3.0, wall) == pytest.approx(
-        math.hypot(6.0, 3.0))
+def test_wall_distances_measure_the_arena_box():
+    """Bottom, right, top, left: the distances to the box's edges, and
+    past a wall's end (or a corner) the distance to that end."""
+    assert wall_distances(10.0, 3.0) == [3.0, 64.0, 71.0, 10.0]  # inside
+    assert wall_distances(74.0, 30.5) == [30.5, 0.0, 43.5, 74.0]  # on a wall
+    # past the right wall's line: the bottom and top walls end at x = 74
+    assert wall_distances(80.0, 3.0) == [
+        math.hypot(6.0, 3.0), 6.0, math.hypot(6.0, 71.0), 80.0]
+    # past the bottom-left corner: beyond two walls at once
+    assert wall_distances(-3.0, -4.0) == [
+        5.0, math.hypot(4.0, 77.0), math.hypot(3.0, 78.0), 5.0]
 
 
 def test_point_obb_distance():
@@ -331,7 +330,7 @@ def test_relocate_moves_furthest_from_agents():
     w.parked.append(CarBody(17.0, 3.5, 0))
     w.parked.append(CarBody(57.0, 70.5, 4))
     w.parked_space.extend([0, 26])
-    moved = w.relocate_furthest_parked_car(4)
+    moved = w.relocate_furthest_parked_car(4, WorldArrays(w))
     assert moved == 1  # the car across the arena
     sp = w.spaces[4]
     assert (w.parked[1].x, w.parked[1].y, w.parked[1].theta) == (sp.x, sp.y, sp.theta)
@@ -346,14 +345,14 @@ def test_relocate_tie_breaks_lowest_index():
     w.parked.append(CarBody(17.0, 3.5, 0))
     w.parked.append(CarBody(17.0, 70.5, 4))
     w.parked_space.extend([13, 0, 18])
-    assert w.relocate_furthest_parked_car(9) == 1
+    assert w.relocate_furthest_parked_car(9, WorldArrays(w)) == 1
     assert w.parked_space == [13, 9, 18]
 
 
 def test_relocate_without_parked_cars_is_noop():
     w = make_world()
     w.agents.append(CarBody(17.0, 12.0, 0))
-    assert w.relocate_furthest_parked_car(0) is None
+    assert w.relocate_furthest_parked_car(0, WorldArrays(w)) is None
 
 
 def test_relocate_rejects_occupied_target():
@@ -362,7 +361,7 @@ def test_relocate_rejects_occupied_target():
     w.parked.append(CarBody(17.0, 3.5, 0))
     w.parked_space.append(0)
     with pytest.raises(ValueError):
-        w.relocate_furthest_parked_car(0)
+        w.relocate_furthest_parked_car(0, WorldArrays(w))
 
 
 # ------------------------------------------------------------ static queries
