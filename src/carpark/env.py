@@ -5,9 +5,10 @@ Step order within a single tick: goal transitions (dynamic goals) are
 applied on the pre-move state, then every agent moves in index order, then
 collisions are resolved against post-move poses, then tracking refresh,
 lost-goal handling, park checks, and rewards. Terminal agents respawn at
-the end of the tick; a successful park first relocates the parked car
-farthest from all agents into the space the parking agent vacates, keeping
-the parked-car count constant. Last comes the sensing pass: one
+the end of the tick (a respawn is the one place an episode starts, and
+reset respawns every agent); a successful park first relocates the parked
+car farthest from all agents into the space the parking agent vacates,
+keeping the parked-car count constant. Last comes the sensing pass: one
 center-distance matrix from every agent to every car and space gives each
 agent's nearest-car list and nearest-car distance and each space's
 closest-agent distances.
@@ -72,7 +73,7 @@ from .world import (
     WorldArrays,
     WorldState,
     obb_corners,
-    obb_intersects,
+    obb_intersects,  # not called here; benchmarks/tracing.py patches it
     point_to_obb_distance,  # not called here; benchmarks/tracing.py patches it
 )
 
@@ -139,6 +140,12 @@ class StepOutcome:
 
 @dataclass(slots=True)
 class AgentState:
+    """One agent's state within an episode. Every default is how an
+    episode starts: a respawn builds a fresh AgentState around the placed
+    car and gives it only the episode's goal, a fresh tracker and a ring
+    window of zero states. Only `body` outlives an episode: it is the car
+    that `world.agents` holds."""
+
     body: CarBody
     v: int = 0
     goal_space: int | None = None  # space id; None = exploring (dynamic mode)
@@ -179,10 +186,11 @@ class ParkingEnv:
         self.ring_spec: RingSpec | None = cfg.ring_spec()
         self.schema: ObsSchema = build_schema(cfg)
         self.action_schema: ActionSchema = build_action_schema(cfg)
-        self.obs_mode = "normalized" if cfg._normalizeObs else "discrete"
         self._accel_range = (-cfg.max_reverse_accel, cfg._maxDeltaVMagnitude)
         # the raw values of one absent nearby-car slot, in schema order
         self._absent_car = self._absent_car_values()
+        # the ring window of an episode start: _ringNumPrevObs zero states
+        self._ring_start = [(0,) * len(cfg.ringDiams)] * cfg._ringNumPrevObs
         self.world = WorldState(self.grid)  # reset rebuilds it, keeping its scale
         self.agents: list[AgentState] = []
         # space table of the sensing pass (dynamic goals only): per space,
@@ -215,15 +223,10 @@ class ParkingEnv:
 
     def reset(self) -> None:
         self.world = WorldState(self.grid, scale=self.world.scale)
-        self.agents = []
-        for _ in range(self.cfg._numAgents):
-            body = CarBody(0.0, 0.0, 0)
-            self.world.agents.append(body)
-            n_space = self.cfg.tracked_spaces
-            self.agents.append(
-                AgentState(body=body,
-                           tracker=SpaceTracker(n_space) if n_space else None)
-            )
+        # placeholders at the origin until each agent's respawn
+        self.agents = [AgentState(CarBody(0.0, 0.0, 0))
+                       for _ in range(self.cfg._numAgents)]
+        self.world.agents = [agent.body for agent in self.agents]
         self.world.place_parked_cars(self.cfg._numParkedCars, self.rng)
         for i in range(len(self.agents)):
             self._respawn(i)
@@ -234,11 +237,12 @@ class ParkingEnv:
         reset keeps it."""
         self.world.scale = scale
 
-    def require_obs_mode(self, mode: str, user: str) -> None:
-        """Reject an environment whose observation mode is not the one the
-        user (a trainer or an evaluator) needs."""
-        if self.obs_mode != mode:
-            fix = "set" if mode == "normalized" else "unset"
+    def require_obs_mode(self, normalized: bool, user: str) -> None:
+        """Reject an environment whose observation mode, `_normalizeObs`,
+        is not the one the user (a trainer or an evaluator) needs."""
+        if self.cfg._normalizeObs != normalized:
+            mode = "normalized" if normalized else "discrete"
+            fix = "set" if normalized else "unset"
             raise ValueError(f"{user} requires the {mode} observation mode; "
                              f"{fix} _normalizeObs")
 
@@ -264,29 +268,21 @@ class ParkingEnv:
         return [sid for sid in self.world.free_space_ids() if sid not in taken]
 
     def _spawn_legal(self, body: CarBody, agent_i: int) -> bool:
+        """Whether agent_i's car may start at body's pose: no other car's
+        center closer than carSpawnMinDistance, and no wall or car hit."""
+        others = self.world.all_cars()
+        del others[agent_i]
         min_d = self.cfg.mdp_to_world(self.cfg.carSpawnMinDistance)
-        for j, car in enumerate(self.world.all_cars()):
-            if j == agent_i:
-                continue
-            if math.hypot(car.x - body.x, car.y - body.y) < min_d:
-                return False
-        if self.world.collides_static([body])[0] is not None:
-            return False
-        for j, other in enumerate(self.agents):
-            if j != agent_i and obb_intersects(body, other.body,
-                                               self.world.scale, self.grid):
-                return False
-        return True
+        return (all(math.hypot(car.x - body.x, car.y - body.y) >= min_d
+                    for car in others)
+                and self.world.static_kind(body, others) is None)
 
     def _place(self, agent_i: int, x: float, y: float, theta: int) -> bool:
+        """Try agent_i's car at the snapped pose; a failed try is not undone."""
         body = self.agents[agent_i].body
-        x, y = self.grid.snap(x, y)
-        old = (body.x, body.y, body.theta)
-        body.x, body.y, body.theta = x, y, theta
-        if self._spawn_legal(body, agent_i):
-            return True
-        body.x, body.y, body.theta = old
-        return False
+        body.x, body.y = self.grid.snap(x, y)
+        body.theta = theta
+        return self._spawn_legal(body, agent_i)
 
     def _spawn_plain(self, agent_i: int, near: tuple[float, float] | None = None,
                      radius: float = 0.0) -> bool:
@@ -358,7 +354,11 @@ class ParkingEnv:
         return False
 
     def _respawn(self, agent_i: int) -> None:
-        agent = self.agents[agent_i]
+        """Start agent_i's next episode, the one place an episode starts:
+        draw its goal (fixed goals) and a legal placement for its car, then
+        give it a fresh AgentState around that car, whose tracker and rings
+        are counted on the view the placement made. The placement reads
+        only the other agents' goals and cars, never agent_i's own state."""
         cfg = self.cfg
         goal: int | None = None
         if not cfg._dynamicGoals:
@@ -386,19 +386,15 @@ class ParkingEnv:
             raise RuntimeError(
                 f"could not find a legal spawn position for agent {agent_i} "
                 f"in {PLAIN_SPAWN_TRIES} plain-spawn tries{after}")
-        agent.v = 0
-        agent.goal_space = goal
-        agent.episode_step = 0
-        agent.episode_reward = 0.0
-        agent.steps_exploring = 0
-        agent.steps_toward_goal = 0
-        agent.steps_toward_space_exploring = 0
-        agent.ring_history = []
+        n_space = cfg.tracked_spaces
+        self.agents[agent_i] = agent = AgentState(
+            self.agents[agent_i].body, goal_space=goal,
+            tracker=SpaceTracker(n_space) if n_space else None,
+            ring_history=self._ring_start.copy())
         # the placement moved a car; the respawned agent reads its own row
         # of the new view
         self._look()
         if agent.tracker:
-            agent.tracker.reset()
             agent.tracker.update(self.world.nearest_free_spaces(
                 agent.tracker.n_space, self._seen)[agent_i])
         if self.ring_spec:
@@ -533,9 +529,6 @@ class ParkingEnv:
             raw.extend(agent.cur_rings)
             for state in agent.ring_history:
                 raw.extend(state)
-            # zero-filled history at episode start
-            missing = cfg._ringNumPrevObs - len(agent.ring_history)
-            raw.extend([0] * (missing * len(cfg.ringDiams)))
         if cfg._obsNearbyCars:
             nearby = agent.nearby[:cfg._obsNearbyCarsCount]
             cars = self.world.all_cars()
@@ -582,7 +575,7 @@ class ParkingEnv:
                     raw += near
                 if cfg._obsParkingSpotClosestGoalAgent:
                     raw += goal_near
-        return build_observation(self.schema, cfg, raw, self.obs_mode)
+        return build_observation(self.schema, cfg, raw)
 
     # -------------------------------------------------------------- stepping
 
@@ -705,7 +698,6 @@ class ParkingEnv:
             occupied_ids = world.occupied_space_ids()
         if ring_spec:
             rings = world.ring_counts(ring_spec, seen)
-            history_len = cfg._ringNumPrevObs
         tau = cfg._maxSteps
         terminals: list[int] = []
         for i, (agent, ev) in enumerate(zip(agents, events)):
@@ -714,11 +706,10 @@ class ParkingEnv:
             if agent.tracker:
                 agent.tracker.update(tracked[i])
             if ring_spec:
-                prev = agent.cur_rings
+                # a fixed window: the newest state in, the oldest out
+                agent.ring_history.insert(0, agent.cur_rings)
+                agent.ring_history.pop()
                 agent.cur_rings = rings[i]
-                if history_len > 0:
-                    agent.ring_history.insert(0, prev)
-                    del agent.ring_history[history_len:]
             if dynamic and agent.goal_space is not None and i not in crashed:
                 occupied = agent.goal_space in occupied_ids
                 untracked = agent.tracker.slot_of(agent.goal_space) is None

@@ -123,7 +123,6 @@ class MetricSeries:
 
     path: str
     mode: str
-    summary_freq: int
     points: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -217,14 +216,14 @@ def read_store(path: str) -> dict[str, MetricSeries]:
 
     The file is read whole, which is safe because a store holds one
     point per closed window. Each line must hold one JSON object; a
-    record's step and the header's summary_freq must be ints and its
-    value a finite number (bools are neither). Any other line, a missing
+    record's step must be an int and its value a finite number (bools are
+    neither), and a header's summary_freq, when it has one, an int of at
+    least 1, as ``MetricStore`` writes it. Any other line, a missing
     field, a mode switch or a step that does not increase raises
     ``ValueError`` (``json.JSONDecodeError`` when undecodable) naming
     ``path:line``.
     """
     series: dict[str, MetricSeries] = {}
-    freq = 0
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     for line_no, line in enumerate(text.split("\n"), 1):
@@ -238,12 +237,17 @@ def read_store(path: str) -> dict[str, MetricSeries]:
             raise ValueError(f"{path}:{line_no}: not a JSON object")
         try:
             if "format" in rec:
-                freq = _stored_int(rec.get("summary_freq", 0), "summary_freq")
+                # a header may omit it
+                freq = _stored_int(rec.get("summary_freq", 1), "summary_freq")
+                if freq < 1:
+                    raise ValueError(
+                        f"{path}:{line_no}: summary_freq must be >= 1, "
+                        f"got {freq}")
                 continue
             key = rec["path"]
             s = series.get(key)
             if s is None:
-                s = series[key] = MetricSeries(key, rec["mode"], freq)
+                s = series[key] = MetricSeries(key, rec["mode"])
             elif s.mode != rec["mode"]:
                 raise ValueError(
                     f"{path}:{line_no}: {key} switches mode "

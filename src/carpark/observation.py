@@ -43,7 +43,9 @@ under fixed goals, an empty space slot, no agent with that goal) reads as
 the feature's bound distance with zero angle, delta and velocity. A goal
 slot index reads 0 for no goal or an untracked own goal, and n_space + 1
 for an absent car slot or a tracked car whose goal the observer does not
-track. Ring history an episode has not reached yet reads as zero counts.
+track. An episode starts with a full ring window of `_ringNumPrevObs`
+zero states, so history the episode has not reached yet reads as zero
+counts.
 """
 
 from __future__ import annotations
@@ -198,13 +200,13 @@ def build_observation(
     schema: ObsSchema,
     cfg: EnvironmentConfig,
     raw: list,
-    mode: str,
 ) -> list:
     """Encode one raw value per schema feature, in schema order, by the
-    feature's kind, and check each encoded value against its domain."""
+    feature's kind in the mode `_normalizeObs` picks, and check each
+    encoded value against its domain."""
     gtheta = cfg._thetaGranularity
     out = []
-    if mode == "normalized":
+    if cfg._normalizeObs:
         for x, (code, bound, lo, _, _, f) in zip(raw, schema.plan,
                                                  strict=True):
             if code == _DISTANCE:
@@ -217,8 +219,6 @@ def build_observation(
                 raise ValueError(f"{f.name}={v} outside [{lo}, 1.0]")
             out.append(v)
         return out
-    if mode != "discrete":
-        raise ValueError(f"unknown observation mode {mode!r}")
     dist_gran = cfg._distGranularity
     floor = math.floor  # round_half_up(x) is floor(x + 0.5), inlined
     for x, (code, _, _, size, offset, f) in zip(raw, schema.plan,

@@ -528,7 +528,7 @@ def train_ppo(cfg: EnvironmentConfig, hyper: PpoHyper,
     np_rng = np.random.default_rng(seed)
     if env is None:
         env = ParkingEnv(cfg, rng=rng)
-    env.require_obs_mode("normalized", "policy-gradient training")
+    env.require_obs_mode(normalized=True, user="policy-gradient training")
     obs_dim = len(env.observe(0))
     if params is None:
         params = PolicyParams(obs_dim, env.action_schema.branches,
@@ -610,7 +610,7 @@ def evaluate_ppo(params: PolicyParams, env: ParkingEnv,
                  episodes: int) -> dict:
     """Greedy rollouts (argmax per branch, no learning); returns
     outcome rates and the per-episode rewards."""
-    env.require_obs_mode("normalized", "policy evaluation")
+    env.require_obs_mode(normalized=True, user="policy evaluation")
     _check_params_dims(params, env, len(env.observe(0)))
     offsets = env.action_schema.offsets
     n = len(env.agents)

@@ -184,7 +184,7 @@ def train_q(cfg: EnvironmentConfig, schedule: QSchedule,
     rng = random.Random(seed)
     if env is None:
         env = ParkingEnv(cfg, rng=rng)
-    env.require_obs_mode("discrete", "tabular Q-learning")
+    env.require_obs_mode(normalized=False, user="tabular Q-learning")
     if table is None:
         table = QTable(env.schema.discrete_dims(),
                        env.action_schema.branches)
@@ -250,6 +250,6 @@ def _greedy(table: QTable, env: ParkingEnv):
 def evaluate_q(table: QTable, env: ParkingEnv, episodes: int) -> dict:
     """Greedy rollouts with no learning; returns outcome rates and the
     per-episode rewards."""
-    env.require_obs_mode("discrete", "tabular Q-learning")
+    env.require_obs_mode(normalized=False, user="tabular Q-learning")
     _check_table_dims(table, env)
     return evaluate_policy(env, episodes, _greedy(table, env))

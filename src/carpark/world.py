@@ -337,14 +337,17 @@ class WorldState:
         """Check each body against walls and parked cars: one 'wall',
         'parked-car' or None per body. With `arrays`, the current view from
         all agents, the bodies are the agents and only the parked cars its
-        broad phase keeps are tested."""
+        broad phase keeps are tested; without one, every parked car is,
+        which serves the tick of a lone car that has no view."""
         if arrays is None:
-            return [self._static_kind(b, self.parked) for b in bodies]
+            return [self.static_kind(b, self.parked) for b in bodies]
         cars, na = arrays.cars, arrays.na
-        return [self._static_kind(b, [cars[j] for j in close if j >= na])
+        return [self.static_kind(b, [cars[j] for j in close if j >= na])
                 for b, close in zip(bodies, arrays.near())]
 
-    def _static_kind(self, body: CarBody, parked) -> str | None:
+    def static_kind(self, body: CarBody, cars) -> str | None:
+        """The one hitbox test: 'wall' when body's hitbox reaches a wall,
+        'parked-car' when it hits one of `cars`, else None."""
         # the walls are the arena box's edges, so a body hits one exactly
         # when a corner lies on or outside the box; a corner can only reach
         # an edge within the circumradius (plus REACH_SLACK for rounding in
@@ -356,7 +359,7 @@ class WorldState:
             for x, y in obb_corners(body, scale, self.grid):
                 if x <= 0.0 or x >= e or y <= 0.0 or y >= e:
                     return "wall"
-        for car in parked:
+        for car in cars:
             if obb_intersects(body, car, scale, self.grid):
                 return "parked-car"
         return None
@@ -461,9 +464,6 @@ class SpaceTracker:
     def __init__(self, n_space: int):
         self.n_space = n_space
         self.slots: list[int | None] = [None] * n_space
-
-    def reset(self) -> None:
-        self.slots = [None] * self.n_space
 
     def update(self, tracked_ids: list[int]) -> None:
         slots = self.slots

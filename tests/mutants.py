@@ -133,6 +133,14 @@ MUTANTS = [
     (METRICS, "if type(value) is not int:", "if False:"),
     (METRICS, "if type(value) not in (int, float) or not math.isfinite(value):",
      "if False:"),
+    (METRICS, "if freq < 1:", "if freq < 0:"),
+    # one start for every episode: the ring window keeps its length, and
+    # a spawn passes the minimum distance and the one hitbox test against
+    # every other car
+    (ENV, "                agent.ring_history.pop()\n", ""),
+    (ENV, ">= min_d", "> min_d"),
+    (ENV, "self.world.static_kind(body, others)",
+     "self.world.static_kind(body, self.world.parked)"),
 ]
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(EnvironmentConfig)}

@@ -98,7 +98,9 @@ def place(env, i, x, y, theta, v=0, goal="keep", refresh=True):
             agent.tracker.n_space, env._seen)[i])
     if env.ring_spec:
         agent.cur_rings = env.world.ring_counts(env.ring_spec, env._seen)[i]
-        agent.ring_history = []
+        # a fresh window: _ringNumPrevObs zero states
+        agent.ring_history = ([(0,) * len(env.cfg.ringDiams)]
+                              * env.cfg._ringNumPrevObs)
     agent.prev_goal_distance = env._goal_distance(agent)
     env._sense()  # the nearest-car lists and the space table
 
@@ -142,6 +144,17 @@ def test_spawn_respects_min_distance():
         body = env.agents[0].body
         for car in env.world.all_cars()[1:]:  # column 0 is agent 0
             assert math.hypot(car.x - body.x, car.y - body.y) >= 4.5
+
+
+def test_a_spawn_exactly_the_minimum_distance_from_a_car_is_legal():
+    # 12 MDP units are 6 world units at the default position granularity
+    env = make_env({"_numAgents": 2, "carSpawnMinDistance": 12}, seed=0)
+    a, b = env.agents[0].body, env.agents[1].body
+    a.x, a.y, a.theta = 37.0, 37.0, 0
+    b.x, b.y, b.theta = 43.0, 37.0, 0  # the hitboxes are 1 unit apart
+    assert env._spawn_legal(b, 1)
+    b.x = 42.5  # still clear of a's hitbox, but too close
+    assert not env._spawn_legal(b, 1)
 
 
 def test_crowded_respawn_failure_names_agent_and_tries():
@@ -959,6 +972,34 @@ def test_ring_history_holds_the_counts_of_earlier_ticks():
             assert tuple(obs[f"ring{i}{tag}"] for i in range(4)) == want
     assert seen == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1),
                     (1, 1, 1, 1)]
+
+
+def test_a_respawn_starts_the_episode_from_the_defaults():
+    """After a terminal, the respawned agent's episode counters, speed and
+    ring window are back at an episode's start: the window holds
+    _ringNumPrevObs zero states."""
+    env = make_env({"_obsRings": True, "_ringMaxNumObjTrack": 4,
+                    "ringDiams": [55, 61], "_ringOnlyWall": True,
+                    "_ringNumPrevObs": 3, "_maxSteps": 3}, seed=5)
+    place(env, 0, 37.0, 27.0, 4)  # both rings reach the bottom wall
+    old = env.agents[0]
+    for _ in range(2):
+        assert env.step_all([ActionTuple(1, 0)])[0].terminal is None
+    assert (old.episode_step, old.v) == (2, 1)
+    assert old.episode_reward != 0.0
+    assert old.ring_history == [(1, 1), (1, 1), (0, 0)]
+    out = env.step_all([ActionTuple(1, 0)])[0]
+    assert (out.terminal, out.episode_steps) == ("timeout", 3)
+    agent = env.agents[0]
+    assert agent.body is env.world.agents[0]
+    assert (agent.v, agent.episode_step, agent.episode_reward) == (0, 0, 0.0)
+    assert (agent.steps_exploring, agent.steps_toward_goal,
+            agent.steps_toward_space_exploring) == (0, 0, 0)
+    assert agent.ring_history == [(0, 0)] * 3
+    names = [f.name for f in env.schema.features]
+    obs = dict(zip(names, env.observe(0)))
+    assert [obs[f"ring{i}-prev{h}"] for h in (1, 2, 3) for i in (0, 1)] \
+        == [0] * 6
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -298,7 +298,7 @@ def discrete_goal(lp: LocalPose, dist_gran: float = 1.0) -> tuple:
     cfg = config_from_mapping({"_obsDist": True, "_obsGoalDeltaPose": True,
                                "_distGranularity": dist_gran})
     raw = [0, lp.d, lp.theta_rel, lp.delta_theta]
-    obs = build_observation(build_schema(cfg), cfg, raw, "discrete")
+    obs = build_observation(build_schema(cfg), cfg, raw)
     return tuple(obs[1:])
 
 

@@ -40,8 +40,8 @@ from carpark.metrics import (
 from carpark.qlearning import QSchedule, train_q
 
 
-def series(points, mode="mean", freq=10):
-    return MetricSeries("m", mode, freq, list(points))
+def series(points, mode="mean"):
+    return MetricSeries("m", mode, list(points))
 
 
 def file_store(directory, freq=10):
@@ -137,8 +137,8 @@ def test_sum_mode_is_rejected(tmp_path):
     lines = [rec_line("a", 10, 2.0, "sum"), rec_line("b", 10, 3.0, "median")]
     path = write_store_bytes(tmp_path, "\n".join(lines).encode())
     assert read_store(path) == {
-        "a": MetricSeries("a", "sum", 0, [(10, 2.0)]),
-        "b": MetricSeries("b", "median", 0, [(10, 3.0)]),
+        "a": MetricSeries("a", "sum", [(10, 2.0)]),
+        "b": MetricSeries("b", "median", [(10, 3.0)]),
     }
 
 
@@ -232,7 +232,6 @@ def test_store_file_round_trip(tmp_path):
     assert back["b"].points == [(10, 1.0), (20, 1.0), (24, 1.0)]
     assert back["a"].mode == "mean"
     assert back["b"].mode == "last"
-    assert back["a"].summary_freq == 10
 
 
 def test_read_store_rejects_corrupt_order(tmp_path):
@@ -253,7 +252,6 @@ def reference_read_store(path):
     """The line-by-line reader: one json.loads per line of a text-mode
     file, so read_store has to agree with it on every store."""
     out: dict[str, MetricSeries] = {}
-    freq = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -261,12 +259,11 @@ def reference_read_store(path):
                 continue
             rec = json.loads(line)
             if "format" in rec:
-                freq = int(rec.get("summary_freq", 0))
                 continue
             key = rec["path"]
             s = out.get(key)
             if s is None:
-                s = out[key] = MetricSeries(key, rec["mode"], freq)
+                s = out[key] = MetricSeries(key, rec["mode"])
             elif s.mode != rec["mode"]:
                 raise ValueError(
                     f"{path}:{line_no}: {key} switches mode "
@@ -300,15 +297,15 @@ def test_read_store_skips_blank_whitespace_and_crlf_lines(tmp_path):
         path = write_store_bytes(tmp_path, newline.join(lines).encode())
         back = read_store(path)
         assert back == {
-            "a": MetricSeries("a", "mean", 10, [(10, 1.5), (20, 2.5)]),
-            "b": MetricSeries("b", "sum", 10, [(20, 3.0)]),
+            "a": MetricSeries("a", "mean", [(10, 1.5), (20, 2.5)]),
+            "b": MetricSeries("b", "sum", [(20, 3.0)]),
         }
         assert back == reference_read_store(path)
 
 
-def test_read_store_without_header_has_summary_freq_zero(tmp_path):
+def test_read_store_reads_a_store_without_header(tmp_path):
     path = write_store_bytes(tmp_path, (rec_line("a", 5, 1.0) + "\n").encode())
-    assert read_store(path) == {"a": MetricSeries("a", "mean", 0, [(5, 1.0)])}
+    assert read_store(path) == {"a": MetricSeries("a", "mean", [(5, 1.0)])}
 
 
 def test_read_store_reports_line_of_step_and_mode_errors(tmp_path):
@@ -415,6 +412,9 @@ MALFORMED_STORE_LINES = {
     "null summary_freq": '{"format": "carpark-metrics", "summary_freq": null}',
     "string summary_freq":
         '{"format": "carpark-metrics", "summary_freq": "x"}',
+    "zero summary_freq": '{"format": "carpark-metrics", "summary_freq": 0}',
+    "negative summary_freq":
+        '{"format": "carpark-metrics", "summary_freq": -5}',
     "numeric string step":
         '{"path": "a", "step": "20", "value": 1.0, "mode": "mean"}',
     "string step": '{"path": "a", "step": "x", "value": 1.0, "mode": "mean"}',

@@ -80,9 +80,9 @@ def test_ppo_fixed_schema_layout():
 def test_basic_discrete_observation():
     # velocity 0 sits at index 1 of its 3-value domain; angle index copied
     schema = build_schema(BASIC)
-    assert build_observation(schema, BASIC, [0, 5.0], "discrete") == [1, 5]
+    assert build_observation(schema, BASIC, [0, 5.0]) == [1, 5]
     # 7.6 rounds up to 8 == 0 mod 8
-    assert build_observation(schema, BASIC, [-1, 7.6], "discrete") == [0, 0]
+    assert build_observation(schema, BASIC, [-1, 7.6]) == [0, 0]
 
 
 def test_normalized_velocity_half():
@@ -90,9 +90,9 @@ def test_normalized_velocity_half():
         {"_maxVelocityMagnitude": 4, "_minVelocityMagnitude": 2,
          "_normalizeObs": True})
     schema = build_schema(cfg)
-    obs = build_observation(schema, cfg, [2, 0.0], "normalized")
+    obs = build_observation(schema, cfg, [2, 0.0])
     assert obs[0] == 0.5
-    obs = build_observation(schema, cfg, [-2, 0.0], "normalized")
+    obs = build_observation(schema, cfg, [-2, 0.0])
     assert obs[0] == -0.5
 
 
@@ -102,12 +102,12 @@ def test_velocity_bound_is_the_larger_of_the_two_speeds():
     mapping = {"_maxVelocityMagnitude": 1, "_minVelocityMagnitude": 3}
     cfg = config_from_mapping({**mapping, "_normalizeObs": True})
     schema = build_schema(cfg)
-    assert build_observation(schema, cfg, [-3, 0.0], "normalized")[0] == -1.0
-    assert build_observation(schema, cfg, [1, 0.0], "normalized")[0] == 1 / 3
+    assert build_observation(schema, cfg, [-3, 0.0])[0] == -1.0
+    assert build_observation(schema, cfg, [1, 0.0])[0] == 1 / 3
     cfg = config_from_mapping(mapping)
     schema = build_schema(cfg)
     assert schema.discrete_dims()[0] == 5
-    assert [build_observation(schema, cfg, [v, 0.0], "discrete")[0]
+    assert [build_observation(schema, cfg, [v, 0.0])[0]
             for v in range(-3, 2)] == [0, 1, 2, 3, 4]
 
 
@@ -115,8 +115,8 @@ def test_distance_granularity_sets_the_goal_distance_domain():
     cfg = config_from_mapping({"_obsDist": True, "_distGranularity": 2.0})
     want = round_half_up(MAX_WORLD_DISTANCE / 2.0) + 1
     assert build_schema(cfg).discrete_dims() == [3, want, 8]
-    assert build_observation(build_schema(cfg), cfg, [0, 7.0, 0.0],
-                             "discrete") == [1, 4, 0]  # 7 / 2 rounds up
+    assert build_observation(build_schema(cfg), cfg,
+                             [0, 7.0, 0.0]) == [1, 4, 0]  # 7 / 2 rounds up
     table = train_q(cfg, QSchedule(alpha=0.1, gamma=0.9, epsilon=0.0,
                                    train_episodes=1), seed=0).table
     assert table.values.shape == (3 * want * 8, 9)
@@ -130,7 +130,7 @@ def test_normalized_values_bounded():
            150.0, 0.1, -12.0,   # car0
            -2,                  # car0 velocity
            104.6, 23.0, 5.0]    # car0 goal
-    obs = build_observation(schema, PPO_FIXED, raw, "normalized")
+    obs = build_observation(schema, PPO_FIXED, raw)
     assert len(obs) == len(schema.features)
     for v, f in zip(obs, schema.features):
         lo = -1.0 if f.signed else 0.0
@@ -156,16 +156,15 @@ def test_ring_history_zero_filled():
         "ringDiams": [10, 6], "_ringNumPrevObs": 2,
     })
     schema = build_schema(cfg)
-    obs = build_observation(schema, cfg, [0, 2.0, 2, 1, 1, 0, 0, 0],
-                            "discrete")
+    obs = build_observation(schema, cfg, [0, 2.0, 2, 1, 1, 0, 0, 0])
     # velocity, angle, current(2), prev1(2), prev2 zero-filled(2)
     assert obs == [1, 2, 2, 1, 1, 0, 0, 0]
-    # env.observe fills the history an episode has not reached yet
+    # a fresh episode reads zeros from its window of _ringNumPrevObs states
     env = ParkingEnv(cfg, seed=0)
     agent = env.agents[0]
+    assert agent.ring_history == [(0, 0), (0, 0)]
     agent.cur_rings = (2, 1)
-    agent.ring_history = [(1, 0)]
-    assert env.observe(0)[2:] == [2, 1, 1, 0, 0, 0]
+    assert env.observe(0)[2:] == [2, 1, 0, 0, 0, 0]
 
 
 def two_agents(mapping: dict) -> ParkingEnv:
@@ -232,7 +231,7 @@ def test_untracked_goal_sentinel_index():
 def test_out_of_domain_rejected():
     schema = build_schema(BASIC)
     with pytest.raises(ValueError, match="velocity"):
-        build_observation(schema, BASIC, [5, 0.0], "discrete")
+        build_observation(schema, BASIC, [5, 0.0])
 
 
 # ---------------------------------------------------------------- actions

@@ -241,8 +241,9 @@ def oracle_build_observation(schema, cfg, inputs, mode):
 
 
 def oracle_observe(env, agent_i):
+    mode = "normalized" if env.cfg._normalizeObs else "discrete"
     return oracle_build_observation(env.schema, env.cfg,
-                                    oracle_inputs(env, agent_i), env.obs_mode)
+                                    oracle_inputs(env, agent_i), mode)
 
 
 # ------------------------------------------------------------ config matrix

@@ -112,6 +112,21 @@ def oracle_collides_static(world, body):
     return None
 
 
+def oracle_spawn_legal(env, body, agent_i):
+    """The three rules a spawn passes, one loop each: every other car's
+    center at least carSpawnMinDistance away, no wall or parked car hit,
+    and no other agent's hitbox hit."""
+    world = env.world
+    min_d = env.cfg.mdp_to_world(env.cfg.carSpawnMinDistance)
+    for j, car in enumerate(world.all_cars()):
+        if j != agent_i and math.hypot(car.x - body.x, car.y - body.y) < min_d:
+            return False
+    if oracle_collides_static(world, body) is not None:
+        return False
+    return not any(obb_intersects(body, other, world.scale, world.grid)
+                   for j, other in enumerate(world.agents) if j != agent_i)
+
+
 def oracle_agent_contacts(world):
     agents = world.agents
     return [(i, j) for i in range(len(agents))
@@ -214,7 +229,8 @@ def worlds(draw):
         "_obsNearbyCarsDiameter": draw(st.sampled_from([10, 11, 24, 300])),
         "_dynamicGoals": dynamic,
         "_obsNearbyParkingSpotsCount": draw(st.integers(1, 4)) if dynamic else 0,
-        "carSpawnMinDistance": 0,
+        # world units 0, 4, 5 (an offset's length) or 9, in MDP units
+        "carSpawnMinDistance": draw(st.sampled_from([0, 4, 5, 9])) << gp,
     }
     env = ParkingEnv(config_from_mapping(mapping), seed=draw(st.integers(0, 99)))
     world = env.world
@@ -297,6 +313,27 @@ def test_batched_queries_equal_scalar_loops(env, data):
     want = oracle_agent_contacts(world)
     assert world.agent_contacts(view) == want
     check_tables(env)
+
+
+@settings(max_examples=120, deadline=None)
+@given(worlds(), st.data())
+def test_spawn_legality_equals_the_three_rules(env, data):
+    """A spawn is legal by the world's one hitbox test exactly when it
+    passes the rules the oracle checks one by one, also while reset has
+    placed only some agents and the rest wait at the origin."""
+    draw = data.draw
+    agents = env.world.agents
+    if len(agents) > 1 and draw(st.booleans()):
+        # one agent beside another, where the hitbox test may decide
+        i, j = draw(st.permutations(range(len(agents))))[:2]
+        dx, dy = draw(st.sampled_from(OFFSETS))
+        agents[i].x, agents[i].y = agents[j].x + dx, agents[j].y + dy
+    if draw(st.booleans()):
+        # reset places the agents in turn; the later ones wait at the origin
+        for body in agents[draw(st.integers(0, len(agents))):]:
+            body.x, body.y, body.theta = 0.0, 0.0, 0
+    for i, body in enumerate(agents):
+        assert env._spawn_legal(body, i) == oracle_spawn_legal(env, body, i)
 
 
 # ------------------------------------------------------------ whole episodes
