@@ -256,6 +256,8 @@ class EnvironmentConfig:
             raise ValueError(
                 "ringDiams: must be non-empty exactly when _obsRings is set"
             )
+        if self._ringNumPrevObs and not self._obsRings:
+            raise ValueError("_ringNumPrevObs: must be 0 when _obsRings is unset")
         for i, d in enumerate(self.ringDiams):
             if d <= 0:
                 raise ValueError(f"ringDiams[{i}] (_rd{i}): must be > 0")

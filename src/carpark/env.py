@@ -4,14 +4,16 @@ give-way contexts, and terminal handling for N independent agents.
 Step order within a single tick: goal transitions (dynamic goals) are
 applied on the pre-move state, then every agent moves in index order, then
 collisions are resolved against post-move poses, then tracking refresh,
-lost-goal handling, park checks, and rewards. Terminal agents respawn at
-the end of the tick (a respawn is the one place an episode starts, and
-reset respawns every agent); a successful park first relocates the parked
-car farthest from all agents into the space the parking agent vacates,
-keeping the parked-car count constant. Last comes the sensing pass: one
-center-distance matrix from every agent to every car and space gives each
-agent's nearest-car list and nearest-car distance and each space's
-closest-agent distances.
+lost-goal handling, park checks, and rewards; that phase is the one place
+an episode ends, counting the outcome where it decides it and handing out
+the finished AgentState. Terminal agents respawn at the end of the tick
+(a respawn is the one place an episode starts, with a new state and car,
+and reset respawns every agent); a successful park first relocates the
+parked car farthest from all agents into the space the parking agent
+vacates, keeping the parked-car count constant. Last comes the sensing
+pass: one center-distance matrix from every agent to every car and space
+gives each agent's nearest-car list and nearest-car distance and each
+space's closest-agent distances.
 
 Every world query is seen from all agents through one view per world
 state, `_seen`, a `WorldArrays` that `_look` builds when something moves
@@ -19,11 +21,12 @@ state, `_seen`, a `WorldArrays` that `_look` builds when something moves
 car with fixed goals has nothing to sense and no view. The sensing pass
 reads the current view, so after respawns it reuses the last one.
 Everything `observe` reads is derived state that `reset` and
-`step_all` leave behind: the ring counts (`cur_rings`, from the tracking
-phase or a respawn), and the nearest-car lists (`nearby`) and the space
-table behind `global_info` from the sensing pass. The next tick's
-goal transitions read the same tables, since nothing moves between the
-end of one tick and the goal transitions of the next.
+`step_all` leave behind: the ring window (`rings`, whose current counts
+come from the tracking phase or a respawn), and the nearest-car lists
+(`nearby`) and the space table behind `global_info` from the sensing
+pass. The next tick's goal transitions read the same tables, since
+nothing moves between the end of one tick and the goal transitions of
+the next.
 
 `observe` is the one walk that gathers an agent's raw feature values, in
 schema order and with the sentinels for what it cannot see; the schema's
@@ -97,6 +100,12 @@ TRANSITIONS = (
     "StopExplore", "StopGoal", "ChangeGoal", "ContinueExplore", "ContinueGoal",
 )
 
+# how an episode ended -> its stat key
+TERMINAL_STATS = {"parked": "parked", "crashed": "crashed", "timeout": "halted"}
+# crash kind -> its stat key
+CRASH_STATS = {"wall": "crash_wall", "parked-car": "crash_parked",
+               "agent-car": "crash_agent"}
+
 # context id -> (name, total stat key, positive stat key)
 GAVE_WAY_KEYS = {ctx: (name, f"gave_way_{name}_total", f"gave_way_{name}_pos")
                  for ctx, name in CONTEXTS.items()}
@@ -114,7 +123,9 @@ class StepOutcome:
     episode ended, if it did, and the events behind them. `terminal` is
     the one outcome field: whether the agent parked, crashed or timed out
     is read from it and from nothing else, and its speed when it parked is
-    `velocity`. Every field has its default on the class, so a fresh
+    `velocity`. On a terminal tick `episode` is the AgentState that ended,
+    as the tick left it: the episode's own record of its steps, reward and
+    counters. Every field has its default on the class, so a fresh
     instance runs no __init__; setting a field sets it on that instance
     alone."""
 
@@ -130,21 +141,17 @@ class StepOutcome:
     velocity: int = 0
     omega: int = 0
     moved_toward_goal: int = 0  # sign of goal-distance decrease
-    # set on terminal steps only
-    episode_steps: int = 0
-    episode_reward: float = 0.0
-    ratio_explore: float | None = None
-    ratio_toward_goal: float | None = None
-    ratio_toward_space_exploring: float | None = None
+    episode: AgentState | None = None  # the episode that ended, if one did
 
 
 @dataclass(slots=True)
 class AgentState:
     """One agent's state within an episode. Every default is how an
-    episode starts: a respawn builds a fresh AgentState around the placed
-    car and gives it only the episode's goal, a fresh tracker and a ring
-    window of zero states. Only `body` outlives an episode: it is the car
-    that `world.agents` holds."""
+    episode starts: a respawn builds a fresh AgentState around a new car
+    and gives it only the episode's goal, a fresh tracker and a ring
+    window of zero states. Nothing outlives an episode, so a finished
+    state stays as its last tick left it. `rings` holds the current ring
+    counts, then the `_ringNumPrevObs` earlier states, newest first."""
 
     body: CarBody
     v: int = 0
@@ -152,8 +159,7 @@ class AgentState:
     episode_step: int = 0
     prev_goal_distance: float = 0.0
     tracker: SpaceTracker | None = None
-    cur_rings: tuple[int, ...] = ()
-    ring_history: list = field(default_factory=list)
+    rings: list[tuple[int, ...]] = field(default_factory=list)
     nearby: list[int] = field(default_factory=list)  # tracked car columns
     episode_reward: float = 0.0
     steps_exploring: int = 0
@@ -189,8 +195,10 @@ class ParkingEnv:
         self._accel_range = (-cfg.max_reverse_accel, cfg._maxDeltaVMagnitude)
         # the raw values of one absent nearby-car slot, in schema order
         self._absent_car = self._absent_car_values()
-        # the ring window of an episode start: _ringNumPrevObs zero states
-        self._ring_start = [(0,) * len(cfg.ringDiams)] * cfg._ringNumPrevObs
+        # the ring window of an episode start: the current counts and
+        # _ringNumPrevObs earlier states, all zero
+        self._ring_start = ([(0,) * len(cfg.ringDiams)]
+                            * (cfg._ringNumPrevObs + 1))
         self.world = WorldState(self.grid)  # reset rebuilds it, keeping its scale
         self.agents: list[AgentState] = []
         # space table of the sensing pass (dynamic goals only): per space,
@@ -355,10 +363,11 @@ class ParkingEnv:
 
     def _respawn(self, agent_i: int) -> None:
         """Start agent_i's next episode, the one place an episode starts:
-        draw its goal (fixed goals) and a legal placement for its car, then
-        give it a fresh AgentState around that car, whose tracker and rings
-        are counted on the view the placement made. The placement reads
-        only the other agents' goals and cars, never agent_i's own state."""
+        draw its goal (fixed goals), give it a fresh AgentState around a
+        new car in its column of `world.agents`, and draw a legal placement
+        for that car; its tracker and rings are counted on the view the
+        placement made. The placement reads only the other agents' goals
+        and cars, so the finished episode's state is left as it ended."""
         cfg = self.cfg
         goal: int | None = None
         if not cfg._dynamicGoals:
@@ -366,6 +375,12 @@ class ParkingEnv:
             if not candidates:
                 raise RuntimeError("no free parking space left for a goal")
             goal = self.rng.choice(candidates)
+        n_space = cfg.tracked_spaces
+        self.agents[agent_i] = agent = AgentState(
+            CarBody(0.0, 0.0, 0), goal_space=goal,  # the car is placed below
+            tracker=SpaceTracker(n_space) if n_space else None,
+            rings=self._ring_start.copy())
+        self.world.agents[agent_i] = agent.body
         # pick one scheme up front; a failed scheme falls back to the plain
         # random spawn, not to the next scheme in line
         scheme = "plain"
@@ -386,11 +401,6 @@ class ParkingEnv:
             raise RuntimeError(
                 f"could not find a legal spawn position for agent {agent_i} "
                 f"in {PLAIN_SPAWN_TRIES} plain-spawn tries{after}")
-        n_space = cfg.tracked_spaces
-        self.agents[agent_i] = agent = AgentState(
-            self.agents[agent_i].body, goal_space=goal,
-            tracker=SpaceTracker(n_space) if n_space else None,
-            ring_history=self._ring_start.copy())
         # the placement moved a car; the respawned agent reads its own row
         # of the new view
         self._look()
@@ -398,7 +408,7 @@ class ParkingEnv:
             agent.tracker.update(self.world.nearest_free_spaces(
                 agent.tracker.n_space, self._seen)[agent_i])
         if self.ring_spec:
-            agent.cur_rings = self.world.ring_counts(
+            agent.rings[0] = self.world.ring_counts(
                 self.ring_spec, self._seen)[agent_i]
         agent.prev_goal_distance = self._goal_distance(agent)
 
@@ -526,8 +536,7 @@ class ParkingEnv:
             slot = tracker.slot_of(goal_sid) if goal_sid is not None else None
             raw.append(slot + 1 if slot is not None else 0)
         if self.ring_spec:
-            raw.extend(agent.cur_rings)
-            for state in agent.ring_history:
+            for state in agent.rings:
                 raw.extend(state)
         if cfg._obsNearbyCars:
             nearby = agent.nearby[:cfg._obsNearbyCarsCount]
@@ -652,6 +661,7 @@ class ParkingEnv:
         world = self.world
         spaces = world.spaces
         ring_spec = self.ring_spec
+        stats = self.stats
         events = [StepOutcome() for _ in agents]
 
         # phase 1: goal transitions on the pre-move full state
@@ -697,7 +707,7 @@ class ParkingEnv:
             tracked = world.nearest_free_spaces(cfg.tracked_spaces, seen)
             occupied_ids = world.occupied_space_ids()
         if ring_spec:
-            rings = world.ring_counts(ring_spec, seen)
+            counts = world.ring_counts(ring_spec, seen)
         tau = cfg._maxSteps
         terminals: list[int] = []
         for i, (agent, ev) in enumerate(zip(agents, events)):
@@ -706,17 +716,16 @@ class ParkingEnv:
             if agent.tracker:
                 agent.tracker.update(tracked[i])
             if ring_spec:
-                # a fixed window: the newest state in, the oldest out
-                agent.ring_history.insert(0, agent.cur_rings)
-                agent.ring_history.pop()
-                agent.cur_rings = rings[i]
+                # a fixed window: the newest counts in, the oldest out
+                agent.rings.insert(0, counts[i])
+                agent.rings.pop()
             if dynamic and agent.goal_space is not None and i not in crashed:
                 occupied = agent.goal_space in occupied_ids
                 untracked = agent.tracker.slot_of(agent.goal_space) is None
                 if occupied or untracked:
                     agent.goal_space = None
                     ev.lost_goal = True
-                    self.stats["lost_goal"] += 1
+                    stats["lost_goal"] += 1
             # movement bookkeeping covers terminal steps too
             if agent.goal_space is not None:
                 sp = spaces[agent.goal_space]  # self._goal_distance, inlined
@@ -734,9 +743,10 @@ class ParkingEnv:
                 if math.hypot(sp.x - body.x, sp.y - body.y) < old_d:
                     agent.steps_toward_space_exploring += 1
             if i in crashed:
-                ev.crash_kind = crashed[i]
+                ev.crash_kind = kind = crashed[i]
                 ev.reward -= cfg.rewCrash
                 ev.terminal = "crashed"
+                stats[CRASH_STATS[kind]] += 1
             elif self._parked_in_goal(agent):
                 ev.reward += self._park_reward(agent)
                 ev.terminal = "parked"
@@ -748,8 +758,10 @@ class ParkingEnv:
                 agent.steps_exploring += 1
             agent.episode_reward += ev.reward
             if ev.terminal:
+                stats["episodes"] += 1
+                stats[TERMINAL_STATS[ev.terminal]] += 1
+                ev.episode = agent
                 terminals.append(i)
-                self._finish_episode(i, ev)
 
         # phase 5: respawns (park relocation first)
         filled: list[int] = []
@@ -769,7 +781,7 @@ class ParkingEnv:
                 if i not in done and agent.goal_space in filled:
                     agent.goal_space = None
                     events[i].lost_goal = True
-                    self.stats["lost_goal"] += 1
+                    stats["lost_goal"] += 1
 
         # phase 6: the sensing pass on the final state of the tick, whose
         # view is the last respawn's, if anyone respawned
@@ -826,25 +838,3 @@ class ParkingEnv:
                 smooth *= abs(agent.v) / cfg.speed_bound
             reward -= cfg.rewDeltaThetaSum / tau * smooth
         return reward
-
-    def _finish_episode(self, agent_i: int, ev: StepOutcome) -> None:
-        agent = self.agents[agent_i]
-        self.stats["episodes"] += 1
-        if ev.terminal == "parked":
-            self.stats["parked"] += 1
-        elif ev.terminal == "timeout":
-            self.stats["halted"] += 1
-        else:
-            self.stats["crashed"] += 1
-            self.stats[{
-                "wall": "crash_wall",
-                "parked-car": "crash_parked",
-                "agent-car": "crash_agent",
-            }[ev.crash_kind]] += 1
-        n = agent.episode_step
-        ev.episode_steps = n
-        ev.episode_reward = agent.episode_reward
-        if self.cfg._dynamicGoals:
-            ev.ratio_explore = agent.steps_exploring / n
-            ev.ratio_toward_space_exploring = agent.steps_toward_space_exploring / n
-        ev.ratio_toward_goal = agent.steps_toward_goal / n

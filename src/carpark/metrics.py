@@ -367,20 +367,24 @@ class TrainingRecorder:
     def _episode_end(self, step: int, ev) -> None:
         record = self.store.record
         stats = self.env.stats
-        record("Environment/Cumulative Reward", ev.episode_reward, step)
-        record("Environment/Episode Length", ev.episode_steps, step)
+        episode = ev.episode
+        n = episode.episode_step
+        record("Environment/Cumulative Reward", episode.episode_reward, step)
+        record("Environment/Episode Length", n, step)
         for path, key in _RECORDED_TOTALS:
             record(path, stats[key], step, "last")
-        record("Metrics/RatioMoveTowardsPerEps", ev.ratio_toward_goal, step)
+        record("Metrics/RatioMoveTowardsPerEps",
+               episode.steps_toward_goal / n, step)
         if ev.terminal == "parked":
             record("Metrics/Park Velocity",
                    abs(ev.velocity) * self.v_scale, step)
         if not self.dynamic:
             return
-        record("Metrics/RatioExplorePerEps", ev.ratio_explore, step)
-        record("Metrics/RatioGoalPerEps", 1.0 - ev.ratio_explore, step)
+        ratio_explore = episode.steps_exploring / n
+        record("Metrics/RatioExplorePerEps", ratio_explore, step)
+        record("Metrics/RatioGoalPerEps", 1.0 - ratio_explore, step)
         record("Metrics/RatioMoveTowardsExploringPerEps",
-               ev.ratio_toward_space_exploring, step)
+               episode.steps_toward_space_exploring / n, step)
         for name, total, pos in GAVE_WAY_KEYS.values():
             pos_path, total_path = gave_way_paths(name)
             record(pos_path, stats[pos], step, "last")
@@ -475,7 +479,7 @@ class TrainingRun:
         rewards = self.rewards
         for out in outs:
             if out.terminal is not None:
-                rewards.append(out.episode_reward)
+                rewards.append(out.episode.episode_reward)
                 if (self.dump_interval
                         and len(rewards) % self.dump_interval == 0):
                     self._log_progress()
@@ -527,7 +531,7 @@ def evaluate_policy(env, episodes: int, act) -> dict:
                       max_episodes=episodes, train=0)
     # no learning: the outcomes only give the episode lengths
     run.play(act, lambda outs: lengths.extend(
-        out.episode_steps for out in outs if out.terminal is not None))
+        out.episode.episode_step for out in outs if out.terminal is not None))
     done = run.episodes
     totals = {"park_rate": env.stats["parked"] - before["parked"],
               "crash_rate": env.stats["crashed"] - before["crashed"],

@@ -43,9 +43,10 @@ under fixed goals, an empty space slot, no agent with that goal) reads as
 the feature's bound distance with zero angle, delta and velocity. A goal
 slot index reads 0 for no goal or an untracked own goal, and n_space + 1
 for an absent car slot or a tracked car whose goal the observer does not
-track. An episode starts with a full ring window of `_ringNumPrevObs`
-zero states, so history the episode has not reached yet reads as zero
-counts.
+track. The ring features read one window per agent, the current counts
+first, then the `_ringNumPrevObs` earlier states, newest first. An episode
+starts with a full window of zero states, so history the episode has not
+reached yet reads as zero counts.
 """
 
 from __future__ import annotations

@@ -137,10 +137,16 @@ MUTANTS = [
     # one start for every episode: the ring window keeps its length, and
     # a spawn passes the minimum distance and the one hitbox test against
     # every other car
-    (ENV, "                agent.ring_history.pop()\n", ""),
+    (ENV, "                agent.rings.pop()\n", ""),
     (ENV, ">= min_d", "> min_d"),
     (ENV, "self.world.static_kind(body, others)",
      "self.world.static_kind(body, self.world.parked)"),
+    # one end for every episode: the tick counts each outcome where it
+    # decides it, and the respawned car is the one the world holds
+    (ENV, "                stats[CRASH_STATS[kind]] += 1\n", ""),
+    (ENV, '"timeout": "halted"}', '"timeout": "crashed"}'),
+    (ENV, "        self.world.agents[agent_i] = agent.body\n", ""),
+    (CONFIG, "if self._ringNumPrevObs and not self._obsRings:", "if False:"),
 ]
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(EnvironmentConfig)}

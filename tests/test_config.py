@@ -370,6 +370,16 @@ def test_rings_flag_must_match_diameters():
     refused({"ringDiams": (11,)}, "ringDiams")
 
 
+def test_ring_history_needs_rings():
+    """A ring history without rings would be ignored, so it is refused by
+    name, built directly or from a mapping; with rings it is kept."""
+    refused({"_ringNumPrevObs": 2},
+            "^_ringNumPrevObs: must be 0 when _obsRings is unset$")
+    rings = {"_obsRings": True, "_ringMaxNumObjTrack": 1, "ringDiams": (11,)}
+    assert EnvironmentConfig(**rings, _ringNumPrevObs=2)._ringNumPrevObs == 2
+    assert EnvironmentConfig(_ringNumPrevObs=0)._ringNumPrevObs == 0
+
+
 def test_stop_goal_reward_sentinel():
     cfg = config_from_mapping(
         {"_dynamicGoals": True, "_rewDeltaGoalStopGoal": -1,

@@ -159,11 +159,11 @@ def test_ring_history_zero_filled():
     obs = build_observation(schema, cfg, [0, 2.0, 2, 1, 1, 0, 0, 0])
     # velocity, angle, current(2), prev1(2), prev2 zero-filled(2)
     assert obs == [1, 2, 2, 1, 1, 0, 0, 0]
-    # a fresh episode reads zeros from its window of _ringNumPrevObs states
+    # a fresh episode reads zeros from its _ringNumPrevObs earlier states
     env = ParkingEnv(cfg, seed=0)
     agent = env.agents[0]
-    assert agent.ring_history == [(0, 0), (0, 0)]
-    agent.cur_rings = (2, 1)
+    assert agent.rings[1:] == [(0, 0), (0, 0)]
+    agent.rings[0] = (2, 1)
     assert env.observe(0)[2:] == [2, 1, 0, 0, 0, 0]
 
 

@@ -78,8 +78,8 @@ def oracle_inputs(env, agent_i):
                 if agent.goal_space is not None else None)
         inputs.own_goal_index = slot + 1 if slot is not None else 0
     if env.ring_spec:
-        inputs.rings = agent.cur_rings
-        inputs.ring_history = agent.ring_history
+        inputs.rings = agent.rings[0]
+        inputs.ring_history = agent.rings[1:]
     if cfg._obsNearbyCars and cfg._obsNearbyCarsCount > 0:
         cars = env.world.all_cars()
         for j in agent.nearby:  # column j; agents come first
