@@ -1,19 +1,20 @@
 """The parking MDP: episode lifecycle, dynamics, rewards, goal mechanics,
 give-way contexts, and terminal handling for N independent agents.
 
-Step order within a single tick: goal transitions (dynamic goals) are
-applied on the pre-move state, then every agent moves in index order, then
-collisions are resolved against post-move poses, then tracking refresh,
-lost-goal handling, park checks, and rewards; that phase is the one place
-an episode ends, counting the outcome where it decides it and handing out
-the finished AgentState. Terminal agents respawn at the end of the tick
-(a respawn is the one place an episode starts, with a new state and car,
-and reset respawns every agent); a successful park first relocates the
-parked car farthest from all agents into the space the parking agent
-vacates, keeping the parked-car count constant. Last comes the sensing
-pass: one center-distance matrix from every agent to every car and space
-gives each agent's nearest-car list and nearest-car distance and each
-space's closest-agent distances.
+Step order within a single tick, one method per phase, each called once
+by `step_all`: `_transition_goals` (dynamic goals only) applies the goal
+actions on the pre-move state; `_move` moves every agent in index order;
+`_collide` resolves collisions against post-move poses; `_score` does
+tracking refresh, lost-goal handling, park checks and rewards, and is the
+one place an episode ends, counting the outcome where it decides it and
+handing out the finished AgentState. `_start_next_episodes` respawns the
+terminal agents (a respawn is the one place an episode starts, with a new
+state and car, and reset respawns every agent); a successful park first
+relocates the parked car farthest from all agents into the space the
+parking agent vacates, keeping the parked-car count constant. Last comes
+`_sense`, the sensing pass: one center-distance matrix from every agent
+to every car and space gives each agent's nearest-car list and
+nearest-car distance and each space's closest-agent distances.
 
 Every world query is seen from all agents through one view per world
 state, `_seen`, a `WorldArrays` that `_look` builds when something moves
@@ -22,7 +23,7 @@ car with fixed goals has nothing to sense and no view. The sensing pass
 reads the current view, so after respawns it reuses the last one.
 Everything `observe` reads is derived state that `reset` and
 `step_all` leave behind: the ring window (`rings`, whose current counts
-come from the tracking phase or a respawn), and the nearest-car lists
+come from `_score` or a respawn), and the nearest-car lists
 (`nearby`) and the space table behind `global_info` from the sensing
 pass. The next tick's goal transitions read the same tables, since
 nothing moves between the end of one tick and the goal transitions of
@@ -650,32 +651,44 @@ class ParkingEnv:
         return reward
 
     def step_all(self, actions: list[ActionTuple]) -> list[StepOutcome]:
-        agents = self.agents
-        n = len(agents)
+        """One tick of every agent: the action check, then the six phases
+        in order, with the tick's shared values passed between them."""
+        n = len(self.agents)
         if len(actions) != n:
             raise ValueError(f"expected {n} actions, got {len(actions)}")
         for action in actions:
             self._check_action(action)
+        events = [StepOutcome() for _ in actions]
+        if self.cfg._dynamicGoals:
+            self._transition_goals(actions, events)
+        pre_nearest_space = self._move(actions, events)
+        crashed = self._collide()
+        terminals = self._score(actions, events, pre_nearest_space, crashed)
+        self._start_next_episodes(events, terminals)
+        self._sense()
+        return events
+
+    def _transition_goals(self, actions, events) -> None:
+        """Phase 1 (dynamic goals): every agent's goal action, applied on
+        the pre-move full state."""
+        for i, (action, ev) in enumerate(zip(actions, events)):
+            ev.reward += self._goal_transition(i, action.delta_g, ev)
+
+    def _move(self, actions, events) -> list[tuple[int, float] | None]:
+        """Phase 2: kinematics, in index order, then the view of the moved
+        world. Returns, per agent, the nearest tracked space of an
+        exploring agent before its move as (space id, distance), else
+        None."""
         cfg = self.cfg
-        dynamic = cfg._dynamicGoals
-        world = self.world
-        spaces = world.spaces
-        ring_spec = self.ring_spec
-        stats = self.stats
-        events = [StepOutcome() for _ in agents]
-
-        # phase 1: goal transitions on the pre-move full state
-        if dynamic:
-            for i, (action, ev) in enumerate(zip(actions, events)):
-                ev.reward += self._goal_transition(i, action.delta_g, ev)
-
-        # phase 2: kinematics, in index order
+        agents = self.agents
+        spaces = self.world.spaces
         grid = self.grid
         v_fwd, v_rev = cfg._maxVelocityMagnitude, cfg._minVelocityMagnitude
-        pre_nearest_space: list[tuple[int, float] | None] = [None] * n
+        pre_nearest_space: list[tuple[int, float] | None] = [None] * len(agents)
         for i, (agent, action, ev) in enumerate(zip(agents, actions, events)):
             body = agent.body
-            if dynamic and agent.goal_space is None and agent.tracker:
+            # only dynamic goals track spaces or leave an agent exploring
+            if agent.goal_space is None and agent.tracker:
                 best = None
                 for sid in agent.tracker.slots:
                     if sid is None:
@@ -689,10 +702,16 @@ class ParkingEnv:
             body.x, body.y, body.theta = motion_step(body, v, action.omega, grid)
             ev.omega = action.omega
             ev.velocity = v
-
-        # phase 3: collisions on post-move poses; the cars moved, so a new
-        # view, which serves phases 3, 4 and 6 unless someone respawns
+        # the cars moved, so a new view, which serves _collide, _score and
+        # _sense unless someone respawns
         self._look()
+        return pre_nearest_space
+
+    def _collide(self) -> dict[int, str]:
+        """Phase 3: collisions on the post-move poses, read from the
+        current view. Returns each crashed agent's crash kind by index:
+        its wall or parked-car hit, else "agent-car"."""
+        world = self.world
         seen = self._seen
         crashed: dict[int, str] = {}
         for i, kind in enumerate(world.collides_static(world.agents, seen)):
@@ -701,16 +720,28 @@ class ParkingEnv:
         for i, j in world.agent_contacts(seen):
             crashed.setdefault(i, "agent-car")
             crashed.setdefault(j, "agent-car")
+        return crashed
 
-        # phase 4: tracking refresh, lost goals, park checks, rewards
+    def _score(self, actions, events, pre_nearest_space, crashed) -> list[int]:
+        """Phase 4, the one place an episode ends: tracking refresh, the
+        ring window, lost goals, park checks and rewards, each outcome
+        counted where it is decided. Returns the indices of the agents
+        whose episode ended, in index order; each one's outcome holds its
+        finished AgentState."""
+        cfg = self.cfg
+        dynamic = cfg._dynamicGoals
+        world = self.world
+        spaces = world.spaces
+        ring_spec = self.ring_spec
+        stats = self.stats
         if dynamic:
-            tracked = world.nearest_free_spaces(cfg.tracked_spaces, seen)
+            tracked = world.nearest_free_spaces(cfg.tracked_spaces, self._seen)
             occupied_ids = world.occupied_space_ids()
         if ring_spec:
-            counts = world.ring_counts(ring_spec, seen)
+            counts = world.ring_counts(ring_spec, self._seen)
         tau = cfg._maxSteps
         terminals: list[int] = []
-        for i, (agent, ev) in enumerate(zip(agents, events)):
+        for i, (agent, ev) in enumerate(zip(self.agents, events)):
             body = agent.body
             agent.episode_step += 1
             if agent.tracker:
@@ -762,31 +793,29 @@ class ParkingEnv:
                 stats[TERMINAL_STATS[ev.terminal]] += 1
                 ev.episode = agent
                 terminals.append(i)
+        return terminals
 
-        # phase 5: respawns (park relocation first)
+    def _start_next_episodes(self, events, terminals) -> None:
+        """Phase 5: respawn each agent whose episode ended, in index order,
+        a park first relocating the parked car farthest from all agents
+        into the space the parking agent vacates. A relocation may fill a
+        space another agent targets; that goal is lost in the same tick."""
         filled: list[int] = []
         for i in terminals:
             agent = self.agents[i]
             if events[i].terminal == "parked":
-                # the view is current: phase 3's, then the last respawn's
-                world.relocate_furthest_parked_car(agent.goal_space,
-                                                   self._seen)
+                # the view is current: _move's, then the last respawn's
+                self.world.relocate_furthest_parked_car(agent.goal_space,
+                                                        self._seen)
                 filled.append(agent.goal_space)
             self._respawn(i)
-        # a relocation may occupy a space another agent targets; that goal
-        # is lost in the same tick
         if filled:
             done = set(terminals)
             for i, agent in enumerate(self.agents):
                 if i not in done and agent.goal_space in filled:
                     agent.goal_space = None
                     events[i].lost_goal = True
-                    stats["lost_goal"] += 1
-
-        # phase 6: the sensing pass on the final state of the tick, whose
-        # view is the last respawn's, if anyone respawned
-        self._sense()
-        return events
+                    self.stats["lost_goal"] += 1
 
     # --------------------------------------------------------------- rewards
 

@@ -83,11 +83,15 @@ MUTANTS = [
     # reads the current one
     (ENV, "        # of the new view\n        self._look()\n",
      "        # of the new view\n"),
-    (ENV, "        # view, which serves phases 3, 4 and 6 unless someone respawns\n"
-          "        self._look()\n",
-     "        # view, which serves phases 3, 4 and 6 unless someone respawns\n"),
+    (ENV, "        # _sense unless someone respawns\n        self._look()\n",
+     "        # _sense unless someone respawns\n"),
     (ENV, "        self._sense()\n        return events\n",
      "        return events\n"),
+    # step_all runs its phases in tick order
+    (ENV, "        pre_nearest_space = self._move(actions, events)\n"
+          "        crashed = self._collide()\n",
+     "        crashed = self._collide()\n"
+     "        pre_nearest_space = self._move(actions, events)\n"),
     (ENV, "elif seed is not None:", "elif False:"),
     # one check per settings value: typed, finite, lower-bounded, and a
     # float field holds a float

@@ -2,6 +2,7 @@
 contexts, relocation and observations."""
 
 import math
+import os
 import random
 from collections import Counter
 
@@ -14,6 +15,8 @@ from carpark.geometry import (GridSpec, bearing_index_units, motion_step,
 from carpark.world import MAX_WORLD_DISTANCE, ROAD_POINTS, CarBody, WorldArrays
 
 D_MAX = MAX_WORLD_DISTANCE
+BENCHMARKS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 
 PPO_FIXED = {
     "_positionGranularity": 4,
@@ -1075,6 +1078,46 @@ def test_each_tick_counts_exactly_its_outcomes():
             seen[out.terminal] += 1
             seen[out.crash_kind] += 1
     assert set(END_KEYS) | set(CRASH_KEYS) <= set(seen)
+
+
+# step_all's phases, in tick order
+PHASES = ("_transition_goals", "_move", "_collide", "_score",
+          "_start_next_episodes", "_sense")
+
+
+def test_a_tick_runs_each_phase_once_in_order(monkeypatch):
+    """step_all is its six phases, each called once per tick and in
+    order, in a tick that respawns an agent and in one that does not; a
+    fixed-goal tick makes no goal-transition call."""
+    monkeypatch.syspath_prepend(BENCHMARKS)
+    from workloads import ENV_DYNAMIC8
+
+    lone = make_env(seed=5)  # one car with fixed goals
+    dynamic8 = make_env(ENV_DYNAMIC8, seed=0)
+    for env, phases in ((lone, PHASES[1:]), (dynamic8, PHASES)):
+        calls = []
+        for name in PHASES:
+            def spy(*args, name=name, method=getattr(env, name)):
+                calls.append(name)
+                return method(*args)
+            monkeypatch.setattr(env, name, spy)
+        cfg = env.cfg
+        rng = random.Random(0)
+        respawned = set()
+        for _ in range(300):
+            calls.clear()
+            outs = env.step_all([
+                ActionTuple(rng.randint(*env._accel_range),
+                            rng.randint(-cfg._maxDeltaThetaMagnitude,
+                                        cfg._maxDeltaThetaMagnitude),
+                            rng.randint(0, cfg.tracked_spaces)
+                            if cfg._dynamicGoals else None)
+                for _ in env.agents])
+            assert calls == list(phases)
+            respawned.add(any(out.terminal for out in outs))
+            if len(respawned) == 2:
+                break
+        assert respawned == {False, True}
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
